@@ -48,13 +48,15 @@ storeguard:
 # bucket max-flow must equal a reference max-flow exactly, the upper
 # bound must dominate every exact join, and the pruned engines must
 # return byte-identical answers to the unpruned ones (property tests
-# over seeded corpora — a failing case names its seed). The bound check
-# itself must stay 0 allocs/op: the index only pays off if a bound is
-# far cheaper than the join it replaces. !race-gated alloc guard, same
-# reason as metricsguard.
+# over seeded corpora — a failing case names its seed). The tie suite
+# pins the top-k cutoff on bounds tied with the kth-best score: exact
+# answers with exactly the expected number of joins, with and without
+# a scorer. The bound check itself must stay 0 allocs/op: the index
+# only pays off if a bound is far cheaper than the join it replaces.
+# !race-gated alloc guard, same reason as metricsguard.
 indexguard:
 	$(GO) test -count=1 -v -run '^TestDimFlowIsExactMaxFlow$$|^TestUpperBoundDominatesExactJoin$$|^TestUpperBoundZeroAllocs$$' ./internal/index
-	$(GO) test -count=1 -v -run '^TestIndexedTopKExactness$$|^TestRankAboveExactness$$|^TestRankPreparedIndexZeroPrune$$' .
+	$(GO) test -count=1 -v -run '^TestIndexedTopKExactness$$|^TestRankAboveExactness$$|^TestRankPreparedIndexZeroPrune$$|^TestIndexedTopKTies$$|^TestIndexedTopKTiesRandomized$$' .
 
 # kernelguard is the SoA scan-kernel gate (DESIGN.md §14): the flat
 # kernel must be byte-identical to the scalar reference over seeded

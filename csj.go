@@ -341,16 +341,25 @@ func SimilarityCtx(ctx context.Context, b, a *Community, method Method, opts *Op
 	for i, p := range res.Pairs {
 		out.Pairs[i] = Pair{B: int(p.B), A: int(p.A)}
 	}
-	p := 1.0
-	if !method.IsExact() && o.P > 0 {
-		p = o.P
-	}
-	out.Similarity = p * float64(len(out.Pairs)) / float64(b.Size())
+	out.Similarity = csjScore(method, &o, len(out.Pairs), b.Size())
 	applyScorerRaw(&o, ib, ia, out)
 	if o.OnJoinEvents != nil {
 		o.OnJoinEvents(out.Events)
 	}
 	return out, nil
+}
+
+// csjScore is the paper's score p·pairs/|B| (Eq. 1); the discount p
+// applies to approximate methods only. The indexed engines turn their
+// pairs bounds into scores through it as well, so a bound and the
+// similarity it bounds take the same float operations and rounding
+// keeps similarity <= bound exactly.
+func csjScore(method Method, o *Options, pairs, sizeB int) float64 {
+	p := 1.0
+	if !method.IsExact() && o.P > 0 {
+		p = o.P
+	}
+	return p * float64(pairs) / float64(sizeB)
 }
 
 // mapCanceled rewrites the scan loops' cancellation sentinel into the

@@ -1,9 +1,11 @@
 package csj
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/opencsj/csj/internal/index"
@@ -157,9 +159,11 @@ type IndexStats struct {
 	Candidates int64
 	// BoundChecks counts UpperBoundPairs evaluations.
 	BoundChecks int64
-	// Pruned counts candidates eliminated by their bound alone: no
-	// view resolution, no join. Pruning is exact — an eliminated
-	// candidate provably cannot enter the answer.
+	// Pruned counts candidates eliminated without view resolution or
+	// join: by their bound, or — in top-k, on a tie between the bound
+	// and the kth-best similarity — by their bound and index. Pruning
+	// is exact: an eliminated candidate provably cannot enter the
+	// answer.
 	Pruned int64
 	// Visited counts candidates that ran a full join.
 	Visited int64
@@ -185,21 +189,24 @@ type IndexedCandidate struct {
 
 // TopKIndexed returns the k candidates most similar to the pivot by
 // Ex-MinMax similarity, visiting candidates best-first by their index
-// upper bound. A running threshold — the kth best exact similarity so
-// far — prunes every candidate whose bound cannot strictly beat it;
-// because candidates are visited in descending bound order, the first
-// sub-threshold bound terminates the scan outright. Pruning is exact:
-// the returned ranking is identical, cell-for-cell, to an exhaustive
-// Ex-MinMax ranking truncated to k (pinned by `make indexguard`).
+// upper bound (bound descending, candidate index ascending). The k best
+// candidates joined so far form the running answer; the scan stops at
+// the first candidate whose (bound, index) ranks below the answer's
+// worst (similarity, index) — below on the bound, or tied on it with a
+// higher index — since neither it nor any later candidate can enter
+// the answer. Pruning is exact: the returned ranking is identical,
+// cell-for-cell, to an exhaustive Ex-MinMax ranking truncated to k
+// (pinned by `make indexguard`).
 //
 // Unlike the two-phase TopK, no approximate gate runs: every visited
 // candidate is joined exactly, so the answer is the true top-k, not a
 // heuristic refinement. The ApproxSimilarity field of each returned
 // entry carries the candidate's index upper bound instead of an
 // Ap-MinMax score (lifted into the composite domain when a scorer is
-// attached, so it always upper-bounds the reported Similarity). Ties on similarity break by ascending candidate
-// index. If fewer than k candidates can be scored, size-skipped
-// candidates pad the tail (Skipped set, no Result).
+// attached, so it always upper-bounds the reported Similarity). Ties
+// on similarity break by ascending candidate index. If fewer than k
+// candidates can be scored, size-skipped candidates pad the tail
+// (Skipped set, no Result).
 //
 // The bound consultation makes the visit order data-dependent, so the
 // engine runs serially; opts.Workers is ignored.
@@ -223,27 +230,65 @@ func TopKIndexedCtx(ctx context.Context, pivot *PreparedCommunity, candidates []
 
 // boundEntry is one surviving candidate ordered for best-first visits.
 type boundEntry struct {
-	idx   int
-	bound float64 // upper bound on similarity (pairs bound / |B|)
+	idx int
+	// key upper-bounds the candidate's similarity in the engine's own
+	// score domain: the pairs bound taken through csjScore, then lifted
+	// by the scorer. It is exactly the value compared with similarities.
+	key float64
+}
+
+// cmpBoundEntry is the best-first order: key descending, candidate
+// index ascending — the answer's own order, with key for similarity.
+func cmpBoundEntry(x, y boundEntry) int {
+	if c := cmp.Compare(y.key, x.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(x.idx, y.idx)
+}
+
+// visitOrder is the best-first visit sequence of an indexed query's
+// surviving candidates, in cmpBoundEntry order: the sorted entries
+// whose key is above the floor, then the floor-key candidates by index.
+// The floor is the key of a zero bound, the least key there is, so
+// floor-key candidates all tie and need no sorting; on a selective
+// corpus they are nearly every candidate, kept as bare indices.
+type visitOrder struct {
+	above []boundEntry
+	flat  []int
+	floor float64
+}
+
+func (v *visitOrder) len() int { return len(v.above) + len(v.flat) }
+
+// at returns the entry visited at position pos.
+func (v *visitOrder) at(pos int) boundEntry {
+	if pos < len(v.above) {
+		return v.above[pos]
+	}
+	return boundEntry{idx: v.flat[pos-len(v.above)], key: v.floor}
 }
 
 // indexOrder computes every candidate's similarity upper bound against
-// the pivot and returns the survivors in best-first order (bound
-// descending, candidate index ascending — the final tie-break order, so
-// visitation can never reorder equals). Size-precondition violations
-// are split out by index; they are detected from summary sizes alone,
-// exactly mirroring vector.CheckSizes on the real communities.
-func indexOrder(pivot *PreparedCommunity, candidates []IndexedCandidate, o *Options, stats *IndexStats) (order []boundEntry, skipped []int, err error) {
+// the pivot under method and returns the survivors' visitOrder.
+// Size-precondition violations are split out by index; they are
+// detected from summary sizes alone, exactly mirroring
+// vector.CheckSizes on the real communities.
+//
+// The order ranks the lifted key, not the raw pairs bound: a scorer
+// can map distinct bounds to one key (with CSJWeight 0, every key is
+// the same), and the top-k cutoff needs index order within every key.
+func indexOrder(pivot *PreparedCommunity, candidates []IndexedCandidate, method Method, o *Options, stats *IndexStats) (ord visitOrder, skipped []int, err error) {
 	ps, err := pivot.Summarize(0)
 	if err != nil {
-		return nil, nil, fmt.Errorf("csj: summarizing pivot %s: %w", pivot.Name(), err)
+		return ord, nil, fmt.Errorf("csj: summarizing pivot %s: %w", pivot.Name(), err)
 	}
 	pSize := pivot.Size()
-	order = make([]boundEntry, 0, len(candidates))
+	ord.floor = scoreBound(o.Scorer, 0)
+	ord.flat = make([]int, 0, len(candidates))
 	for i := range candidates {
 		cs := candidates[i].Summary
 		if cs == nil || cs.s == nil {
-			return nil, nil, fmt.Errorf("csj: indexed candidate %d has no summary", i)
+			return ord, nil, fmt.Errorf("csj: indexed candidate %d has no summary", i)
 		}
 		bSize, aSize := pSize, cs.Size()
 		if aSize < bSize {
@@ -256,15 +301,14 @@ func indexOrder(pivot *PreparedCommunity, candidates []IndexedCandidate, o *Opti
 		}
 		stats.BoundChecks++
 		ub := upperBoundPairsOpts(ps, cs, o)
-		order = append(order, boundEntry{idx: i, bound: float64(ub) / float64(bSize)})
-	}
-	sort.Slice(order, func(x, y int) bool {
-		if order[x].bound != order[y].bound {
-			return order[x].bound > order[y].bound
+		if key := scoreBound(o.Scorer, csjScore(method, o, ub, bSize)); key > ord.floor {
+			ord.above = append(ord.above, boundEntry{idx: i, key: key})
+		} else {
+			ord.flat = append(ord.flat, i)
 		}
-		return order[x].idx < order[y].idx
-	})
-	return order, skipped, nil
+	}
+	slices.SortFunc(ord.above, cmpBoundEntry)
+	return ord, skipped, nil
 }
 
 // resolveView materializes a surviving candidate's prepared view.
@@ -294,27 +338,23 @@ func candName(c *IndexedCandidate, pc *PreparedCommunity) string {
 
 func topKIndexed(ctx context.Context, pivot *PreparedCommunity, candidates []IndexedCandidate, k int, o *Options) ([]TopKResult, error) {
 	stats := IndexStats{Candidates: int64(len(candidates))}
-	order, skipped, err := indexOrder(pivot, candidates, o, &stats)
+	order, skipped, err := indexOrder(pivot, candidates, ExMinMax, o, &stats)
 	if err != nil {
 		return nil, err
 	}
 
-	// Running threshold: a min-heap of the k best exact similarities.
-	// Pruning needs a strict bound < kth-best comparison — a candidate
-	// whose bound equals the threshold could still tie the kth entry
-	// and win by lower index, so it must be visited.
-	heap := make([]float64, 0, k)
-	scored := make([]TopKResult, 0, min(len(order), 2*k))
+	// The running answer: the k best candidates joined so far, worst at
+	// the root. Visits come in (key desc, index asc) order and a key
+	// bounds its candidate's similarity, so once a candidate's
+	// (key, index) ranks below the root, neither it nor any later
+	// candidate can enter the answer — ties on the key included, which
+	// the index tie-break settles against them (DESIGN.md §12).
+	top := make(topKHeap, 0, min(k, order.len()))
 	var sc Scratch
-	for pos, e := range order {
-		// With a composite scorer the threshold holds blended scores, so
-		// the CSJ bound is lifted into the composite domain first
-		// (scoreBound is monotone in the bound, preserving the
-		// descending visit order; it is the identity without a scorer).
-		if len(heap) == k && scoreBound(o.Scorer, e.bound) < heap[0] {
-			// Bounds are non-increasing from here: the whole tail is
-			// provably below the kth best similarity.
-			stats.Pruned += int64(len(order) - pos)
+	for pos := 0; pos < order.len(); pos++ {
+		e := order.at(pos)
+		if len(top) == k && ranksBelow(e.key, e.idx, &top[0]) {
+			stats.Pruned += int64(order.len() - pos)
 			break
 		}
 		pc, err := resolveView(&candidates[e.idx], e.idx)
@@ -334,29 +374,21 @@ func topKIndexed(ctx context.Context, pivot *PreparedCommunity, candidates []Ind
 			return nil, fmt.Errorf("csj: indexed top-k on %s: %w", candName(&candidates[e.idx], pc), err)
 		}
 		stats.Visited++
-		scored = append(scored, TopKResult{
+		top.offer(TopKResult{
 			Index:            e.idx,
 			Name:             candName(&candidates[e.idx], pc),
-			ApproxSimilarity: scoreBound(o.Scorer, e.bound),
+			ApproxSimilarity: e.key,
 			Result:           res,
-		})
-		if len(heap) < k {
-			heapPush(&heap, res.Similarity)
-		} else if res.Similarity > heap[0] {
-			heapReplaceMin(heap, res.Similarity)
-		}
+		}, k)
 	}
 
-	sort.Slice(scored, func(x, y int) bool {
-		sx, sy := scored[x].Result.Similarity, scored[y].Result.Similarity
-		if sx != sy {
-			return sx > sy
+	scored := []TopKResult(top)
+	slices.SortFunc(scored, func(x, y TopKResult) int {
+		if c := cmp.Compare(y.Result.Similarity, x.Result.Similarity); c != 0 {
+			return c
 		}
-		return scored[x].Index < scored[y].Index
+		return cmp.Compare(x.Index, y.Index)
 	})
-	if len(scored) > k {
-		scored = scored[:k]
-	}
 	// Fewer than k scorable candidates: pad with size-skipped entries,
 	// mirroring the two-phase engine's tail.
 	sort.Ints(skipped)
@@ -372,38 +404,58 @@ func topKIndexed(ctx context.Context, pivot *PreparedCommunity, candidates []Ind
 	return scored, nil
 }
 
-// heapPush adds s to the similarity min-heap.
-func heapPush(h *[]float64, s float64) {
-	*h = append(*h, s)
-	hh := *h
-	for i := len(hh) - 1; i > 0; {
-		parent := (i - 1) / 2
-		if hh[parent] <= hh[i] {
-			break
-		}
-		hh[parent], hh[i] = hh[i], hh[parent]
-		i = parent
-	}
+// ranksBelow reports whether a candidate scoring sim at index idx falls
+// after the scored entry w in the answer order: similarity descending,
+// candidate index ascending.
+func ranksBelow(sim float64, idx int, w *TopKResult) bool {
+	ws := w.Result.Similarity
+	return sim < ws || sim == ws && idx > w.Index
 }
 
-// heapReplaceMin replaces the minimum with s and restores heap order.
-func heapReplaceMin(h []float64, s float64) {
-	h[0] = s
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
+// topKHeap holds the best scored entries seen so far with the one that
+// ranks lowest at the root.
+type topKHeap []TopKResult
+
+// lower reports whether entry i ranks below entry j.
+func (h topKHeap) lower(i, j int) bool {
+	return ranksBelow(h[i].Result.Similarity, h[i].Index, &h[j])
+}
+
+// offer adds r while the heap holds fewer than k entries; after that r
+// replaces the root if it ranks above it.
+func (h *topKHeap) offer(r TopKResult, k int) {
+	if len(*h) < k {
+		*h = append(*h, r)
+		hh := *h
+		for i := len(hh) - 1; i > 0; {
+			parent := (i - 1) / 2
+			if !hh.lower(i, parent) {
+				break
+			}
+			hh[parent], hh[i] = hh[i], hh[parent]
+			i = parent
 		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
+		return
+	}
+	hh := *h
+	if !ranksBelow(hh[0].Result.Similarity, hh[0].Index, &r) {
+		return
+	}
+	hh[0] = r
+	for i := 0; ; {
+		l, rc := 2*i+1, 2*i+2
+		low := i
+		if l < len(hh) && hh.lower(l, low) {
+			low = l
 		}
-		if small == i {
+		if rc < len(hh) && hh.lower(rc, low) {
+			low = rc
+		}
+		if low == i {
 			return
 		}
-		h[i], h[small] = h[small], h[i]
-		i = small
+		hh[i], hh[low] = hh[low], hh[i]
+		i = low
 	}
 }
 
@@ -461,26 +513,21 @@ func rankAboveIndexed(ctx context.Context, pivot *PreparedCommunity, candidates 
 		return nil, errors.New("csj: Rank needs a pivot and at least one candidate")
 	}
 	stats := IndexStats{Candidates: int64(len(candidates))}
-	order, _, err := indexOrder(pivot, candidates, o, &stats)
+	// The keys carry the method's p discount (Eq. 1) before the scorer
+	// lifts them — p applies to the CSJ component only, so lifting
+	// before discounting would be unsound.
+	order, _, err := indexOrder(pivot, candidates, method, o, &stats)
 	if err != nil {
 		return nil, err
 	}
-	// Approximate similarities are discounted by p (Eq. 1); the pairs
-	// bound must be discounted the same way before comparing to minSim.
-	pEff := 1.0
-	if !method.IsExact() && o.P > 0 {
-		pEff = o.P
-	}
-	out := make([]Ranked, 0, len(order))
+	out := make([]Ranked, 0, order.len())
 	var sc Scratch
-	for pos, e := range order {
-		// Discount the CSJ bound by p first, then lift it into the
-		// composite domain — p applies to the CSJ component only, so
-		// lifting before discounting would be unsound.
-		if scoreBound(o.Scorer, pEff*e.bound) < minSim {
-			// Best-first order: every remaining bound is at most this
+	for pos := 0; pos < order.len(); pos++ {
+		e := order.at(pos)
+		if e.key < minSim {
+			// Best-first order: every remaining key is at most this
 			// one, so the whole tail is provably below the threshold.
-			stats.Pruned += int64(len(order) - pos)
+			stats.Pruned += int64(order.len() - pos)
 			break
 		}
 		pc, err := resolveView(&candidates[e.idx], e.idx)

@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -83,13 +84,93 @@ func exactTopKReference(t *testing.T, pivot *csj.PreparedCommunity, pcs []*csj.P
 	return out
 }
 
+// checkIndexedTopK is the indexed top-k oracle: it runs one query
+// through TopKIndexed and through TopKPrepared with Options.Index, and
+// requires both to return, cell for cell, the exhaustive exact ranking
+// truncated to k, with the same stats, every candidate accounted for
+// once, and a view resolved for exactly the visited candidates. label
+// names the case (its seed) in every failure. It returns the stats.
+func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, ix *csj.Index, k int, opts *csj.Options) csj.IndexStats {
+	t.Helper()
+	want := exactTopKReference(t, pivot, pcs, k, opts)
+
+	var stats csj.IndexStats
+	iopts := *opts
+	iopts.OnIndexStats = func(s csj.IndexStats) { stats = s }
+	resolved := 0
+	ics := make([]csj.IndexedCandidate, len(pcs))
+	for i, pc := range pcs {
+		ics[i] = csj.IndexedCandidate{Name: pc.Name(), Summary: ix.Summary(i),
+			View: func() (*csj.PreparedCommunity, error) { resolved++; return pc, nil }}
+	}
+	got, err := csj.TopKIndexed(pivot, ics, k, &iopts)
+	if err != nil {
+		t.Fatalf("%s: TopKIndexed: %v", label, err)
+	}
+	checkTopKCells(t, label+" TopKIndexed", got, want)
+	indexed := stats
+
+	iopts.Index = ix
+	got, err = csj.TopKPrepared(pivot, pcs, k, &iopts)
+	if err != nil {
+		t.Fatalf("%s: TopKPrepared with index: %v", label, err)
+	}
+	checkTopKCells(t, label+" TopKPrepared", got, want)
+	if stats != indexed {
+		t.Fatalf("%s: TopKPrepared stats %+v, TopKIndexed %+v", label, stats, indexed)
+	}
+	if stats.Candidates != int64(len(pcs)) {
+		t.Fatalf("%s: stats.Candidates = %d, want %d", label, stats.Candidates, len(pcs))
+	}
+	if stats.Visited+stats.Pruned+stats.Skipped != stats.Candidates {
+		t.Fatalf("%s: stats do not partition the corpus: %+v", label, stats)
+	}
+	if int64(resolved) != stats.Visited {
+		t.Fatalf("%s: %d views resolved for %d visited candidates", label, resolved, stats.Visited)
+	}
+	return stats
+}
+
+// checkTopKCells compares an indexed top-k answer with the reference.
+func checkTopKCells(t *testing.T, label string, got []csj.TopKResult, want []csj.Ranked) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, reference %d", label, len(got), len(want))
+	}
+	for i := range got {
+		w := want[i]
+		if got[i].Index != w.Index || got[i].Skipped != w.Skipped {
+			t.Fatalf("%s: entry %d = cand %d (skipped=%v), reference cand %d (skipped=%v)",
+				label, i, got[i].Index, got[i].Skipped, w.Index, w.Skipped)
+		}
+		if (got[i].Result == nil) != (w.Result == nil) {
+			t.Fatalf("%s: entry %d result presence diverges", label, i)
+		}
+		if got[i].Result == nil {
+			continue
+		}
+		if got[i].Result.Similarity != w.Result.Similarity {
+			t.Fatalf("%s: entry %d similarity %v, reference %v",
+				label, i, got[i].Result.Similarity, w.Result.Similarity)
+		}
+		if len(got[i].Result.Pairs) != len(w.Result.Pairs) {
+			t.Fatalf("%s: entry %d matched %d pairs, reference %d",
+				label, i, len(got[i].Result.Pairs), len(w.Result.Pairs))
+		}
+		// The bound must dominate the exact similarity it gated.
+		if got[i].ApproxSimilarity < got[i].Result.Similarity {
+			t.Fatalf("%s: entry %d bound %v below exact similarity %v",
+				label, i, got[i].ApproxSimilarity, got[i].Result.Similarity)
+		}
+	}
+}
+
 // TestIndexedTopKExactness is the pruning soundness property: across
-// randomized clustered corpora and epsilons, TopKPrepared with an
-// index attached must return, cell for cell, the exhaustive exact
-// ranking truncated to k. Seeds are logged for reproduction.
+// randomized clustered corpora and epsilons, TopKIndexed and
+// TopKPrepared with an index attached must return, cell for cell, the
+// exhaustive exact ranking truncated to k. Failures name the seed.
 func TestIndexedTopKExactness(t *testing.T) {
 	for _, seed := range []int64{101, 202, 303, 404, 505} {
-		seed := seed
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < 4; trial++ {
 			noise := int32(500 + rng.Intn(3000))
@@ -97,52 +178,50 @@ func TestIndexedTopKExactness(t *testing.T) {
 			k := 1 + rng.Intn(8)
 			opts := &csj.Options{Epsilon: eps, Workers: 1}
 			pivot, pcs, ix := indexedCorpus(t, rng, 40, 1+rng.Intn(12), 1+rng.Intn(6), noise, opts)
-			t.Logf("seed=%d trial=%d eps=%d noise=%d k=%d", seed, trial, eps, noise, k)
+			label := fmt.Sprintf("seed=%d trial=%d eps=%d noise=%d k=%d", seed, trial, eps, noise, k)
+			checkIndexedTopK(t, label, pivot, pcs, ix, k, opts)
+		}
+	}
+}
 
-			want := exactTopKReference(t, pivot, pcs, k, opts)
-
-			var stats csj.IndexStats
-			iopts := *opts
-			iopts.Index = ix
-			iopts.OnIndexStats = func(s csj.IndexStats) { stats = s }
-			got, err := csj.TopKPrepared(pivot, pcs, k, &iopts)
-			if err != nil {
-				t.Fatal(err)
+// checkRankAbove requires the indexed threshold ranking to equal the
+// exhaustive ranking filtered to minSim, through RankAboveIndexed and
+// through RankAbovePrepared with Options.Index.
+func checkRankAbove(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, ix *csj.Index, method csj.Method, minSim float64, opts *csj.Options) {
+	t.Helper()
+	want, err := csj.RankAbovePrepared(pivot, pcs, method, minSim, opts)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", label, err)
+	}
+	ics := make([]csj.IndexedCandidate, len(pcs))
+	for i, pc := range pcs {
+		ics[i] = csj.IndexedCandidate{Name: pc.Name(), Summary: ix.Summary(i),
+			View: func() (*csj.PreparedCommunity, error) { return pc, nil }}
+	}
+	viaIndexed, err := csj.RankAboveIndexed(pivot, ics, method, minSim, opts)
+	if err != nil {
+		t.Fatalf("%s: RankAboveIndexed: %v", label, err)
+	}
+	iopts := *opts
+	iopts.Index = ix
+	viaPrepared, err := csj.RankAbovePrepared(pivot, pcs, method, minSim, &iopts)
+	if err != nil {
+		t.Fatalf("%s: RankAbovePrepared with index: %v", label, err)
+	}
+	for _, got := range [][]csj.Ranked{viaIndexed, viaPrepared} {
+		if len(got) != len(want) {
+			t.Fatalf("%s: indexed RankAbove has %d entries, reference %d", label, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Index != want[i].Index {
+				t.Fatalf("%s: entry %d = cand %d, reference cand %d", label, i, got[i].Index, want[i].Index)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: indexed top-k has %d entries, reference %d", seed, len(got), len(want))
+			if (got[i].Result == nil) != (want[i].Result == nil) {
+				t.Fatalf("%s: entry %d result presence diverges", label, i)
 			}
-			for i := range got {
-				w := want[i]
-				if got[i].Index != w.Index || got[i].Skipped != w.Skipped {
-					t.Fatalf("seed %d: entry %d = cand %d (skipped=%v), reference cand %d (skipped=%v)",
-						seed, i, got[i].Index, got[i].Skipped, w.Index, w.Skipped)
-				}
-				if (got[i].Result == nil) != (w.Result == nil) {
-					t.Fatalf("seed %d: entry %d result presence diverges", seed, i)
-				}
-				if got[i].Result == nil {
-					continue
-				}
-				if got[i].Result.Similarity != w.Result.Similarity {
-					t.Fatalf("seed %d: entry %d similarity %v, reference %v",
-						seed, i, got[i].Result.Similarity, w.Result.Similarity)
-				}
-				if len(got[i].Result.Pairs) != len(w.Result.Pairs) {
-					t.Fatalf("seed %d: entry %d matched %d pairs, reference %d",
-						seed, i, len(got[i].Result.Pairs), len(w.Result.Pairs))
-				}
-				// The bound must dominate the exact similarity it gated.
-				if got[i].ApproxSimilarity < got[i].Result.Similarity {
-					t.Fatalf("seed %d: entry %d bound %v below exact similarity %v",
-						seed, i, got[i].ApproxSimilarity, got[i].Result.Similarity)
-				}
-			}
-			if stats.Candidates != 40 {
-				t.Fatalf("stats.Candidates = %d, want 40", stats.Candidates)
-			}
-			if stats.Visited+stats.Pruned+stats.Skipped != stats.Candidates {
-				t.Fatalf("stats do not partition the corpus: %+v", stats)
+			if got[i].Result != nil && got[i].Result.Similarity != want[i].Result.Similarity {
+				t.Fatalf("%s: entry %d similarity %v, reference %v",
+					label, i, got[i].Result.Similarity, want[i].Result.Similarity)
 			}
 		}
 	}
@@ -160,33 +239,8 @@ func TestRankAboveExactness(t *testing.T) {
 			minSim := rng.Float64() * 0.9
 			opts := &csj.Options{Epsilon: eps, Workers: 1}
 			pivot, pcs, ix := indexedCorpus(t, rng, 36, 1+rng.Intn(9), 1+rng.Intn(5), noise, opts)
-			t.Logf("seed=%d method=%v eps=%d minSim=%.3f", seed, method, eps, minSim)
-
-			want, err := csj.RankAbovePrepared(pivot, pcs, method, minSim, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			iopts := *opts
-			iopts.Index = ix
-			got, err := csj.RankAbovePrepared(pivot, pcs, method, minSim, &iopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed %d: indexed RankAbove has %d entries, reference %d", seed, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Index != want[i].Index {
-					t.Fatalf("seed %d: entry %d = cand %d, reference cand %d", seed, i, got[i].Index, want[i].Index)
-				}
-				if (got[i].Result == nil) != (want[i].Result == nil) {
-					t.Fatalf("seed %d: entry %d result presence diverges", seed, i)
-				}
-				if got[i].Result != nil && got[i].Result.Similarity != want[i].Result.Similarity {
-					t.Fatalf("seed %d: entry %d similarity %v, reference %v",
-						seed, i, got[i].Result.Similarity, want[i].Result.Similarity)
-				}
-			}
+			label := fmt.Sprintf("seed=%d method=%v eps=%d minSim=%.3f", seed, method, eps, minSim)
+			checkRankAbove(t, label, pivot, pcs, ix, method, minSim, opts)
 		}
 	}
 }

@@ -173,32 +173,19 @@ func resolvePivotRaw(snap *store.Snapshot, p ShardPivot) (*csj.Community, int, e
 	}
 }
 
-// shardCandidates resolves an internal query's candidate ids: the
+// shardCandidates resolves an internal query's candidates: the
 // explicit list when given (each must be local), otherwise every local
 // community minus Exclude and a local pivot. Community ids are always
 // positive, so Exclude's zero value excludes nothing.
-func shardCandidates(snap *store.Snapshot, req *ShardQueryRequest) ([]int64, error) {
+func shardCandidates(snap *store.Snapshot, req *ShardQueryRequest) ([]*store.Entry, error) {
 	if len(req.Candidates) > 0 {
-		for _, id := range req.Candidates {
-			if _, ok := snap.Get(id); !ok {
-				return nil, fmt.Errorf("no community %d", id)
-			}
-		}
-		return req.Candidates, nil
+		return candidateEntries(snap, req.Candidates)
 	}
 	var pivotID int64
 	if req.Pivot.ID != nil {
 		pivotID = *req.Pivot.ID
 	}
-	list := snap.List()
-	ids := make([]int64, 0, len(list))
-	for _, e := range list {
-		if e.ID == req.Exclude || e.ID == pivotID {
-			continue
-		}
-		ids = append(ids, e.ID)
-	}
-	return ids, nil
+	return allCandidates(snap, req.Exclude, pivotID), nil
 }
 
 // ---- handlers ----
@@ -310,7 +297,7 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if req.UseIndex {
-				ix, ierr := candidateIndex(snap, cands)
+				ix, ierr := candidateIndex(cands)
 				if ierr != nil {
 					s.writeJoinErr(w, r, ierr)
 					return
@@ -326,8 +313,7 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		comms := make([]*csj.Community, len(cands))
-		for i, id := range cands {
-			e, _ := snap.Get(id) // presence checked above; same snapshot
+		for i, e := range cands {
 			comms[i] = e.Comm
 		}
 		ranked, err = csj.RankCtx(r.Context(), pc, comms, method, s.instrumentOptions(opts))
@@ -338,7 +324,7 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]RankEntry, len(ranked))
 	for i, e := range ranked {
-		out[i] = RankEntry{Community: cands[e.Index], Name: e.Name, Skipped: e.Skipped}
+		out[i] = RankEntry{Community: cands[e.Index].ID, Name: e.Name, Skipped: e.Skipped}
 		if e.Result != nil {
 			out[i].Similarity = e.Result.Similarity
 		}
@@ -405,7 +391,7 @@ func (s *Server) handleInternalTopK(w http.ResponseWriter, r *http.Request) {
 	out := make([]TopKEntry, len(top))
 	for i, e := range top {
 		out[i] = TopKEntry{
-			Community: cands[e.Index],
+			Community: cands[e.Index].ID,
 			Name:      e.Name,
 			Approx:    e.ApproxSimilarity,
 			Skipped:   e.Skipped,

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -103,7 +104,14 @@ func jsonBody(v any) *bytes.Reader {
 // never a torn in-between. Afterwards the server must not leak
 // goroutines.
 func TestSnapshotIsolationUnderChurn(t *testing.T) {
-	ts := newTestServer(t)
+	// Four stable readers and one racing reader hold /matrix requests at
+	// once. The default admission limit (2×GOMAXPROCS) is 4 on a 2-CPU
+	// machine, which would shed a reader with 429; the limit sits above
+	// the reader count so every read is admitted, and a 429 stays a
+	// failure.
+	const readers = 5
+	ts := httptest.NewServer(NewWithConfig(nil, Config{MaxInFlight: 2 * readers}))
+	t.Cleanup(ts.Close)
 	rng := rand.New(rand.NewSource(7))
 	stable := make([]int64, 4)
 	for i := range stable {
@@ -111,18 +119,21 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 	}
 	churn := uploadCommunity(t, ts, "churn-seed", randUsers(rng, 30, 4, 6))
 
-	matrixOnce := func() []MatrixCell {
+	matrixOnce := func() ([]MatrixCell, error) {
 		var cells []MatrixCell
-		doJSON(t, "POST", ts.URL+"/matrix",
+		err := tryJSON("POST", ts.URL+"/matrix",
 			MatrixRequest{Communities: stable, Method: "exminmax",
 				Options: OptionsPayload{Epsilon: 1}},
 			http.StatusOK, &cells)
 		for i := range cells {
 			cells[i].ElapsedMS = 0 // wall-clock noise, not part of the answer
 		}
-		return cells
+		return cells, err
 	}
-	baseline := matrixOnce()
+	baseline, err := matrixOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(baseline) != 6 {
 		t.Fatalf("baseline matrix has %d cells, want 6", len(baseline))
 	}
@@ -145,23 +156,33 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 				default:
 				}
 				var info CommunityInfo
-				doJSON(t, "POST", ts.URL+"/communities",
+				if err := tryJSON("POST", ts.URL+"/communities",
 					CommunityPayload{Name: fmt.Sprintf("scratch-%d-%d", w, i),
 						Category: -1, Users: randUsers(myRng, 20, 4, 6)},
-					http.StatusCreated, &info)
-				doJSON(t, "DELETE", fmt.Sprintf("%s/communities/%d", ts.URL, info.ID),
-					nil, http.StatusNoContent, nil)
+					http.StatusCreated, &info); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", w, err)
+					return
+				}
+				if err := tryJSON("DELETE", fmt.Sprintf("%s/communities/%d", ts.URL, info.ID),
+					nil, http.StatusNoContent, nil); err != nil {
+					errs <- fmt.Errorf("writer %d: %w", w, err)
+					return
+				}
 			}
 		}(w)
 	}
 
 	// Stable readers: the answer must never change under churn.
-	for r := 0; r < 4; r++ {
+	for r := 0; r < readers-1; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				got := matrixOnce()
+				got, err := matrixOnce()
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: %w", r, err)
+					return
+				}
 				if len(got) != len(baseline) {
 					errs <- fmt.Errorf("reader %d: %d cells, want %d", r, len(got), len(baseline))
 					return
@@ -184,8 +205,11 @@ func TestSnapshotIsolationUnderChurn(t *testing.T) {
 		ids := append(append([]int64{}, stable[:2]...), churn)
 		for i := 0; i < 8; i++ {
 			if i == 4 {
-				doJSON(t, "DELETE", fmt.Sprintf("%s/communities/%d", ts.URL, churn),
-					nil, http.StatusNoContent, nil)
+				if err := tryJSON("DELETE", fmt.Sprintf("%s/communities/%d", ts.URL, churn),
+					nil, http.StatusNoContent, nil); err != nil {
+					errs <- fmt.Errorf("racing reader: %w", err)
+					return
+				}
 			}
 			resp, err := http.Post(ts.URL+"/matrix", "application/json",
 				jsonBody(MatrixRequest{Communities: ids, Method: "exminmax",

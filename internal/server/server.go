@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -603,12 +604,13 @@ func minMaxMethod(m csj.Method) bool {
 	return m == csj.ApMinMax || m == csj.ExMinMax
 }
 
-// preparedViews resolves one cached view per id from the snapshot,
+// preparedViews resolves one cached view per entry from the snapshot,
 // building (or joining an in-flight build of) any that are missing.
-func preparedViews(snap *store.Snapshot, ids []int64, opts *csj.Options) ([]*csj.PreparedCommunity, error) {
-	out := make([]*csj.PreparedCommunity, len(ids))
-	for i, id := range ids {
-		pc, err := snap.PreparedSpec(id, opts.Spec())
+func preparedViews(snap *store.Snapshot, entries []*store.Entry, opts *csj.Options) ([]*csj.PreparedCommunity, error) {
+	spec := opts.Spec()
+	out := make([]*csj.PreparedCommunity, len(entries))
+	for i, e := range entries {
+		pc, err := snap.PreparedSpec(e.ID, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -617,32 +619,44 @@ func preparedViews(snap *store.Snapshot, ids []int64, opts *csj.Options) ([]*csj
 	return out, nil
 }
 
-// allCandidateIDs lists every stored community except the pivot, in
-// ascending id order (the snapshot's own ordering).
-func allCandidateIDs(snap *store.Snapshot, pivot int64) []int64 {
-	list := snap.List()
-	ids := make([]int64, 0, len(list))
-	for _, e := range list {
-		if e.ID != pivot {
-			ids = append(ids, e.ID)
+// candidateEntries resolves an explicit candidate list against the
+// snapshot; every id must name a stored community.
+func candidateEntries(snap *store.Snapshot, ids []int64) ([]*store.Entry, error) {
+	out := make([]*store.Entry, len(ids))
+	for i, id := range ids {
+		e, err := lookup(snap, id)
+		if err != nil {
+			return nil, err
 		}
+		out[i] = e
 	}
-	return ids
+	return out, nil
 }
 
-// entrySummary returns the store-maintained pruning summary of id,
-// summarizing on the fly when the store runs with summaries disabled.
-func entrySummary(snap *store.Snapshot, id int64) (*csj.CommunitySummary, error) {
-	e, ok := snap.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("no community %d", id)
+// allCandidates lists every stored community except the excluded ids,
+// straight from the snapshot's own listing (ascending id), so nothing
+// is looked up again.
+func allCandidates(snap *store.Snapshot, exclude ...int64) []*store.Entry {
+	list := snap.List()
+	out := make([]*store.Entry, 0, len(list))
+	for _, e := range list {
+		if !slices.Contains(exclude, e.ID) {
+			out = append(out, e)
+		}
 	}
+	return out
+}
+
+// entrySummary returns the store-maintained pruning summary of an
+// entry, summarizing on the fly when the store runs with summaries
+// disabled.
+func entrySummary(e *store.Entry) (*csj.CommunitySummary, error) {
 	if e.Summary != nil {
 		return e.Summary, nil
 	}
 	sum, err := csj.SummarizeCommunity(e.Comm, 0)
 	if err != nil {
-		return nil, fmt.Errorf("summarizing community %d: %w", id, err)
+		return nil, fmt.Errorf("summarizing community %d: %w", e.ID, err)
 	}
 	return sum, nil
 }
@@ -650,23 +664,21 @@ func entrySummary(snap *store.Snapshot, id int64) (*csj.CommunitySummary, error)
 // indexedCandidates builds the envelope-index view of a candidate set:
 // each candidate pairs its summary with a lazy prepared-view resolver,
 // so only the candidates the engine actually joins get encoded.
-func indexedCandidates(snap *store.Snapshot, ids []int64, opts *csj.Options) ([]csj.IndexedCandidate, error) {
-	out := make([]csj.IndexedCandidate, len(ids))
-	for i, id := range ids {
-		e, ok := snap.Get(id)
-		if !ok {
-			return nil, fmt.Errorf("no community %d", id)
-		}
-		sum, err := entrySummary(snap, id)
+func indexedCandidates(snap *store.Snapshot, entries []*store.Entry, opts *csj.Options) ([]csj.IndexedCandidate, error) {
+	spec := opts.Spec()
+	shared := &spec // one copy for every resolver below
+	out := make([]csj.IndexedCandidate, len(entries))
+	for i, e := range entries {
+		sum, err := entrySummary(e)
 		if err != nil {
 			return nil, err
 		}
-		id := id
+		id := e.ID
 		out[i] = csj.IndexedCandidate{
 			Name:    e.Comm.Name,
 			Summary: sum,
 			View: func() (*csj.PreparedCommunity, error) {
-				return snap.PreparedSpec(id, opts.Spec())
+				return snap.PreparedSpec(id, *shared)
 			},
 		}
 	}
@@ -675,16 +687,37 @@ func indexedCandidates(snap *store.Snapshot, ids []int64, opts *csj.Options) ([]
 
 // candidateIndex builds the candidate-aligned Index that Options.Index
 // expects, from the store's entry summaries.
-func candidateIndex(snap *store.Snapshot, ids []int64) (*csj.Index, error) {
-	sums := make([]*csj.CommunitySummary, len(ids))
-	for i, id := range ids {
-		sum, err := entrySummary(snap, id)
+func candidateIndex(entries []*store.Entry) (*csj.Index, error) {
+	sums := make([]*csj.CommunitySummary, len(entries))
+	for i, e := range entries {
+		sum, err := entrySummary(e)
 		if err != nil {
 			return nil, err
 		}
 		sums[i] = sum
 	}
 	return csj.NewIndex(sums)
+}
+
+// requestCandidates resolves the candidates of a /rank or /topk
+// request: every stored community but the pivot with all_candidates,
+// else the explicit list. It writes the error response and reports
+// false when the request cannot proceed.
+func (s *Server) requestCandidates(w http.ResponseWriter, snap *store.Snapshot, pivot int64, ids []int64, all bool) ([]*store.Entry, bool) {
+	if all {
+		if len(ids) > 0 {
+			s.writeErr(w, http.StatusBadRequest,
+				errors.New("all_candidates excludes an explicit candidate list"))
+			return nil, false
+		}
+		return allCandidates(snap, pivot), true
+	}
+	cands, err := candidateEntries(snap, ids)
+	if err != nil {
+		s.writeErr(w, http.StatusNotFound, err)
+		return nil, false
+	}
+	return cands, true
 }
 
 func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
@@ -720,7 +753,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	if minMaxMethod(method) {
 		// MinMax joins run on cached prepared views: after warmup,
 		// repeated requests over stored communities re-encode nothing.
-		views, verr := preparedViews(snap, []int64{b.ID, a.ID}, opts)
+		views, verr := preparedViews(snap, []*store.Entry{b, a}, opts)
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
 			return
@@ -760,19 +793,9 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	if req.AllCandidates {
-		if len(req.Candidates) > 0 {
-			s.writeErr(w, http.StatusBadRequest,
-				errors.New("all_candidates excludes an explicit candidate list"))
-			return
-		}
-		req.Candidates = allCandidateIDs(snap, req.Pivot)
-	}
-	for _, id := range req.Candidates {
-		if _, err := lookup(snap, id); err != nil {
-			s.writeErr(w, http.StatusNotFound, err)
-			return
-		}
+	cands, ok := s.requestCandidates(w, snap, req.Pivot, req.Candidates, req.AllCandidates)
+	if !ok {
+		return
 	}
 	method, err := csj.ParseMethod(req.Method)
 	if err != nil {
@@ -802,7 +825,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
 		var ics []csj.IndexedCandidate
 		if verr == nil {
-			ics, verr = indexedCandidates(snap, req.Candidates, opts)
+			ics, verr = indexedCandidates(snap, cands, opts)
 		}
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
@@ -813,7 +836,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
 		var views []*csj.PreparedCommunity
 		if verr == nil {
-			views, verr = preparedViews(snap, req.Candidates, opts)
+			views, verr = preparedViews(snap, cands, opts)
 		}
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
@@ -824,7 +847,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
 		var views []*csj.PreparedCommunity
 		if verr == nil {
-			views, verr = preparedViews(snap, req.Candidates, opts)
+			views, verr = preparedViews(snap, cands, opts)
 		}
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
@@ -833,7 +856,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		if req.UseIndex {
 			// Full ranking must score every candidate, but provably-zero
 			// candidates skip their joins (DESIGN.md §12).
-			ix, ierr := candidateIndex(snap, req.Candidates)
+			ix, ierr := candidateIndex(cands)
 			if ierr != nil {
 				s.writeJoinErr(w, r, ierr)
 				return
@@ -842,12 +865,11 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		}
 		ranked, err = csj.RankPreparedCtx(r.Context(), pv, views, method, s.instrumentOptions(opts))
 	default:
-		cands := make([]*csj.Community, len(req.Candidates))
-		for i, id := range req.Candidates {
-			e, _ := snap.Get(id) // presence checked above; same snapshot
-			cands[i] = e.Comm
+		comms := make([]*csj.Community, len(cands))
+		for i, e := range cands {
+			comms[i] = e.Comm
 		}
-		ranked, err = csj.RankCtx(r.Context(), pivot.Comm, cands, method, s.instrumentOptions(opts))
+		ranked, err = csj.RankCtx(r.Context(), pivot.Comm, comms, method, s.instrumentOptions(opts))
 	}
 	if err != nil {
 		s.writeJoinErr(w, r, err)
@@ -855,7 +877,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]RankEntry, len(ranked))
 	for i, e := range ranked {
-		out[i] = RankEntry{Community: req.Candidates[e.Index], Name: e.Name, Skipped: e.Skipped}
+		out[i] = RankEntry{Community: cands[e.Index].ID, Name: e.Name, Skipped: e.Skipped}
 		if e.Result != nil {
 			out[i].Similarity = e.Result.Similarity
 		}
@@ -877,19 +899,9 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	if req.AllCandidates {
-		if len(req.Candidates) > 0 {
-			s.writeErr(w, http.StatusBadRequest,
-				errors.New("all_candidates excludes an explicit candidate list"))
-			return
-		}
-		req.Candidates = allCandidateIDs(snap, req.Pivot)
-	}
-	for _, id := range req.Candidates {
-		if _, err := lookup(snap, id); err != nil {
-			s.writeErr(w, http.StatusNotFound, err)
-			return
-		}
+	cands, ok := s.requestCandidates(w, snap, req.Pivot, req.Candidates, req.AllCandidates)
+	if !ok {
+		return
 	}
 	opts, err := req.Options.toOptions()
 	if err != nil {
@@ -906,14 +918,14 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	var top []csj.TopKResult
 	if req.UseIndex {
-		ics, ierr := indexedCandidates(snap, req.Candidates, opts)
+		ics, ierr := indexedCandidates(snap, cands, opts)
 		if ierr != nil {
 			s.writeJoinErr(w, r, ierr)
 			return
 		}
 		top, err = csj.TopKIndexedCtx(r.Context(), pv, ics, req.K, s.instrumentOptions(opts))
 	} else {
-		views, verr := preparedViews(snap, req.Candidates, opts)
+		views, verr := preparedViews(snap, cands, opts)
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
 			return
@@ -927,7 +939,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	out := make([]TopKEntry, len(top))
 	for i, e := range top {
 		out[i] = TopKEntry{
-			Community: req.Candidates[e.Index],
+			Community: cands[e.Index].ID,
 			Name:      e.Name,
 			Approx:    e.ApproxSimilarity,
 			Skipped:   e.Skipped,
@@ -951,11 +963,10 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	snap := s.store.Snapshot()
-	for _, id := range req.Communities {
-		if _, err := lookup(snap, id); err != nil {
-			s.writeErr(w, http.StatusNotFound, err)
-			return
-		}
+	comms, err := candidateEntries(snap, req.Communities)
+	if err != nil {
+		s.writeErr(w, http.StatusNotFound, err)
+		return
 	}
 	if req.Method == "" {
 		req.Method = "exminmax"
@@ -972,7 +983,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	// The matrix is MinMax-only; the cells run straight on cached views,
 	// so a warmed-up matrix performs zero core.Prepare calls.
-	views, err := preparedViews(snap, req.Communities, opts)
+	views, err := preparedViews(snap, comms, opts)
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return

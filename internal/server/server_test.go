@@ -19,31 +19,40 @@ func newTestServer(t *testing.T) *httptest.Server {
 
 func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any) {
 	t.Helper()
+	if err := tryJSON(method, url, body, wantStatus, out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tryJSON is doJSON for goroutines other than the test's own: it
+// returns the failure instead of ending the test.
+func tryJSON(method, url string, body any, wantStatus int, out any) error {
 	var buf bytes.Buffer
 	if body != nil {
 		if err := json.NewEncoder(&buf).Encode(body); err != nil {
-			t.Fatal(err)
+			return err
 		}
 	}
 	req, err := http.NewRequest(method, url, &buf)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != wantStatus {
 		var msg map[string]any
 		_ = json.NewDecoder(resp.Body).Decode(&msg)
-		t.Fatalf("%s %s: status %d, want %d (%v)", method, url, resp.StatusCode, wantStatus, msg)
+		return fmt.Errorf("%s %s: status %d, want %d (%v)", method, url, resp.StatusCode, wantStatus, msg)
 	}
 	if out != nil {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("%s %s: decoding response: %v", method, url, err)
+			return fmt.Errorf("%s %s: decoding response: %v", method, url, err)
 		}
 	}
+	return nil
 }
 
 func uploadCommunity(t *testing.T, ts *httptest.Server, name string, users [][]int32) int64 {

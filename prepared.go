@@ -90,11 +90,7 @@ func similarityPreparedInto(ctx context.Context, b, a *PreparedCommunity, method
 	out.SizeA = a.Size()
 	out.Events = Events(cres.Events)
 	out.Elapsed = time.Since(start)
-	p := 1.0
-	if !method.IsExact() && o.P > 0 {
-		p = o.P
-	}
-	out.Similarity = p * float64(len(pairs)) / float64(b.Size())
+	out.Similarity = csjScore(method, o, len(pairs), b.Size())
 	out.Blend = nil // out is reused; clear any stale blend first
 	applyScorerPrepared(o, b, a, out)
 	if o.OnJoinEvents != nil {

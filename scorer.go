@@ -54,10 +54,13 @@ func cosine(x, y []float64) float64 {
 	return c
 }
 
-// blendScore folds the components into the final similarity.
+// blendScore folds the components into the final similarity. The
+// explicit conversions round every product on its own, as in
+// scoreBound: a fused multiply-add in one and not the other could put
+// a blend an ulp above its own bound.
 func blendScore(sc *ScorerSpec, blend *ScoreBlend) float64 {
 	wc, wcat, wcos := sc.normalized()
-	return wc*blend.CSJ + wcat*blend.Category + wcos*blend.Cosine
+	return float64(wc*blend.CSJ) + float64(wcat*blend.Category) + float64(wcos*blend.Cosine)
 }
 
 // scoreBound lifts a CSJ-score upper bound into the composite domain:
@@ -65,13 +68,15 @@ func blendScore(sc *ScorerSpec, blend *ScoreBlend) float64 {
 // returned value, because category and cosine never exceed 1. Without
 // a scorer it is the identity, so the indexed engines' pruning logic
 // reads the same either way. The p discount must already be folded
-// into csjBound (it applies to the CSJ component only).
+// into csjBound (it applies to the CSJ component only). The result is
+// monotone in csjBound and takes blendScore's operations in the same
+// order, so rounding keeps every blend <= its bound exactly.
 func scoreBound(sc *ScorerSpec, csjBound float64) float64 {
 	if sc == nil {
 		return csjBound
 	}
 	wc, wcat, wcos := sc.normalized()
-	return wc*csjBound + wcat + wcos
+	return float64(wc*csjBound) + wcat + wcos
 }
 
 // applyScorerRaw rewrites out.Similarity into the composite blend for
