@@ -40,9 +40,13 @@ metricsguard:
 
 # storeguard is the store-overhead gate (DESIGN.md §10): the cache-hit
 # prepared Ap path — snapshot load, view lookups, scratch'd join — must
-# stay 0 allocs/op. !race-gated for the same reason as metricsguard.
+# stay 0 allocs/op, and the store must scale with the corpus: a
+# Create+Delete allocates the same at 1k and 50k stored communities, and
+# an all-candidates indexed top-k through the snapshot's candidate
+# source the same at 1k and 10k. !race-gated for the same reason as
+# metricsguard.
 storeguard:
-	$(GO) test -count=1 -v -run '^TestStoreCacheHitPreparedApZeroAllocs$$' ./internal/store
+	$(GO) test -count=1 -v -run '^TestStoreCacheHitPreparedApZeroAllocs$$|^TestStoreCreateDeleteAllocsScaleFree$$|^TestIndexedTopKAllocsScaleFree$$' ./internal/store
 
 # indexguard is the envelope-index exactness gate (DESIGN.md §12): the
 # bucket max-flow must equal a reference max-flow exactly, the upper

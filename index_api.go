@@ -172,20 +172,89 @@ type IndexStats struct {
 	Skipped int64
 }
 
-// IndexedCandidate is one candidate of the indexed engines: its
-// summary, resolved lazily into a prepared view only if the candidate
-// survives pruning. View is called at most once, serially.
+// CandidateSource is the candidate set of the indexed engines,
+// addressed by position 0..Len()-1. A candidate's position is its index
+// in the answer (TopKResult.Index, Ranked.Index) and settles ties. The
+// engines read every candidate's Summary, but resolve a View only for
+// candidates whose bound survives the running threshold, so a
+// byte-capped view cache (internal/store) only materializes the
+// candidates actually joined. A store snapshot implements it over its
+// own listing with no per-candidate allocation; IndexedCandidate
+// slices and prepared views plus an Index are adapted to it. Methods
+// are called serially.
+type CandidateSource interface {
+	// Len returns the candidate count.
+	Len() int
+	// Summary returns candidate i's pruning summary.
+	Summary(i int) (*CommunitySummary, error)
+	// Name labels candidate i in results; when empty, the view's name
+	// is used instead.
+	Name(i int) string
+	// View resolves candidate i's prepared view. It is called at most
+	// once per candidate.
+	View(i int) (*PreparedCommunity, error)
+}
+
+// IndexedCandidate is one candidate of TopKIndexed and
+// RankAboveIndexed: its summary, resolved lazily into a prepared view
+// only if the candidate survives pruning. View is called at most once,
+// serially. A caller holding many candidates in its own structure can
+// implement CandidateSource instead and skip building one
+// IndexedCandidate (and one View closure) per candidate.
 type IndexedCandidate struct {
 	// Name labels the candidate in results (View's name wins if empty).
 	Name string
 	// Summary is the candidate's pruning summary (required).
 	Summary *CommunitySummary
 	// View resolves the candidate's prepared view; it is only invoked
-	// for candidates whose bound survives the running threshold, so a
-	// byte-capped view cache (internal/store) only materializes the
-	// candidates actually joined.
+	// for candidates whose bound survives the running threshold.
 	View func() (*PreparedCommunity, error)
 }
+
+// indexedCandidates adapts an IndexedCandidate slice to a
+// CandidateSource.
+type indexedCandidates []IndexedCandidate
+
+func (c indexedCandidates) Len() int          { return len(c) }
+func (c indexedCandidates) Name(i int) string { return c[i].Name }
+
+func (c indexedCandidates) Summary(i int) (*CommunitySummary, error) {
+	if cs := c[i].Summary; cs != nil && cs.s != nil {
+		return cs, nil
+	}
+	return nil, fmt.Errorf("csj: indexed candidate %d has no summary", i)
+}
+
+func (c indexedCandidates) View(i int) (*PreparedCommunity, error) {
+	if c[i].View == nil {
+		return nil, fmt.Errorf("csj: indexed candidate %d has no view", i)
+	}
+	return c[i].View()
+}
+
+// preparedCandidates adapts prepared views and their candidate-aligned
+// Index to a CandidateSource.
+type preparedCandidates struct {
+	pcs []*PreparedCommunity
+	ix  *Index
+}
+
+func newPreparedCandidates(pcs []*PreparedCommunity, ix *Index) (preparedCandidates, error) {
+	if ix.Len() != len(pcs) {
+		return preparedCandidates{}, fmt.Errorf("csj: index has %d summaries for %d candidates", ix.Len(), len(pcs))
+	}
+	for i, pc := range pcs {
+		if pc == nil {
+			return preparedCandidates{}, fmt.Errorf("csj: prepared candidate %d is nil", i)
+		}
+	}
+	return preparedCandidates{pcs: pcs, ix: ix}, nil
+}
+
+func (c preparedCandidates) Len() int                                 { return len(c.pcs) }
+func (c preparedCandidates) Summary(i int) (*CommunitySummary, error) { return c.ix.Summary(i), nil }
+func (c preparedCandidates) Name(i int) string                        { return c.pcs[i].Name() }
+func (c preparedCandidates) View(i int) (*PreparedCommunity, error)   { return c.pcs[i], nil }
 
 // TopKIndexed returns the k candidates most similar to the pivot by
 // Ex-MinMax similarity, visiting candidates best-first by their index
@@ -209,23 +278,32 @@ type IndexedCandidate struct {
 // (Skipped set, no Result).
 //
 // The bound consultation makes the visit order data-dependent, so the
-// engine runs serially; opts.Workers is ignored.
+// engine runs serially; opts.Workers is ignored. TopKIndexed adapts
+// the slice to a CandidateSource and runs TopKIndexedFrom.
 func TopKIndexed(pivot *PreparedCommunity, candidates []IndexedCandidate, k int, opts *Options) ([]TopKResult, error) {
-	return TopKIndexedCtx(context.Background(), pivot, candidates, k, opts)
+	return TopKIndexedFrom(context.Background(), pivot, indexedCandidates(candidates), k, opts)
 }
 
 // TopKIndexedCtx is TopKIndexed with cooperative cancellation: a
 // canceled ctx stops the visit loop, interrupts the in-flight scan at
 // its next checkpoint, and returns ctx's error with no partial answer.
 func TopKIndexedCtx(ctx context.Context, pivot *PreparedCommunity, candidates []IndexedCandidate, k int, opts *Options) ([]TopKResult, error) {
-	if pivot == nil || len(candidates) == 0 {
+	return TopKIndexedFrom(ctx, pivot, indexedCandidates(candidates), k, opts)
+}
+
+// TopKIndexedFrom is the indexed top-k engine of TopKIndexed over a
+// CandidateSource, with cooperative cancellation. Its memory grows with
+// the candidates whose bound keys rise above the floor (a zero bound)
+// and the size-skipped ones, not with the candidate count.
+func TopKIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, k int, opts *Options) ([]TopKResult, error) {
+	if pivot == nil || src.Len() == 0 {
 		return nil, errors.New("csj: TopK needs a pivot and at least one candidate")
 	}
 	if k <= 0 {
 		return nil, fmt.Errorf("csj: TopK needs k >= 1, got %d", k)
 	}
 	o := opts.orDefault()
-	return topKIndexed(ctx, pivot, candidates, k, &o)
+	return topKIndexed(ctx, pivot, src, k, &o)
 }
 
 // boundEntry is one surviving candidate ordered for best-first visits.
@@ -250,61 +328,96 @@ func cmpBoundEntry(x, y boundEntry) int {
 // surviving candidates, in cmpBoundEntry order: the sorted entries
 // whose key is above the floor, then the floor-key candidates by index.
 // The floor is the key of a zero bound, the least key there is, so
-// floor-key candidates all tie and need no sorting; on a selective
-// corpus they are nearly every candidate, kept as bare indices.
+// floor-key candidates all tie and need no sorting. On a selective
+// corpus they are nearly every candidate, so they are not stored: the
+// tail walks the candidate indices in order and steps over the
+// above-floor and size-skipped ones, listed in off.
 type visitOrder struct {
 	above []boundEntry
-	flat  []int
 	floor float64
+	off   []int // ascending indices outside the floor tail
+	n     int   // candidate count
+
+	visited int // entries returned by next
+	cand    int // next candidate index the floor tail considers
+	offPos  int // first entry of off not yet stepped over
 }
 
-func (v *visitOrder) len() int { return len(v.above) + len(v.flat) }
+// len returns the number of entries in the order.
+func (v *visitOrder) len() int { return len(v.above) + v.n - len(v.off) }
 
-// at returns the entry visited at position pos.
-func (v *visitOrder) at(pos int) boundEntry {
-	if pos < len(v.above) {
-		return v.above[pos]
+// left returns the number of entries next has not yet returned.
+func (v *visitOrder) left() int { return v.len() - v.visited }
+
+// next returns the next entry to visit, or false once none is left.
+func (v *visitOrder) next() (boundEntry, bool) {
+	if v.visited < len(v.above) {
+		v.visited++
+		return v.above[v.visited-1], true
 	}
-	return boundEntry{idx: v.flat[pos-len(v.above)], key: v.floor}
+	for ; v.cand < v.n; v.cand++ {
+		if v.offPos < len(v.off) && v.off[v.offPos] == v.cand {
+			v.offPos++
+			continue
+		}
+		v.visited++
+		v.cand++
+		return boundEntry{idx: v.cand - 1, key: v.floor}, true
+	}
+	return boundEntry{}, false
 }
 
 // indexOrder computes every candidate's similarity upper bound against
 // the pivot under method and returns the survivors' visitOrder.
-// Size-precondition violations are split out by index; they are
-// detected from summary sizes alone, exactly mirroring
+// Size-precondition violations are split out by index, ascending; they
+// are detected from summary sizes alone, exactly mirroring
 // vector.CheckSizes on the real communities.
 //
-// The order ranks the lifted key, not the raw pairs bound: a scorer
-// can map distinct bounds to one key (with CSJWeight 0, every key is
-// the same), and the top-k cutoff needs index order within every key.
-func indexOrder(pivot *PreparedCommunity, candidates []IndexedCandidate, method Method, o *Options, stats *IndexStats) (ord visitOrder, skipped []int, err error) {
+// The order ranks the lifted key, not the raw pairs bound: a scorer can
+// map distinct bounds to one key (with CSJWeight 0, every key is the
+// same), and the top-k cutoff needs index order within every key.
+//
+// The pivot is summarized here on every query even when a store holds
+// its summary: one summary costs about 40 bound checks (DESIGN.md §10).
+func indexOrder(pivot *PreparedCommunity, src CandidateSource, method Method, o *Options, stats *IndexStats) (ord visitOrder, skipped []int, err error) {
 	ps, err := pivot.Summarize(0)
 	if err != nil {
 		return ord, nil, fmt.Errorf("csj: summarizing pivot %s: %w", pivot.Name(), err)
 	}
 	pSize := pivot.Size()
 	ord.floor = scoreBound(o.Scorer, 0)
-	ord.flat = make([]int, 0, len(candidates))
-	for i := range candidates {
-		cs := candidates[i].Summary
-		if cs == nil || cs.s == nil {
-			return ord, nil, fmt.Errorf("csj: indexed candidate %d has no summary", i)
+	ord.n = src.Len()
+	// Summaries are fetched a block at a time, ahead of their bounds. A
+	// source's summary is typically a pointer read from a heap object
+	// that ingest order scattered (a store entry): a tight fetch loop
+	// overlaps those cache misses, where fetching inside the bound loop
+	// pays them one after another. The block stays on the stack.
+	var block [64]*CommunitySummary
+	for lo := 0; lo < ord.n; lo += len(block) {
+		sums := block[:min(len(block), ord.n-lo)]
+		for j := range sums {
+			if sums[j], err = src.Summary(lo + j); err != nil {
+				return ord, nil, err
+			}
 		}
-		bSize, aSize := pSize, cs.Size()
-		if aSize < bSize {
-			bSize, aSize = aSize, bSize
-		}
-		if !o.AllowSizeImbalance && bSize < (aSize+1)/2 {
-			skipped = append(skipped, i)
-			stats.Skipped++
-			continue
-		}
-		stats.BoundChecks++
-		ub := upperBoundPairsOpts(ps, cs, o)
-		if key := scoreBound(o.Scorer, csjScore(method, o, ub, bSize)); key > ord.floor {
-			ord.above = append(ord.above, boundEntry{idx: i, key: key})
-		} else {
-			ord.flat = append(ord.flat, i)
+		for j, cs := range sums {
+			i := lo + j
+			bSize, aSize := pSize, cs.Size()
+			if aSize < bSize {
+				bSize, aSize = aSize, bSize
+			}
+			if !o.AllowSizeImbalance && bSize < (aSize+1)/2 {
+				skipped = append(skipped, i)
+				ord.off = append(ord.off, i)
+				stats.Skipped++
+				continue
+			}
+			stats.BoundChecks++
+			ub := upperBoundPairsOpts(ps, cs, o)
+			if key := scoreBound(o.Scorer, csjScore(method, o, ub, bSize)); key > ord.floor {
+				ord.above = append(ord.above, boundEntry{idx: i, key: key})
+				ord.off = append(ord.off, i)
+			}
 		}
 	}
 	slices.SortFunc(ord.above, cmpBoundEntry)
@@ -312,11 +425,8 @@ func indexOrder(pivot *PreparedCommunity, candidates []IndexedCandidate, method 
 }
 
 // resolveView materializes a surviving candidate's prepared view.
-func resolveView(c *IndexedCandidate, idx int) (*PreparedCommunity, error) {
-	if c.View == nil {
-		return nil, fmt.Errorf("csj: indexed candidate %d has no view", idx)
-	}
-	pc, err := c.View()
+func resolveView(src CandidateSource, idx int) (*PreparedCommunity, error) {
+	pc, err := src.View(idx)
 	if err != nil {
 		return nil, fmt.Errorf("csj: resolving view of candidate %d: %w", idx, err)
 	}
@@ -326,9 +436,9 @@ func resolveView(c *IndexedCandidate, idx int) (*PreparedCommunity, error) {
 	return pc, nil
 }
 
-func candName(c *IndexedCandidate, pc *PreparedCommunity) string {
-	if c.Name != "" {
-		return c.Name
+func candName(src CandidateSource, idx int, pc *PreparedCommunity) string {
+	if name := src.Name(idx); name != "" {
+		return name
 	}
 	if pc != nil {
 		return pc.Name()
@@ -336,9 +446,9 @@ func candName(c *IndexedCandidate, pc *PreparedCommunity) string {
 	return ""
 }
 
-func topKIndexed(ctx context.Context, pivot *PreparedCommunity, candidates []IndexedCandidate, k int, o *Options) ([]TopKResult, error) {
-	stats := IndexStats{Candidates: int64(len(candidates))}
-	order, skipped, err := indexOrder(pivot, candidates, ExMinMax, o, &stats)
+func topKIndexed(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, k int, o *Options) ([]TopKResult, error) {
+	stats := IndexStats{Candidates: int64(src.Len())}
+	order, skipped, err := indexOrder(pivot, src, ExMinMax, o, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -351,13 +461,16 @@ func topKIndexed(ctx context.Context, pivot *PreparedCommunity, candidates []Ind
 	// the index tie-break settles against them (DESIGN.md §12).
 	top := make(topKHeap, 0, min(k, order.len()))
 	var sc Scratch
-	for pos := 0; pos < order.len(); pos++ {
-		e := order.at(pos)
-		if len(top) == k && ranksBelow(e.key, e.idx, &top[0]) {
-			stats.Pruned += int64(order.len() - pos)
+	for {
+		e, ok := order.next()
+		if !ok {
 			break
 		}
-		pc, err := resolveView(&candidates[e.idx], e.idx)
+		if len(top) == k && ranksBelow(e.key, e.idx, &top[0]) {
+			stats.Pruned += int64(order.left() + 1)
+			break
+		}
+		pc, err := resolveView(src, e.idx)
 		if err != nil {
 			return nil, err
 		}
@@ -371,12 +484,12 @@ func topKIndexed(ctx context.Context, pivot *PreparedCommunity, candidates []Ind
 				stats.Skipped++
 				continue
 			}
-			return nil, fmt.Errorf("csj: indexed top-k on %s: %w", candName(&candidates[e.idx], pc), err)
+			return nil, fmt.Errorf("csj: indexed top-k on %s: %w", candName(src, e.idx, pc), err)
 		}
 		stats.Visited++
 		top.offer(TopKResult{
 			Index:            e.idx,
-			Name:             candName(&candidates[e.idx], pc),
+			Name:             candName(src, e.idx, pc),
 			ApproxSimilarity: e.key,
 			Result:           res,
 		}, k)
@@ -396,7 +509,7 @@ func topKIndexed(ctx context.Context, pivot *PreparedCommunity, candidates []Ind
 		if len(scored) >= k {
 			break
 		}
-		scored = append(scored, TopKResult{Index: i, Name: candidates[i].Name, Skipped: true})
+		scored = append(scored, TopKResult{Index: i, Name: src.Name(i), Skipped: true})
 	}
 	if o.OnIndexStats != nil {
 		o.OnIndexStats(stats)
@@ -479,11 +592,11 @@ func RankAbovePrepared(pivot *PreparedCommunity, candidates []*PreparedCommunity
 func RankAbovePreparedCtx(ctx context.Context, pivot *PreparedCommunity, candidates []*PreparedCommunity, method Method, minSim float64, opts *Options) ([]Ranked, error) {
 	o := opts.orDefault()
 	if o.Index != nil {
-		ics, err := indexedFromPrepared(candidates, o.Index)
+		src, err := newPreparedCandidates(candidates, o.Index)
 		if err != nil {
 			return nil, err
 		}
-		return rankAboveIndexed(ctx, pivot, ics, method, minSim, &o)
+		return rankAboveIndexed(ctx, pivot, src, method, minSim, &o)
 	}
 	ranked, err := RankPreparedCtx(ctx, pivot, candidates, method, opts)
 	if err != nil {
@@ -497,44 +610,55 @@ func RankAbovePreparedCtx(ctx context.Context, pivot *PreparedCommunity, candida
 // resolving its view or running a join. Exactness: the output is
 // identical to RankAbovePrepared without an index (pinned by
 // `make indexguard`). The engine runs serially; opts.Workers is
-// ignored.
+// ignored. RankAboveIndexed adapts the slice to a CandidateSource and
+// runs RankAboveIndexedFrom.
 func RankAboveIndexed(pivot *PreparedCommunity, candidates []IndexedCandidate, method Method, minSim float64, opts *Options) ([]Ranked, error) {
-	return RankAboveIndexedCtx(context.Background(), pivot, candidates, method, minSim, opts)
+	return RankAboveIndexedFrom(context.Background(), pivot, indexedCandidates(candidates), method, minSim, opts)
 }
 
 // RankAboveIndexedCtx is RankAboveIndexed with cooperative cancellation.
 func RankAboveIndexedCtx(ctx context.Context, pivot *PreparedCommunity, candidates []IndexedCandidate, method Method, minSim float64, opts *Options) ([]Ranked, error) {
-	o := opts.orDefault()
-	return rankAboveIndexed(ctx, pivot, candidates, method, minSim, &o)
+	return RankAboveIndexedFrom(ctx, pivot, indexedCandidates(candidates), method, minSim, opts)
 }
 
-func rankAboveIndexed(ctx context.Context, pivot *PreparedCommunity, candidates []IndexedCandidate, method Method, minSim float64, o *Options) ([]Ranked, error) {
-	if pivot == nil || len(candidates) == 0 {
+// RankAboveIndexedFrom is the indexed threshold ranking of
+// RankAboveIndexed over a CandidateSource, with cooperative
+// cancellation.
+func RankAboveIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, method Method, minSim float64, opts *Options) ([]Ranked, error) {
+	o := opts.orDefault()
+	return rankAboveIndexed(ctx, pivot, src, method, minSim, &o)
+}
+
+func rankAboveIndexed(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, method Method, minSim float64, o *Options) ([]Ranked, error) {
+	if pivot == nil || src.Len() == 0 {
 		return nil, errors.New("csj: Rank needs a pivot and at least one candidate")
 	}
-	stats := IndexStats{Candidates: int64(len(candidates))}
+	stats := IndexStats{Candidates: int64(src.Len())}
 	// The keys carry the method's p discount (Eq. 1) before the scorer
 	// lifts them — p applies to the CSJ component only, so lifting
 	// before discounting would be unsound.
-	order, _, err := indexOrder(pivot, candidates, method, o, &stats)
+	order, _, err := indexOrder(pivot, src, method, o, &stats)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Ranked, 0, order.len())
+	out := make([]Ranked, 0, len(order.above))
 	var sc Scratch
-	for pos := 0; pos < order.len(); pos++ {
-		e := order.at(pos)
+	for {
+		e, ok := order.next()
+		if !ok {
+			break
+		}
 		if e.key < minSim {
 			// Best-first order: every remaining key is at most this
 			// one, so the whole tail is provably below the threshold.
-			stats.Pruned += int64(order.len() - pos)
+			stats.Pruned += int64(order.left() + 1)
 			break
 		}
-		pc, err := resolveView(&candidates[e.idx], e.idx)
+		pc, err := resolveView(src, e.idx)
 		if err != nil {
 			return nil, err
 		}
-		entry := Ranked{Index: e.idx, Name: candName(&candidates[e.idx], pc)}
+		entry := Ranked{Index: e.idx, Name: candName(src, e.idx, pc)}
 		b, a := orientPrepared(pivot, pc)
 		res, err := similarityPrepared(ctx, b, a, method, o, &sc.s)
 		switch {
@@ -593,21 +717,4 @@ func filterRankedAbove(ranked []Ranked, minSim float64) []Ranked {
 		}
 	}
 	return out
-}
-
-// indexedFromPrepared adapts candidate-aligned prepared views plus
-// their Index into IndexedCandidates with trivial view resolution.
-func indexedFromPrepared(candidates []*PreparedCommunity, ix *Index) ([]IndexedCandidate, error) {
-	if ix.Len() != len(candidates) {
-		return nil, fmt.Errorf("csj: index has %d summaries for %d candidates", ix.Len(), len(candidates))
-	}
-	out := make([]IndexedCandidate, len(candidates))
-	for i, pc := range candidates {
-		if pc == nil {
-			return nil, fmt.Errorf("csj: prepared candidate %d is nil", i)
-		}
-		pc := pc
-		out[i] = IndexedCandidate{Name: pc.Name(), Summary: ix.Summary(i), View: func() (*PreparedCommunity, error) { return pc, nil }}
-	}
-	return out, nil
 }

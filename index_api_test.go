@@ -1,11 +1,13 @@
 package csj_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	csj "github.com/opencsj/csj"
+	"github.com/opencsj/csj/internal/store"
 )
 
 // clusteredComm builds a community around an archetype base in the
@@ -84,12 +86,44 @@ func exactTopKReference(t *testing.T, pivot *csj.PreparedCommunity, pcs []*csj.P
 	return out
 }
 
+// snapshotRoute loads the candidates into a store, in index order, and
+// the pivot's community under an id among theirs, and returns the
+// store and its listing minus the pivot as a candidate source under
+// opts' spec: the route the server's all-candidates queries take.
+// buckets < 0 runs the store without stored summaries, so the source
+// summarizes each candidate on the fly.
+func snapshotRoute(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, opts *csj.Options, buckets int) (*store.Store, *store.CandidateSource) {
+	t.Helper()
+	st := store.New(store.Config{IndexBuckets: buckets})
+	pivotID := int64(len(pcs)/2 + 1)
+	for i, pc := range pcs {
+		id := int64(i + 1)
+		if id >= pivotID {
+			id++
+		}
+		if _, err := st.CreateWithID(id, pc.Community()); err != nil {
+			t.Fatalf("%s: storing candidate %d: %v", label, i, err)
+		}
+	}
+	// Last, so it lands inside the listing, out of id order.
+	if _, err := st.CreateWithID(pivotID, pivot.Community()); err != nil {
+		t.Fatalf("%s: storing the pivot: %v", label, err)
+	}
+	return st, st.Snapshot().Candidates(pivotID).Source(opts.Spec())
+}
+
+// snapshotBuckets are the store configurations the oracles run the
+// snapshot route under: stored summaries, and none.
+var snapshotBuckets = []int{0, -1}
+
 // checkIndexedTopK is the indexed top-k oracle: it runs one query
-// through TopKIndexed and through TopKPrepared with Options.Index, and
-// requires both to return, cell for cell, the exhaustive exact ranking
-// truncated to k, with the same stats, every candidate accounted for
-// once, and a view resolved for exactly the visited candidates. label
-// names the case (its seed) in every failure. It returns the stats.
+// through TopKIndexed, through TopKPrepared with Options.Index, and
+// through TopKIndexedFrom on a store snapshot's candidate source (with
+// and without stored summaries), and requires each to return, cell for
+// cell, the exhaustive exact ranking truncated to k, with the same
+// stats, every candidate accounted for once, and a view resolved for
+// exactly the visited candidates. label names the case (its seed) in
+// every failure. It returns the stats.
 func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, ix *csj.Index, k int, opts *csj.Options) csj.IndexStats {
 	t.Helper()
 	want := exactTopKReference(t, pivot, pcs, k, opts)
@@ -127,6 +161,22 @@ func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, 
 	}
 	if int64(resolved) != stats.Visited {
 		t.Fatalf("%s: %d views resolved for %d visited candidates", label, resolved, stats.Visited)
+	}
+
+	for _, buckets := range snapshotBuckets {
+		slabel := fmt.Sprintf("%s snapshot route (buckets %d)", label, buckets)
+		st, src := snapshotRoute(t, slabel, pivot, pcs, opts, buckets)
+		got, err = csj.TopKIndexedFrom(context.Background(), pivot, src, k, &iopts)
+		if err != nil {
+			t.Fatalf("%s: TopKIndexedFrom: %v", slabel, err)
+		}
+		checkTopKCells(t, slabel, got, want)
+		if stats != indexed {
+			t.Fatalf("%s: stats %+v, TopKIndexed %+v", slabel, stats, indexed)
+		}
+		if builds := st.CacheStats().Builds; builds != stats.Visited {
+			t.Fatalf("%s: %d views built for %d visited candidates", slabel, builds, stats.Visited)
+		}
 	}
 	return stats
 }
@@ -168,7 +218,9 @@ func checkTopKCells(t *testing.T, label string, got []csj.TopKResult, want []csj
 // TestIndexedTopKExactness is the pruning soundness property: across
 // randomized clustered corpora and epsilons, TopKIndexed and
 // TopKPrepared with an index attached must return, cell for cell, the
-// exhaustive exact ranking truncated to k. Failures name the seed.
+// exhaustive exact ranking truncated to k. The last trial of each seed
+// runs 150 candidates, past the engines' 64-summary fetch blocks.
+// Failures name the seed.
 func TestIndexedTopKExactness(t *testing.T) {
 	for _, seed := range []int64{101, 202, 303, 404, 505} {
 		rng := rand.New(rand.NewSource(seed))
@@ -176,17 +228,24 @@ func TestIndexedTopKExactness(t *testing.T) {
 			noise := int32(500 + rng.Intn(3000))
 			eps := int32(rng.Intn(4000))
 			k := 1 + rng.Intn(8)
+			n := 40
+			if trial == 3 {
+				n = 150
+			}
 			opts := &csj.Options{Epsilon: eps, Workers: 1}
-			pivot, pcs, ix := indexedCorpus(t, rng, 40, 1+rng.Intn(12), 1+rng.Intn(6), noise, opts)
-			label := fmt.Sprintf("seed=%d trial=%d eps=%d noise=%d k=%d", seed, trial, eps, noise, k)
+			pivot, pcs, ix := indexedCorpus(t, rng, n, 1+rng.Intn(12), 1+rng.Intn(6), noise, opts)
+			label := fmt.Sprintf("seed=%d trial=%d n=%d eps=%d noise=%d k=%d", seed, trial, n, eps, noise, k)
 			checkIndexedTopK(t, label, pivot, pcs, ix, k, opts)
 		}
 	}
 }
 
 // checkRankAbove requires the indexed threshold ranking to equal the
-// exhaustive ranking filtered to minSim, through RankAboveIndexed and
-// through RankAbovePrepared with Options.Index.
+// exhaustive ranking filtered to minSim, through RankAboveIndexed,
+// through RankAbovePrepared with Options.Index, and through
+// RankAboveIndexedFrom on a store snapshot's candidate source (with and
+// without stored summaries), with the same stats on every indexed
+// route and every candidate accounted for once.
 func checkRankAbove(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, ix *csj.Index, method csj.Method, minSim float64, opts *csj.Options) {
 	t.Helper()
 	want, err := csj.RankAbovePrepared(pivot, pcs, method, minSim, opts)
@@ -198,9 +257,16 @@ func checkRankAbove(t *testing.T, label string, pivot *csj.PreparedCommunity, pc
 		ics[i] = csj.IndexedCandidate{Name: pc.Name(), Summary: ix.Summary(i),
 			View: func() (*csj.PreparedCommunity, error) { return pc, nil }}
 	}
-	viaIndexed, err := csj.RankAboveIndexed(pivot, ics, method, minSim, opts)
+	var stats csj.IndexStats
+	sopts := *opts
+	sopts.OnIndexStats = func(s csj.IndexStats) { stats = s }
+	viaIndexed, err := csj.RankAboveIndexed(pivot, ics, method, minSim, &sopts)
 	if err != nil {
 		t.Fatalf("%s: RankAboveIndexed: %v", label, err)
+	}
+	indexed := stats
+	if stats.Candidates != int64(len(pcs)) || stats.Visited+stats.Pruned+stats.Skipped != stats.Candidates {
+		t.Fatalf("%s: stats do not partition the corpus: %+v", label, stats)
 	}
 	iopts := *opts
 	iopts.Index = ix
@@ -208,7 +274,20 @@ func checkRankAbove(t *testing.T, label string, pivot *csj.PreparedCommunity, pc
 	if err != nil {
 		t.Fatalf("%s: RankAbovePrepared with index: %v", label, err)
 	}
-	for _, got := range [][]csj.Ranked{viaIndexed, viaPrepared} {
+	routes := [][]csj.Ranked{viaIndexed, viaPrepared}
+	for _, buckets := range snapshotBuckets {
+		slabel := fmt.Sprintf("%s snapshot route (buckets %d)", label, buckets)
+		_, src := snapshotRoute(t, slabel, pivot, pcs, opts, buckets)
+		got, err := csj.RankAboveIndexedFrom(context.Background(), pivot, src, method, minSim, &sopts)
+		if err != nil {
+			t.Fatalf("%s: RankAboveIndexedFrom: %v", slabel, err)
+		}
+		if stats != indexed {
+			t.Fatalf("%s: stats %+v, RankAboveIndexed %+v", slabel, stats, indexed)
+		}
+		routes = append(routes, got)
+	}
+	for _, got := range routes {
 		if len(got) != len(want) {
 			t.Fatalf("%s: indexed RankAbove has %d entries, reference %d", label, len(got), len(want))
 		}
@@ -229,7 +308,8 @@ func checkRankAbove(t *testing.T, label string, pivot *csj.PreparedCommunity, pc
 
 // TestRankAboveExactness: the indexed threshold ranking must equal the
 // exhaustive ranking filtered to minSim, for exact and approximate
-// methods alike.
+// methods alike. The approximate cases run 140 candidates, past the
+// engines' 64-summary fetch blocks.
 func TestRankAboveExactness(t *testing.T) {
 	for _, seed := range []int64{11, 22, 33} {
 		rng := rand.New(rand.NewSource(seed))
@@ -237,9 +317,13 @@ func TestRankAboveExactness(t *testing.T) {
 			noise := int32(500 + rng.Intn(2500))
 			eps := int32(rng.Intn(3500))
 			minSim := rng.Float64() * 0.9
+			n := 36
+			if method == csj.ApMinMax {
+				n = 140
+			}
 			opts := &csj.Options{Epsilon: eps, Workers: 1}
-			pivot, pcs, ix := indexedCorpus(t, rng, 36, 1+rng.Intn(9), 1+rng.Intn(5), noise, opts)
-			label := fmt.Sprintf("seed=%d method=%v eps=%d minSim=%.3f", seed, method, eps, minSim)
+			pivot, pcs, ix := indexedCorpus(t, rng, n, 1+rng.Intn(9), 1+rng.Intn(5), noise, opts)
+			label := fmt.Sprintf("seed=%d method=%v n=%d eps=%d minSim=%.3f", seed, method, n, eps, minSim)
 			checkRankAbove(t, label, pivot, pcs, ix, method, minSim, opts)
 		}
 	}

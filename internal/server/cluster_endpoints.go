@@ -177,15 +177,19 @@ func resolvePivotRaw(snap *store.Snapshot, p ShardPivot) (*csj.Community, int, e
 // explicit list when given (each must be local), otherwise every local
 // community minus Exclude and a local pivot. Community ids are always
 // positive, so Exclude's zero value excludes nothing.
-func shardCandidates(snap *store.Snapshot, req *ShardQueryRequest) ([]*store.Entry, error) {
+func shardCandidates(snap *store.Snapshot, req *ShardQueryRequest) (store.Candidates, error) {
 	if len(req.Candidates) > 0 {
-		return candidateEntries(snap, req.Candidates)
+		entries, err := candidateEntries(snap, req.Candidates)
+		if err != nil {
+			return store.Candidates{}, err
+		}
+		return snap.CandidatesOf(entries), nil
 	}
 	var pivotID int64
 	if req.Pivot.ID != nil {
 		pivotID = *req.Pivot.ID
 	}
-	return allCandidates(snap, req.Exclude, pivotID), nil
+	return snap.Candidates(req.Exclude, pivotID), nil
 }
 
 // ---- handlers ----
@@ -262,9 +266,9 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	if len(cands) == 0 {
+	if cands.Len() == 0 {
 		// Nothing local to rank; the engines reject empty candidate
-		// slices, so answer directly.
+		// sets, so answer directly.
 		s.writeJSON(w, http.StatusOK, []RankEntry{})
 		return
 	}
@@ -275,23 +279,19 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, status, perr)
 			return
 		}
+		src := cands.Source(opts.Spec())
 		switch {
 		case req.MinSimilarity > 0 && req.UseIndex:
-			ics, ierr := indexedCandidates(snap, cands, opts)
-			if ierr != nil {
-				s.writeJoinErr(w, r, ierr)
-				return
-			}
-			ranked, err = csj.RankAboveIndexedCtx(r.Context(), pv, ics, method, req.MinSimilarity, s.instrumentOptions(opts))
+			ranked, err = csj.RankAboveIndexedFrom(r.Context(), pv, src, method, req.MinSimilarity, s.instrumentOptions(opts))
 		case req.MinSimilarity > 0:
-			views, verr := preparedViews(snap, cands, opts)
+			views, verr := preparedViews(src)
 			if verr != nil {
 				s.writeJoinErr(w, r, verr)
 				return
 			}
 			ranked, err = csj.RankAbovePreparedCtx(r.Context(), pv, views, method, req.MinSimilarity, s.instrumentOptions(opts))
 		default:
-			views, verr := preparedViews(snap, cands, opts)
+			views, verr := preparedViews(src)
 			if verr != nil {
 				s.writeJoinErr(w, r, verr)
 				return
@@ -312,11 +312,7 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, status, perr)
 			return
 		}
-		comms := make([]*csj.Community, len(cands))
-		for i, e := range cands {
-			comms[i] = e.Comm
-		}
-		ranked, err = csj.RankCtx(r.Context(), pc, comms, method, s.instrumentOptions(opts))
+		ranked, err = csj.RankCtx(r.Context(), pc, candidateComms(cands), method, s.instrumentOptions(opts))
 	}
 	if err != nil {
 		s.writeJoinErr(w, r, err)
@@ -324,7 +320,7 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]RankEntry, len(ranked))
 	for i, e := range ranked {
-		out[i] = RankEntry{Community: cands[e.Index].ID, Name: e.Name, Skipped: e.Skipped}
+		out[i] = RankEntry{Community: cands.Entry(e.Index).ID, Name: e.Name, Skipped: e.Skipped}
 		if e.Result != nil {
 			out[i].Similarity = e.Result.Similarity
 		}
@@ -355,7 +351,7 @@ func (s *Server) handleInternalTopK(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	if len(cands) == 0 {
+	if cands.Len() == 0 {
 		s.writeJSON(w, http.StatusOK, []TopKEntry{})
 		return
 	}
@@ -368,16 +364,12 @@ func (s *Server) handleInternalTopK(w http.ResponseWriter, r *http.Request) {
 	// the true exact top-k, which is the property that makes per-shard
 	// answers merge-exact (DESIGN.md §13). The two-phase engine's
 	// refinement pool is a global heuristic and would not merge cleanly.
+	src := cands.Source(opts.Spec())
 	var top []csj.TopKResult
 	if req.UseIndex {
-		ics, ierr := indexedCandidates(snap, cands, opts)
-		if ierr != nil {
-			s.writeJoinErr(w, r, ierr)
-			return
-		}
-		top, err = csj.TopKIndexedCtx(r.Context(), pv, ics, req.K, s.instrumentOptions(opts))
+		top, err = csj.TopKIndexedFrom(r.Context(), pv, src, req.K, s.instrumentOptions(opts))
 	} else {
-		views, verr := preparedViews(snap, cands, opts)
+		views, verr := preparedViews(src)
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
 			return
@@ -391,7 +383,7 @@ func (s *Server) handleInternalTopK(w http.ResponseWriter, r *http.Request) {
 	out := make([]TopKEntry, len(top))
 	for i, e := range top {
 		out[i] = TopKEntry{
-			Community: cands[e.Index].ID,
+			Community: cands.Entry(e.Index).ID,
 			Name:      e.Name,
 			Approx:    e.ApproxSimilarity,
 			Skipped:   e.Skipped,

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -604,13 +603,12 @@ func minMaxMethod(m csj.Method) bool {
 	return m == csj.ApMinMax || m == csj.ExMinMax
 }
 
-// preparedViews resolves one cached view per entry from the snapshot,
-// building (or joining an in-flight build of) any that are missing.
-func preparedViews(snap *store.Snapshot, entries []*store.Entry, opts *csj.Options) ([]*csj.PreparedCommunity, error) {
-	spec := opts.Spec()
-	out := make([]*csj.PreparedCommunity, len(entries))
-	for i, e := range entries {
-		pc, err := snap.PreparedSpec(e.ID, spec)
+// preparedViews resolves one cached view per candidate, building (or
+// joining an in-flight build of) any that are missing.
+func preparedViews(src csj.CandidateSource) ([]*csj.PreparedCommunity, error) {
+	out := make([]*csj.PreparedCommunity, src.Len())
+	for i := range out {
+		pc, err := src.View(i)
 		if err != nil {
 			return nil, err
 		}
@@ -633,64 +631,12 @@ func candidateEntries(snap *store.Snapshot, ids []int64) ([]*store.Entry, error)
 	return out, nil
 }
 
-// allCandidates lists every stored community except the excluded ids,
-// straight from the snapshot's own listing (ascending id), so nothing
-// is looked up again.
-func allCandidates(snap *store.Snapshot, exclude ...int64) []*store.Entry {
-	list := snap.List()
-	out := make([]*store.Entry, 0, len(list))
-	for _, e := range list {
-		if !slices.Contains(exclude, e.ID) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// entrySummary returns the store-maintained pruning summary of an
-// entry, summarizing on the fly when the store runs with summaries
-// disabled.
-func entrySummary(e *store.Entry) (*csj.CommunitySummary, error) {
-	if e.Summary != nil {
-		return e.Summary, nil
-	}
-	sum, err := csj.SummarizeCommunity(e.Comm, 0)
-	if err != nil {
-		return nil, fmt.Errorf("summarizing community %d: %w", e.ID, err)
-	}
-	return sum, nil
-}
-
-// indexedCandidates builds the envelope-index view of a candidate set:
-// each candidate pairs its summary with a lazy prepared-view resolver,
-// so only the candidates the engine actually joins get encoded.
-func indexedCandidates(snap *store.Snapshot, entries []*store.Entry, opts *csj.Options) ([]csj.IndexedCandidate, error) {
-	spec := opts.Spec()
-	shared := &spec // one copy for every resolver below
-	out := make([]csj.IndexedCandidate, len(entries))
-	for i, e := range entries {
-		sum, err := entrySummary(e)
-		if err != nil {
-			return nil, err
-		}
-		id := e.ID
-		out[i] = csj.IndexedCandidate{
-			Name:    e.Comm.Name,
-			Summary: sum,
-			View: func() (*csj.PreparedCommunity, error) {
-				return snap.PreparedSpec(id, *shared)
-			},
-		}
-	}
-	return out, nil
-}
-
 // candidateIndex builds the candidate-aligned Index that Options.Index
 // expects, from the store's entry summaries.
-func candidateIndex(entries []*store.Entry) (*csj.Index, error) {
-	sums := make([]*csj.CommunitySummary, len(entries))
-	for i, e := range entries {
-		sum, err := entrySummary(e)
+func candidateIndex(cands store.Candidates) (*csj.Index, error) {
+	sums := make([]*csj.CommunitySummary, cands.Len())
+	for i := range sums {
+		sum, err := cands.Summary(i)
 		if err != nil {
 			return nil, err
 		}
@@ -699,25 +645,35 @@ func candidateIndex(entries []*store.Entry) (*csj.Index, error) {
 	return csj.NewIndex(sums)
 }
 
+// candidateComms returns the candidates' raw communities, for the
+// methods that run without prepared views.
+func candidateComms(cands store.Candidates) []*csj.Community {
+	out := make([]*csj.Community, cands.Len())
+	for i := range out {
+		out[i] = cands.Entry(i).Comm
+	}
+	return out
+}
+
 // requestCandidates resolves the candidates of a /rank or /topk
 // request: every stored community but the pivot with all_candidates,
 // else the explicit list. It writes the error response and reports
 // false when the request cannot proceed.
-func (s *Server) requestCandidates(w http.ResponseWriter, snap *store.Snapshot, pivot int64, ids []int64, all bool) ([]*store.Entry, bool) {
+func (s *Server) requestCandidates(w http.ResponseWriter, snap *store.Snapshot, pivot int64, ids []int64, all bool) (store.Candidates, bool) {
 	if all {
 		if len(ids) > 0 {
 			s.writeErr(w, http.StatusBadRequest,
 				errors.New("all_candidates excludes an explicit candidate list"))
-			return nil, false
+			return store.Candidates{}, false
 		}
-		return allCandidates(snap, pivot), true
+		return snap.Candidates(pivot), true
 	}
-	cands, err := candidateEntries(snap, ids)
+	entries, err := candidateEntries(snap, ids)
 	if err != nil {
 		s.writeErr(w, http.StatusNotFound, err)
-		return nil, false
+		return store.Candidates{}, false
 	}
-	return cands, true
+	return snap.CandidatesOf(entries), true
 }
 
 func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
@@ -753,7 +709,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	if minMaxMethod(method) {
 		// MinMax joins run on cached prepared views: after warmup,
 		// repeated requests over stored communities re-encode nothing.
-		views, verr := preparedViews(snap, []*store.Entry{b, a}, opts)
+		views, verr := preparedViews(snap.CandidatesOf([]*store.Entry{b, a}).Source(opts.Spec()))
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
 			return
@@ -816,6 +772,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.writeOptionsErr(w, err)
 		return
 	}
+	src := cands.Source(opts.Spec())
 	var ranked []csj.Ranked
 	switch {
 	case req.MinSimilarity > 0 && req.UseIndex:
@@ -823,20 +780,16 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		// upper bound cannot reach min_similarity are pruned without
 		// resolving their prepared views.
 		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
-		var ics []csj.IndexedCandidate
-		if verr == nil {
-			ics, verr = indexedCandidates(snap, cands, opts)
-		}
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
 			return
 		}
-		ranked, err = csj.RankAboveIndexedCtx(r.Context(), pv, ics, method, req.MinSimilarity, s.instrumentOptions(opts))
+		ranked, err = csj.RankAboveIndexedFrom(r.Context(), pv, src, method, req.MinSimilarity, s.instrumentOptions(opts))
 	case req.MinSimilarity > 0:
 		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
 		var views []*csj.PreparedCommunity
 		if verr == nil {
-			views, verr = preparedViews(snap, cands, opts)
+			views, verr = preparedViews(src)
 		}
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
@@ -847,7 +800,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
 		var views []*csj.PreparedCommunity
 		if verr == nil {
-			views, verr = preparedViews(snap, cands, opts)
+			views, verr = preparedViews(src)
 		}
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
@@ -865,11 +818,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		}
 		ranked, err = csj.RankPreparedCtx(r.Context(), pv, views, method, s.instrumentOptions(opts))
 	default:
-		comms := make([]*csj.Community, len(cands))
-		for i, e := range cands {
-			comms[i] = e.Comm
-		}
-		ranked, err = csj.RankCtx(r.Context(), pivot.Comm, comms, method, s.instrumentOptions(opts))
+		ranked, err = csj.RankCtx(r.Context(), pivot.Comm, candidateComms(cands), method, s.instrumentOptions(opts))
 	}
 	if err != nil {
 		s.writeJoinErr(w, r, err)
@@ -877,7 +826,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]RankEntry, len(ranked))
 	for i, e := range ranked {
-		out[i] = RankEntry{Community: cands[e.Index].ID, Name: e.Name, Skipped: e.Skipped}
+		out[i] = RankEntry{Community: cands.Entry(e.Index).ID, Name: e.Name, Skipped: e.Skipped}
 		if e.Result != nil {
 			out[i].Similarity = e.Result.Similarity
 		}
@@ -916,16 +865,12 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.writeJoinErr(w, r, err)
 		return
 	}
+	src := cands.Source(opts.Spec())
 	var top []csj.TopKResult
 	if req.UseIndex {
-		ics, ierr := indexedCandidates(snap, cands, opts)
-		if ierr != nil {
-			s.writeJoinErr(w, r, ierr)
-			return
-		}
-		top, err = csj.TopKIndexedCtx(r.Context(), pv, ics, req.K, s.instrumentOptions(opts))
+		top, err = csj.TopKIndexedFrom(r.Context(), pv, src, req.K, s.instrumentOptions(opts))
 	} else {
-		views, verr := preparedViews(snap, cands, opts)
+		views, verr := preparedViews(src)
 		if verr != nil {
 			s.writeJoinErr(w, r, verr)
 			return
@@ -939,7 +884,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	out := make([]TopKEntry, len(top))
 	for i, e := range top {
 		out[i] = TopKEntry{
-			Community: cands[e.Index].ID,
+			Community: cands.Entry(e.Index).ID,
 			Name:      e.Name,
 			Approx:    e.ApproxSimilarity,
 			Skipped:   e.Skipped,
@@ -983,7 +928,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	// The matrix is MinMax-only; the cells run straight on cached views,
 	// so a warmed-up matrix performs zero core.Prepare calls.
-	views, err := preparedViews(snap, comms, opts)
+	views, err := preparedViews(snap.CandidatesOf(comms).Source(opts.Spec()))
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return

@@ -3,17 +3,22 @@
 // The store-overhead guard (`make storeguard`, mirroring metricsguard):
 // the cache-hit prepared Ap path must stay 0 allocs/op end to end —
 // snapshot load, two view lookups, and the scratch'd join through the
-// public csj.SimilarityPreparedInto API. The hit path is a map lookup,
-// an LRU move, an atomic add, and a receive on a closed channel; none
-// of it may allocate. Skipped under -race because the detector's
+// public csj.SimilarityPreparedInto API. The hit path is a binary
+// search, a map lookup, an LRU move, an atomic add, and a receive on a
+// closed channel; none of it may allocate. The scale guards pin that a
+// write and an indexed top-k over the whole store allocate the same at
+// every corpus size. Skipped under -race because the detector's
 // instrumentation inflates allocation counts (same convention as
 // internal/metrics' alloc guard).
 
 package store
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	csj "github.com/opencsj/csj"
 )
@@ -142,5 +147,129 @@ func BenchmarkStoreCacheHitPreparedAp(b *testing.B) {
 		if err := csj.SimilarityPreparedInto(vb, va, csj.ApMinMax, opts, sc, &res); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// seededStore boots a store from a Seed of n communities of size
+// users × dims, with ids 1..n and values in [base, base+20).
+func seededStore(n, users, dims int, base int32, cfg Config) *Store {
+	rng := rand.New(rand.NewSource(int64(n)))
+	seed := &Seed{NextID: int64(n), Version: uint64(n)}
+	for i := 1; i <= n; i++ {
+		c := testCommunity(fmt.Sprintf("f%d", i), rng, users, dims)
+		for _, u := range c.Users {
+			for j := range u {
+				u[j] += base
+			}
+		}
+		seed.Entries = append(seed.Entries, SeedEntry{ID: int64(i), Version: uint64(i), Comm: c})
+	}
+	cfg.Seed = seed
+	return New(cfg)
+}
+
+// TestStoreCreateDeleteAllocsScaleFree: a write copies one pointer
+// slice, so a Create+Delete pair allocates the same at 1k and at 50k
+// stored communities. A snapshot that copied a map or its entries per
+// write would allocate with the corpus.
+func TestStoreCreateDeleteAllocsScaleFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	c := testCommunity("w", rng, 20, 6)
+	allocs := map[int]float64{}
+	for _, n := range []int{1000, 50000} {
+		st := seededStore(n, 4, 2, 0, Config{})
+		allocs[n] = testing.AllocsPerRun(200, func() {
+			e, err := st.Create(c)
+			if err != nil {
+				panic(err)
+			}
+			if ok, err := st.Delete(e.ID); !ok || err != nil {
+				panic(fmt.Sprint("delete: ", ok, err))
+			}
+		})
+		if st.Len() != n {
+			t.Fatalf("store holds %d communities after the guard loop, want %d", st.Len(), n)
+		}
+	}
+	t.Logf("Create+Delete allocs: %v at 1k, %v at 50k", allocs[1000], allocs[50000])
+	if allocs[1000] != allocs[50000] {
+		t.Errorf("Create+Delete allocates %v at 1k but %v at 50k communities, want equal", allocs[1000], allocs[50000])
+	}
+}
+
+// TestIndexedTopKAllocsScaleFree: an all-candidates indexed top-k runs
+// on the snapshot's candidate source, which builds nothing per
+// candidate, so with the same pivot neighbourhood it allocates the same
+// at 1k and at 10k communities. The filler communities lie far from
+// the pivot, bound to zero, and stay unvisited on the floor tail.
+func TestIndexedTopKAllocsScaleFree(t *testing.T) {
+	const eps, k = 2, 5
+	spec := csj.MatchSpec{Epsilon: eps}
+	opts := &csj.Options{Epsilon: eps}
+	allocs := map[int]float64{}
+	var stats csj.IndexStats
+	for _, n := range []int{1000, 10000} {
+		st := seededStore(n, 4, 2, 100000, Config{})
+		rng := rand.New(rand.NewSource(45))
+		var pivot int64
+		for i := 0; i < 3*k; i++ {
+			pivot = mustCreate(t, st, testCommunity("near", rng, 4, 2)).ID
+		}
+		snap := st.Snapshot()
+		pv, err := snap.PreparedSpec(pivot, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		query := func() {
+			src := snap.Candidates(pivot).Source(spec)
+			if _, err := csj.TopKIndexedFrom(context.Background(), pv, src, k, opts); err != nil {
+				panic(err)
+			}
+		}
+		query() // build the visited views
+		allocs[n] = testing.AllocsPerRun(50, query)
+
+		iopts := *opts
+		iopts.OnIndexStats = func(s csj.IndexStats) { stats = s }
+		if _, err := csj.TopKIndexedFrom(context.Background(), pv, snap.Candidates(pivot).Source(spec), k, &iopts); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Candidates != int64(n+3*k-1) || stats.Visited < k || stats.Visited >= 3*k {
+			t.Fatalf("n=%d: stats %+v: the query must visit only the pivot's neighbourhood", n, stats)
+		}
+	}
+	t.Logf("indexed top-k allocs: %v at 1k, %v at 10k; last stats %+v", allocs[1000], allocs[10000], stats)
+	if allocs[1000] != allocs[10000] {
+		t.Errorf("indexed top-k allocates %v at 1k but %v at 10k communities, want equal", allocs[1000], allocs[10000])
+	}
+}
+
+// BenchmarkStoreCreateDelete times one Create and one Delete against
+// stores of growing size, in node-topk's community shape (20 users ×
+// 6 dims); create-ns and delete-ns split the pair.
+func BenchmarkStoreCreateDelete(b *testing.B) {
+	rng := rand.New(rand.NewSource(44))
+	c := testCommunity("w", rng, 20, 6)
+	for _, n := range []int{1000, 5000, 20000, 50000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			st := seededStore(n, 20, 6, 0, Config{})
+			var create, del time.Duration
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				e, err := st.Create(c)
+				t1 := time.Now()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := st.Delete(e.ID); err != nil {
+					b.Fatal(err)
+				}
+				create, del = create+t1.Sub(t0), del+time.Since(t1)
+			}
+			b.ReportMetric(float64(create.Nanoseconds())/float64(b.N), "create-ns/op")
+			b.ReportMetric(float64(del.Nanoseconds())/float64(b.N), "delete-ns/op")
+		})
 	}
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,6 +79,9 @@ type cache struct {
 	views map[viewKey]*view
 	lru   *list.List // front = most recently used; resident views only
 	bytes int64
+	// resident maps community id to its resident views, so a delete
+	// drops its own views without scanning everyone else's.
+	resident map[int64][]*view
 	// live maps community id to its current version; a build that
 	// finishes after its community was deleted (or the id vanished) is
 	// handed to its waiters but never inserted.
@@ -95,6 +99,7 @@ func newCache(maxBytes int64, obs Observer) *cache {
 		obs:      obs,
 		views:    map[viewKey]*view{},
 		lru:      list.New(),
+		resident: map[int64][]*view{},
 		live:     map[int64]uint64{},
 	}
 }
@@ -165,6 +170,7 @@ func (c *cache) get(e *Entry, spec csj.MatchSpec) (*csj.PreparedCommunity, error
 	if c.live[k.id] == k.version {
 		v.bytes = pc.Footprint()
 		v.elem = c.lru.PushFront(v)
+		c.resident[k.id] = append(c.resident[k.id], v)
 		c.bytes += v.bytes
 		stored = true
 		evicted = c.evictLocked()
@@ -202,8 +208,23 @@ func (c *cache) evictLocked() []*view {
 	return out
 }
 
-// removeLocked unlinks a resident view and updates the byte accounting.
+// removeLocked evicts a resident view.
 func (c *cache) removeLocked(v *view) {
+	vs := c.resident[v.key.id]
+	i := slices.Index(vs, v)
+	vs[i] = vs[len(vs)-1]
+	vs[len(vs)-1] = nil
+	if vs = vs[:len(vs)-1]; len(vs) == 0 {
+		delete(c.resident, v.key.id)
+	} else {
+		c.resident[v.key.id] = vs
+	}
+	c.unlinkLocked(v)
+}
+
+// unlinkLocked drops a resident view from the key map and the LRU and
+// updates the byte accounting; the caller maintains c.resident.
+func (c *cache) unlinkLocked(v *view) {
 	delete(c.views, v.key)
 	c.lru.Remove(v.elem)
 	v.elem = nil
@@ -214,19 +235,17 @@ func (c *cache) removeLocked(v *view) {
 
 // invalidate drops every resident view of community id and forgets its
 // live version, so in-flight builds for it are discarded on completion.
-// Called under the store's mutation lock on delete.
+// It touches only id's own views. Called under the store's mutation
+// lock on delete.
 func (c *cache) invalidate(id int64) {
 	c.mu.Lock()
 	delete(c.live, id)
-	var dropped []*view
-	for k, v := range c.views {
-		if k.id != id || v.elem == nil {
-			// elem == nil means the build is still in flight; the live
-			// check at completion discards it.
-			continue
-		}
-		c.removeLocked(v)
-		dropped = append(dropped, v)
+	// In-flight builds are not resident yet; the live check at their
+	// completion discards them.
+	dropped := c.resident[id]
+	delete(c.resident, id)
+	for _, v := range dropped {
+		c.unlinkLocked(v)
 	}
 	c.mu.Unlock()
 	if c.obs != nil {

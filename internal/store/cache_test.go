@@ -149,6 +149,9 @@ func TestCacheEviction(t *testing.T) {
 	if cs.Bytes > st.cache.maxBytes {
 		t.Errorf("resident bytes %d exceed cap %d with evictable entries", cs.Bytes, st.cache.maxBytes)
 	}
+	if got := len(st.cache.resident[e.ID]); got != cs.Entries {
+		t.Errorf("%d views listed as resident for the community, %d in the cache", got, cs.Entries)
+	}
 	// The newest view (eps=3) must still be a hit, not a rebuild.
 	builds := cs.Builds
 	if _, err := snap.Prepared(e.ID, 3, 0); err != nil {
@@ -160,28 +163,62 @@ func TestCacheEviction(t *testing.T) {
 }
 
 // TestCacheInvalidationOnDelete: deleting a community drops its
-// resident views immediately.
+// resident views immediately, and only its own: every other
+// community's views stay resident (hits, no rebuilds), and the byte
+// accounting stays exact.
 func TestCacheInvalidationOnDelete(t *testing.T) {
 	st := New(Config{})
 	rng := rand.New(rand.NewSource(13))
-	e := mustCreate(t, st, testCommunity("c", rng, 16, 8))
-	other := mustCreate(t, st, testCommunity("d", rng, 16, 8))
+	var ids []int64
+	for i := 0; i < 4; i++ {
+		ids = append(ids, mustCreate(t, st, testCommunity("c", rng, 16, 8)).ID)
+	}
 	snap := st.Snapshot()
-	if _, err := snap.Prepared(e.ID, 1, 0); err != nil {
-		t.Fatal(err)
+	bytes := map[int64]int64{} // resident bytes per community
+	for _, id := range ids {
+		for eps := int32(1); eps <= 3; eps++ {
+			pc, err := snap.Prepared(id, eps, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes[id] += pc.Footprint()
+		}
 	}
-	if _, err := snap.Prepared(other.ID, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !mustDelete(t, st, e.ID) {
+	victim := ids[1]
+	if !mustDelete(t, st, victim) {
 		t.Fatal("Delete failed")
 	}
 	cs := st.CacheStats()
-	if cs.Entries != 1 {
-		t.Errorf("entries=%d after delete, want 1 (only the surviving community's view)", cs.Entries)
+	if want := 3 * (len(ids) - 1); cs.Entries != want {
+		t.Errorf("entries=%d after delete, want %d (only the surviving communities' views)", cs.Entries, want)
 	}
-	if cs.Evictions != 1 {
-		t.Errorf("evictions=%d after delete, want 1", cs.Evictions)
+	if cs.Evictions != 3 || cs.EvictedBytes != bytes[victim] {
+		t.Errorf("evictions=%d (%d B) after delete, want 3 (%d B)", cs.Evictions, cs.EvictedBytes, bytes[victim])
+	}
+	var survivors int64
+	for _, id := range ids {
+		if id != victim {
+			survivors += bytes[id]
+		}
+	}
+	if cs.Bytes != survivors {
+		t.Errorf("resident bytes %d after delete, want %d (the survivors' footprints)", cs.Bytes, survivors)
+	}
+	if _, ok := st.cache.resident[victim]; ok {
+		t.Error("the deleted community still has a resident-view list")
+	}
+	for _, id := range ids {
+		if id == victim {
+			continue
+		}
+		for eps := int32(1); eps <= 3; eps++ {
+			if _, err := snap.Prepared(id, eps, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := st.CacheStats(); got.Builds != cs.Builds || got.Bytes != survivors {
+		t.Errorf("surviving views rebuilt or resized: builds %d -> %d, bytes %d", cs.Builds, got.Builds, got.Bytes)
 	}
 }
 

@@ -2,7 +2,9 @@ package store
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	csj "github.com/opencsj/csj"
@@ -118,5 +120,49 @@ func TestSeedBootsStore(t *testing.T) {
 	e := mustCreate(t, st, testCommunity("next", rng, 6, 3))
 	if e.ID != 8 || e.Version != 10 {
 		t.Errorf("post-seed create = (id %d, version %d), want (8, 10)", e.ID, e.Version)
+	}
+}
+
+// TestSeedOutOfOrderBoot: a seed may list its entries in any order and
+// repeat an id; the store boots from it sorted by id, keeps the last
+// of repeated entries, and serves every id by binary search.
+func TestSeedOutOfOrderBoot(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	ids := []int64{9, 2, 14, 5, 1, 11, 5, 7}
+	seed := &Seed{NextID: 14, Version: 20}
+	for i, id := range ids {
+		c := testCommunity(fmt.Sprintf("c%d-%d", id, i), rng, 4, 2)
+		seed.Entries = append(seed.Entries, SeedEntry{ID: id, Version: uint64(i + 1), Comm: c})
+	}
+	st := New(Config{Seed: seed})
+	snap := st.Snapshot()
+	if snap.Len() != 7 {
+		t.Fatalf("Len = %d, want 7 distinct ids", snap.Len())
+	}
+	list := snap.List()
+	for i := 1; i < len(list); i++ {
+		if list[i-1].ID >= list[i].ID {
+			t.Fatalf("List not strictly ascending at %d: %d then %d", i, list[i-1].ID, list[i].ID)
+		}
+	}
+	for i, se := range seed.Entries {
+		e, ok := snap.Get(se.ID)
+		if !ok {
+			t.Fatalf("Get(%d) missed", se.ID)
+		}
+		if slices.ContainsFunc(seed.Entries[i+1:], func(x SeedEntry) bool { return x.ID == se.ID }) {
+			continue // repeated later in the seed; the later entry wins
+		}
+		if e.Comm != se.Comm || e.Version != se.Version {
+			t.Errorf("Get(%d) = %s v%d, want %s v%d", se.ID, e.Comm.Name, e.Version, se.Comm.Name, se.Version)
+		}
+	}
+	for _, id := range []int64{0, 3, 8, 15} {
+		if _, ok := snap.Get(id); ok {
+			t.Errorf("Get(%d) hit an id the seed does not hold", id)
+		}
+	}
+	if e := mustCreate(t, st, testCommunity("next", rng, 4, 2)); e.ID != 15 {
+		t.Errorf("post-seed create id %d, want 15", e.ID)
 	}
 }

@@ -16,9 +16,10 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -63,7 +64,7 @@ type Persistence interface {
 type Seed struct {
 	NextID  int64
 	Version uint64
-	Entries []SeedEntry // ascending ID
+	Entries []SeedEntry // ascending ID when the store makes it
 }
 
 // SeedEntry is one community of a Seed. The store takes ownership of
@@ -89,8 +90,9 @@ type Config struct {
 	// is applied or acknowledged (DESIGN.md §11). Nil keeps the store
 	// memory-only with zero overhead.
 	Persistence Persistence
-	// Seed, when non-nil, is the recovered image the store boots from
-	// (Persistence recovery output). Entries must be sorted by ID.
+	// Seed, when non-nil, is the image the store boots from
+	// (Persistence recovery output, or a caller's own corpus). Entries
+	// may come in any order; of entries repeating an ID, the last wins.
 	Seed *Seed
 	// Logf, when non-nil, receives background-failure log lines
 	// (checkpoint errors from the automatic checkpoint goroutine).
@@ -145,7 +147,7 @@ type Store struct {
 	indexBuckets int // summary resolution; < 0 disables summaries
 }
 
-// New returns a store, empty unless cfg.Seed carries a recovered image.
+// New returns a store, empty unless cfg.Seed carries an image.
 func New(cfg Config) *Store {
 	s := &Store{
 		cache:        newCache(cfg.MaxCacheBytes, cfg.Observer),
@@ -153,22 +155,46 @@ func New(cfg Config) *Store {
 		logf:         cfg.Logf,
 		indexBuckets: cfg.IndexBuckets,
 	}
-	entries := map[int64]*Entry{}
+	var list []*Entry
 	if cfg.Seed != nil {
 		s.nextID = cfg.Seed.NextID
 		s.version = cfg.Seed.Version
-		for _, se := range cfg.Seed.Entries {
+		list = make([]*Entry, len(cfg.Seed.Entries))
+		for i, se := range cfg.Seed.Entries {
 			// Recovery rebuild: summaries are pure functions of the
 			// community, so the rebuilt index prunes identically to the
 			// pre-crash one (pinned by TestRecoveredSummariesPruneIdentically).
-			e := &Entry{ID: se.ID, Version: se.Version, Comm: se.Comm,
+			list[i] = &Entry{ID: se.ID, Version: se.Version, Comm: se.Comm,
 				Summary: s.summarize(se.Comm)}
-			entries[e.ID] = e
+		}
+		list = sortByID(list)
+		for _, e := range list {
 			s.cache.setLive(e.ID, e.Version)
 		}
+		if n := len(list); n > 0 && list[n-1].ID > s.nextID {
+			s.nextID = list[n-1].ID // a locally assigned id must never collide
+		}
 	}
-	s.snap.Store(newSnapshot(s, entries))
+	s.snap.Store(&Snapshot{store: s, list: list})
 	return s
+}
+
+// sortByID orders entries by ascending id in place and keeps only the
+// last of any entries that repeat an id, as a seed replayed into a map
+// would. Snapshot lookups binary-search the list, so a seed must never
+// reach it unsorted or repeated.
+func sortByID(list []*Entry) []*Entry {
+	slices.SortStableFunc(list, func(x, y *Entry) int { return cmp.Compare(x.ID, y.ID) })
+	n := 0
+	for i, e := range list {
+		if i+1 < len(list) && list[i+1].ID == e.ID {
+			continue // a later seed entry repeats this id and wins
+		}
+		list[n] = e
+		n++
+	}
+	clear(list[n:])
+	return list[:n]
 }
 
 // Create deep-copies the community into the store and returns its
@@ -190,7 +216,9 @@ func (s *Store) Create(c *csj.Community) (*Entry, error) {
 	s.nextID, s.version = id, version
 	e := &Entry{ID: id, Version: version, Comm: clone, Summary: sum}
 	s.cache.setLive(e.ID, e.Version)
-	s.publishLocked(func(m map[int64]*Entry) { m[e.ID] = e })
+	old := s.snap.Load()
+	pos, _ := old.search(id) // the end: nextID is at least every live id
+	s.snap.Store(old.insert(pos, e))
 	s.mu.Unlock()
 	s.maybeCheckpoint()
 	return e, nil
@@ -203,7 +231,8 @@ func (s *Store) Create(c *csj.Community) (*Entry, error) {
 // mutation is appended before it is applied. The id must be positive
 // and not currently stored; nextID ratchets to at least id so a later
 // locally assigned id can never collide with a coordinator-assigned
-// one.
+// one. Concurrent coordinator writes can arrive out of id order; each
+// lands at its place in the id-ordered listing.
 func (s *Store) CreateWithID(id int64, c *csj.Community) (*Entry, error) {
 	if id <= 0 {
 		return nil, fmt.Errorf("store: community id must be positive, got %d", id)
@@ -211,7 +240,9 @@ func (s *Store) CreateWithID(id int64, c *csj.Community) (*Entry, error) {
 	clone := c.Clone()
 	sum := s.summarize(clone)
 	s.mu.Lock()
-	if _, ok := s.snap.Load().entries[id]; ok {
+	old := s.snap.Load()
+	pos, found := old.search(id)
+	if found {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: community %d", ErrDuplicateID, id)
 	}
@@ -228,7 +259,7 @@ func (s *Store) CreateWithID(id int64, c *csj.Community) (*Entry, error) {
 	s.version = version
 	e := &Entry{ID: id, Version: version, Comm: clone, Summary: sum}
 	s.cache.setLive(e.ID, e.Version)
-	s.publishLocked(func(m map[int64]*Entry) { m[e.ID] = e })
+	s.snap.Store(old.insert(pos, e))
 	s.mu.Unlock()
 	s.maybeCheckpoint()
 	return e, nil
@@ -241,7 +272,9 @@ func (s *Store) CreateWithID(id int64, c *csj.Community) (*Entry, error) {
 // the community is still there.
 func (s *Store) Delete(id int64) (bool, error) {
 	s.mu.Lock()
-	if _, ok := s.snap.Load().entries[id]; !ok {
+	old := s.snap.Load()
+	pos, found := old.search(id)
+	if !found {
 		s.mu.Unlock()
 		return false, nil
 	}
@@ -254,7 +287,7 @@ func (s *Store) Delete(id int64) (bool, error) {
 	}
 	s.version = version
 	s.cache.invalidate(id)
-	s.publishLocked(func(m map[int64]*Entry) { delete(m, id) })
+	s.snap.Store(old.remove(pos))
 	s.mu.Unlock()
 	s.maybeCheckpoint()
 	return true, nil
@@ -272,27 +305,6 @@ func (s *Store) summarize(c *csj.Community) *csj.CommunitySummary {
 		return nil
 	}
 	return sum
-}
-
-// publishLocked installs a new snapshot derived from the current one by
-// mutate. Callers must hold s.mu.
-func (s *Store) publishLocked(mutate func(map[int64]*Entry)) {
-	old := s.snap.Load()
-	m := make(map[int64]*Entry, len(old.entries)+1)
-	for k, v := range old.entries {
-		m[k] = v
-	}
-	mutate(m)
-	s.snap.Store(newSnapshot(s, m))
-}
-
-func newSnapshot(s *Store, m map[int64]*Entry) *Snapshot {
-	list := make([]*Entry, 0, len(m))
-	for _, e := range m {
-		list = append(list, e)
-	}
-	sort.Slice(list, func(i, j int) bool { return list[i].ID < list[j].ID })
-	return &Snapshot{store: s, entries: m, list: list}
 }
 
 // seedLocked captures the exact current state as a Seed. Entry
@@ -366,29 +378,59 @@ func (s *Store) Close() error {
 func (s *Store) Snapshot() *Snapshot { return s.snap.Load() }
 
 // Len returns the number of stored communities.
-func (s *Store) Len() int { return len(s.snap.Load().entries) }
+func (s *Store) Len() int { return s.snap.Load().Len() }
 
 // CacheStats returns the prepared-view cache's counters and occupancy.
 func (s *Store) CacheStats() CacheStats { return s.cache.stats() }
 
-// Snapshot is an immutable point-in-time view of the store.
+// Snapshot is an immutable point-in-time view of the store: its
+// entries in ascending id order. Snapshots are published copy-on-write.
+// A write binary-searches its position and copies the entry pointers
+// once into a fresh slice, so it costs O(log n) comparisons plus one
+// O(n) pointer copy — no map copy, no sort — and never disturbs a
+// snapshot a reader still holds.
 type Snapshot struct {
-	store   *Store
-	entries map[int64]*Entry
-	list    []*Entry // ascending ID
+	store *Store
+	list  []*Entry // ascending ID; never mutated after publication
 }
 
-// Get returns the entry for id, if present.
+// search returns the list position of id, or where it would be
+// inserted, and whether it is present.
+func (sn *Snapshot) search(id int64) (int, bool) {
+	return slices.BinarySearchFunc(sn.list, id, func(e *Entry, id int64) int { return cmp.Compare(e.ID, id) })
+}
+
+// insert returns a new snapshot with e at list position pos.
+func (sn *Snapshot) insert(pos int, e *Entry) *Snapshot {
+	list := make([]*Entry, len(sn.list)+1)
+	copy(list, sn.list[:pos])
+	list[pos] = e
+	copy(list[pos+1:], sn.list[pos:])
+	return &Snapshot{store: sn.store, list: list}
+}
+
+// remove returns a new snapshot without the entry at list position pos.
+func (sn *Snapshot) remove(pos int) *Snapshot {
+	list := make([]*Entry, len(sn.list)-1)
+	copy(list, sn.list[:pos])
+	copy(list[pos:], sn.list[pos+1:])
+	return &Snapshot{store: sn.store, list: list}
+}
+
+// Get returns the entry for id, if present, by binary search over the
+// id-ordered listing.
 func (sn *Snapshot) Get(id int64) (*Entry, bool) {
-	e, ok := sn.entries[id]
-	return e, ok
+	if i, ok := sn.search(id); ok {
+		return sn.list[i], true
+	}
+	return nil, false
 }
 
 // Len returns the number of communities in the snapshot.
-func (sn *Snapshot) Len() int { return len(sn.entries) }
+func (sn *Snapshot) Len() int { return len(sn.list) }
 
-// List returns the entries in ascending id order. The slice is shared
-// by every caller of this snapshot and must not be mutated.
+// List returns the entries in ascending id order. The slice is the
+// snapshot itself, shared by every caller, and must not be mutated.
 func (sn *Snapshot) List() []*Entry { return sn.list }
 
 // PreparedSpec returns the cached MinMax view of community id under
@@ -402,7 +444,7 @@ func (sn *Snapshot) List() []*Entry { return sn.list }
 // The cache-hit path performs zero allocations, including the spec
 // digest (see `make storeguard` and `make specguard`).
 func (sn *Snapshot) PreparedSpec(id int64, spec csj.MatchSpec) (*csj.PreparedCommunity, error) {
-	e, ok := sn.entries[id]
+	e, ok := sn.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w %d", ErrUnknownCommunity, id)
 	}

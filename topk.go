@@ -110,11 +110,11 @@ func TopKPreparedCtx(ctx context.Context, pivot *PreparedCommunity, candidates [
 	}
 	o := opts.orDefault()
 	if o.Index != nil {
-		ics, err := indexedFromPrepared(candidates, o.Index)
+		src, err := newPreparedCandidates(candidates, o.Index)
 		if err != nil {
 			return nil, err
 		}
-		return topKIndexed(ctx, pivot, ics, k, &o)
+		return topKIndexed(ctx, pivot, src, k, &o)
 	}
 	workers := batchWorkers(&o)
 	return topKPhases(ctx, pivot, candidates, k, &o, workers)
