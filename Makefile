@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race bench faults metricsguard storeguard indexguard kernelguard specguard fuzzsmoke crashguard clusterguard faultguard routecheck
+.PHONY: check vet build test race bench faults metricsguard storeguard indexguard kernelguard specguard fuzzsmoke crashguard clusterguard faultguard routecheck perfcheck
 
 # check is the CI gate: vet, build, and the full test suite under the
 # race detector.
@@ -127,3 +127,11 @@ faultguard:
 # silently lands in the {route="other"} bucket.
 routecheck:
 	$(GO) test -count=1 -v -run '^TestRouteMetricsCoverage$$' ./internal/server ./internal/cluster
+
+# perfcheck vets and tests perfbench, the nested module of the end-to-end
+# benchmark. It compiles against the root package and several internal
+# packages, and nothing else in CI builds it, so an API change that
+# breaks the benchmark would otherwise surface only at the next
+# benchmark run. It reads perfbench and writes nothing under it.
+perfcheck:
+	cd perfbench && $(GO) vet ./... && $(GO) test -count=1 ./...

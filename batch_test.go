@@ -118,10 +118,10 @@ func TestRankWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelScanDeterministicCSF checks the scan-parallel exact join
-// (Options.Workers on Similarity) yields the same pairs on repeated
-// runs now that shard edges are merged in canonical order: CSF's
-// tie-breaking sees one fixed graph regardless of goroutine timing.
+// TestParallelScanDeterministicCSF checks that an exact join asked for
+// Workers yields the same pairs on repeated runs: a single join runs
+// serially whatever Options.Workers says, so CSF's tie-breaking always
+// sees the same graph in the same order.
 func TestParallelScanDeterministicCSF(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	b := randComm(rng, "B", 90, 4, 6)
@@ -140,7 +140,7 @@ func TestParallelScanDeterministicCSF(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got.Pairs, first.Pairs) {
-			t.Fatalf("rep %d: parallel CSF pairs differ between runs", rep)
+			t.Fatalf("rep %d: CSF pairs differ between runs", rep)
 		}
 	}
 }

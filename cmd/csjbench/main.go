@@ -12,27 +12,25 @@
 //	csjbench -table 11 -scale 0.005   # smaller/faster scalability sweep
 //	csjbench -batch -workers 8        # batch-join engine: serial vs parallel, JSON
 //	csjbench -index                   # envelope-index top-k vs full scan at 1k/10k/100k, JSON
-//	csjbench -scan                    # SoA scan kernel vs scalar reference, pool overhead, JSON
-//	csjbench -load -url http://localhost:8080 -rate 50 -loadduration 30s
-//	                                  # open-loop Poisson load against a live csjserve, JSON
-//	csjbench -scan -load -url ...     # one combined JSON report (BENCH_scan.json)
 //
 // Flags -scale, -minsize, and -seed control the synthesized data;
 // -format selects text (default), markdown, or csv output. The -batch
 // mode measures the worker-pool SimilarityMatrix/TopK engine on N
 // synthesized communities (-communities, -batchsize, -workers, -topkk)
 // and emits a JSON report with ns/op, allocs/op, and speedups.
+//
+// Service latency is measured by perfbench (perfbench/README.md); the
+// scan kernels are compared by the Go benchmarks in internal/core
+// (soa_bench_test.go).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"runtime/pprof"
 	"sort"
-	"time"
 
 	"github.com/opencsj/csj/internal/harness"
 )
@@ -75,14 +73,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		topkK     = fs.Int("topkk", 3, "batch mode: k of the TopK benchmark")
 		metricsOn = fs.Bool("metrics", false, "batch mode: add scan-event counters and per-worker pool utilization to the JSON report")
 		pprofOut  = fs.String("pprof", "", "write a CPU profile of the whole run to this file")
-
-		scanMode = fs.Bool("scan", false, "benchmark the SoA scan kernel vs the scalar reference path (JSON output)")
-		loadMode = fs.Bool("load", false, "open-loop Poisson load generator against a live csjserve (JSON output)")
-		loadURL  = fs.String("url", "http://localhost:8080", "load mode: base URL of the csjserve instance")
-		loadRate = fs.Float64("rate", 20, "load mode: mean request arrivals per second")
-		loadDur  = fs.Duration("loadduration", 15*time.Second, "load mode: how long to generate arrivals")
-		loadMeth = fs.String("loadmethod", "ap-minmax", "load mode: join method of the /similarity requests")
-		loadProf = fs.String("loadpprof", "", "load mode: capture a server CPU profile (needs csjserve -pprof) to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -142,30 +132,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	switch {
-	case *scanMode:
-		var lcfg *loadConfig
-		if *loadMode {
-			lcfg = &loadConfig{
-				URL: *loadURL, Rate: *loadRate, Duration: *loadDur,
-				Method: *loadMeth, Communities: *nComms, Size: *batchSize,
-				Seed: *seed, PprofOut: *loadProf,
-			}
-		}
-		return runScan(w, scanConfig{
-			Communities: *nComms, Size: *batchSize, Seed: *seed,
-		}, lcfg)
-	case *loadMode:
-		rep, err := runLoad(loadConfig{
-			URL: *loadURL, Rate: *loadRate, Duration: *loadDur,
-			Method: *loadMeth, Communities: *nComms, Size: *batchSize,
-			Seed: *seed, PprofOut: *loadProf,
-		})
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(rep)
 	case *index:
 		scales, err := parseScales(*indexScales)
 		if err != nil {

@@ -31,15 +31,12 @@
 //	-max-inflight         concurrent heavy joins admitted before shedding 429
 //	-request-timeout      per-request compute budget (exceeded → 503)
 //	-max-body-bytes       request body cap (exceeded → 413)
-//	-prepared-cache-bytes prepared-view cache cap (see DESIGN.md §10)
+//	-prepared-cache-bytes cap on the bytes cached prepared views own (see DESIGN.md §10)
 //
 // Observability (see DESIGN.md §9):
 //
 //	-metrics      serve Prometheus text metrics at GET /metrics (default on)
 //	-pprof        mount net/http/pprof under /debug/pprof/ (default off)
-//	-scan-kernel  soa (default) or reference: forces the scalar reference
-//	              scan path server-wide (identical results; isolates the
-//	              SoA kernel's contribution in live latency metrics)
 //
 // Durability (see DESIGN.md §11):
 //
@@ -163,7 +160,7 @@ func main() {
 		maxBody = flag.Int64("max-body-bytes", 0,
 			"request body size cap in bytes (0 = 32 MiB default, negative disables)")
 		preparedCache = flag.Int64("prepared-cache-bytes", 0,
-			"prepared-view cache cap in bytes (0 = 256 MiB default, negative removes the cap)")
+			"cap on the bytes the cached prepared views own (0 = 256 MiB default, negative removes the cap)")
 		readTimeout = flag.Duration("read-timeout", 30*time.Second,
 			"max duration for reading an entire request")
 		writeTimeout = flag.Duration("write-timeout", 2*time.Minute,
@@ -190,17 +187,8 @@ func main() {
 			"run as a WAL-shipped read replica of the csjserve at this URL (requires -store-dir; see DESIGN.md §13)")
 		followInterval = flag.Duration("follow-interval", 250*time.Millisecond,
 			"leader poll cadence while following")
-		scanKernel = flag.String("scan-kernel", "soa",
-			"MinMax scan path: soa (flat kernel, default) or reference (scalar path; identical results, for ablation and fallback)")
 	)
 	flag.Parse()
-
-	switch *scanKernel {
-	case "soa", "reference":
-	default:
-		fmt.Fprintf(os.Stderr, "csjserve: -scan-kernel must be soa or reference, got %q\n", *scanKernel)
-		os.Exit(2)
-	}
 
 	if err := validateFlags(serveFlags{
 		RequestTimeout:  *reqTimeout,
@@ -227,7 +215,6 @@ func main() {
 		DisableMetrics:     !*metricsOn,
 		EnablePprof:        *pprofOn,
 		IndexBuckets:       *indexBuckets,
-		ForceReferenceScan: *scanKernel == "reference",
 	}
 	openLog := func() (*durable.Log, error) {
 		policy, err := durable.ParseFsyncPolicy(*fsyncMode)

@@ -36,7 +36,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		parts      = fs.Int("parts", 0, "MinMax encoding parts (0 = default 4)")
 		egoT       = fs.Int("egothreshold", 0, "SuperEGO recursion threshold t (0 = default)")
 		hk         = fs.Bool("hk", false, "use Hopcroft-Karp instead of CSF in exact methods")
-		workers    = fs.Int("workers", 0, "parallel workers for exact methods (0 = serial)")
 		orient     = fs.Bool("orient", false, "order the pair automatically (smaller community becomes B)")
 		force      = fs.Bool("force", false, "skip the ceil(|A|/2) <= |B| <= |A| precondition")
 		verbose    = fs.Bool("v", false, "print event statistics")
@@ -78,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Epsilon:            int32(*eps),
 		Parts:              *parts,
 		EGOThreshold:       *egoT,
-		Workers:            *workers,
 		AllowSizeImbalance: *force,
 	}
 	if *hk {

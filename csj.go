@@ -164,12 +164,6 @@ type Options struct {
 	// DisableSkipOffset turns off the skip/offset fast-forwarding in
 	// the Baseline and MinMax scans (ablation; results are unchanged).
 	DisableSkipOffset bool
-	// ReferenceScan switches the MinMax scans from the flat SoA
-	// compare kernel to the scalar array-of-vectors reference path
-	// (ablation and benchmarking only; results are identical — the
-	// kernelguard CI gate pins the equivalence). Other methods ignore
-	// it.
-	ReferenceScan bool
 	// AllowSizeImbalance skips the ceil(|A|/2) <= |B| <= |A|
 	// precondition check. The similarity semantics of the paper only
 	// hold when the check passes.
@@ -180,13 +174,12 @@ type Options struct {
 	// DisableDimReorder keeps SuperEGO's original dimension order
 	// (ablation).
 	DisableDimReorder bool
-	// Workers parallelizes the scan phase of the exact methods over
-	// that many goroutines (0 or 1 = serial, the paper's setup). The
-	// candidate graph is identical to the serial run's, so with
-	// MatcherHopcroftKarp the pair count is exactly the serial result;
-	// with CSF it is an equally valid exact answer whose tie-breaking
-	// may differ. Approximate methods ignore Workers (their greedy scan
-	// is order-dependent and stays serial).
+	// Workers is the pool size of the batch engines (SimilarityMatrix,
+	// TopK, Rank and their prepared forms): 0 selects GOMAXPROCS, 1
+	// runs the cells serially on the caller's goroutine. Results are
+	// identical for every pool size. A single join always runs
+	// serially, as in the paper's evaluation, so Similarity,
+	// SimilarityPrepared and the indexed engines ignore Workers.
 	Workers int
 	// OnPoolStats, when non-nil, receives per-worker utilization for
 	// every worker-pool stage run by the batch engines
@@ -391,9 +384,6 @@ func dispatch(ctx context.Context, b, a *vector.Community, method Method, o *Opt
 		if method == ApBaseline {
 			return baseline.ApBaseline(b, a, opts)
 		}
-		if o.Workers > 1 {
-			return baseline.ExBaselineParallel(b, a, opts, o.Workers)
-		}
 		return baseline.ExBaseline(b, a, opts)
 	case ApMinMax, ExMinMax:
 		opts := core.Options{
@@ -402,14 +392,10 @@ func dispatch(ctx context.Context, b, a *vector.Community, method Method, o *Opt
 			Parts:             o.Parts,
 			Matcher:           o.Matcher.matcher(),
 			DisableSkipOffset: o.DisableSkipOffset,
-			ReferenceScan:     o.ReferenceScan,
 			Done:              ctx.Done(),
 		}
 		if method == ApMinMax {
 			return core.ApMinMax(b, a, opts)
-		}
-		if o.Workers > 1 {
-			return core.ExMinMaxParallel(b, a, opts, o.Workers)
 		}
 		return core.ExMinMax(b, a, opts)
 	case ApSuperEGO, ExSuperEGO:
@@ -426,9 +412,6 @@ func dispatch(ctx context.Context, b, a *vector.Community, method Method, o *Opt
 		}
 		if method == ApSuperEGO {
 			return ego.ApSuperEGO(b, a, opts)
-		}
-		if o.Workers > 1 {
-			return ego.ExSuperEGOParallel(b, a, opts, o.Workers)
 		}
 		return ego.ExSuperEGO(b, a, opts)
 	default:

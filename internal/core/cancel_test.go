@@ -68,20 +68,6 @@ func TestCancelPreClosedDoneStopsPreparedScans(t *testing.T) {
 	}
 }
 
-// TestCancelPreClosedDoneStopsParallelScan covers the window-parallel
-// exact path: every worker must observe Done and the join must report
-// ErrCanceled, not a partial pair set.
-func TestCancelPreClosedDoneStopsParallelScan(t *testing.T) {
-	requireParallelism(t)
-	rng := rand.New(rand.NewSource(95))
-	b := randCommunity(rng, "B", 300, 4, 6)
-	a := randCommunity(rng, "A", 400, 4, 6)
-	opts := Options{Eps: 1, Done: closedDone()}
-	if _, err := ExMinMaxParallel(b, a, opts, 4); !errors.Is(err, ErrCanceled) {
-		t.Errorf("ExMinMaxParallel with closed Done: err = %v, want ErrCanceled", err)
-	}
-}
-
 // TestCancelOpenDoneChangesNothing: an open (non-nil, never closed)
 // Done channel must not alter any result — the checkpoints are pure
 // observers.

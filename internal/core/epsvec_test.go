@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/opencsj/csj/internal/vector"
@@ -33,9 +34,9 @@ func randEpsVec(rng *rand.Rand, d int) []int32 {
 
 // TestEpsVecKernelMatchesReference extends the kernel exactness
 // property to per-dimension tolerances: over seeded random corpora
-// with heterogeneous epsilon vectors, the flat SoA kernel must produce
-// byte-identical pairs and event tallies to the scalar reference on
-// one-shot and prepared paths, Ap and Ex. Part of `make specguard`.
+// with heterogeneous epsilon vectors, the prepared joins' flat SoA
+// kernel must produce byte-identical pairs and event tallies to the
+// one-shot scalar reference, Ap and Ex. Part of `make specguard`.
 func TestEpsVecKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9191))
 	for trial := 0; trial < 60; trial++ {
@@ -49,8 +50,9 @@ func TestEpsVecKernelMatchesReference(t *testing.T) {
 
 // TestEpsVecAllEqualMatchesScalar is the canonicalization property at
 // the engine level: an all-equal epsilon vector must produce results
-// cell-for-cell identical to the equivalent scalar, on both compare
-// paths and both method variants.
+// cell-for-cell identical to the equivalent scalar, in both join shapes
+// (one-shot reference scan, prepared SoA sweep) and both method
+// variants — all pinned to the one-shot scalar run.
 func TestEpsVecAllEqualMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2727))
 	for trial := 0; trial < 30; trial++ {
@@ -62,27 +64,48 @@ func TestEpsVecAllEqualMatchesScalar(t *testing.T) {
 		}
 		b := randCommunity(rng, "B", 1+rng.Intn(40), d, 10)
 		a := randCommunity(rng, "A", 1+rng.Intn(40), d, 10)
-		for _, ref := range []bool{false, true} {
-			scalarOpts := Options{Eps: eps, ReferenceScan: ref, SoAOneShot: !ref}
-			vecOpts := Options{EpsVec: vec, ReferenceScan: ref, SoAOneShot: !ref}
-			for _, m := range []struct {
-				name string
-				run  func(Options) (*Result, error)
-			}{
-				{"Ap", func(o Options) (*Result, error) { return ApMinMax(b, a, o) }},
-				{"Ex", func(o Options) (*Result, error) { return ExMinMax(b, a, o) }},
-			} {
-				rs, err := m.run(scalarOpts)
-				if err != nil {
-					t.Fatal(err)
+		scalarOpts := Options{Eps: eps}
+		vecOpts := Options{EpsVec: vec}
+		shapes := []struct {
+			name string
+			run  func(o Options, exact bool) (*Result, error)
+		}{
+			{"one-shot", func(o Options, exact bool) (*Result, error) {
+				if exact {
+					return ExMinMax(b, a, o)
 				}
-				rv, err := m.run(vecOpts)
+				return ApMinMax(b, a, o)
+			}},
+			{"prepared", func(o Options, exact bool) (*Result, error) {
+				pb, err := Prepare(b, o)
 				if err != nil {
-					t.Fatal(err)
+					return nil, err
 				}
-				if !reflect.DeepEqual(rs.Pairs, rv.Pairs) || rs.Events != rv.Events {
-					t.Fatalf("trial %d %s ref=%v: all-equal vector diverges from scalar\nscalar: %v %+v\nvector: %v %+v",
-						trial, m.name, ref, rs.Pairs, rs.Events, rv.Pairs, rv.Events)
+				pa, err := Prepare(a, o)
+				if err != nil {
+					return nil, err
+				}
+				if exact {
+					return ExMinMaxPrepared(pb, pa, o)
+				}
+				return ApMinMaxPrepared(pb, pa, o)
+			}},
+		}
+		for _, exact := range []bool{false, true} {
+			want, err := shapes[0].run(scalarOpts, exact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sh := range shapes {
+				for _, o := range []Options{scalarOpts, vecOpts} {
+					got, err := sh.run(o, exact)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got.Pairs, want.Pairs) || got.Events != want.Events {
+						t.Fatalf("trial %d %s exact=%v vec=%v: diverges from the one-shot scalar run\ngot:  %v %+v\nwant: %v %+v",
+							trial, sh.name, exact, o.EpsVec != nil, got.Pairs, got.Events, want.Pairs, want.Events)
+					}
 				}
 			}
 		}

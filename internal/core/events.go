@@ -77,18 +77,6 @@ type Events struct {
 // avoid).
 func (e *Events) Comparisons() int64 { return e.NoMatches + e.Matches }
 
-// Add accumulates other into e.
-func (e *Events) Add(other Events) {
-	e.MinPrunes += other.MinPrunes
-	e.MaxPrunes += other.MaxPrunes
-	e.NoOverlaps += other.NoOverlaps
-	e.NoMatches += other.NoMatches
-	e.Matches += other.Matches
-	e.CSFCalls += other.CSFCalls
-	e.EGOPrunes += other.EGOPrunes
-	e.OffsetAdvances += other.OffsetAdvances
-}
-
 // MetricName is the stable identifier of an event counter in external
 // aggregators (Prometheus exposition). The names are the snake_case
 // forms of the paper's event names plus the two bookkeeping counters.

@@ -76,7 +76,7 @@ func TestFigure2ApMinMaxTrace(t *testing.T) {
 
 	var events Events
 	trace := &Trace{}
-	pairs, _ := apScan(in, &events, trace, nil)
+	pairs, _ := apScan(in, &events, trace)
 
 	want := []TraceEvent{
 		// Instance <<1>>: b1 no-overlaps a1 and a2, then a3 min-prunes it.
@@ -143,7 +143,7 @@ func TestFigure3ExMinMaxTrace(t *testing.T) {
 
 	var events Events
 	trace := &Trace{}
-	pairs, _ := exScan(in, matching.CSF, &events, trace, nil)
+	pairs, _ := exScan(in, matching.CSF, &events, trace)
 
 	flush := TraceEvent{Kind: EvCSFFlush, BPos: -1, APos: -1}
 	want := []TraceEvent{

@@ -29,17 +29,6 @@ type Options struct {
 	// DisableSkipOffset turns off the skip/offset fast-forwarding
 	// (ablation only; results are identical).
 	DisableSkipOffset bool
-	// ReferenceScan selects the scalar array-of-vectors compare path
-	// instead of the flat SoA kernel (ablation and benchmarking only;
-	// results are identical — the kernelguard gate pins it).
-	ReferenceScan bool
-	// SoAOneShot makes the one-shot entry points (ApMinMax/ExMinMax)
-	// build and scan the flat SoA streams. By default one-shot joins use
-	// the reference comparer: building the streams per call costs more
-	// than the single scan saves (~0.8x, BENCH_scan.json), so SoA pays
-	// off only on the prepared paths where the streams are built once.
-	// Ignored when ReferenceScan is set; prepared joins ignore both.
-	SoAOneShot bool
 	// Done, when non-nil, requests cooperative cancellation: the scan
 	// loops poll it periodically and return ErrCanceled once it closes
 	// (typically ctx.Done() threaded down from the public API).
@@ -117,10 +106,11 @@ func validate(b, a *vector.Community, opts *Options) error {
 // encComparer is the scalar reference Comparer: the paper's lines 11-12
 // — check complete part/range overlap, then compare the d-dimensional
 // vectors under the per-dimension epsilon condition — read through the
-// array-of-vectors layout. The production scans use soaComparer (same
-// classification over flat streams, pinned identical by the property
-// suite and `make kernelguard`); this form remains the executable
-// specification and the Options.ReferenceScan ablation path.
+// array-of-vectors layout. The one-shot joins scan with it; it is the
+// executable specification that the prepared joins' fused SoA sweep is
+// pinned to (the property suite and `make kernelguard`). A one-shot
+// join scans once, so building SoA streams for it would cost more than
+// the sweep saves.
 type encComparer struct {
 	bb  *encoding.BBuffer
 	ab  *encoding.ABuffer
@@ -140,8 +130,8 @@ func (c *encComparer) Compare(bPos, aPos int) Outcome {
 	return OutcomeNoMatch
 }
 
-// encode builds the sorted buffers and the Input view for a community
-// pair.
+// encode builds the sorted buffers and the reference-scan Input view
+// for a one-shot join of a community pair.
 func encode(b, a *vector.Community, opts *Options) (*Input, *encoding.BBuffer, *encoding.ABuffer, error) {
 	layout, err := encoding.NewLayout(b.Dim(), opts.parts(b.Dim()))
 	if err != nil {
@@ -154,6 +144,7 @@ func encode(b, a *vector.Community, opts *Options) (*Input, *encoding.BBuffer, *
 		BID:               make([]int64, len(bb.Entries)),
 		AMin:              make([]int64, len(ab.Entries)),
 		AMax:              make([]int64, len(ab.Entries)),
+		Cmp:               &encComparer{bb: bb, ab: ab, ub: b.Users, ua: a.Users, eps: eps},
 		DisableSkipOffset: opts.DisableSkipOffset,
 		Done:              opts.Done,
 	}
@@ -164,32 +155,24 @@ func encode(b, a *vector.Community, opts *Options) (*Input, *encoding.BBuffer, *
 		in.AMin[i] = ab.Entries[i].Min
 		in.AMax[i] = ab.Entries[i].Max
 	}
-	if opts.ReferenceScan || !opts.SoAOneShot {
-		in.Cmp = &encComparer{bb: bb, ab: ab, ub: b.Users, ua: a.Users, eps: eps}
-		return in, bb, ab, nil
-	}
-	// Build the one-shot SoA streams: O((|B|+|A|)·d) sequential work
-	// ahead of a scan that reads the streams O(|B|·|A|) times. Opt-in
-	// for one-shot joins (see Options.SoAOneShot); the prepared paths
-	// build the streams once at Prepare time instead.
-	sb := soaStreams{d: layout.Dim(), parts: layout.Parts()}
-	sb.buildB(b.Users, bb)
-	sa := soaStreams{d: layout.Dim(), parts: layout.Parts()}
-	sa.buildA(a.Users, ab, eps)
-	cmp := &soaComparer{}
-	cmp.bindStreams(&sb, &sa)
-	in.Cmp = cmp
 	return in, bb, ab, nil
 }
 
+// translate returns the user-index form of a one-shot join's position
+// pairs.
 func translate(pairs [][2]int, bb *encoding.BBuffer, ab *encoding.ABuffer) []matching.Pair {
-	return translateInto(make([]matching.Pair, 0, len(pairs)), pairs, bb, ab)
+	out := make([]matching.Pair, len(pairs))
+	for i, p := range pairs {
+		out[i] = matching.Pair{B: bb.Entries[p[0]].Ref, A: ab.Entries[p[1]].Ref}
+	}
+	return out
 }
 
-// translateInto appends the real-ID form of the position pairs to dst.
-func translateInto(dst []matching.Pair, pairs [][2]int, bb *encoding.BBuffer, ab *encoding.ABuffer) []matching.Pair {
+// translateInto appends the user-index form of a prepared join's
+// position pairs to dst, through the views' position maps.
+func translateInto(dst []matching.Pair, pairs [][2]int, bref, aref []int32) []matching.Pair {
 	for _, p := range pairs {
-		dst = append(dst, matching.Pair{B: bb.Entries[p[0]].Ref, A: ab.Entries[p[1]].Ref})
+		dst = append(dst, matching.Pair{B: bref[p[0]], A: aref[p[1]]})
 	}
 	return dst
 }
@@ -205,7 +188,7 @@ func ApMinMax(b, a *vector.Community, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	pairs, err := apScan(in, &res.Events, opts.Trace, nil)
+	pairs, err := apScan(in, &res.Events, opts.Trace)
 	if err != nil {
 		return nil, err
 	}
@@ -224,7 +207,7 @@ func ExMinMax(b, a *vector.Community, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	pairs, err := exScan(in, opts.matcher(), &res.Events, opts.Trace, nil)
+	pairs, err := exScan(in, opts.matcher(), &res.Events, opts.Trace)
 	if err != nil {
 		return nil, err
 	}

@@ -8,51 +8,68 @@ import (
 )
 
 // Prepared caches both roles of a community's MinMax encoding — the
-// Encd_B buffer it needs as the smaller side and the Encd_A buffer it
-// needs as the larger side — so that joining N communities pairwise
-// encodes each community once instead of O(N) times. The paper's
+// Encd_B side it needs as the smaller community and the Encd_A side it
+// needs as the larger — so that joining N communities pairwise encodes
+// each community once instead of O(N) times. The paper's
 // broadcast-recommendation scenario ("the online system applies CSJ to
 // a variety of community pairs") is exactly this workload.
 //
+// A view holds only what the fused SoA sweep reads (DESIGN.md §14):
+// the sorted encoded columns, the flat streams, and the sorted-position
+// to user-index maps that translate matched positions into pairs. The
+// Encd_B/Encd_A entry buffers are built once to fill these and then
+// dropped; WritePrepared re-encodes them from the community.
+//
 // A Prepared is immutable after construction and safe for concurrent
-// joins: the cached buffers and flat scan views are only ever read.
+// joins: the cached columns and streams are only ever read.
 type Prepared struct {
 	comm   *vector.Community
 	layout *encoding.Layout
 	eps    vector.Eps
-	bb     *encoding.BBuffer
-	ab     *encoding.ABuffer
 
-	// Flat scan views, aligned with bb.Entries / ab.Entries. Built once
-	// here so assembling a join Input is pointer assembly instead of
-	// three O(n) copies per join (O(N²·n) across a similarity matrix).
+	// Sorted encoded columns: B's encoded IDs ascending, A's encoded
+	// [Min, Max] windows ascending by Min. Built once here so assembling
+	// a join Input is pointer assembly instead of three O(n) copies per
+	// join (O(N²·n) across a similarity matrix).
 	bid        []int64
 	amin, amax []int64
+	// bref and aref map a sorted B/A position to its user index.
+	bref, aref []int32
 
-	// soa holds the flat structure-of-arrays streams of the SoA scan
-	// path (DESIGN.md §14): contiguous per-dimension counters and
-	// saturated epsilon windows plus per-part sums and ranges, all in
-	// sorted-buffer order, so the B×A sweep reads sequential memory.
+	// soa holds the flat structure-of-arrays streams of the fused
+	// sweep: contiguous per-dimension counters and saturated epsilon
+	// windows plus per-part sums and ranges, all in sorted-buffer
+	// order, so the B×A sweep reads sequential memory.
 	soa soaStreams
 }
 
-// initViews materializes the flat scan views and SoA streams from the
-// sorted buffers. Every Prepared constructor (Prepare, ReadPrepared)
-// must call it.
-func (p *Prepared) initViews() {
-	p.bid = make([]int64, len(p.bb.Entries))
-	for i := range p.bb.Entries {
-		p.bid[i] = p.bb.Entries[i].ID
+// newPrepared builds a view from the community's sorted buffers. Every
+// Prepared constructor (Prepare, ReadPrepared) goes through it; the
+// buffers are not retained.
+func newPrepared(comm *vector.Community, layout *encoding.Layout, eps vector.Eps, bb *encoding.BBuffer, ab *encoding.ABuffer) *Prepared {
+	p := &Prepared{
+		comm:   comm,
+		layout: layout,
+		eps:    eps,
+		bid:    make([]int64, len(bb.Entries)),
+		bref:   make([]int32, len(bb.Entries)),
+		amin:   make([]int64, len(ab.Entries)),
+		amax:   make([]int64, len(ab.Entries)),
+		aref:   make([]int32, len(ab.Entries)),
+		soa:    soaStreams{d: comm.Dim(), parts: layout.Parts()},
 	}
-	p.amin = make([]int64, len(p.ab.Entries))
-	p.amax = make([]int64, len(p.ab.Entries))
-	for i := range p.ab.Entries {
-		p.amin[i] = p.ab.Entries[i].Min
-		p.amax[i] = p.ab.Entries[i].Max
+	for i := range bb.Entries {
+		p.bid[i] = bb.Entries[i].ID
+		p.bref[i] = bb.Entries[i].Ref
 	}
-	p.soa = soaStreams{d: p.comm.Dim(), parts: p.layout.Parts()}
-	p.soa.buildB(p.comm.Users, p.bb)
-	p.soa.buildA(p.comm.Users, p.ab, p.eps)
+	for i := range ab.Entries {
+		p.amin[i] = ab.Entries[i].Min
+		p.amax[i] = ab.Entries[i].Max
+		p.aref[i] = ab.Entries[i].Ref
+	}
+	p.soa.buildB(comm.Users, bb)
+	p.soa.buildA(comm.Users, ab, eps)
+	return p
 }
 
 // Prepare encodes the community for repeated MinMax joins under the
@@ -72,15 +89,7 @@ func Prepare(c *vector.Community, opts Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{
-		comm:   c,
-		layout: layout,
-		eps:    eps,
-		bb:     encoding.EncodeB(c, layout),
-		ab:     encoding.EncodeA(c, layout, eps),
-	}
-	p.initViews()
-	return p, nil
+	return newPrepared(c, layout, eps, encoding.EncodeB(c, layout), encoding.EncodeA(c, layout, eps)), nil
 }
 
 // Community returns the underlying community.
@@ -89,26 +98,16 @@ func (p *Prepared) Community() *vector.Community { return p.comm }
 // Size returns the community size.
 func (p *Prepared) Size() int { return p.comm.Size() }
 
-// Footprint approximates the resident size of the prepared community in
-// bytes: the user vectors plus both cached encodings and the flat scan
-// views. Byte-capped caches use it for eviction accounting; it counts
-// backing arrays and per-entry struct overhead but not allocator slack.
+// Footprint is the resident size of the view's own arrays in bytes:
+// the sorted columns, the position maps, and the SoA streams.
+// Byte-capped caches use it for eviction accounting. The community's
+// vectors are not counted: the store entry owns them, and evicting the
+// view cannot free them. Slice headers and allocator slack are not
+// counted either.
 func (p *Prepared) Footprint() int64 {
-	const (
-		sliceHeader = 24 // ptr + len + cap
-		bEntrySize  = 40 // ID + Parts header + Ref, padded
-		aEntrySize  = 72 // Min + Max + two range headers + Ref, padded
-	)
-	var n int64
-	for _, u := range p.comm.Users {
-		n += sliceHeader + int64(len(u))*4
-	}
-	parts := int64(p.layout.Parts())
-	n += int64(len(p.bb.Entries)) * (bEntrySize + parts*8)
-	n += int64(len(p.ab.Entries)) * (aEntrySize + 2*parts*8)
-	n += int64(len(p.bid)+len(p.amin)+len(p.amax)) * 8
-	n += p.soa.footprint()
-	return n
+	return int64(len(p.bid)+len(p.amin)+len(p.amax))*8 +
+		int64(len(p.bref)+len(p.aref))*4 +
+		p.soa.footprint()
 }
 
 // epsString renders a tolerance for error messages: the scalar digits,

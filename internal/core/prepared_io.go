@@ -26,9 +26,11 @@ import (
 //	the encoded buffers in the encoding buffers format
 //
 // Uniform views keep writing the v1 record byte-for-byte, so files from
-// earlier releases load unchanged. Loading restores the exact cached
-// state without re-encoding; a sanity pass cross-checks the buffers
-// against the stored vectors.
+// earlier releases load unchanged. A view does not keep its buffers, so
+// writing re-encodes them from the community; the encoders break ties
+// by user index, so the bytes are the ones the view was built from.
+// Loading builds the view from the stored buffers without re-encoding;
+// a sanity pass cross-checks the buffers against the stored vectors.
 
 const (
 	preparedMagic    = "CSJP\x01"
@@ -66,7 +68,9 @@ func WritePrepared(w io.Writer, p *Prepared) error {
 	if err := vector.WriteBinary(bw, p.comm); err != nil {
 		return err
 	}
-	if err := encoding.WriteBuffers(bw, p.bb, p.ab); err != nil {
+	bb := encoding.EncodeB(p.comm, p.layout)
+	ab := encoding.EncodeA(p.comm, p.layout, p.eps)
+	if err := encoding.WriteBuffers(bw, bb, ab); err != nil {
 		return err
 	}
 	return bw.Flush()
@@ -144,9 +148,7 @@ func ReadPrepared(r io.Reader) (*Prepared, error) {
 			return nil, fmt.Errorf("core: prepared B entry %d does not match its vector", i)
 		}
 	}
-	p := &Prepared{comm: comm, layout: bb.Layout, eps: eps, bb: bb, ab: ab}
-	p.initViews()
-	return p, nil
+	return newPrepared(comm, bb.Layout, eps, bb, ab), nil
 }
 
 // sampleIndexes returns a deterministic spread of indexes to verify.

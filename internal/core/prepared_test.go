@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"os"
 	"testing"
 
 	"github.com/opencsj/csj/internal/matching"
@@ -138,6 +139,73 @@ func TestPreparedRoundTrip(t *testing.T) {
 	}
 	if len(got.Pairs) != len(want.Pairs) {
 		t.Fatalf("loaded prepared join found %d pairs, original %d", len(got.Pairs), len(want.Pairs))
+	}
+}
+
+// TestPreparedGoldenFiles pins the on-disk bytes of both record
+// versions. The files were written from one seeded community (with
+// tied encoded IDs, so the Ref tie-break is on the wire): a read then
+// write must reproduce each file byte for byte, and so must preparing
+// that community afresh under the file's options.
+func TestPreparedGoldenFiles(t *testing.T) {
+	c := randCommunity(rand.New(rand.NewSource(2024)), "golden", 24, 6, 5)
+	for _, g := range []struct {
+		file string
+		opts Options
+	}{
+		{"testdata/prepared_v1.csjp", Options{Eps: 2}},
+		{"testdata/prepared_v2.csjp", Options{EpsVec: []int32{1, 0, 2, 3, 1, 2}, Parts: 3}},
+	} {
+		want, err := os.ReadFile(g.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ReadPrepared(bytes.NewReader(want))
+		if err != nil {
+			t.Fatalf("%s: %v", g.file, err)
+		}
+		var back bytes.Buffer
+		if err := WritePrepared(&back, p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(back.Bytes(), want) {
+			t.Errorf("%s: read+write changed the bytes (%d vs %d)", g.file, back.Len(), len(want))
+		}
+		fresh, err := Prepare(c, g.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := WritePrepared(&out, fresh); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Errorf("%s: Prepare+WritePrepared does not reproduce the file", g.file)
+		}
+	}
+}
+
+// TestPreparedFootprint pins what a view is charged: its sorted columns
+// (3×8 B a user), position maps (2×4 B), and SoA streams (12 B a
+// dimension, 24 B a part) — and nothing for the community's vectors,
+// which the store entry owns and evicting the view cannot free.
+func TestPreparedFootprint(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	for _, c := range []struct {
+		n, d int
+		max  int64
+	}{
+		{20, 6, 4_100},
+		{1500, 27, 690_000},
+	} {
+		p, err := Prepare(randCommunity(rng, "f", c.n, c.d, 9), Options{Eps: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := int64(c.n * (3*8 + 2*4 + 12*c.d + 24*p.layout.Parts()))
+		if got := p.Footprint(); got != want || got > c.max {
+			t.Errorf("%d×%d view: Footprint %d B, want %d (at most %d)", c.n, c.d, got, want, c.max)
+		}
 	}
 }
 

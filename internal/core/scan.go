@@ -52,11 +52,11 @@ const (
 	OutcomeMatch
 )
 
-// Comparer classifies candidate pairs for the scan loops. bPos and aPos
-// are positions in the sorted buffers. The production implementation
-// checks part/range overlap and then the per-dimension epsilon
-// condition; tests inject scripted comparers to replay the paper's
-// figures.
+// Comparer classifies candidate pairs for the reference scan loops.
+// bPos and aPos are positions in the sorted buffers. The one-shot joins
+// use encComparer, which checks part/range overlap and then the
+// per-dimension epsilon condition; tests inject scripted comparers to
+// replay the paper's figures.
 type Comparer interface {
 	Compare(bPos, aPos int) Outcome
 }
@@ -64,6 +64,8 @@ type Comparer interface {
 // Input is the sorted, encoded view of a community pair that the scan
 // loops operate on: B's encoded IDs ascending, A's encoded [Min, Max]
 // windows ascending by Min, and a Comparer for the candidate pairs.
+// The fused sweeps of the prepared joins classify from the views' SoA
+// streams instead and leave Cmp nil.
 type Input struct {
 	BID        []int64
 	AMin, AMax []int64
@@ -86,7 +88,7 @@ type Input struct {
 // pairs into the sorted buffers, or ErrCanceled if in.Done closed
 // before the scan completed.
 func ScanAp(in *Input, ev *Events, tr *Trace) ([][2]int, error) {
-	return apScan(in, ev, tr, nil)
+	return apScan(in, ev, tr)
 }
 
 // ScanEx runs the exact MinMax pairing process on a prepared Input,
@@ -96,39 +98,22 @@ func ScanEx(in *Input, matcher matching.Matcher, ev *Events, tr *Trace) ([][2]in
 	if matcher == nil {
 		matcher = matching.CSF
 	}
-	return exScan(in, matcher, ev, tr, nil)
+	return exScan(in, matcher, ev, tr)
 }
 
 // apScan runs the approximate MinMax pairing process (Algorithm
 // Ap-MinMax, lines 5-13). It returns the matched (bPos, aPos) position
 // pairs. A matched A entry is consumed: the scan proceeds with the next
 // B user and the entry is skipped from then on, which is what makes the
-// method approximate (greedy first-match, possible false misses). A
-// non-nil scratch donates its used bitmap and pair buffer; the returned
-// slice then aliases the scratch and is only valid until the next scan
-// that uses it.
-func apScan(in *Input, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
-	if c, ok := in.Cmp.(*soaComparer); ok {
-		// Production streams: run the fused loop (soa.go), which inlines
-		// the classification instead of calling through the interface.
-		return apScanSoA(in, c, ev, tr, s)
-	}
+// method approximate (greedy first-match, possible false misses).
+func apScan(in *Input, ev *Events, tr *Trace) ([][2]int, error) {
 	var pairs [][2]int
-	var used []bool
-	if s != nil {
-		pairs = s.pairs[:0]
-		used = s.usedBitmap(len(in.AMin))
-	} else {
-		used = make([]bool, len(in.AMin))
-	}
+	used := make([]bool, len(in.AMin))
 	offset := 0
 	budget := cancelCheckEvery
 	for bi := range in.BID {
 		if budget--; budget <= 0 {
 			if canceled(in.Done) {
-				if s != nil {
-					s.pairs = pairs
-				}
 				return nil, ErrCanceled
 			}
 			budget = cancelCheckEvery
@@ -139,9 +124,6 @@ func apScan(in *Input, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
 		for ai := offset; ai < len(in.AMin); ai++ {
 			if budget--; budget <= 0 {
 				if canceled(in.Done) {
-					if s != nil {
-						s.pairs = pairs
-					}
 					return nil, ErrCanceled
 				}
 				budget = cancelCheckEvery
@@ -189,9 +171,6 @@ func apScan(in *Input, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
 			}
 		}
 	}
-	if s != nil {
-		s.pairs = pairs // keep the grown capacity for the next scan
-	}
 	return pairs, nil
 }
 
@@ -201,24 +180,10 @@ func apScan(in *Input, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
 // segment), and flushes the segment through the matcher as soon as the
 // next B user's encoded ID exceeds maxV — at that point no future B user
 // can reach any matched A user, so the segment is safely closed (no
-// false misses). It returns matched (bPos, aPos) position pairs. A
-// non-nil scratch donates its match graph and pair buffer; the returned
-// slice then aliases the scratch and is only valid until the next scan
-// that uses it.
-func exScan(in *Input, matcher matching.Matcher, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
-	if c, ok := in.Cmp.(*soaComparer); ok {
-		// Production streams: run the fused loop (soa.go), which inlines
-		// the classification instead of calling through the interface.
-		return exScanSoA(in, c, matcher, ev, tr, s)
-	}
+// false misses). It returns matched (bPos, aPos) position pairs.
+func exScan(in *Input, matcher matching.Matcher, ev *Events, tr *Trace) ([][2]int, error) {
 	var out [][2]int
-	var g *matching.Graph
-	if s != nil {
-		out = s.pairs[:0]
-		g = s.matchGraph()
-	} else {
-		g = matching.NewGraph()
-	}
+	g := matching.NewGraph()
 	flush := func() {
 		if g.Edges() == 0 {
 			return
@@ -236,9 +201,6 @@ func exScan(in *Input, matcher matching.Matcher, ev *Events, tr *Trace, s *Scrat
 	for bi := range in.BID {
 		if budget--; budget <= 0 {
 			if canceled(in.Done) {
-				if s != nil {
-					s.pairs = out
-				}
 				return nil, ErrCanceled
 			}
 			budget = cancelCheckEvery
@@ -249,9 +211,6 @@ func exScan(in *Input, matcher matching.Matcher, ev *Events, tr *Trace, s *Scrat
 		for ai := offset; ai < len(in.AMin); ai++ {
 			if budget--; budget <= 0 {
 				if canceled(in.Done) {
-					if s != nil {
-						s.pairs = out
-					}
 					return nil, ErrCanceled
 				}
 				budget = cancelCheckEvery
@@ -298,8 +257,5 @@ func exScan(in *Input, matcher matching.Matcher, ev *Events, tr *Trace, s *Scrat
 		}
 	}
 	flush()
-	if s != nil {
-		s.pairs = out // keep the grown capacity for the next scan
-	}
 	return out, nil
 }

@@ -111,7 +111,7 @@ func TestApScanMatchesReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		in := randomInput(rng, int64(trial))
 		var ev Events
-		got, _ := apScan(in, &ev, nil, nil)
+		got, _ := apScan(in, &ev, nil)
 		want := referenceAp(in)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: apScan found %d pairs, reference %d", trial, len(got), len(want))
@@ -124,7 +124,7 @@ func TestApScanMatchesReference(t *testing.T) {
 		// And again with skip/offset disabled.
 		in.DisableSkipOffset = true
 		var ev2 Events
-		got2, _ := apScan(in, &ev2, nil, nil)
+		got2, _ := apScan(in, &ev2, nil)
 		if len(got2) != len(want) {
 			t.Fatalf("trial %d: apScan(no skip) found %d pairs, reference %d",
 				trial, len(got2), len(want))
@@ -141,7 +141,7 @@ func TestExScanMatchesReference(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		in := randomInput(rng, int64(1000+trial))
 		var ev Events
-		got, _ := exScan(in, matching.HopcroftKarp, &ev, nil, nil)
+		got, _ := exScan(in, matching.HopcroftKarp, &ev, nil)
 		g := referenceExGraph(in)
 		if want := matching.MaximumMatchingSize(g); len(got) != want {
 			t.Fatalf("trial %d: exScan(HK) found %d pairs, global optimum %d",
@@ -170,7 +170,7 @@ func TestExScanCSFBounds(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		in := randomInput(rng, int64(2000+trial))
 		var ev Events
-		got, _ := exScan(in, matching.CSF, &ev, nil, nil)
+		got, _ := exScan(in, matching.CSF, &ev, nil)
 		opt := matching.MaximumMatchingSize(referenceExGraph(in))
 		if len(got) > opt {
 			t.Fatalf("trial %d: CSF exceeded the optimum (%d > %d)", trial, len(got), opt)
@@ -187,19 +187,19 @@ func TestScanDegenerateInputs(t *testing.T) {
 	var ev Events
 
 	empty := &Input{Cmp: cmp}
-	if got, _ := apScan(empty, &ev, nil, nil); len(got) != 0 {
+	if got, _ := apScan(empty, &ev, nil); len(got) != 0 {
 		t.Error("apScan on empty input should find nothing")
 	}
-	if got, _ := exScan(empty, matching.CSF, &ev, nil, nil); len(got) != 0 {
+	if got, _ := exScan(empty, matching.CSF, &ev, nil); len(got) != 0 {
 		t.Error("exScan on empty input should find nothing")
 	}
 
 	bOnly := &Input{BID: []int64{1, 2, 3}, Cmp: cmp}
-	if got, _ := apScan(bOnly, &ev, nil, nil); len(got) != 0 {
+	if got, _ := apScan(bOnly, &ev, nil); len(got) != 0 {
 		t.Error("apScan with empty A should find nothing")
 	}
 	aOnly := &Input{AMin: []int64{1}, AMax: []int64{5}, Cmp: cmp}
-	if got, _ := exScan(aOnly, matching.CSF, &ev, nil, nil); len(got) != 0 {
+	if got, _ := exScan(aOnly, matching.CSF, &ev, nil); len(got) != 0 {
 		t.Error("exScan with empty B should find nothing")
 	}
 
@@ -211,7 +211,7 @@ func TestScanDegenerateInputs(t *testing.T) {
 		AMax: make([]int64, n),
 		Cmp:  &alwaysMatch{},
 	}
-	got, _ := exScan(flat, matching.HopcroftKarp, &ev, nil, nil)
+	got, _ := exScan(flat, matching.HopcroftKarp, &ev, nil)
 	if len(got) != n {
 		t.Errorf("flat input: %d pairs, want %d (perfect matching)", len(got), n)
 	}

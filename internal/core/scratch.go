@@ -3,18 +3,16 @@ package core
 import "github.com/opencsj/csj/internal/matching"
 
 // Scratch is the reusable per-worker state of the prepared MinMax hot
-// path: the scan view, the comparer, the used bitmap of the approximate
-// scan, the position-pair buffer, and the match graph of the exact
-// scan. A batch engine gives each worker one Scratch and threads it
-// through every join the worker runs, so repeated joins stop allocating
-// on the scan path entirely.
+// path: the scan view, the used bitmap of the approximate scan, the
+// position-pair buffer, and the match graph of the exact scan. A batch
+// engine gives each worker one Scratch and threads it through every
+// join the worker runs, so repeated joins stop allocating on the scan
+// path entirely.
 //
 // A Scratch may be used by one join at a time; it is not safe for
 // concurrent use. The zero value is ready to use.
 type Scratch struct {
 	in    Input
-	cmp   encComparer
-	scmp  soaComparer
 	used  []bool
 	pairs [][2]int
 	graph *matching.Graph
@@ -44,24 +42,15 @@ func (s *Scratch) matchGraph() *matching.Graph {
 	return s.graph
 }
 
-// bindPrepared points the scratch's scan view at the cached flat
-// buffers and SoA streams of a prepared pair. No slice is copied or
-// allocated: BID, AMin, AMax, and the comparer streams alias the arrays
-// built once at Prepare time.
+// bindPrepared points the scratch's scan view at the cached sorted
+// columns of a prepared pair. No slice is copied or allocated: BID,
+// AMin and AMax alias the arrays built once at Prepare time, and the
+// fused sweeps read the SoA streams from the views themselves.
 func (s *Scratch) bindPrepared(b, a *Prepared, opts *Options) *Input {
-	var cmp Comparer
-	if opts.ReferenceScan {
-		s.cmp = encComparer{bb: b.bb, ab: a.ab, ub: b.comm.Users, ua: a.comm.Users, eps: b.eps}
-		cmp = &s.cmp
-	} else {
-		s.scmp.bindStreams(&b.soa, &a.soa)
-		cmp = &s.scmp
-	}
 	s.in = Input{
 		BID:               b.bid,
 		AMin:              a.amin,
 		AMax:              a.amax,
-		Cmp:               cmp,
 		DisableSkipOffset: opts.DisableSkipOffset,
 		Done:              opts.Done,
 	}
@@ -81,11 +70,11 @@ func ApMinMaxPreparedInto(b, a *Prepared, opts Options, s *Scratch, res *Result)
 	}
 	in := s.bindPrepared(b, a, &opts)
 	res.Events = Events{}
-	pairs, err := apScan(in, &res.Events, opts.Trace, s)
+	pairs, err := apScanSoA(in, &b.soa, &a.soa, &res.Events, opts.Trace, s)
 	if err != nil {
 		return err
 	}
-	res.Pairs = translateInto(res.Pairs[:0], pairs, b.bb, a.ab)
+	res.Pairs = translateInto(res.Pairs[:0], pairs, b.bref, a.aref)
 	return nil
 }
 
@@ -100,10 +89,10 @@ func ExMinMaxPreparedInto(b, a *Prepared, opts Options, s *Scratch, res *Result)
 	}
 	in := s.bindPrepared(b, a, &opts)
 	res.Events = Events{}
-	pairs, err := exScan(in, opts.matcher(), &res.Events, opts.Trace, s)
+	pairs, err := exScanSoA(in, &b.soa, &a.soa, opts.matcher(), &res.Events, opts.Trace, s)
 	if err != nil {
 		return err
 	}
-	res.Pairs = translateInto(res.Pairs[:0], pairs, b.bb, a.ab)
+	res.Pairs = translateInto(res.Pairs[:0], pairs, b.bref, a.aref)
 	return nil
 }

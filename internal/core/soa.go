@@ -127,8 +127,8 @@ func satInt32(x int64) int32 {
 	return int32(x)
 }
 
-// soaStreams holds the flat scan streams of one encoded community pair
-// (or of one Prepared, which is both sides of the pair at once).
+// soaStreams holds the flat scan streams of one Prepared: its B-side
+// rows and its A-side rows, so the view can play either role.
 type soaStreams struct {
 	d, parts int
 	bvals    []int32
@@ -183,55 +183,12 @@ func (s *soaStreams) footprint() int64 {
 		int64(len(s.bparts)+len(s.aranges))*8
 }
 
-// soaComparer carries the bound streams of the SoA scan path and
-// implements Comparer in its plain per-pair form: the same two checks
-// as the scalar reference — complete part/range overlap, then the
-// per-dimension epsilon condition — read from flat streams through the
-// branch-reduced kernels. The scan entry points recognize the concrete
-// type and run the fused loops below instead (apScanSoA, exScanSoA),
-// which inline this classification into the sweep; the method remains
-// the single-pair form for direct Comparer callers.
-type soaComparer struct {
-	d, parts int
-	// B-side streams, indexed by bPos.
-	bvals  []int32
-	bparts []int64
-	// A-side streams, indexed by aPos.
-	awin    []int32
-	aranges []int64
-}
-
-// bindStreams points the comparer at one pair of stream sets: b's
-// B-side and a's A-side. No allocation; the streams are shared.
-func (c *soaComparer) bindStreams(b, a *soaStreams) {
-	c.d, c.parts = b.d, b.parts
-	c.bvals, c.bparts = b.bvals, b.bparts
-	c.awin, c.aranges = a.awin, a.aranges
-}
-
-// Compare is stateless over the bound streams: it slices the B row by
-// bPos on every call, so one comparer may serve concurrent scan workers
-// (ExMinMaxParallel installs a single shared comparer as in.Cmp). The
-// fused loops hoist the row views once per outer B row themselves, so
-// there is nothing to memoize here — a mutable current-row cache would
-// be a data race in the parallel path for no serial win.
-func (c *soaComparer) Compare(bPos, aPos int) Outcome {
-	d, p := c.d, c.parts
-	if !partsWithin(c.bparts[bPos*p:bPos*p+p], c.aranges[aPos*2*p:]) {
-		return OutcomeNoOverlap
-	}
-	w := c.awin[aPos*2*d:]
-	if epsWithin(c.bvals[bPos*d:bPos*d+d], w[:d], w[d:2*d]) {
-		return OutcomeMatch
-	}
-	return OutcomeNoMatch
-}
-
 // The fused scans below are apScan/exScan with the SoA classification
-// inlined into the sweep. Going through the Comparer interface costs
-// each candidate a call it cannot see through: prologue, stream-header
-// reloads, and an opaque boundary the compiler must spill around. At
-// ~10k candidates per small join that call tax is a third of the scan.
+// inlined into the sweep; they are the only scans a prepared join runs.
+// Going through the Comparer interface would cost each candidate a call
+// it cannot see through: prologue, stream-header reloads, and an opaque
+// boundary the compiler must spill around. At ~10k candidates per small
+// join that call tax is a third of the scan.
 // The fused loops keep the stream bases in registers, hoist the B row
 // views once per outer row, and for the default part count evaluate
 // the overlap check branch-free — which part rejects is data-dependent
@@ -240,9 +197,9 @@ func (c *soaComparer) Compare(bPos, aPos int) Outcome {
 // costs a few predictable cycles and leaves one branch: the outcome.
 //
 // Control flow, events, traces, and cancellation checkpoints mirror the
-// generic loops line for line; the property suite and `make
-// kernelguard` pin the two shapes (and the scalar reference) to
-// identical results and event streams.
+// reference loops line for line; the property suite and `make
+// kernelguard` pin the prepared sweep to the one-shot scalar reference:
+// identical pairs and event streams.
 
 // bump folds the fused loops' local event counters into e.
 func (e *Events) bump(minPrunes, maxPrunes, noOverlaps, noMatches, matches, offsetAdvances int64) {
@@ -254,18 +211,16 @@ func (e *Events) bump(minPrunes, maxPrunes, noOverlaps, noMatches, matches, offs
 	e.OffsetAdvances += offsetAdvances
 }
 
-// apScanSoA is the fused form of apScan over bound SoA streams.
-func apScanSoA(in *Input, c *soaComparer, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
-	var pairs [][2]int
-	var used []bool
-	if s != nil {
-		pairs = s.pairs[:0]
-		used = s.usedBitmap(len(in.AMin))
-	} else {
-		used = make([]bool, len(in.AMin))
-	}
-	d, p := c.d, c.parts
-	aranges, awin := c.aranges, c.awin
+// apScanSoA is the fused form of apScan: b's B-side streams against
+// a's A-side streams. The scratch donates its used bitmap and pair
+// buffer; the returned slice aliases the scratch and is only valid
+// until the next scan that uses it.
+func apScanSoA(in *Input, b, a *soaStreams, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
+	pairs := s.pairs[:0]
+	used := s.usedBitmap(len(in.AMin))
+	d, p := b.d, b.parts
+	bparts, bvals := b.bparts, b.bvals
+	aranges, awin := a.aranges, a.awin
 	offset := 0
 	budget := cancelCheckEvery
 	// Event counters accumulate in locals (registers) and fold into ev
@@ -275,16 +230,14 @@ func apScanSoA(in *Input, c *soaComparer, ev *Events, tr *Trace, s *Scratch) ([]
 	for bi := range in.BID {
 		if budget--; budget <= 0 {
 			if canceled(in.Done) {
-				if s != nil {
-					s.pairs = pairs
-				}
+				s.pairs = pairs
 				ev.bump(minPrunes, maxPrunes, noOverlaps, noMatches, matches, offsetAdvances)
 				return nil, ErrCanceled
 			}
 			budget = cancelCheckEvery
 		}
-		bp := c.bparts[bi*p : bi*p+p]
-		bv := c.bvals[bi*d : bi*d+d]
+		bp := bparts[bi*p : bi*p+p]
+		bv := bvals[bi*d : bi*d+d]
 		var bp4 *[4]int64
 		if p == 4 {
 			bp4 = (*[4]int64)(bp)
@@ -295,9 +248,7 @@ func apScanSoA(in *Input, c *soaComparer, ev *Events, tr *Trace, s *Scratch) ([]
 		for ai := offset; ai < len(in.AMin); ai++ {
 			if budget--; budget <= 0 {
 				if canceled(in.Done) {
-					if s != nil {
-						s.pairs = pairs
-					}
+					s.pairs = pairs
 					ev.bump(minPrunes, maxPrunes, noOverlaps, noMatches, matches, offsetAdvances)
 					return nil, ErrCanceled
 				}
@@ -380,23 +331,18 @@ func apScanSoA(in *Input, c *soaComparer, ev *Events, tr *Trace, s *Scratch) ([]
 			}
 		}
 	}
-	if s != nil {
-		s.pairs = pairs // keep the grown capacity for the next scan
-	}
+	s.pairs = pairs // keep the grown capacity for the next scan
 	ev.bump(minPrunes, maxPrunes, noOverlaps, noMatches, matches, offsetAdvances)
 	return pairs, nil
 }
 
-// exScanSoA is the fused form of exScan over bound SoA streams.
-func exScanSoA(in *Input, c *soaComparer, matcher matching.Matcher, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
-	var out [][2]int
-	var g *matching.Graph
-	if s != nil {
-		out = s.pairs[:0]
-		g = s.matchGraph()
-	} else {
-		g = matching.NewGraph()
-	}
+// exScanSoA is the fused form of exScan: b's B-side streams against
+// a's A-side streams. The scratch donates its match graph and pair
+// buffer; the returned slice aliases the scratch and is only valid
+// until the next scan that uses it.
+func exScanSoA(in *Input, b, a *soaStreams, matcher matching.Matcher, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
+	out := s.pairs[:0]
+	g := s.matchGraph()
 	flush := func() {
 		if g.Edges() == 0 {
 			return
@@ -408,8 +354,9 @@ func exScanSoA(in *Input, c *soaComparer, matcher matching.Matcher, ev *Events, 
 		}
 		g.Reset()
 	}
-	d, p := c.d, c.parts
-	aranges, awin := c.aranges, c.awin
+	d, p := b.d, b.parts
+	bparts, bvals := b.bparts, b.bvals
+	aranges, awin := a.aranges, a.awin
 	offset := 0
 	budget := cancelCheckEvery
 	// Event counters accumulate in locals (registers) and fold into ev
@@ -420,16 +367,14 @@ func exScanSoA(in *Input, c *soaComparer, matcher matching.Matcher, ev *Events, 
 	for bi := range in.BID {
 		if budget--; budget <= 0 {
 			if canceled(in.Done) {
-				if s != nil {
-					s.pairs = out
-				}
+				s.pairs = out
 				ev.bump(minPrunes, maxPrunes, noOverlaps, noMatches, matches, offsetAdvances)
 				return nil, ErrCanceled
 			}
 			budget = cancelCheckEvery
 		}
-		bp := c.bparts[bi*p : bi*p+p]
-		bv := c.bvals[bi*d : bi*d+d]
+		bp := bparts[bi*p : bi*p+p]
+		bv := bvals[bi*d : bi*d+d]
 		var bp4 *[4]int64
 		if p == 4 {
 			bp4 = (*[4]int64)(bp)
@@ -440,9 +385,7 @@ func exScanSoA(in *Input, c *soaComparer, matcher matching.Matcher, ev *Events, 
 		for ai := offset; ai < len(in.AMin); ai++ {
 			if budget--; budget <= 0 {
 				if canceled(in.Done) {
-					if s != nil {
-						s.pairs = out
-					}
+					s.pairs = out
 					ev.bump(minPrunes, maxPrunes, noOverlaps, noMatches, matches, offsetAdvances)
 					return nil, ErrCanceled
 				}
@@ -526,9 +469,7 @@ func exScanSoA(in *Input, c *soaComparer, matcher matching.Matcher, ev *Events, 
 		}
 	}
 	flush()
-	if s != nil {
-		s.pairs = out // keep the grown capacity for the next scan
-	}
+	s.pairs = out // keep the grown capacity for the next scan
 	ev.bump(minPrunes, maxPrunes, noOverlaps, noMatches, matches, offsetAdvances)
 	return out, nil
 }

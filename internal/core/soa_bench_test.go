@@ -5,12 +5,12 @@ import (
 	"testing"
 
 	"github.com/opencsj/csj/internal/dataset"
+	"github.com/opencsj/csj/internal/matching"
 	"github.com/opencsj/csj/internal/vector"
 )
 
 // vkCommunity draws a VK-like community (27 dims, Zipf-weighted
-// category counters) — the corpus shape csjbench -scan measures, so the
-// kernel benchmarks here track the same workload.
+// category counters), the corpus shape the served joins see.
 func vkCommunity(rng *rand.Rand, name string, n int) *vector.Community {
 	gen := dataset.NewGenerator(dataset.VK, rng, 0)
 	users := make([]vector.Vector, n)
@@ -20,14 +20,21 @@ func vkCommunity(rng *rand.Rand, name string, n int) *vector.Community {
 	return &vector.Community{Name: name, Category: -1, Users: users}
 }
 
-func benchPrepared(b *testing.B, run func(bb, aa *Prepared, o Options, s *Scratch, r *Result) error, reference bool) {
+// benchPair draws the B and A communities every kernel benchmark joins.
+func benchPair() (b, a *vector.Community, opts Options) {
 	rng := rand.New(rand.NewSource(11))
-	opts := Options{Eps: dataset.EpsilonVK, ReferenceScan: reference}
-	pb, err := Prepare(vkCommunity(rng, "B", 400), opts)
+	return vkCommunity(rng, "B", 400), vkCommunity(rng, "A", 440), Options{Eps: dataset.EpsilonVK}
+}
+
+// benchPrepared times a prepared join: the fused SoA sweep with a
+// reused scratch, the served hot path.
+func benchPrepared(b *testing.B, run func(bb, aa *Prepared, o Options, s *Scratch, r *Result) error) {
+	cb, ca, opts := benchPair()
+	pb, err := Prepare(cb, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
-	pa, err := Prepare(vkCommunity(rng, "A", 440), opts)
+	pa, err := Prepare(ca, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,7 +49,31 @@ func benchPrepared(b *testing.B, run func(bb, aa *Prepared, o Options, s *Scratc
 	}
 }
 
-func BenchmarkApPreparedSoA(b *testing.B)       { benchPrepared(b, ApMinMaxPreparedInto, false) }
-func BenchmarkApPreparedReference(b *testing.B) { benchPrepared(b, ApMinMaxPreparedInto, true) }
-func BenchmarkExPreparedSoA(b *testing.B)       { benchPrepared(b, ExMinMaxPreparedInto, false) }
-func BenchmarkExPreparedReference(b *testing.B) { benchPrepared(b, ExMinMaxPreparedInto, true) }
+// benchReference times the scalar reference scan over the same pair,
+// on a one-shot Input encoded outside the timer, so the two legs
+// compare the kernels and not the encoding.
+func benchReference(b *testing.B, exact bool) {
+	cb, ca, opts := benchPair()
+	in, _, _, err := encode(cb, ca, &opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ev Events
+		if exact {
+			_, err = exScan(in, matching.CSF, &ev, nil)
+		} else {
+			_, err = apScan(in, &ev, nil)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkApPreparedSoA(b *testing.B) { benchPrepared(b, ApMinMaxPreparedInto) }
+func BenchmarkApReference(b *testing.B)   { benchReference(b, false) }
+func BenchmarkExPreparedSoA(b *testing.B) { benchPrepared(b, ExMinMaxPreparedInto) }
+func BenchmarkExReference(b *testing.B)   { benchReference(b, true) }

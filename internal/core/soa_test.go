@@ -3,7 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/opencsj/csj/internal/vector"
@@ -51,76 +51,55 @@ func dupCommunity(rng *rand.Rand, name string, n, d int, maxVal int32) *vector.C
 	return &vector.Community{Name: name, Category: -1, Users: users}
 }
 
-// runBoth joins b and a with both compare paths — flat SoA kernel and
-// scalar reference — through the given entry point and requires
-// cell-identical results: same pairs in the same order, same event
-// tallies.
+// requireBothPathsEqual joins b and a in both shapes — one-shot, which
+// scans with the scalar reference comparer, and prepared, which runs
+// the fused SoA sweep — and requires identical results for Ap and Ex:
+// the same pairs in the same order and the same event tallies.
 func requireBothPathsEqual(t *testing.T, label string, b, a *vector.Community, opts Options) {
 	t.Helper()
-	type runner struct {
-		name string
-		run  func(opts Options) (*Result, *Result, error)
+	apR, err := ApMinMax(b, a, opts)
+	if err != nil {
+		t.Fatalf("%s: one-shot Ap: %v", label, err)
 	}
-	oneShot := func(opts Options) (*Result, *Result, error) {
-		ap, err := ApMinMax(b, a, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		ex, err := ExMinMax(b, a, opts)
-		return ap, ex, err
+	exR, err := ExMinMax(b, a, opts)
+	if err != nil {
+		t.Fatalf("%s: one-shot Ex: %v", label, err)
 	}
-	preparedRun := func(opts Options) (*Result, *Result, error) {
-		pb, err := Prepare(b, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		pa, err := Prepare(a, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		ap, err := ApMinMaxPrepared(pb, pa, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		ex, err := ExMinMaxPrepared(pb, pa, opts)
-		return ap, ex, err
+	pb, err := Prepare(b, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	for _, r := range []runner{{"one-shot", oneShot}, {"prepared", preparedRun}} {
-		soa := opts
-		soa.ReferenceScan = false
-		// One-shot joins default to the reference comparer; force the SoA
-		// streams so this leg keeps exercising the one-shot kernel path.
-		soa.SoAOneShot = true
-		ref := opts
-		ref.ReferenceScan = true
-		apS, exS, err := r.run(soa)
-		if err != nil {
-			t.Fatalf("%s/%s soa: %v", label, r.name, err)
-		}
-		apR, exR, err := r.run(ref)
-		if err != nil {
-			t.Fatalf("%s/%s reference: %v", label, r.name, err)
-		}
-		if !reflect.DeepEqual(apS.Pairs, apR.Pairs) {
-			t.Fatalf("%s/%s: Ap pairs diverge\nsoa: %v\nref: %v", label, r.name, apS.Pairs, apR.Pairs)
-		}
-		if apS.Events != apR.Events {
-			t.Fatalf("%s/%s: Ap events diverge\nsoa: %+v\nref: %+v", label, r.name, apS.Events, apR.Events)
-		}
-		if !reflect.DeepEqual(exS.Pairs, exR.Pairs) {
-			t.Fatalf("%s/%s: Ex pairs diverge\nsoa: %v\nref: %v", label, r.name, exS.Pairs, exR.Pairs)
-		}
-		if exS.Events != exR.Events {
-			t.Fatalf("%s/%s: Ex events diverge\nsoa: %+v\nref: %+v", label, r.name, exS.Events, exR.Events)
-		}
+	pa, err := Prepare(a, opts)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	apS, err := ApMinMaxPrepared(pb, pa, opts)
+	if err != nil {
+		t.Fatalf("%s: prepared Ap: %v", label, err)
+	}
+	exS, err := ExMinMaxPrepared(pb, pa, opts)
+	if err != nil {
+		t.Fatalf("%s: prepared Ex: %v", label, err)
+	}
+	if !slices.Equal(apS.Pairs, apR.Pairs) {
+		t.Fatalf("%s: Ap pairs diverge\nsoa: %v\nref: %v", label, apS.Pairs, apR.Pairs)
+	}
+	if apS.Events != apR.Events {
+		t.Fatalf("%s: Ap events diverge\nsoa: %+v\nref: %+v", label, apS.Events, apR.Events)
+	}
+	if !slices.Equal(exS.Pairs, exR.Pairs) {
+		t.Fatalf("%s: Ex pairs diverge\nsoa: %v\nref: %v", label, exS.Pairs, exR.Pairs)
+	}
+	if exS.Events != exR.Events {
+		t.Fatalf("%s: Ex events diverge\nsoa: %+v\nref: %+v", label, exS.Events, exR.Events)
 	}
 }
 
 // TestSoAKernelMatchesReference is the exactness property of the SoA
 // scan path: over seeded random corpora — varied sizes, dimensions
 // (below, at, and above the kernel block width), epsilons, duplicate
-// scores — the flat kernel must produce byte-identical pairs and event
-// tallies to the scalar reference on one-shot and prepared paths.
+// scores — the prepared joins' flat kernel must produce byte-identical
+// pairs and event tallies to the one-shot scalar reference.
 // A failing seed is named by the trial index. Part of `make
 // kernelguard` and the ordinary `-race` suite.
 func TestSoAKernelMatchesReference(t *testing.T) {
@@ -140,7 +119,7 @@ func TestSoAKernelMatchesReference(t *testing.T) {
 
 // TestSoAKernelDuplicateScores covers tie-heavy corpora: repeated
 // identical vectors collapse encoded IDs and windows, stressing the
-// greedy consumption and offset logic on both paths.
+// greedy consumption and offset logic on both shapes.
 func TestSoAKernelDuplicateScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(515))
 	for trial := 0; trial < 40; trial++ {
@@ -153,7 +132,8 @@ func TestSoAKernelDuplicateScores(t *testing.T) {
 
 // TestSoAKernelExtremeValues is the overflow regression of the epsilon
 // predicate: corpora spanning MinInt32..MaxInt32 must classify
-// identically on the fixed scalar path and the saturating SoA path.
+// identically on the fixed scalar path (one-shot) and the saturating
+// SoA path (prepared).
 // Before the fix, the scalar compare computed MaxInt32 - MinInt32 in
 // int32 (wraps to -1) and declared extreme opposites a match.
 func TestSoAKernelExtremeValues(t *testing.T) {
@@ -170,16 +150,30 @@ func TestSoAKernelExtremeValues(t *testing.T) {
 	}
 
 	// The directed case the int32 subtraction got wrong: opposite
-	// extremes are 2^32-1 apart and must never match under a small eps.
+	// extremes are 2^32-1 apart and must never match under a small eps,
+	// in either shape.
 	b := &vector.Community{Name: "B", Category: -1, Users: []vector.Vector{{math.MaxInt32}}}
 	a := &vector.Community{Name: "A", Category: -1, Users: []vector.Vector{{math.MinInt32}}}
-	for _, ref := range []bool{false, true} {
-		res, err := ApMinMax(b, a, Options{Eps: 5, ReferenceScan: ref})
-		if err != nil {
-			t.Fatal(err)
-		}
+	opts := Options{Eps: 5}
+	oneShot, err := ApMinMax(b, a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := Prepare(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, err := Prepare(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prepared, err := ApMinMaxPrepared(pb, pa, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for shape, res := range map[string]*Result{"one-shot": oneShot, "prepared": prepared} {
 		if len(res.Pairs) != 0 {
-			t.Fatalf("ReferenceScan=%v: MaxInt32 vs MinInt32 matched under eps=5 (overflow)", ref)
+			t.Fatalf("%s: MaxInt32 vs MinInt32 matched under eps=5 (overflow)", shape)
 		}
 	}
 }
@@ -246,8 +240,8 @@ func TestSatInt32(t *testing.T) {
 // TestKernelGuardSoAZeroAlloc is the `make kernelguard` allocation
 // gate: a steady-state prepared Ap join through the SoA kernel — the
 // serving hot path — must perform zero allocations per operation. The
-// SoA streams are built once at Prepare time; binding them into the
-// scratch comparer and scanning must not touch the heap.
+// SoA streams are built once at Prepare time; binding the scan view
+// into the scratch and sweeping must not touch the heap.
 func TestKernelGuardSoAZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -277,32 +271,5 @@ func TestKernelGuardSoAZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("prepared SoA Ap join: %v allocs/op, want 0", allocs)
-	}
-}
-
-// TestSoAPreparedParallelMatchesSerial runs the tiled parallel Ex scan
-// over an SoA-backed input and checks pair counts against the serial
-// optimum (the tile scheduler must not change the candidate graph).
-func TestSoAParallelTilesMatchSerial(t *testing.T) {
-	requireParallelism(t)
-	rng := rand.New(rand.NewSource(717))
-	// Communities larger than one tile, so the tile loop actually runs.
-	b := randCommunity(rng, "B", 600, 6, 8)
-	a := randCommunity(rng, "A", 700, 6, 8)
-	serial, err := ExMinMax(b, a, Options{Eps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		par, err := ExMinMaxParallel(b, a, Options{Eps: 1}, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(par.Pairs) != len(serial.Pairs) {
-			t.Fatalf("workers=%d: %d pairs, serial %d", workers, len(par.Pairs), len(serial.Pairs))
-		}
-		if par.Events.Matches != serial.Events.Matches {
-			t.Fatalf("workers=%d: %d match events, serial %d", workers, par.Events.Matches, serial.Events.Matches)
-		}
 	}
 }

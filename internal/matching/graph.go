@@ -71,19 +71,6 @@ func (g *Graph) BUsers() []int32 {
 // graph's own storage and must not be modified.
 func (g *Graph) Matches(b int32) []int32 { return g.bAdj[b] }
 
-// AppendEdges appends every (b, a) edge to dst and returns the extended
-// slice. The order follows the internal map iteration and is NOT
-// deterministic; callers that need a stable order (e.g. merging shard
-// graphs before matching) must sort the result.
-func (g *Graph) AppendEdges(dst [][2]int32) [][2]int32 {
-	for b, as := range g.bAdj {
-		for _, a := range as {
-			dst = append(dst, [2]int32{b, a})
-		}
-	}
-	return dst
-}
-
 // Matcher selects one-to-one pairs from a match graph. The two
 // implementations are CSF (the paper's heuristic) and HopcroftKarp
 // (a true maximum matching).

@@ -207,14 +207,10 @@ func (m *serverMetrics) observeIndexStats(st csj.IndexStats) {
 	m.indexPruned.Add(st.Pruned)
 }
 
-// instrument attaches the join observers of the heavy endpoints to a
-// request's options payload, and applies the server-wide scan-kernel
-// override (Config.ForceReferenceScan). Every join endpoint funnels
-// its options through here, so this is the one chokepoint for both.
+// instrumentOptions attaches the join observers of the heavy endpoints
+// to a request's options payload. Every join endpoint funnels its
+// options through here.
 func (s *Server) instrumentOptions(opts *csj.Options) *csj.Options {
-	if s.cfg.ForceReferenceScan {
-		opts.ReferenceScan = true
-	}
 	if s.metrics == nil {
 		return opts
 	}

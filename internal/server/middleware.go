@@ -38,9 +38,10 @@ type Config struct {
 	// MaxBodyBytes caps every request body; larger uploads get 413.
 	// 0 selects DefaultMaxBodyBytes; negative disables the cap.
 	MaxBodyBytes int64
-	// PreparedCacheBytes caps the community store's prepared-view cache
-	// (approximate resident bytes, see DESIGN.md §10). 0 selects
-	// DefaultPreparedCacheBytes; negative removes the cap.
+	// PreparedCacheBytes caps the bytes the cached prepared views own
+	// (their columns and streams, not the stored vectors; see DESIGN.md
+	// §10). 0 selects DefaultPreparedCacheBytes; negative removes the
+	// cap.
 	PreparedCacheBytes int64
 	// DisableMetrics turns off the observability layer: no /metrics
 	// endpoint, no per-endpoint instrumentation, no scan-event counters.
@@ -50,13 +51,6 @@ type Config struct {
 	// default: profiles reveal internals and profiling costs CPU, so
 	// expose it on trusted networks only.
 	EnablePprof bool
-	// ForceReferenceScan makes every MinMax join on this server use the
-	// scalar reference scan path instead of the flat SoA kernel
-	// (csj.Options.ReferenceScan), regardless of what requests ask for.
-	// An operational ablation switch: results are identical, so flipping
-	// it isolates the kernel's contribution in live latency metrics and
-	// provides a fallback if a kernel regression is ever suspected.
-	ForceReferenceScan bool
 	// IndexBuckets selects the histogram resolution of the pruning
 	// summaries the community store attaches to entries for the
 	// envelope index (DESIGN.md §12). 0 selects the library default;
@@ -79,10 +73,11 @@ const (
 	// the largest legitimate payload: ~100k users × 27 dims fit well
 	// within this).
 	DefaultMaxBodyBytes = 32 << 20
-	// DefaultPreparedCacheBytes caps the prepared-view cache. A view's
-	// footprint is roughly 3–4× its community's raw vector bytes, so
-	// 256 MiB holds several hundred 100k-user × 27-dim communities'
-	// views — plenty for the working set while bounding resident memory.
+	// DefaultPreparedCacheBytes caps the prepared-view cache. A 27-dim
+	// view owns about 4.2× its community's raw vector bytes (452 B a
+	// user), so 256 MiB holds ~590 1,000-user views or five 100k-user
+	// ones — the working set of a ranking service, with resident memory
+	// bounded.
 	DefaultPreparedCacheBytes = 256 << 20
 )
 

@@ -241,11 +241,6 @@ type OptionsPayload struct {
 	// reported similarity becomes the normalized weighted blend of the
 	// CSJ score, the category-overlap signal, and the centroid cosine.
 	Scorer *ScorerPayload `json:"scorer,omitempty"`
-	// ReferenceScan selects the scalar reference scan path instead of
-	// the flat SoA kernel for MinMax joins (results identical; a
-	// benchmarking/ablation switch). Config.ForceReferenceScan turns it
-	// on server-wide regardless of this field.
-	ReferenceScan bool `json:"reference_scan,omitempty"`
 }
 
 // ScorerPayload mirrors csj.ScorerSpec for requests: the blend weights
@@ -277,7 +272,6 @@ func (o *OptionsPayload) toOptions() (*csj.Options, error) {
 		AllowSizeImbalance: o.AllowSizeImbalance,
 		Workers:            o.Workers,
 		P:                  o.P,
-		ReferenceScan:      o.ReferenceScan,
 	}
 	switch o.Matcher {
 	case "", "csf":

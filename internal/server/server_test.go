@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 )
 
@@ -176,36 +177,57 @@ func TestSimilarityEndpoint(t *testing.T) {
 	}, http.StatusBadRequest, nil)
 }
 
-// TestReferenceScanIdentical pins the scan-kernel switches: a
-// reference_scan request and a -scan-kernel=reference server
-// (Config.ForceReferenceScan) must return exactly what the default SoA
-// kernel returns — the switch is a performance ablation, never a
-// semantic one.
+// TestReferenceScanIdentical pins wire compatibility for older clients
+// that send a reference_scan option: the join's shape picks its scan,
+// and the request decoder ignores unknown fields, so a body carrying
+// "reference_scan": true gets exactly the answer of one without it.
 func TestReferenceScanIdentical(t *testing.T) {
+	ts := newTestServer(t)
 	rng := rand.New(rand.NewSource(77))
-	busers := randUsers(rng, 30, 4, 6)
-	ausers := randUsers(rng, 40, 4, 6)
-	run := func(ts *httptest.Server, reference bool) SimilarityResponse {
-		bID := uploadCommunity(t, ts, "B", busers)
-		aID := uploadCommunity(t, ts, "A", ausers)
+	bID := uploadCommunity(t, ts, "B", randUsers(rng, 30, 4, 6))
+	aID := uploadCommunity(t, ts, "A", randUsers(rng, 40, 4, 6))
+	run := func(extra string) SimilarityResponse {
+		body := fmt.Sprintf(`{"b":%d,"a":%d,"method":"ex-minmax","include_pairs":true,`+
+			`"options":{"epsilon":1%s}}`, bID, aID, extra)
+		var resp SimilarityResponse
+		doJSON(t, "POST", ts.URL+"/similarity", json.RawMessage(body), http.StatusOK, &resp)
+		resp.ElapsedMS = 0
+		return resp
+	}
+	want := run("")
+	if want.Matched == 0 {
+		t.Fatal("corpus produced no matches; the comparison would be vacuous")
+	}
+	if got := run(`,"reference_scan":true`); !reflect.DeepEqual(got, want) {
+		t.Errorf("reference_scan body diverged:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSimilarityWorkersChangesNothing: a one-shot join runs serially,
+// so the workers field of a /similarity body can neither change its
+// answer (matched pairs and reported events) nor start goroutines
+// beyond the one admission slot the request holds.
+func TestSimilarityWorkersChangesNothing(t *testing.T) {
+	ts := newTestServer(t)
+	rng := rand.New(rand.NewSource(21))
+	bID := uploadCommunity(t, ts, "B", randUsers(rng, 50, 4, 5))
+	aID := uploadCommunity(t, ts, "A", randUsers(rng, 70, 4, 5))
+	run := func(workers int) SimilarityResponse {
 		var resp SimilarityResponse
 		doJSON(t, "POST", ts.URL+"/similarity", SimilarityRequest{
-			B: bID, A: aID, Method: "ex-minmax", IncludePairs: true,
-			Options: OptionsPayload{Epsilon: 1, ReferenceScan: reference},
+			B: bID, A: aID, Method: "ex-superego",
+			Options: OptionsPayload{Epsilon: 1, Workers: workers},
 		}, http.StatusOK, &resp)
 		return resp
 	}
-	soaTS := newTestServer(t)
-	soa := run(soaTS, false)
-	ref := run(newTestServer(t), true)
-	forcedTS := httptest.NewServer(NewWithConfig(nil, Config{ForceReferenceScan: true}))
-	t.Cleanup(forcedTS.Close)
-	forced := run(forcedTS, false)
-	for name, got := range map[string]SimilarityResponse{"reference_scan": ref, "forced": forced} {
-		if got.Similarity != soa.Similarity || got.Matched != soa.Matched ||
-			got.Events != soa.Events || len(got.Pairs) != len(soa.Pairs) {
-			t.Errorf("%s path diverged from SoA kernel:\ngot  %+v\nwant %+v", name, got, soa)
-		}
+	want := run(0)
+	if want.Matched == 0 {
+		t.Fatal("corpus produced no matches; the comparison would be vacuous")
+	}
+	got := run(8)
+	if got.Matched != want.Matched || got.Events != want.Events {
+		t.Errorf("workers=8 changed the answer: matched %d events %+v, want matched %d events %+v",
+			got.Matched, got.Events, want.Matched, want.Events)
 	}
 }
 

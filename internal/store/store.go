@@ -77,8 +77,8 @@ type SeedEntry struct {
 
 // Config parameterizes a Store.
 type Config struct {
-	// MaxCacheBytes caps the prepared-view cache's approximate resident
-	// bytes (csj.PreparedCommunity.Footprint accounting); <= 0 removes
+	// MaxCacheBytes caps the bytes the cached prepared views own
+	// (csj.PreparedCommunity.Footprint accounting); <= 0 removes
 	// the cap. The most recently used view is never evicted, so a single
 	// view larger than the cap is served rather than thrashed.
 	MaxCacheBytes int64

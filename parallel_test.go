@@ -2,63 +2,66 @@ package csj_test
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	csj "github.com/opencsj/csj"
 )
 
-// Options.Workers must not change exact results (with the optimal
-// matcher) for any exact method.
+// Options.Workers sizes the batch engines' pool and nothing else: a
+// one-shot join runs serially, so for every exact method, with the
+// default CSF matcher, the pairs and the reported events are exactly
+// those of a run without it.
 func TestWorkersOptionPreservesExactResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 5; trial++ {
+	for trial := 0; trial < 10; trial++ {
 		na := 60 + rng.Intn(60)
 		nb := (na+1)/2 + rng.Intn(na-(na+1)/2+1)
 		b := randComm(rng, "B", nb, 6, 10)
 		a := randComm(rng, "A", na, 6, 10)
 		for _, m := range csj.ExactMethods {
-			serial, err := csj.Similarity(b, a, m, &csj.Options{
-				Epsilon: 1, Matcher: csj.MatcherHopcroftKarp,
-			})
+			want, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{2, 4, 16} {
-				par, err := csj.Similarity(b, a, m, &csj.Options{
-					Epsilon: 1, Matcher: csj.MatcherHopcroftKarp, Workers: workers,
-				})
+			for _, workers := range []int{0, 2, 8} {
+				got, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1, Workers: workers})
 				if err != nil {
-					t.Fatalf("%v workers=%d: %v", m, workers, err)
+					t.Fatalf("trial %d %v workers=%d: %v", trial, m, workers, err)
 				}
-				if par.Similarity != serial.Similarity {
-					t.Errorf("%v workers=%d: similarity %.4f != serial %.4f",
-						m, workers, par.Similarity, serial.Similarity)
+				if !reflect.DeepEqual(got.Pairs, want.Pairs) {
+					t.Errorf("trial %d %v workers=%d: pairs differ from the plain run", trial, m, workers)
+				}
+				if got.Events != want.Events {
+					t.Errorf("trial %d %v workers=%d: events %+v, plain run %+v",
+						trial, m, workers, got.Events, want.Events)
 				}
 			}
 		}
 	}
 }
 
-// Approximate methods ignore Workers: identical pair sequences.
+// Approximate methods ignore Workers: identical pair sequences and
+// events.
 func TestWorkersIgnoredByApproximateMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	b := randComm(rng, "B", 50, 4, 8)
 	a := randComm(rng, "A", 60, 4, 8)
 	for _, m := range csj.ApproximateMethods {
-		r1, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1})
+		want, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1, Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r1.Pairs) != len(r2.Pairs) {
-			t.Errorf("%v: Workers changed the approximate result", m)
-		}
-		for i := range r1.Pairs {
-			if r1.Pairs[i] != r2.Pairs[i] {
-				t.Errorf("%v: pair %d differs with Workers set", m, i)
+		for _, workers := range []int{2, 8} {
+			got, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1, Workers: workers})
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", m, workers, err)
+			}
+			if !reflect.DeepEqual(got.Pairs, want.Pairs) {
+				t.Errorf("%v workers=%d: Workers changed the approximate pairs", m, workers)
+			}
+			if got.Events != want.Events {
+				t.Errorf("%v workers=%d: events %+v, plain run %+v", m, workers, got.Events, want.Events)
 			}
 		}
 	}

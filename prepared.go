@@ -9,10 +9,11 @@ import (
 	"github.com/opencsj/csj/internal/vector"
 )
 
-// Footprint approximates the resident size of the prepared community in
-// bytes: the user vectors plus both cached MinMax encodings and the
-// flat scan views. Byte-capped caches (internal/store) use it for
-// eviction accounting.
+// Footprint is the number of bytes the prepared view owns: its sorted
+// encoded columns and flat scan streams. The community's vectors are
+// not counted — the caller (or the store entry) owns them, and dropping
+// the view does not free them. Byte-capped caches (internal/store) use
+// it for eviction accounting.
 func (pc *PreparedCommunity) Footprint() int64 { return pc.p.Footprint() }
 
 // Scratch bundles the reusable state of a prepared MinMax join: the
@@ -67,8 +68,7 @@ func similarityPreparedInto(ctx context.Context, b, a *PreparedCommunity, method
 	}
 	copts := core.Options{Eps: o.Epsilon, EpsVec: o.EpsilonVec, Parts: o.Parts,
 		Matcher: o.Matcher.matcher(), DisableSkipOffset: o.DisableSkipOffset,
-		ReferenceScan: o.ReferenceScan,
-		Done:          ctx.Done()}
+		Done: ctx.Done()}
 	run := core.ApMinMaxPreparedInto
 	if method == ExMinMax {
 		run = core.ExMinMaxPreparedInto

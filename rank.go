@@ -54,15 +54,12 @@ func RankCtx(ctx context.Context, pivot *Community, candidates []*Community, met
 	}
 	o := opts.orDefault()
 	workers := batchWorkers(&o)
-	// Keep each probe serial; the pool is the only parallel axis.
-	probeOpts := o
-	probeOpts.Workers = 1
 	out := make([]Ranked, len(candidates))
 	err := runPoolStats(ctx, workers, len(candidates), "rank/probe", o.OnPoolStats, func(_, i int) error {
 		cand := candidates[i]
 		out[i] = Ranked{Index: i, Name: cand.Name}
 		b, a := Orient(pivot, cand)
-		res, err := SimilarityCtx(ctx, b, a, method, &probeOpts)
+		res, err := SimilarityCtx(ctx, b, a, method, &o)
 		switch {
 		case err == nil:
 			out[i].Result = res
