@@ -32,21 +32,22 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimilarityMatrix|BenchmarkTopK' -benchmem .
 
 # metricsguard is the metrics-overhead gate (DESIGN.md §9): the
-# prepared Ap fast path must stay 0 allocs/op with scan-event counters
-# attached. Runs without -race — race instrumentation inflates
+# prepared Ap and Ex fast paths must stay 0 allocs/op with scan-event
+# counters attached. Runs without -race — race instrumentation inflates
 # allocation counts, which is why the test is !race-gated.
 metricsguard:
-	$(GO) test -count=1 -v -run '^TestInstrumentedPreparedApZeroAllocs$$' ./internal/metrics
+	$(GO) test -count=1 -v -run '^TestInstrumentedPreparedZeroAllocs$$' ./internal/metrics
 
 # storeguard is the store-overhead gate (DESIGN.md §10): the cache-hit
-# prepared Ap path — snapshot load, view lookups, scratch'd join — must
-# stay 0 allocs/op, and the store must scale with the corpus: a
+# prepared Ap and Ex paths — snapshot load, view lookups, scratch'd
+# join — must stay 0 allocs/op, and the store must scale with the
+# corpus: a
 # Create+Delete allocates the same at 1k and 50k stored communities, and
 # an all-candidates indexed top-k through the snapshot's candidate
 # source the same at 1k and 10k. !race-gated for the same reason as
 # metricsguard.
 storeguard:
-	$(GO) test -count=1 -v -run '^TestStoreCacheHitPreparedApZeroAllocs$$|^TestStoreCreateDeleteAllocsScaleFree$$|^TestIndexedTopKAllocsScaleFree$$' ./internal/store
+	$(GO) test -count=1 -v -run '^TestStoreCacheHitPreparedZeroAllocs$$|^TestStoreCreateDeleteAllocsScaleFree$$|^TestIndexedTopKAllocsScaleFree$$' ./internal/store
 
 # indexguard is the envelope-index exactness gate (DESIGN.md §12): the
 # bucket max-flow must equal a reference max-flow exactly, the upper
@@ -65,8 +66,9 @@ indexguard:
 # kernelguard is the SoA scan-kernel gate (DESIGN.md §14): the flat
 # kernel must be byte-identical to the scalar reference over seeded
 # random corpora (duplicates, full-int32 extremes, block-boundary
-# dimensions), the prepared SoA Ap join must stay 0 allocs/op, and the
-# workers<=1 pool path must run tasks inline on the caller's goroutine.
+# dimensions), the prepared SoA Ap and Ex joins must stay 0 allocs/op
+# (Ex with its CSF flushes), and the workers<=1 pool path must run
+# tasks inline on the caller's goroutine.
 # The alloc check is !race-gated, same reason as metricsguard.
 kernelguard:
 	$(GO) test -count=1 -v -run '^TestSoAKernelMatchesReference$$|^TestSoAKernelDuplicateScores$$|^TestSoAKernelExtremeValues$$|^TestEpsWithinKernelEdges$$|^TestKernelGuardSoAZeroAlloc$$' ./internal/core
@@ -92,10 +94,15 @@ specguard:
 
 # fuzzsmoke gives each ingest fuzz target a short native-fuzzing burst
 # (seeded with the crafted-header corpus of the hardening pass), so CI
-# catches parser regressions without a long fuzzing budget.
+# catches parser regressions without a long fuzzing budget. The
+# prepared-record target is seeded with the golden v1/v2 files; every
+# record it loads must also Ex-join itself. Its minimization is capped
+# at 1s: the default 60s spends the whole burst shrinking the first
+# interesting 3.7 KB input instead of fuzzing.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 15s ./internal/vector
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 15s ./internal/vector
+	$(GO) test -run '^$$' -fuzz '^FuzzReadPrepared$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/core
 
 # crashguard is the end-to-end durability gate (DESIGN.md §11): it
 # kill -9s a live csjserve mid-ingest, restarts it over the same WAL

@@ -140,15 +140,42 @@ func ReadPrepared(r io.Reader) (*Prepared, error) {
 		return nil, fmt.Errorf("core: prepared buffers hold %d/%d entries, community has %d users",
 			len(bb.Entries), len(ab.Entries), comm.Size())
 	}
+	// The view indexes the community's vectors by every Ref, so each
+	// user must appear exactly once per side.
+	seen := make([]bool, comm.Size())
+	for i := range bb.Entries {
+		if err := checkRef(seen, "B", i, bb.Entries[i].Ref); err != nil {
+			return nil, err
+		}
+	}
+	clear(seen)
+	for i := range ab.Entries {
+		if err := checkRef(seen, "A", i, ab.Entries[i].Ref); err != nil {
+			return nil, err
+		}
+	}
 	// Cross-check a sample of entries against the stored vectors so a
 	// corrupted (but well-formed) file cannot poison later joins.
 	for _, i := range sampleIndexes(comm.Size()) {
 		e := &bb.Entries[i]
-		if int(e.Ref) >= comm.Size() || e.ID != comm.Users[e.Ref].Sum() {
+		if e.ID != comm.Users[e.Ref].Sum() {
 			return nil, fmt.Errorf("core: prepared B entry %d does not match its vector", i)
 		}
 	}
 	return newPrepared(comm, bb.Layout, eps, bb, ab), nil
+}
+
+// checkRef reports an error unless ref names a user of the community
+// (len(seen) users) that no earlier entry of the side named.
+func checkRef(seen []bool, side string, i int, ref int32) error {
+	if ref < 0 || int(ref) >= len(seen) {
+		return fmt.Errorf("core: prepared %s entry %d refers to user %d of %d", side, i, ref, len(seen))
+	}
+	if seen[ref] {
+		return fmt.Errorf("core: prepared %s entry %d repeats user %d", side, i, ref)
+	}
+	seen[ref] = true
+	return nil
 }
 
 // sampleIndexes returns a deterministic spread of indexes to verify.

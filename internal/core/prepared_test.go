@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"testing"
@@ -224,6 +225,70 @@ func TestReadPreparedRejectsGarbage(t *testing.T) {
 	for _, cut := range []int{4, len(full) / 3, len(full) - 2} {
 		if _, err := ReadPrepared(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("expected error on truncation to %d bytes", cut)
+		}
+	}
+}
+
+// refOffsets returns the byte offsets of every B and A entry's Ref in a
+// prepared record: the encoded buffers follow the community, behind
+// their own "CSJE\x01" magic.
+func refOffsets(t *testing.T, rec []byte) (bRefs, aRefs []int) {
+	t.Helper()
+	off := bytes.Index(rec, []byte("CSJE\x01"))
+	if off < 0 {
+		t.Fatal("no buffers section in the record")
+	}
+	u32 := func() int {
+		v := int(binary.LittleEndian.Uint32(rec[off:]))
+		off += 4
+		return v
+	}
+	off += len("CSJE\x01")
+	u32() // d
+	parts := u32()
+	for n := u32(); n > 0; n-- {
+		off += 8 + 8*parts // ID, per-part sums
+		bRefs = append(bRefs, off)
+		off += 4
+	}
+	for n := u32(); n > 0; n-- {
+		off += 16 + 16*parts // Min, Max, per-part range lows and highs
+		aRefs = append(aRefs, off)
+		off += 4
+	}
+	if off != len(rec) {
+		t.Fatalf("buffers section ends at byte %d of %d", off, len(rec))
+	}
+	return bRefs, aRefs
+}
+
+// TestReadPreparedRejectsBadRefs corrupts one Ref of the golden v1
+// record at a time. Each record is well formed — sorted, with parts
+// summing to IDs, and the corrupted B entry outside the sampled
+// vector cross-check — so only a check of every Ref catches it; an
+// unchecked out-of-range Ref would index past the community's users
+// while the view is built.
+func TestReadPreparedRejectsBadRefs(t *testing.T) {
+	golden, err := os.ReadFile("testdata/prepared_v1.csjp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bRefs, aRefs := refOffsets(t, golden)
+	ref := func(off int) uint32 { return binary.LittleEndian.Uint32(golden[off:]) }
+	for _, c := range []struct {
+		name string
+		off  int
+		ref  uint32
+	}{
+		{"A ref out of range", aRefs[0], 1 << 20},
+		{"negative B ref", bRefs[1], 0xFFFFFFFF},
+		{"duplicated B ref", bRefs[1], ref(bRefs[2])},
+		{"duplicated A ref", aRefs[5], ref(aRefs[4])},
+	} {
+		rec := bytes.Clone(golden)
+		binary.LittleEndian.PutUint32(rec[c.off:], c.ref)
+		if _, err := ReadPrepared(bytes.NewReader(rec)); err == nil {
+			t.Errorf("%s: ReadPrepared accepted the record", c.name)
 		}
 	}
 }

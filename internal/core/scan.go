@@ -184,17 +184,6 @@ func apScan(in *Input, ev *Events, tr *Trace) ([][2]int, error) {
 func exScan(in *Input, matcher matching.Matcher, ev *Events, tr *Trace) ([][2]int, error) {
 	var out [][2]int
 	g := matching.NewGraph()
-	flush := func() {
-		if g.Edges() == 0 {
-			return
-		}
-		ev.CSFCalls++
-		tr.add(EvCSFFlush, -1, -1)
-		for _, p := range matcher(g) {
-			out = append(out, [2]int{int(p.B), int(p.A)})
-		}
-		g.Reset()
-	}
 	offset := 0
 	budget := cancelCheckEvery
 	var maxV int64
@@ -252,10 +241,26 @@ func exScan(in *Input, matcher matching.Matcher, ev *Events, tr *Trace) ([][2]in
 		// B users (min-pruned or fully scanned) nor the matched A users
 		// (unreachable windows) can gain further matches.
 		if bi+1 < len(in.BID) && in.BID[bi+1] > maxV {
-			flush()
+			out = flushSegment(g, matcher, out, ev, tr)
 			maxV = 0
 		}
 	}
-	flush()
-	return out, nil
+	return flushSegment(g, matcher, out, ev, tr), nil
+}
+
+// flushSegment closes an exact scan's open segment: the matcher
+// resolves the segment's match graph into one-to-one (bPos, aPos)
+// pairs, which are appended to out, and the graph is emptied for the
+// next segment. An empty segment is no CSF call.
+func flushSegment(g *matching.Graph, matcher matching.Matcher, out [][2]int, ev *Events, tr *Trace) [][2]int {
+	if g.Edges() == 0 {
+		return out
+	}
+	ev.CSFCalls++
+	tr.add(EvCSFFlush, -1, -1)
+	for _, p := range matcher(g) {
+		out = append(out, [2]int{int(p.B), int(p.A)})
+	}
+	g.Reset()
+	return out
 }

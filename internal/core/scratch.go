@@ -4,10 +4,10 @@ import "github.com/opencsj/csj/internal/matching"
 
 // Scratch is the reusable per-worker state of the prepared MinMax hot
 // path: the scan view, the used bitmap of the approximate scan, the
-// position-pair buffer, and the match graph of the exact scan. A batch
-// engine gives each worker one Scratch and threads it through every
-// join the worker runs, so repeated joins stop allocating on the scan
-// path entirely.
+// position-pair buffer, and the match graph of the exact scan, whose
+// workspace holds CSF's working state. A batch engine gives each worker
+// one Scratch and threads it through every join the worker runs, so
+// repeated joins, Ap and Ex alike, stop allocating entirely.
 //
 // A Scratch may be used by one join at a time; it is not safe for
 // concurrent use. The zero value is ready to use.
@@ -15,7 +15,7 @@ type Scratch struct {
 	in    Input
 	used  []bool
 	pairs [][2]int
-	graph *matching.Graph
+	graph matching.Graph
 }
 
 // NewScratch returns an empty scratch. Buffers grow to the largest join
@@ -34,12 +34,8 @@ func (s *Scratch) usedBitmap(n int) []bool {
 
 // matchGraph returns the scratch's match graph, emptied for reuse.
 func (s *Scratch) matchGraph() *matching.Graph {
-	if s.graph == nil {
-		s.graph = matching.NewGraph()
-	} else {
-		s.graph.Reset()
-	}
-	return s.graph
+	s.graph.Reset()
+	return &s.graph
 }
 
 // bindPrepared points the scratch's scan view at the cached sorted

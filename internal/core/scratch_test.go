@@ -111,9 +111,8 @@ func TestScratchSharedAcrossDimensions(t *testing.T) {
 }
 
 // TestPreparedScratchAllocs is the allocation-regression guard of the
-// batch engine's hot path: a steady-state Ap prepared join through a
-// reused scratch and result must not allocate at all, and the Ex path
-// must allocate strictly less than the one-shot API.
+// batch engine's hot path: a steady-state prepared join through a
+// reused scratch and result must not allocate at all, Ap and Ex alike.
 func TestPreparedScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -145,12 +144,10 @@ func TestPreparedScratchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	exFresh := testing.AllocsPerRun(200, func() {
-		if _, err := ExMinMaxPrepared(pb, pa, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if exScratch >= exFresh {
-		t.Errorf("Ex prepared scratch join: %v allocs/op, want fewer than one-shot's %v", exScratch, exFresh)
+	if res.Events.CSFCalls == 0 {
+		t.Fatal("Ex join made no CSF flush; the guard would not measure the matcher")
+	}
+	if exScratch != 0 {
+		t.Errorf("Ex prepared scratch join: %v allocs/op, want 0", exScratch)
 	}
 }

@@ -337,23 +337,12 @@ func apScanSoA(in *Input, b, a *soaStreams, ev *Events, tr *Trace, s *Scratch) (
 }
 
 // exScanSoA is the fused form of exScan: b's B-side streams against
-// a's A-side streams. The scratch donates its match graph and pair
-// buffer; the returned slice aliases the scratch and is only valid
-// until the next scan that uses it.
+// a's A-side streams. The scratch donates its match graph (whose
+// workspace CSF runs in) and pair buffer; the returned slice aliases
+// the scratch and is only valid until the next scan that uses it.
 func exScanSoA(in *Input, b, a *soaStreams, matcher matching.Matcher, ev *Events, tr *Trace, s *Scratch) ([][2]int, error) {
 	out := s.pairs[:0]
 	g := s.matchGraph()
-	flush := func() {
-		if g.Edges() == 0 {
-			return
-		}
-		ev.CSFCalls++
-		tr.add(EvCSFFlush, -1, -1)
-		for _, p := range matcher(g) {
-			out = append(out, [2]int{int(p.B), int(p.A)})
-		}
-		g.Reset()
-	}
 	d, p := b.d, b.parts
 	bparts, bvals := b.bparts, b.bvals
 	aranges, awin := a.aranges, a.awin
@@ -464,11 +453,11 @@ func exScanSoA(in *Input, b, a *soaStreams, matcher matching.Matcher, ev *Events
 		}
 		// Segment-flush check mirrors exScan: see there for the invariant.
 		if bi+1 < len(in.BID) && in.BID[bi+1] > maxV {
-			flush()
+			out = flushSegment(g, matcher, out, ev, tr)
 			maxV = 0
 		}
 	}
-	flush()
+	out = flushSegment(g, matcher, out, ev, tr)
 	s.pairs = out // keep the grown capacity for the next scan
 	ev.bump(minPrunes, maxPrunes, noOverlaps, noMatches, matches, offsetAdvances)
 	return out, nil

@@ -238,10 +238,12 @@ func TestSatInt32(t *testing.T) {
 }
 
 // TestKernelGuardSoAZeroAlloc is the `make kernelguard` allocation
-// gate: a steady-state prepared Ap join through the SoA kernel — the
-// serving hot path — must perform zero allocations per operation. The
-// SoA streams are built once at Prepare time; binding the scan view
-// into the scratch and sweeping must not touch the heap.
+// gate: a steady-state prepared join through the SoA kernel — the
+// serving hot path — must perform zero allocations per operation, Ap
+// and Ex alike. The SoA streams are built once at Prepare time; binding
+// the scan view into the scratch, sweeping, and (Ex) running CSF on
+// every segment flush in the scratch's match graph must not touch the
+// heap.
 func TestKernelGuardSoAZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
@@ -256,20 +258,31 @@ func TestKernelGuardSoAZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewScratch()
-	var res Result
-	if err := ApMinMaxPreparedInto(pb, pa, opts, s, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Events.Matches == 0 {
-		t.Fatal("corpus produced no matches; the guard would measure an empty scan")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := ApMinMaxPreparedInto(pb, pa, opts, s, &res); err != nil {
+	for _, leg := range []struct {
+		name string
+		run  func(b, a *Prepared, opts Options, s *Scratch, res *Result) error
+	}{
+		{"Ap", ApMinMaxPreparedInto},
+		{"Ex", ExMinMaxPreparedInto},
+	} {
+		s := NewScratch()
+		var res Result
+		if err := leg.run(pb, pa, opts, s, &res); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("prepared SoA Ap join: %v allocs/op, want 0", allocs)
+		if res.Events.Matches == 0 {
+			t.Fatalf("%s: corpus produced no matches; the guard would measure an empty scan", leg.name)
+		}
+		if leg.name == "Ex" && res.Events.CSFCalls == 0 {
+			t.Fatal("Ex: the join made no CSF flush; the guard would not measure the matcher")
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := leg.run(pb, pa, opts, s, &res); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("prepared SoA %s join: %v allocs/op, want 0", leg.name, allocs)
+		}
 	}
 }

@@ -70,7 +70,14 @@ func WriteBuffers(w io.Writer, bb *BBuffer, ab *ABuffer) error {
 	return bw.Flush()
 }
 
-// ReadBuffers parses buffers written by WriteBuffers.
+// maxBufferDim bounds the dimensionality a buffers header may declare,
+// the same cap the vector binary format puts on its users.
+const maxBufferDim = 1 << 16
+
+// ReadBuffers parses buffers written by WriteBuffers. The header is
+// untrusted: entries are allocated as they are read, so memory tracks
+// the bytes the source actually supplies rather than the counts it
+// claims.
 func ReadBuffers(r io.Reader) (*BBuffer, *ABuffer, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(buffersMagic))
@@ -103,52 +110,55 @@ func ReadBuffers(r io.Reader) (*BBuffer, *ABuffer, error) {
 		}
 		return int64(binary.LittleEndian.Uint64(b[:]))
 	}
-	d := int(readU32())
+	d := readU32()
 	parts := int(readU32())
 	if rerr != nil {
 		return nil, nil, fmt.Errorf("encoding: reading header: %w", rerr)
 	}
-	layout, err := NewLayout(d, parts)
+	if d > maxBufferDim {
+		return nil, nil, fmt.Errorf("encoding: implausible dimensionality %d", d)
+	}
+	layout, err := NewLayout(int(d), parts)
 	if err != nil {
 		return nil, nil, err
 	}
+	const preallocEntries = 1024
 
 	nB := int(readU32())
 	if rerr != nil || nB < 0 || nB > 1<<30 {
 		return nil, nil, fmt.Errorf("encoding: implausible B count %d (%v)", nB, rerr)
 	}
-	bb := &BBuffer{Layout: layout, Entries: make([]BEntry, nB)}
-	bBacking := make([]int64, nB*parts)
-	for i := 0; i < nB; i++ {
-		e := &bb.Entries[i]
-		e.ID = readI64()
-		e.Parts = bBacking[i*parts : (i+1)*parts : (i+1)*parts]
+	bb := &BBuffer{Layout: layout, Entries: make([]BEntry, 0, min(nB, preallocEntries))}
+	var bBacking []int64
+	for i := 0; i < nB && rerr == nil; i++ {
+		id := readI64()
 		for p := 0; p < parts; p++ {
-			e.Parts[p] = readI64()
+			bBacking = append(bBacking, readI64())
 		}
-		e.Ref = int32(readU32())
+		bb.Entries = append(bb.Entries, BEntry{ID: id, Ref: int32(readU32())})
+	}
+	for i := range bb.Entries {
+		bb.Entries[i].Parts = bBacking[i*parts : (i+1)*parts : (i+1)*parts]
 	}
 
 	nA := int(readU32())
 	if rerr != nil || nA < 0 || nA > 1<<30 {
 		return nil, nil, fmt.Errorf("encoding: implausible A count %d (%v)", nA, rerr)
 	}
-	ab := &ABuffer{Layout: layout, Entries: make([]AEntry, nA)}
-	aBacking := make([]int64, 2*nA*parts)
-	for i := 0; i < nA; i++ {
-		e := &ab.Entries[i]
-		e.Min = readI64()
-		e.Max = readI64()
-		base := 2 * i * parts
-		e.RangeLo = aBacking[base : base+parts : base+parts]
-		e.RangeHi = aBacking[base+parts : base+2*parts : base+2*parts]
-		for p := 0; p < parts; p++ {
-			e.RangeLo[p] = readI64()
-		}
-		for p := 0; p < parts; p++ {
-			e.RangeHi[p] = readI64()
+	ab := &ABuffer{Layout: layout, Entries: make([]AEntry, 0, min(nA, preallocEntries))}
+	var aBacking []int64
+	for i := 0; i < nA && rerr == nil; i++ {
+		e := AEntry{Min: readI64(), Max: readI64()}
+		for p := 0; p < 2*parts; p++ {
+			aBacking = append(aBacking, readI64())
 		}
 		e.Ref = int32(readU32())
+		ab.Entries = append(ab.Entries, e)
+	}
+	for i := range ab.Entries {
+		base := 2 * i * parts
+		ab.Entries[i].RangeLo = aBacking[base : base+parts : base+parts]
+		ab.Entries[i].RangeHi = aBacking[base+parts : base+2*parts : base+2*parts]
 	}
 	if rerr != nil {
 		return nil, nil, fmt.Errorf("encoding: truncated buffers: %w", rerr)

@@ -2,7 +2,9 @@ package encoding
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"github.com/opencsj/csj/internal/vector"
@@ -107,5 +109,38 @@ func TestReadBuffersRejectsCorruption(t *testing.T) {
 	corrupt[idOffset] ^= 0x01
 	if _, _, err := ReadBuffers(bytes.NewReader(corrupt)); err == nil {
 		t.Error("expected error on corrupted entry")
+	}
+}
+
+// TestReadBuffersUntrustedHeader: the counts in a buffers header are
+// claims, not sizes. A header claiming 2^30 B entries over an empty
+// body must fail on the missing bytes without allocating for the
+// claim, and one declaring a dimensionality (and so a part count) past
+// the cap is refused before any layout is built for it.
+func TestReadBuffersUntrustedHeader(t *testing.T) {
+	header := func(d, parts, nB uint32) []byte {
+		b := []byte("CSJE\x01")
+		for _, v := range []uint32{d, parts, nB} {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+		return b
+	}
+	for _, c := range []struct {
+		name string
+		in   []byte
+	}{
+		{"2^30 B entries claimed", header(6, 3, 1<<30)},
+		{"dimensionality past the cap", header(0xFFFFFFFF, 0xFFFFFFFF, 0)},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadBuffers(bytes.NewReader(c.in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: ReadBuffers accepted the header", c.name)
+		}
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+			t.Errorf("%s: ReadBuffers allocated %d bytes for a %d-byte input", c.name, grown, len(c.in))
+		}
 	}
 }

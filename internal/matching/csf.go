@@ -1,7 +1,5 @@
 package matching
 
-import "sort"
-
 // CSF is the paper's Cover Smallest First function (Section 4.2). It
 // selects one-to-one pairs from the match graph by repeatedly covering
 // the user with the fewest remaining matches first, pairing it with its
@@ -11,13 +9,14 @@ import "sort"
 // optimal guarantee is required.
 //
 // The returned pairs are deterministic for a given graph: ties are broken
-// toward the B side and then toward smaller user IDs.
+// toward the B side and then toward smaller user IDs. They alias the
+// graph's workspace (see Matcher).
 func CSF(g *Graph) []Pair {
 	if g.Edges() == 0 {
 		return nil
 	}
-	s := newCSFState(g)
-	pairs := make([]Pair, 0, min(len(s.bIDs), len(s.aIDs)))
+	s := g.layout()
+	s.initCSF()
 	for {
 		sB, okB := s.peekMin(sideB)
 		sA, okA := s.peekMin(sideA)
@@ -26,7 +25,7 @@ func CSF(g *Graph) []Pair {
 		if !okB || !okA {
 			break
 		}
-		var b, a int
+		var b, a int32
 		switch {
 		case s.deg[sideB][sB] < s.deg[sideA][sA]:
 			b, a = sB, s.minNeighbor(sideB, sB)
@@ -45,107 +44,73 @@ func CSF(g *Graph) []Pair {
 				b, a = aCandB, sA
 			}
 		}
-		pairs = append(pairs, Pair{B: s.bIDs[b], A: s.aIDs[a]})
+		s.pairs = append(s.pairs, Pair{B: s.ids[sideB][b], A: s.ids[sideA][a]})
 		s.cover(b, a)
 	}
-	return pairs
+	return s.pairs
 }
 
-const (
-	sideB = 0
-	sideA = 1
-)
-
-// csfState is the dense-index working state of CSF: the paper's
-// matched_B / matched_A adjacency plus the sortedM_B / sortedM_A
-// degree-ordered maps, realized as bucket queues with lazy deletion.
-type csfState struct {
-	bIDs, aIDs []int32      // dense index -> real ID, ascending
-	adj        [2][][]int32 // adj[sideB][b] lists dense A indexes, and vice versa
-	alive      [2][]bool
-	deg        [2][]int
-	buckets    [2][][]int32 // buckets[side][d] holds dense indexes with (stale) degree d
-	minDeg     [2]int
-}
-
-func newCSFState(g *Graph) *csfState {
-	s := &csfState{}
-	s.bIDs = g.BUsers()
-	s.aIDs = make([]int32, 0, len(g.aAdj))
-	for a := range g.aAdj {
-		s.aIDs = append(s.aIDs, a)
-	}
-	sort.Slice(s.aIDs, func(i, j int) bool { return s.aIDs[i] < s.aIDs[j] })
-
-	bIdx := make(map[int32]int, len(s.bIDs))
-	for i, id := range s.bIDs {
-		bIdx[id] = i
-	}
-	aIdx := make(map[int32]int, len(s.aIDs))
-	for i, id := range s.aIDs {
-		aIdx[id] = i
-	}
-
-	s.adj[sideB] = make([][]int32, len(s.bIDs))
-	s.adj[sideA] = make([][]int32, len(s.aIDs))
-	for i, id := range s.bIDs {
-		src := g.bAdj[id]
-		dst := make([]int32, len(src))
-		for j, a := range src {
-			dst[j] = int32(aIdx[a])
+// initCSF sets up the working state of CSF over the laid-out graph: the
+// paper's sortedM_B / sortedM_A degree-ordered maps, realized per side
+// as one FIFO queue per degree with lazy deletion. Every user starts
+// alive at its full degree, queued in ascending dense order.
+func (s *workspace) initCSF() {
+	for side := range 2 {
+		n := s.n(side)
+		alive := resize(s.alive[side], n)
+		deg := resize(s.deg[side], n)
+		maxDeg := int32(0)
+		for u := range n {
+			alive[u] = true
+			deg[u] = s.start[side][u+1] - s.start[side][u]
+			maxDeg = max(maxDeg, deg[u])
 		}
-		sort.Slice(dst, func(x, y int) bool { return dst[x] < dst[y] })
-		s.adj[sideB][i] = dst
-	}
-	for i, id := range s.aIDs {
-		src := g.aAdj[id]
-		dst := make([]int32, len(src))
-		for j, b := range src {
-			dst[j] = int32(bIdx[b])
+		s.alive[side], s.deg[side] = alive, deg
+		s.head[side] = resize(s.head[side], int(maxDeg)+1)
+		s.tail[side] = resize(s.tail[side], int(maxDeg)+1)
+		for d := range s.head[side] {
+			s.head[side][d], s.tail[side][d] = -1, -1
 		}
-		sort.Slice(dst, func(x, y int) bool { return dst[x] < dst[y] })
-		s.adj[sideA][i] = dst
-	}
-
-	for side := 0; side < 2; side++ {
-		n := len(s.adj[side])
-		s.alive[side] = make([]bool, n)
-		s.deg[side] = make([]int, n)
-		maxDeg := 0
-		for i, nbrs := range s.adj[side] {
-			s.alive[side][i] = true
-			s.deg[side][i] = len(nbrs)
-			if len(nbrs) > maxDeg {
-				maxDeg = len(nbrs)
-			}
-		}
-		s.buckets[side] = make([][]int32, maxDeg+1)
-		for i, d := range s.deg[side] {
-			s.buckets[side][d] = append(s.buckets[side][d], int32(i))
+		s.node[side] = s.node[side][:0]
+		s.next[side] = s.next[side][:0]
+		for u := range n {
+			s.push(side, deg[u], int32(u))
 		}
 		s.minDeg[side] = 1
 	}
-	return s
+}
+
+// push appends user u to the back of side's degree-d queue.
+func (s *workspace) push(side int, d, u int32) {
+	e := int32(len(s.node[side]))
+	s.node[side] = append(s.node[side], u)
+	s.next[side] = append(s.next[side], -1)
+	if t := s.tail[side][d]; t >= 0 {
+		s.next[side][t] = e
+	} else {
+		s.head[side][d] = e
+	}
+	s.tail[side][d] = e
 }
 
 // peekMin returns the alive user with the smallest positive degree on
-// the given side, without removing it. Stale bucket entries (dead users
+// the given side, without removing it. Stale queue entries (dead users
 // or entries pushed for an outdated degree) are discarded lazily.
-func (s *csfState) peekMin(side int) (int, bool) {
-	for d := s.minDeg[side]; d < len(s.buckets[side]); d++ {
-		bucket := s.buckets[side][d]
-		for len(bucket) > 0 {
-			u := bucket[0]
-			if s.alive[side][u] && s.deg[side][u] == d {
-				s.buckets[side][d] = bucket
+func (s *workspace) peekMin(side int) (int32, bool) {
+	head, tail := s.head[side], s.tail[side]
+	alive, deg := s.alive[side], s.deg[side]
+	node, next := s.node[side], s.next[side]
+	for d := s.minDeg[side]; int(d) < len(head); d++ {
+		for e := head[d]; e >= 0; e = next[e] {
+			if u := node[e]; alive[u] && deg[u] == d {
+				head[d] = e
 				s.minDeg[side] = d
-				return int(u), true
+				return u, true
 			}
-			bucket = bucket[1:]
 		}
-		s.buckets[side][d] = nil
+		head[d], tail[d] = -1, -1
 	}
-	s.minDeg[side] = len(s.buckets[side])
+	s.minDeg[side] = int32(len(head))
 	return 0, false
 }
 
@@ -153,15 +118,16 @@ func (s *csfState) peekMin(side int) (int, bool) {
 // smallest degree, breaking ties toward smaller dense index (and hence
 // smaller real ID). u is guaranteed to have an alive neighbour because
 // degrees are kept exact.
-func (s *csfState) minNeighbor(side, u int) int {
+func (s *workspace) minNeighbor(side int, u int32) int32 {
 	other := 1 - side
-	best, bestDeg := -1, int(^uint(0)>>1)
-	for _, v := range s.adj[side][u] {
-		if !s.alive[other][v] {
+	alive, deg := s.alive[other], s.deg[other]
+	best, bestDeg := int32(-1), int32(^uint32(0)>>1)
+	for _, v := range s.row(side, u) {
+		if !alive[v] {
 			continue
 		}
-		if d := s.deg[other][v]; d < bestDeg {
-			best, bestDeg = int(v), d
+		if d := deg[v]; d < bestDeg {
+			best, bestDeg = v, d
 			if d == 1 {
 				break // cannot do better, and smaller IDs come first
 			}
@@ -171,24 +137,24 @@ func (s *csfState) minNeighbor(side, u int) int {
 }
 
 // cover commits the pair (dense indexes b, a): both users die and every
-// alive neighbour's degree drops, with a fresh bucket entry pushed so
+// alive neighbour's degree drops, with a fresh queue entry pushed so
 // the sorted maps stay current.
-func (s *csfState) cover(b, a int) {
+func (s *workspace) cover(b, a int32) {
 	s.alive[sideB][b] = false
 	s.alive[sideA][a] = false
-	for _, v := range s.adj[sideB][b] {
-		if int(v) != a && s.alive[sideA][v] {
-			s.decay(sideA, int(v))
+	for _, v := range s.row(sideB, b) {
+		if v != a && s.alive[sideA][v] {
+			s.decay(sideA, v)
 		}
 	}
-	for _, v := range s.adj[sideA][a] {
-		if int(v) != b && s.alive[sideB][v] {
-			s.decay(sideB, int(v))
+	for _, v := range s.row(sideA, a) {
+		if v != b && s.alive[sideB][v] {
+			s.decay(sideB, v)
 		}
 	}
 }
 
-func (s *csfState) decay(side, u int) {
+func (s *workspace) decay(side int, u int32) {
 	s.deg[side][u]--
 	d := s.deg[side][u]
 	if d == 0 {
@@ -196,7 +162,7 @@ func (s *csfState) decay(side, u int) {
 		s.alive[side][u] = false
 		return
 	}
-	s.buckets[side][d] = append(s.buckets[side][d], int32(u))
+	s.push(side, d, u)
 	if d < s.minDeg[side] {
 		s.minDeg[side] = d
 	}

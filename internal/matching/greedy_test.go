@@ -2,6 +2,7 @@ package matching
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -21,7 +22,7 @@ func TestGreedyBasics(t *testing.T) {
 // smallest-degree user (b2) first and finds both pairs.
 func TestGreedyLosesWhereCSFWins(t *testing.T) {
 	g := buildGraph([][2]int32{{1, 1}, {1, 2}, {2, 1}})
-	greedy := Greedy(g)
+	greedy := slices.Clone(Greedy(g))
 	csf := CSF(g)
 	validMatching(t, g, greedy)
 	validMatching(t, g, csf)
@@ -40,7 +41,7 @@ func TestGreedyProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		nb, na := 1+rng.Intn(10), 1+rng.Intn(10)
 		g := randomGraph(rng, nb, na, 1+rng.Intn(nb*na))
-		greedy := Greedy(g)
+		greedy := slices.Clone(Greedy(g))
 		opt := MaximumMatchingSize(g)
 		if len(greedy) > opt || 2*len(greedy) < opt {
 			return false
@@ -54,11 +55,11 @@ func TestGreedyProperties(t *testing.T) {
 			}
 			usedB[p.B], usedA[p.A] = true, true
 		}
-		for _, b := range g.BUsers() {
+		for _, b := range bUsers(g) {
 			if usedB[b] {
 				continue
 			}
-			for _, a := range g.Matches(b) {
+			for _, a := range matches(g, b) {
 				if !usedA[a] {
 					return false
 				}

@@ -1,109 +1,86 @@
 package matching
 
-import "sort"
-
 // HopcroftKarp computes a maximum one-to-one matching of the match
 // graph in O(E * sqrt(V)). The CSJ paper's exact methods use the CSF
 // heuristic; HopcroftKarp serves as the optimality oracle in tests and
 // as an optional drop-in matcher for callers who need a guaranteed
-// maximum similarity.
+// maximum similarity. The returned pairs alias the graph's workspace
+// (see Matcher).
 func HopcroftKarp(g *Graph) []Pair {
 	if g.Edges() == 0 {
 		return nil
 	}
-	bIDs := g.BUsers()
-	aIDs := make([]int32, 0, len(g.aAdj))
-	for a := range g.aAdj {
-		aIDs = append(aIDs, a)
-	}
-	sort.Slice(aIDs, func(i, j int) bool { return aIDs[i] < aIDs[j] })
-	aIdx := make(map[int32]int, len(aIDs))
-	for i, id := range aIDs {
-		aIdx[id] = i
-	}
-	adj := make([][]int32, len(bIDs))
-	for i, id := range bIDs {
-		src := g.bAdj[id]
-		dst := make([]int32, len(src))
-		for j, a := range src {
-			dst[j] = int32(aIdx[a])
+	s := g.layout()
+	for side := range 2 {
+		s.mate[side] = resize(s.mate[side], s.n(side))
+		for i := range s.mate[side] {
+			s.mate[side][i] = unmatched
 		}
-		sort.Slice(dst, func(x, y int) bool { return dst[x] < dst[y] })
-		adj[i] = dst
 	}
-
-	const unmatched = -1
-	matchB := make([]int32, len(bIDs)) // b -> a (dense) or -1
-	matchA := make([]int32, len(aIDs)) // a -> b (dense) or -1
-	for i := range matchB {
-		matchB[i] = unmatched
-	}
-	for i := range matchA {
-		matchA[i] = unmatched
-	}
-
-	const inf = int32(^uint32(0) >> 1)
-	dist := make([]int32, len(bIDs))
-	queue := make([]int32, 0, len(bIDs))
-
-	// bfs layers free B vertices and returns whether an augmenting path
-	// exists.
-	bfs := func() bool {
-		queue = queue[:0]
-		for b := range matchB {
-			if matchB[b] == unmatched {
-				dist[b] = 0
-				queue = append(queue, int32(b))
-			} else {
-				dist[b] = inf
-			}
-		}
-		found := false
-		for head := 0; head < len(queue); head++ {
-			b := queue[head]
-			for _, a := range adj[b] {
-				nb := matchA[a]
-				if nb == unmatched {
-					found = true
-				} else if dist[nb] == inf {
-					dist[nb] = dist[b] + 1
-					queue = append(queue, nb)
-				}
-			}
-		}
-		return found
-	}
-
-	// dfs follows layered edges to augment along a shortest path.
-	var dfs func(b int32) bool
-	dfs = func(b int32) bool {
-		for _, a := range adj[b] {
-			nb := matchA[a]
-			if nb == unmatched || (dist[nb] == dist[b]+1 && dfs(nb)) {
-				matchB[b] = a
-				matchA[a] = b
-				return true
-			}
-		}
-		dist[b] = inf
-		return false
-	}
-
-	for bfs() {
-		for b := range matchB {
-			if matchB[b] == unmatched {
-				dfs(int32(b))
+	s.dist = resize(s.dist, s.n(sideB))
+	for s.bfs() {
+		for b := range s.n(sideB) {
+			if s.mate[sideB][b] == unmatched {
+				s.dfs(int32(b))
 			}
 		}
 	}
-
-	pairs := make([]Pair, 0, len(bIDs))
-	for b, a := range matchB {
+	for b, a := range s.mate[sideB] {
 		if a != unmatched {
-			pairs = append(pairs, Pair{B: bIDs[b], A: aIDs[a]})
+			s.pairs = append(s.pairs, Pair{B: s.ids[sideB][b], A: s.ids[sideA][a]})
 		}
 	}
-	return pairs
+	return s.pairs
+}
+
+const (
+	unmatched = int32(-1)
+	infLayer  = int32(^uint32(0) >> 1)
+)
+
+// bfs layers the free B users and reports whether an augmenting path
+// exists.
+func (s *workspace) bfs() bool {
+	matchB, matchA, dist := s.mate[sideB], s.mate[sideA], s.dist
+	queue := s.queue[:0]
+	for b := range matchB {
+		if matchB[b] == unmatched {
+			dist[b] = 0
+			queue = append(queue, int32(b))
+		} else {
+			dist[b] = infLayer
+		}
+	}
+	found := false
+	for head := 0; head < len(queue); head++ {
+		b := queue[head]
+		for _, a := range s.row(sideB, b) {
+			nb := matchA[a]
+			if nb == unmatched {
+				found = true
+			} else if dist[nb] == infLayer {
+				dist[nb] = dist[b] + 1
+				queue = append(queue, nb)
+			}
+		}
+	}
+	s.queue = queue
+	return found
+}
+
+// dfs follows layered edges from b to augment along a shortest path.
+func (s *workspace) dfs(b int32) bool {
+	matchB, matchA, dist := s.mate[sideB], s.mate[sideA], s.dist
+	for _, a := range s.row(sideB, b) {
+		nb := matchA[a]
+		if nb == unmatched || (dist[nb] == dist[b]+1 && s.dfs(nb)) {
+			matchB[b] = a
+			matchA[a] = b
+			return true
+		}
+	}
+	dist[b] = infLayer
+	return false
 }
 
 // MaximumMatchingSize returns the size of a maximum one-to-one matching

@@ -3,6 +3,7 @@ package matching
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -13,6 +14,27 @@ func buildGraph(edges [][2]int32) *Graph {
 		g.AddEdge(e[0], e[1])
 	}
 	return g
+}
+
+// bUsers returns g's distinct B users in ascending order.
+func bUsers(g *Graph) []int32 {
+	var out []int32
+	for _, e := range g.edges {
+		out = append(out, e.B)
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// matches returns the A users matched with b, in insertion order.
+func matches(g *Graph, b int32) []int32 {
+	var out []int32
+	for _, e := range g.edges {
+		if e.B == b {
+			out = append(out, e.A)
+		}
+	}
+	return out
 }
 
 // validMatching checks that pairs form a one-to-one matching using only
@@ -29,14 +51,7 @@ func validMatching(t *testing.T, g *Graph, pairs []Pair) {
 			t.Fatalf("A user %d matched twice", p.A)
 		}
 		seenB[p.B], seenA[p.A] = true, true
-		found := false
-		for _, a := range g.Matches(p.B) {
-			if a == p.A {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.Contains(g.edges, p) {
 			t.Fatalf("pair <%d, %d> is not an edge of the graph", p.B, p.A)
 		}
 	}
@@ -45,7 +60,7 @@ func validMatching(t *testing.T, g *Graph, pairs []Pair) {
 // bruteForceMax computes the maximum matching size by exhaustive search.
 // Only usable on tiny graphs.
 func bruteForceMax(g *Graph) int {
-	bs := g.BUsers()
+	bs := bUsers(g)
 	usedA := map[int32]bool{}
 	var rec func(i int) int
 	rec = func(i int) int {
@@ -53,7 +68,7 @@ func bruteForceMax(g *Graph) int {
 			return 0
 		}
 		best := rec(i + 1) // skip bs[i]
-		for _, a := range g.Matches(bs[i]) {
+		for _, a := range matches(g, bs[i]) {
 			if usedA[a] {
 				continue
 			}
@@ -171,7 +186,7 @@ func TestCSFChain(t *testing.T) {
 
 func TestCSFDeterministic(t *testing.T) {
 	g := buildGraph([][2]int32{{1, 2}, {1, 3}, {2, 3}, {4, 2}, {4, 5}, {5, 5}})
-	first := CSF(g)
+	first := slices.Clone(CSF(g))
 	for i := 0; i < 5; i++ {
 		if got := CSF(g); !reflect.DeepEqual(got, first) {
 			t.Fatalf("CSF not deterministic: %v vs %v", got, first)
@@ -244,7 +259,7 @@ func TestMatchersValidOnLargerGraphs(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		nb, na := 50+rng.Intn(100), 50+rng.Intn(100)
 		g := randomGraph(rng, nb, na, 200+rng.Intn(400))
-		csf := CSF(g)
+		csf := slices.Clone(CSF(g))
 		hk := HopcroftKarp(g)
 		validMatching(t, g, csf)
 		validMatching(t, g, hk)
@@ -272,11 +287,11 @@ func TestCSFIsMaximal(t *testing.T) {
 		for _, p := range pairs {
 			usedB[p.B], usedA[p.A] = true, true
 		}
-		for _, b := range g.BUsers() {
+		for _, b := range bUsers(g) {
 			if usedB[b] {
 				continue
 			}
-			for _, a := range g.Matches(b) {
+			for _, a := range matches(g, b) {
 				if !usedA[a] {
 					return false // uncovered edge left behind
 				}
@@ -291,11 +306,11 @@ func TestCSFIsMaximal(t *testing.T) {
 
 func TestGraphReset(t *testing.T) {
 	g := buildGraph([][2]int32{{1, 1}, {2, 2}})
-	if g.Edges() != 2 || g.BCount() != 2 || g.ACount() != 2 {
+	if g.Edges() != 2 || len(bUsers(g)) != 2 {
 		t.Fatal("graph should hold 2 edges before reset")
 	}
 	g.Reset()
-	if g.Edges() != 0 || g.BCount() != 0 || g.ACount() != 0 {
+	if g.Edges() != 0 || len(bUsers(g)) != 0 {
 		t.Fatal("graph should be empty after reset")
 	}
 	g.AddEdge(5, 6)

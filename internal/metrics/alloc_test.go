@@ -1,9 +1,9 @@
 //go:build !race
 
-// The metrics-overhead guard (ISSUE 3, CI): the prepared Ap-MinMax hot
-// path must stay 0 allocs/op with metrics collection enabled. The scan
-// loops tally into core.Events in-loop (plain integer adds); the
-// metrics layer aggregates those tallies once per join via
+// The metrics-overhead guard (`make metricsguard`, CI): the prepared
+// MinMax hot path, Ap and Ex, must stay 0 allocs/op with metrics
+// collection enabled. The scan loops tally into core.Events in-loop (plain integer
+// adds); the metrics layer aggregates those tallies once per join via
 // ScanEventCounters.Observe, which is map lookups plus atomic adds.
 // This test runs the full instrumented sequence — scratch'd prepared
 // join, then Observe — under testing.AllocsPerRun and fails on any
@@ -47,32 +47,46 @@ func preparedPair(tb testing.TB, eps int32) (*core.Prepared, *core.Prepared) {
 	return pb, pa
 }
 
-func TestInstrumentedPreparedApZeroAllocs(t *testing.T) {
-	pb, pa := preparedPair(t, 2)
-	reg := NewRegistry()
-	sc := NewScanEventCounters(reg, "csj_scan_events_total", "scan events")
-	opts := core.Options{Eps: 2}
-	scratch := core.NewScratch()
-	var res core.Result
+func TestInstrumentedPreparedZeroAllocs(t *testing.T) {
+	// The Ex leg runs at a wider epsilon than the Ap leg: at eps 2 this
+	// pair has no match, so an Ex join would never reach CSF.
+	for _, leg := range []struct {
+		name string
+		eps  int32
+		run  func(b, a *core.Prepared, opts core.Options, s *core.Scratch, res *core.Result) error
+	}{
+		{"Ap", 2, core.ApMinMaxPreparedInto},
+		{"Ex", 16, core.ExMinMaxPreparedInto},
+	} {
+		pb, pa := preparedPair(t, leg.eps)
+		reg := NewRegistry()
+		sc := NewScanEventCounters(reg, "csj_scan_events_total", "scan events")
+		opts := core.Options{Eps: leg.eps}
+		scratch := core.NewScratch()
+		var res core.Result
 
-	// Warm the scratch so buffer growth is excluded (steady state).
-	if err := core.ApMinMaxPreparedInto(pb, pa, opts, scratch, &res); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if err := core.ApMinMaxPreparedInto(pb, pa, opts, scratch, &res); err != nil {
-			panic(err)
+		// Warm the scratch so buffer growth is excluded (steady state).
+		if err := leg.run(pb, pa, opts, scratch, &res); err != nil {
+			t.Fatal(err)
 		}
-		sc.Observe(&res.Events)
-	})
-	if allocs != 0 {
-		t.Errorf("instrumented prepared Ap path allocates %.1f allocs/op, want 0", allocs)
-	}
-	if res.Events.Comparisons() == 0 {
-		t.Fatal("guard join performed no comparisons; test data is degenerate")
-	}
-	if sc.Counter("match").Value() == 0 && sc.Counter("no_match").Value() == 0 {
-		t.Error("metrics observed no comparison events; Observe is not wired")
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := leg.run(pb, pa, opts, scratch, &res); err != nil {
+				panic(err)
+			}
+			sc.Observe(&res.Events)
+		})
+		if allocs != 0 {
+			t.Errorf("instrumented prepared %s path allocates %.1f allocs/op, want 0", leg.name, allocs)
+		}
+		if res.Events.Comparisons() == 0 {
+			t.Fatalf("%s: guard join performed no comparisons; test data is degenerate", leg.name)
+		}
+		if sc.Counter("match").Value() == 0 && sc.Counter("no_match").Value() == 0 {
+			t.Errorf("%s: metrics observed no comparison events; Observe is not wired", leg.name)
+		}
+		if leg.name == "Ex" && sc.Counter("csf_flush").Value() == 0 {
+			t.Fatalf("%s: guard join made no CSF flush; the matcher is not measured", leg.name)
+		}
 	}
 }
 

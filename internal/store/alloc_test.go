@@ -1,15 +1,16 @@
 //go:build !race
 
 // The store-overhead guard (`make storeguard`, mirroring metricsguard):
-// the cache-hit prepared Ap path must stay 0 allocs/op end to end —
-// snapshot load, two view lookups, and the scratch'd join through the
-// public csj.SimilarityPreparedInto API. The hit path is a binary
-// search, a map lookup, an LRU move, an atomic add, and a receive on a
-// closed channel; none of it may allocate. The scale guards pin that a
-// write and an indexed top-k over the whole store allocate the same at
-// every corpus size. Skipped under -race because the detector's
-// instrumentation inflates allocation counts (same convention as
-// internal/metrics' alloc guard).
+// the cache-hit prepared path must stay 0 allocs/op end to end, Ap and
+// Ex alike — snapshot load, two view lookups, and the scratch'd join
+// through the public csj.SimilarityPreparedInto API. The hit path is a
+// binary search, a map lookup, an LRU move, an atomic add, and a
+// receive on a closed channel; none of it may allocate, and neither may
+// the Ex join's CSF flushes. The scale guards pin that a write and an
+// indexed top-k over the whole store allocate the same at every corpus
+// size. Skipped under -race because the detector's instrumentation
+// inflates allocation counts (same convention as internal/metrics'
+// alloc guard).
 
 package store
 
@@ -23,57 +24,55 @@ import (
 	csj "github.com/opencsj/csj"
 )
 
-func TestStoreCacheHitPreparedApZeroAllocs(t *testing.T) {
+func TestStoreCacheHitPreparedZeroAllocs(t *testing.T) {
 	st := New(Config{})
 	rng := rand.New(rand.NewSource(42))
 	b := mustCreate(t, st, testCommunity("b", rng, 96, 8))
 	a := mustCreate(t, st, testCommunity("a", rng, 128, 8))
 
-	const eps = 2
-	opts := &csj.Options{Epsilon: eps}
-	sc := csj.NewScratch()
-	var res csj.Result
+	// The Ex leg runs at a wider epsilon than the Ap leg: at eps 2 this
+	// pair has no match, so an Ex join would never reach CSF.
+	for _, leg := range []struct {
+		method csj.Method
+		eps    int32
+	}{
+		{csj.ApMinMax, 2},
+		{csj.ExMinMax, 8},
+	} {
+		opts := &csj.Options{Epsilon: leg.eps}
+		sc := csj.NewScratch()
+		var res csj.Result
+		join := func() {
+			snap := st.Snapshot()
+			vb, err := snap.Prepared(b.ID, leg.eps, 0)
+			if err != nil {
+				panic(err)
+			}
+			va, err := snap.Prepared(a.ID, leg.eps, 0)
+			if err != nil {
+				panic(err)
+			}
+			if err := csj.SimilarityPreparedInto(vb, va, leg.method, opts, sc, &res); err != nil {
+				panic(err)
+			}
+		}
+		// Warm: build both views and grow the scratch to steady state.
+		join()
+		builds := st.CacheStats().Builds
 
-	// Warm: build both views and grow the scratch to steady state.
-	warm := func() {
-		snap := st.Snapshot()
-		vb, err := snap.Prepared(b.ID, eps, 0)
-		if err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(200, join)
+		if allocs != 0 {
+			t.Errorf("cache-hit prepared %v path allocates %.1f allocs/op, want 0", leg.method, allocs)
 		}
-		va, err := snap.Prepared(a.ID, eps, 0)
-		if err != nil {
-			t.Fatal(err)
+		if len(res.Pairs) == 0 && res.Events.Comparisons() == 0 {
+			t.Fatalf("%v: guard join did no work; test data is degenerate", leg.method)
 		}
-		if err := csj.SimilarityPreparedInto(vb, va, csj.ApMinMax, opts, sc, &res); err != nil {
-			t.Fatal(err)
+		if leg.method == csj.ExMinMax && res.Events.CSFCalls == 0 {
+			t.Fatalf("%v: guard join made no CSF flush; the matcher is not measured", leg.method)
 		}
-	}
-	warm()
-
-	allocs := testing.AllocsPerRun(200, func() {
-		snap := st.Snapshot()
-		vb, err := snap.Prepared(b.ID, eps, 0)
-		if err != nil {
-			panic(err)
+		if got := st.CacheStats().Builds; got != builds {
+			t.Errorf("%v: %d view builds across the guard loop, want 0 (warmup only)", leg.method, got-builds)
 		}
-		va, err := snap.Prepared(a.ID, eps, 0)
-		if err != nil {
-			panic(err)
-		}
-		if err := csj.SimilarityPreparedInto(vb, va, csj.ApMinMax, opts, sc, &res); err != nil {
-			panic(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("cache-hit prepared Ap path allocates %.1f allocs/op, want 0", allocs)
-	}
-	if len(res.Pairs) == 0 && res.Events.Comparisons() == 0 {
-		t.Fatal("guard join did no work; test data is degenerate")
-	}
-	cs := st.CacheStats()
-	if cs.Builds != 2 {
-		t.Errorf("builds = %d across the guard loop, want 2 (warmup only)", cs.Builds)
 	}
 }
 
