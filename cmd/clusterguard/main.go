@@ -274,8 +274,7 @@ func run(scratch, serverBin, coordBin string, n int) error {
 	})
 
 	// Baseline: the cluster's complete answer, and the single-node
-	// oracle it must match. The cluster always runs the exact indexed
-	// engine, so the oracle does too.
+	// oracle it must match: both run the exact indexed engine.
 	baseline, env, err := postTopK(coord.base+"/topk?require_complete=1", topkBody)
 	if err != nil {
 		return fmt.Errorf("baseline /topk: %w", err)
@@ -283,11 +282,7 @@ func run(scratch, serverBin, coordBin string, n int) error {
 	if env.Partial {
 		return fmt.Errorf("baseline /topk flagged partial on a healthy cluster")
 	}
-	refBody, _ := json.Marshal(map[string]any{
-		"pivot": pivot, "all_candidates": true, "k": n, "use_index": true,
-		"options": map[string]any{"epsilon": 6, "allow_size_imbalance": true},
-	})
-	refEntries, err := postTopKPlain(reference.base+"/topk", refBody)
+	refEntries, err := postTopKPlain(reference.base+"/topk", topkBody)
 	if err != nil {
 		return fmt.Errorf("reference /topk: %w", err)
 	}

@@ -1,7 +1,7 @@
 // Command csjserve runs the CSJ HTTP service: upload communities,
 // compute similarities with any of the six methods, rank candidates,
-// run the two-phase top-k workflow, and maintain incremental joins
-// under follow/unfollow events.
+// find the exact top-k, and maintain incremental joins under
+// follow/unfollow events.
 //
 // Usage:
 //
@@ -174,7 +174,7 @@ func main() {
 		pprofOn = flag.Bool("pprof", false,
 			"mount net/http/pprof under /debug/pprof/ (trusted networks only)")
 		indexBuckets = flag.Int("index-buckets", 0,
-			"histogram resolution of the envelope-index summaries used by use_index requests (0 = default, negative disables; see DESIGN.md §12)")
+			"histogram resolution of the envelope-index summaries used by /topk and min_similarity /rank (0 = default, negative disables; see DESIGN.md §12)")
 		storeDir = flag.String("store-dir", "",
 			"directory for the write-ahead log and checkpoints (empty = memory-only, see DESIGN.md §11)")
 		fsyncMode = flag.String("fsync", "always",

@@ -175,10 +175,10 @@ type Options struct {
 	// (ablation).
 	DisableDimReorder bool
 	// Workers is the pool size of the batch engines (SimilarityMatrix,
-	// TopK, Rank and their prepared forms): 0 selects GOMAXPROCS, 1
-	// runs the cells serially on the caller's goroutine. Results are
-	// identical for every pool size. A single join always runs
-	// serially, as in the paper's evaluation, so Similarity,
+	// TopK, Rank, SimilarityMatrixPrepared and RankPrepared): 0 selects
+	// GOMAXPROCS, 1 runs the cells serially on the caller's goroutine.
+	// Results are identical for every pool size. A single join always
+	// runs serially, as in the paper's evaluation, so Similarity,
 	// SimilarityPrepared and the indexed engines ignore Workers.
 	Workers int
 	// OnPoolStats, when non-nil, receives per-worker utilization for
@@ -188,14 +188,6 @@ type Options struct {
 	// work done up to the stop). Results are unaffected; leave nil when
 	// not observing.
 	OnPoolStats func(PoolStats)
-	// Index, when non-nil, attaches candidate-aligned pruning summaries
-	// to the prepared batch engines: entry i of the index summarizes
-	// candidate i. TopKPrepared then switches to the best-first exact
-	// engine (TopKIndexed) and RankPrepared/RankAbovePrepared skip
-	// joins their bounds prove pointless. Pruning is exact — results
-	// are identical to the unindexed engines (modulo TopK's documented
-	// two-phase-vs-exact semantics; see TopKPrepared).
-	Index *Index
 	// OnIndexStats, when non-nil, receives the pruning tallies of every
 	// indexed query — one synchronous callback after the query
 	// completes. Leave nil when not observing.

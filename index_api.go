@@ -13,10 +13,10 @@ import (
 )
 
 // This file is the public surface of the envelope-pruning index
-// (internal/index, DESIGN.md §12): community summaries, the candidate
-// Index attached via Options.Index, and the best-first indexed engines
-// TopKIndexed and RankAboveIndexed that skip candidates whose upper
-// bound provably cannot reach the answer.
+// (internal/index, DESIGN.md §12): community summaries and the
+// best-first indexed engines, TopKIndexedFrom and RankAboveIndexedFrom,
+// that skip candidates whose upper bound provably cannot reach the
+// answer. They are the only prepared top-k and threshold-rank engines.
 
 // DefaultIndexBuckets is the default per-dimension histogram resolution
 // of a community summary.
@@ -88,70 +88,6 @@ func upperBoundPairsOpts(x, y *CommunitySummary, o *Options) int {
 	return index.UpperBoundPairs(x.s, y.s, vector.NewEps(o.Epsilon, o.EpsilonVec))
 }
 
-// UpperBoundPairsVec is UpperBoundPairs under a per-dimension epsilon
-// vector (see Options.EpsilonVec): dimension j's envelope and histogram
-// flow are widened by eps[j], so the bound stays provable for
-// heterogeneous tolerances. An all-equal vector bounds identically to
-// the equivalent scalar. A vector whose length does not match the
-// summaries' dimensionality falls back to the size-only cap — still
-// sound, never under-counting.
-func UpperBoundPairsVec(x, y *CommunitySummary, eps []int32) int {
-	return index.UpperBoundPairs(x.s, y.s, vector.NewEps(0, eps))
-}
-
-// Index is a candidate-aligned set of community summaries attached to a
-// query via Options.Index: entry i summarizes candidate i of the
-// candidates slice passed to the engine. With an index attached,
-// TopKPrepared switches to the best-first exact engine (see TopKIndexed)
-// and RankPrepared skips the joins of candidates whose bound proves
-// zero similarity.
-type Index struct {
-	sums []*CommunitySummary
-}
-
-// NewIndex wraps candidate-aligned summaries (nil entries are not
-// allowed) into an Index.
-func NewIndex(summaries []*CommunitySummary) (*Index, error) {
-	for i, s := range summaries {
-		if s == nil || s.s == nil {
-			return nil, fmt.Errorf("csj: index summary %d is nil", i)
-		}
-	}
-	return &Index{sums: summaries}, nil
-}
-
-// IndexPrepared summarizes every prepared candidate, aligned by
-// position. buckets <= 0 selects DefaultIndexBuckets.
-func IndexPrepared(candidates []*PreparedCommunity, buckets int) (*Index, error) {
-	sums := make([]*CommunitySummary, len(candidates))
-	for i, pc := range candidates {
-		if pc == nil {
-			return nil, fmt.Errorf("csj: prepared candidate %d is nil", i)
-		}
-		s, err := pc.Summarize(buckets)
-		if err != nil {
-			return nil, fmt.Errorf("csj: summarizing candidate %s: %w", pc.Name(), err)
-		}
-		sums[i] = s
-	}
-	return &Index{sums: sums}, nil
-}
-
-// Len returns the number of summarized candidates.
-func (ix *Index) Len() int { return len(ix.sums) }
-
-// Summary returns the summary of candidate i.
-func (ix *Index) Summary(i int) *CommunitySummary { return ix.sums[i] }
-
-// Footprint approximates the resident bytes of all summaries.
-func (ix *Index) Footprint() int64 {
-	var n int64
-	for _, s := range ix.sums {
-		n += s.Footprint()
-	}
-	return n
-}
-
 // IndexStats tallies one indexed query's pruning outcome, reported via
 // Options.OnIndexStats after the query completes.
 type IndexStats struct {
@@ -179,9 +115,8 @@ type IndexStats struct {
 // candidates whose bound survives the running threshold, so a
 // byte-capped view cache (internal/store) only materializes the
 // candidates actually joined. A store snapshot implements it over its
-// own listing with no per-candidate allocation; IndexedCandidate
-// slices and prepared views plus an Index are adapted to it. Methods
-// are called serially.
+// own listing with no per-candidate allocation; TopKIndexed adapts an
+// IndexedCandidate slice to it. Methods are called serially.
 type CandidateSource interface {
 	// Len returns the candidate count.
 	Len() int
@@ -195,9 +130,9 @@ type CandidateSource interface {
 	View(i int) (*PreparedCommunity, error)
 }
 
-// IndexedCandidate is one candidate of TopKIndexed and
-// RankAboveIndexed: its summary, resolved lazily into a prepared view
-// only if the candidate survives pruning. View is called at most once,
+// IndexedCandidate is one candidate of TopKIndexed: its summary,
+// resolved lazily into a prepared view only if the candidate survives
+// pruning. View is called at most once,
 // serially. A caller holding many candidates in its own structure can
 // implement CandidateSource instead and skip building one
 // IndexedCandidate (and one View closure) per candidate.
@@ -232,30 +167,6 @@ func (c indexedCandidates) View(i int) (*PreparedCommunity, error) {
 	return c[i].View()
 }
 
-// preparedCandidates adapts prepared views and their candidate-aligned
-// Index to a CandidateSource.
-type preparedCandidates struct {
-	pcs []*PreparedCommunity
-	ix  *Index
-}
-
-func newPreparedCandidates(pcs []*PreparedCommunity, ix *Index) (preparedCandidates, error) {
-	if ix.Len() != len(pcs) {
-		return preparedCandidates{}, fmt.Errorf("csj: index has %d summaries for %d candidates", ix.Len(), len(pcs))
-	}
-	for i, pc := range pcs {
-		if pc == nil {
-			return preparedCandidates{}, fmt.Errorf("csj: prepared candidate %d is nil", i)
-		}
-	}
-	return preparedCandidates{pcs: pcs, ix: ix}, nil
-}
-
-func (c preparedCandidates) Len() int                                 { return len(c.pcs) }
-func (c preparedCandidates) Summary(i int) (*CommunitySummary, error) { return c.ix.Summary(i), nil }
-func (c preparedCandidates) Name(i int) string                        { return c.pcs[i].Name() }
-func (c preparedCandidates) View(i int) (*PreparedCommunity, error)   { return c.pcs[i], nil }
-
 // TopKIndexed returns the k candidates most similar to the pivot by
 // Ex-MinMax similarity, visiting candidates best-first by their index
 // upper bound (bound descending, candidate index ascending). The k best
@@ -282,28 +193,6 @@ func (c preparedCandidates) View(i int) (*PreparedCommunity, error)   { return c
 // the slice to a CandidateSource and runs TopKIndexedFrom.
 func TopKIndexed(pivot *PreparedCommunity, candidates []IndexedCandidate, k int, opts *Options) ([]TopKResult, error) {
 	return TopKIndexedFrom(context.Background(), pivot, indexedCandidates(candidates), k, opts)
-}
-
-// TopKIndexedCtx is TopKIndexed with cooperative cancellation: a
-// canceled ctx stops the visit loop, interrupts the in-flight scan at
-// its next checkpoint, and returns ctx's error with no partial answer.
-func TopKIndexedCtx(ctx context.Context, pivot *PreparedCommunity, candidates []IndexedCandidate, k int, opts *Options) ([]TopKResult, error) {
-	return TopKIndexedFrom(ctx, pivot, indexedCandidates(candidates), k, opts)
-}
-
-// TopKIndexedFrom is the indexed top-k engine of TopKIndexed over a
-// CandidateSource, with cooperative cancellation. Its memory grows with
-// the candidates whose bound keys rise above the floor (a zero bound)
-// and the size-skipped ones, not with the candidate count.
-func TopKIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, k int, opts *Options) ([]TopKResult, error) {
-	if pivot == nil || src.Len() == 0 {
-		return nil, errors.New("csj: TopK needs a pivot and at least one candidate")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("csj: TopK needs k >= 1, got %d", k)
-	}
-	o := opts.orDefault()
-	return topKIndexed(ctx, pivot, src, k, &o)
 }
 
 // boundEntry is one surviving candidate ordered for best-first visits.
@@ -446,9 +335,22 @@ func candName(src CandidateSource, idx int, pc *PreparedCommunity) string {
 	return ""
 }
 
-func topKIndexed(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, k int, o *Options) ([]TopKResult, error) {
+// TopKIndexedFrom is the indexed top-k engine of TopKIndexed over a
+// CandidateSource, with cooperative cancellation: a canceled ctx stops
+// the visit loop, interrupts the in-flight scan at its next checkpoint,
+// and returns ctx's error with no partial answer. Its memory grows with
+// the candidates whose bound keys rise above the floor (a zero bound)
+// and the size-skipped ones, not with the candidate count.
+func TopKIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, k int, opts *Options) ([]TopKResult, error) {
+	if pivot == nil || src.Len() == 0 {
+		return nil, errors.New("csj: TopK needs a pivot and at least one candidate")
+	}
+	if k <= 0 {
+		return nil, fmt.Errorf("csj: TopK needs k >= 1, got %d", k)
+	}
+	o := opts.orDefault()
 	stats := IndexStats{Candidates: int64(src.Len())}
-	order, skipped, err := indexOrder(pivot, src, ExMinMax, o, &stats)
+	order, skipped, err := indexOrder(pivot, src, ExMinMax, &o, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -475,7 +377,7 @@ func topKIndexed(ctx context.Context, pivot *PreparedCommunity, src CandidateSou
 			return nil, err
 		}
 		b, a := orientPrepared(pivot, pc)
-		res, err := similarityPrepared(ctx, b, a, ExMinMax, o, &sc.s)
+		res, err := similarityPrepared(ctx, b, a, ExMinMax, &o, &sc.s)
 		if err != nil {
 			if errors.Is(err, ErrSizeConstraint) {
 				// Unreachable when summaries match their communities
@@ -572,72 +474,31 @@ func (h *topKHeap) offer(r TopKResult, k int) {
 	}
 }
 
-// RankAbovePrepared returns every prepared candidate whose similarity
-// to the pivot reaches minSim, in descending similarity order (ties by
+// RankAboveIndexedFrom returns every candidate whose similarity to the
+// pivot reaches minSim, in descending similarity order (ties by
 // ascending candidate index) — the threshold form of RankPrepared for
 // the paper's broadcast scenario: "recommend communities at least this
 // similar" rather than "rank everything". method must be ApMinMax or
 // ExMinMax. Size-skipped candidates are excluded; candidates failing
-// with a per-candidate error are returned at the tail with Err set so
-// failures stay visible.
-func RankAbovePrepared(pivot *PreparedCommunity, candidates []*PreparedCommunity, method Method, minSim float64, opts *Options) ([]Ranked, error) {
-	return RankAbovePreparedCtx(context.Background(), pivot, candidates, method, minSim, opts)
-}
-
-// RankAbovePreparedCtx is RankAbovePrepared with cooperative
-// cancellation (see RankCtx: per-candidate failures are recorded,
-// cancellation is fatal). With Options.Index attached, candidates whose
-// upper bound proves they cannot reach minSim are skipped without a
-// join (see RankAboveIndexed); results are identical either way.
-func RankAbovePreparedCtx(ctx context.Context, pivot *PreparedCommunity, candidates []*PreparedCommunity, method Method, minSim float64, opts *Options) ([]Ranked, error) {
-	o := opts.orDefault()
-	if o.Index != nil {
-		src, err := newPreparedCandidates(candidates, o.Index)
-		if err != nil {
-			return nil, err
-		}
-		return rankAboveIndexed(ctx, pivot, src, method, minSim, &o)
-	}
-	ranked, err := RankPreparedCtx(ctx, pivot, candidates, method, opts)
-	if err != nil {
-		return nil, err
-	}
-	return filterRankedAbove(ranked, minSim), nil
-}
-
-// RankAboveIndexed is the indexed threshold ranking: every candidate
-// whose upper bound falls strictly below minSim is eliminated without
-// resolving its view or running a join. Exactness: the output is
-// identical to RankAbovePrepared without an index (pinned by
-// `make indexguard`). The engine runs serially; opts.Workers is
-// ignored. RankAboveIndexed adapts the slice to a CandidateSource and
-// runs RankAboveIndexedFrom.
-func RankAboveIndexed(pivot *PreparedCommunity, candidates []IndexedCandidate, method Method, minSim float64, opts *Options) ([]Ranked, error) {
-	return RankAboveIndexedFrom(context.Background(), pivot, indexedCandidates(candidates), method, minSim, opts)
-}
-
-// RankAboveIndexedCtx is RankAboveIndexed with cooperative cancellation.
-func RankAboveIndexedCtx(ctx context.Context, pivot *PreparedCommunity, candidates []IndexedCandidate, method Method, minSim float64, opts *Options) ([]Ranked, error) {
-	return RankAboveIndexedFrom(ctx, pivot, indexedCandidates(candidates), method, minSim, opts)
-}
-
-// RankAboveIndexedFrom is the indexed threshold ranking of
-// RankAboveIndexed over a CandidateSource, with cooperative
-// cancellation.
+// with a per-candidate error are returned at the tail, by index, with
+// Err set so failures stay visible. A canceled ctx is fatal, as in
+// RankCtx.
+//
+// Every candidate whose upper bound falls strictly below minSim is
+// eliminated without resolving its view or running a join. Pruning is
+// exact: the output equals the exhaustive RankPrepared ranking filtered
+// to minSim (pinned by `make indexguard`). The engine runs serially;
+// opts.Workers is ignored.
 func RankAboveIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, method Method, minSim float64, opts *Options) ([]Ranked, error) {
-	o := opts.orDefault()
-	return rankAboveIndexed(ctx, pivot, src, method, minSim, &o)
-}
-
-func rankAboveIndexed(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, method Method, minSim float64, o *Options) ([]Ranked, error) {
 	if pivot == nil || src.Len() == 0 {
 		return nil, errors.New("csj: Rank needs a pivot and at least one candidate")
 	}
+	o := opts.orDefault()
 	stats := IndexStats{Candidates: int64(src.Len())}
 	// The keys carry the method's p discount (Eq. 1) before the scorer
 	// lifts them — p applies to the CSJ component only, so lifting
 	// before discounting would be unsound.
-	order, _, err := indexOrder(pivot, src, method, o, &stats)
+	order, _, err := indexOrder(pivot, src, method, &o, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -660,7 +521,7 @@ func rankAboveIndexed(ctx context.Context, pivot *PreparedCommunity, src Candida
 		}
 		entry := Ranked{Index: e.idx, Name: candName(src, e.idx, pc)}
 		b, a := orientPrepared(pivot, pc)
-		res, err := similarityPrepared(ctx, b, a, method, o, &sc.s)
+		res, err := similarityPrepared(ctx, b, a, method, &o, &sc.s)
 		switch {
 		case err == nil:
 			stats.Visited++
@@ -700,21 +561,4 @@ func rankAboveIndexed(ctx context.Context, pivot *PreparedCommunity, src Candida
 		o.OnIndexStats(stats)
 	}
 	return out, nil
-}
-
-// filterRankedAbove reduces a full ranking to the RankAbove contract:
-// scored entries reaching minSim, then errored entries.
-func filterRankedAbove(ranked []Ranked, minSim float64) []Ranked {
-	out := make([]Ranked, 0, len(ranked))
-	for _, r := range ranked {
-		if r.Result != nil && r.Result.Similarity >= minSim {
-			out = append(out, r)
-		}
-	}
-	for _, r := range ranked {
-		if r.Err != nil {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -37,8 +37,8 @@ func randBase(rng *rand.Rand, d int) []int32 {
 
 // indexedCorpus builds a clustered corpus: nArch archetypes, candidates
 // assigned round-robin, pivot on archetype 0. Returns prepared views
-// and the candidate-aligned index.
-func indexedCorpus(t *testing.T, rng *rand.Rand, n, nArch, d int, noise int32, opts *csj.Options) (*csj.PreparedCommunity, []*csj.PreparedCommunity, *csj.Index) {
+// and their summaries.
+func indexedCorpus(t *testing.T, rng *rand.Rand, n, nArch, d int, noise int32, opts *csj.Options) (*csj.PreparedCommunity, []*csj.PreparedCommunity, []*csj.CommunitySummary) {
 	t.Helper()
 	bases := make([][]int32, nArch)
 	for i := range bases {
@@ -57,11 +57,47 @@ func indexedCorpus(t *testing.T, rng *rand.Rand, n, nArch, d int, noise int32, o
 			t.Fatal(err)
 		}
 	}
-	ix, err := csj.IndexPrepared(pcs, 0)
-	if err != nil {
-		t.Fatal(err)
+	return pivot, pcs, summarize(t, pcs)
+}
+
+// summarize returns each prepared view's summary, aligned by position.
+func summarize(t *testing.T, pcs []*csj.PreparedCommunity) []*csj.CommunitySummary {
+	t.Helper()
+	sums := make([]*csj.CommunitySummary, len(pcs))
+	for i, pc := range pcs {
+		var err error
+		if sums[i], err = pc.Summarize(0); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return pivot, pcs, ix
+	return sums
+}
+
+// sliceSource is a CandidateSource over prepared views and their
+// summaries that counts the views the engines resolve.
+type sliceSource struct {
+	pcs      []*csj.PreparedCommunity
+	sums     []*csj.CommunitySummary
+	resolved int
+}
+
+func (s *sliceSource) Len() int                                     { return len(s.pcs) }
+func (s *sliceSource) Summary(i int) (*csj.CommunitySummary, error) { return s.sums[i], nil }
+func (s *sliceSource) Name(i int) string                            { return s.pcs[i].Name() }
+
+func (s *sliceSource) View(i int) (*csj.PreparedCommunity, error) {
+	s.resolved++
+	return s.pcs[i], nil
+}
+
+// candidates returns the source as TopKIndexed's candidate slice.
+func (s *sliceSource) candidates() []csj.IndexedCandidate {
+	out := make([]csj.IndexedCandidate, len(s.pcs))
+	for i := range out {
+		out[i] = csj.IndexedCandidate{Name: s.Name(i), Summary: s.sums[i],
+			View: func() (*csj.PreparedCommunity, error) { return s.View(i) }}
+	}
+	return out
 }
 
 // exactTopKReference computes the indexed engine's ground truth the
@@ -117,51 +153,28 @@ func snapshotRoute(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs
 var snapshotBuckets = []int{0, -1}
 
 // checkIndexedTopK is the indexed top-k oracle: it runs one query
-// through TopKIndexed, through TopKPrepared with Options.Index, and
-// through TopKIndexedFrom on a store snapshot's candidate source (with
-// and without stored summaries), and requires each to return, cell for
-// cell, the exhaustive exact ranking truncated to k, with the same
-// stats, every candidate accounted for once, and a view resolved for
-// exactly the visited candidates. label names the case (its seed) in
-// every failure. It returns the stats.
-func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, ix *csj.Index, k int, opts *csj.Options) csj.IndexStats {
+// through TopKIndexed over a candidate slice and through
+// TopKIndexedFrom on a store snapshot's candidate source (with and
+// without stored summaries), and requires each to return, cell for
+// cell, the exhaustive RankPrepared ranking truncated to k, with the
+// same stats, every candidate accounted for once, and a view resolved
+// for exactly the visited candidates. label names the case (its seed)
+// in every failure. It returns the stats.
+func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, sums []*csj.CommunitySummary, k int, opts *csj.Options) csj.IndexStats {
 	t.Helper()
 	want := exactTopKReference(t, pivot, pcs, k, opts)
 
 	var stats csj.IndexStats
 	iopts := *opts
 	iopts.OnIndexStats = func(s csj.IndexStats) { stats = s }
-	resolved := 0
-	ics := make([]csj.IndexedCandidate, len(pcs))
-	for i, pc := range pcs {
-		ics[i] = csj.IndexedCandidate{Name: pc.Name(), Summary: ix.Summary(i),
-			View: func() (*csj.PreparedCommunity, error) { resolved++; return pc, nil }}
-	}
-	got, err := csj.TopKIndexed(pivot, ics, k, &iopts)
+	src := &sliceSource{pcs: pcs, sums: sums}
+	got, err := csj.TopKIndexed(pivot, src.candidates(), k, &iopts)
 	if err != nil {
 		t.Fatalf("%s: TopKIndexed: %v", label, err)
 	}
 	checkTopKCells(t, label+" TopKIndexed", got, want)
 	indexed := stats
-
-	iopts.Index = ix
-	got, err = csj.TopKPrepared(pivot, pcs, k, &iopts)
-	if err != nil {
-		t.Fatalf("%s: TopKPrepared with index: %v", label, err)
-	}
-	checkTopKCells(t, label+" TopKPrepared", got, want)
-	if stats != indexed {
-		t.Fatalf("%s: TopKPrepared stats %+v, TopKIndexed %+v", label, stats, indexed)
-	}
-	if stats.Candidates != int64(len(pcs)) {
-		t.Fatalf("%s: stats.Candidates = %d, want %d", label, stats.Candidates, len(pcs))
-	}
-	if stats.Visited+stats.Pruned+stats.Skipped != stats.Candidates {
-		t.Fatalf("%s: stats do not partition the corpus: %+v", label, stats)
-	}
-	if int64(resolved) != stats.Visited {
-		t.Fatalf("%s: %d views resolved for %d visited candidates", label, resolved, stats.Visited)
-	}
+	checkIndexStats(t, label, stats, len(pcs), src.resolved)
 
 	for _, buckets := range snapshotBuckets {
 		slabel := fmt.Sprintf("%s snapshot route (buckets %d)", label, buckets)
@@ -179,6 +192,21 @@ func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, 
 		}
 	}
 	return stats
+}
+
+// checkIndexStats requires an indexed query's stats to account for each
+// of n candidates once and to count a visit per resolved view.
+func checkIndexStats(t *testing.T, label string, stats csj.IndexStats, n, resolved int) {
+	t.Helper()
+	if stats.Candidates != int64(n) {
+		t.Fatalf("%s: stats.Candidates = %d, want %d", label, stats.Candidates, n)
+	}
+	if stats.Visited+stats.Pruned+stats.Skipped != stats.Candidates {
+		t.Fatalf("%s: stats do not partition the corpus: %+v", label, stats)
+	}
+	if int64(resolved) != stats.Visited {
+		t.Fatalf("%s: %d views resolved for %d visited candidates", label, resolved, stats.Visited)
+	}
 }
 
 // checkTopKCells compares an indexed top-k answer with the reference.
@@ -216,11 +244,10 @@ func checkTopKCells(t *testing.T, label string, got []csj.TopKResult, want []csj
 }
 
 // TestIndexedTopKExactness is the pruning soundness property: across
-// randomized clustered corpora and epsilons, TopKIndexed and
-// TopKPrepared with an index attached must return, cell for cell, the
-// exhaustive exact ranking truncated to k. The last trial of each seed
-// runs 150 candidates, past the engines' 64-summary fetch blocks.
-// Failures name the seed.
+// randomized clustered corpora and epsilons, the indexed top-k must
+// return, cell for cell, the exhaustive exact ranking truncated to k.
+// The last trial of each seed runs 150 candidates, past the engines'
+// 64-summary fetch blocks. Failures name the seed.
 func TestIndexedTopKExactness(t *testing.T) {
 	for _, seed := range []int64{101, 202, 303, 404, 505} {
 		rng := rand.New(rand.NewSource(seed))
@@ -233,75 +260,89 @@ func TestIndexedTopKExactness(t *testing.T) {
 				n = 150
 			}
 			opts := &csj.Options{Epsilon: eps, Workers: 1}
-			pivot, pcs, ix := indexedCorpus(t, rng, n, 1+rng.Intn(12), 1+rng.Intn(6), noise, opts)
+			pivot, pcs, sums := indexedCorpus(t, rng, n, 1+rng.Intn(12), 1+rng.Intn(6), noise, opts)
 			label := fmt.Sprintf("seed=%d trial=%d n=%d eps=%d noise=%d k=%d", seed, trial, n, eps, noise, k)
-			checkIndexedTopK(t, label, pivot, pcs, ix, k, opts)
+			checkIndexedTopK(t, label, pivot, pcs, sums, k, opts)
 		}
 	}
 }
 
-// checkRankAbove requires the indexed threshold ranking to equal the
-// exhaustive ranking filtered to minSim, through RankAboveIndexed,
-// through RankAbovePrepared with Options.Index, and through
-// RankAboveIndexedFrom on a store snapshot's candidate source (with and
-// without stored summaries), with the same stats on every indexed
-// route and every candidate accounted for once.
-func checkRankAbove(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, ix *csj.Index, method csj.Method, minSim float64, opts *csj.Options) {
+// checkRankAbove is the indexed threshold-ranking oracle: it runs one
+// query through RankAboveIndexedFrom on a candidate slice and on a
+// store snapshot's candidate source (with and without stored
+// summaries), and requires each to return the exhaustive RankPrepared
+// ranking filtered to minSim — the scored entries reaching it, then
+// the errored ones — cell for cell, with the same stats, every
+// candidate accounted for once, and a view resolved for exactly the
+// visited candidates.
+func checkRankAbove(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, sums []*csj.CommunitySummary, method csj.Method, minSim float64, opts *csj.Options) {
 	t.Helper()
-	want, err := csj.RankAbovePrepared(pivot, pcs, method, minSim, opts)
+	ranked, err := csj.RankPrepared(pivot, pcs, method, opts)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
-	ics := make([]csj.IndexedCandidate, len(pcs))
-	for i, pc := range pcs {
-		ics[i] = csj.IndexedCandidate{Name: pc.Name(), Summary: ix.Summary(i),
-			View: func() (*csj.PreparedCommunity, error) { return pc, nil }}
+	var want, failed []csj.Ranked
+	for _, r := range ranked {
+		switch {
+		case r.Err != nil:
+			failed = append(failed, r)
+		case r.Result != nil && r.Result.Similarity >= minSim:
+			want = append(want, r)
+		}
 	}
+	want = append(want, failed...)
+
 	var stats csj.IndexStats
 	sopts := *opts
 	sopts.OnIndexStats = func(s csj.IndexStats) { stats = s }
-	viaIndexed, err := csj.RankAboveIndexed(pivot, ics, method, minSim, &sopts)
+	src := &sliceSource{pcs: pcs, sums: sums}
+	got, err := csj.RankAboveIndexedFrom(context.Background(), pivot, src, method, minSim, &sopts)
 	if err != nil {
-		t.Fatalf("%s: RankAboveIndexed: %v", label, err)
+		t.Fatalf("%s: RankAboveIndexedFrom: %v", label, err)
 	}
+	checkRankedCells(t, label+" slice route", got, want)
 	indexed := stats
-	if stats.Candidates != int64(len(pcs)) || stats.Visited+stats.Pruned+stats.Skipped != stats.Candidates {
-		t.Fatalf("%s: stats do not partition the corpus: %+v", label, stats)
-	}
-	iopts := *opts
-	iopts.Index = ix
-	viaPrepared, err := csj.RankAbovePrepared(pivot, pcs, method, minSim, &iopts)
-	if err != nil {
-		t.Fatalf("%s: RankAbovePrepared with index: %v", label, err)
-	}
-	routes := [][]csj.Ranked{viaIndexed, viaPrepared}
+	checkIndexStats(t, label, stats, len(pcs), src.resolved)
+
 	for _, buckets := range snapshotBuckets {
 		slabel := fmt.Sprintf("%s snapshot route (buckets %d)", label, buckets)
-		_, src := snapshotRoute(t, slabel, pivot, pcs, opts, buckets)
+		st, src := snapshotRoute(t, slabel, pivot, pcs, opts, buckets)
 		got, err := csj.RankAboveIndexedFrom(context.Background(), pivot, src, method, minSim, &sopts)
 		if err != nil {
 			t.Fatalf("%s: RankAboveIndexedFrom: %v", slabel, err)
 		}
+		checkRankedCells(t, slabel, got, want)
 		if stats != indexed {
-			t.Fatalf("%s: stats %+v, RankAboveIndexed %+v", slabel, stats, indexed)
+			t.Fatalf("%s: stats %+v, slice route %+v", slabel, stats, indexed)
 		}
-		routes = append(routes, got)
+		if builds := st.CacheStats().Builds; builds != stats.Visited {
+			t.Fatalf("%s: %d views built for %d visited candidates", slabel, builds, stats.Visited)
+		}
 	}
-	for _, got := range routes {
-		if len(got) != len(want) {
-			t.Fatalf("%s: indexed RankAbove has %d entries, reference %d", label, len(got), len(want))
+}
+
+// checkRankedCells compares an indexed threshold ranking with the
+// reference.
+func checkRankedCells(t *testing.T, label string, got, want []csj.Ranked) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d entries, reference %d", label, len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Index != w.Index || (g.Err == nil) != (w.Err == nil) {
+			t.Fatalf("%s: entry %d = cand %d (err %v), reference cand %d (err %v)",
+				label, i, g.Index, g.Err, w.Index, w.Err)
 		}
-		for i := range got {
-			if got[i].Index != want[i].Index {
-				t.Fatalf("%s: entry %d = cand %d, reference cand %d", label, i, got[i].Index, want[i].Index)
-			}
-			if (got[i].Result == nil) != (want[i].Result == nil) {
-				t.Fatalf("%s: entry %d result presence diverges", label, i)
-			}
-			if got[i].Result != nil && got[i].Result.Similarity != want[i].Result.Similarity {
-				t.Fatalf("%s: entry %d similarity %v, reference %v",
-					label, i, got[i].Result.Similarity, want[i].Result.Similarity)
-			}
+		if (g.Result == nil) != (w.Result == nil) {
+			t.Fatalf("%s: entry %d result presence diverges", label, i)
+		}
+		if g.Result == nil {
+			continue
+		}
+		if g.Result.Similarity != w.Result.Similarity || len(g.Result.Pairs) != len(w.Result.Pairs) {
+			t.Fatalf("%s: entry %d similarity %v (%d pairs), reference %v (%d pairs)", label, i,
+				g.Result.Similarity, len(g.Result.Pairs), w.Result.Similarity, len(w.Result.Pairs))
 		}
 	}
 }
@@ -322,60 +363,11 @@ func TestRankAboveExactness(t *testing.T) {
 				n = 140
 			}
 			opts := &csj.Options{Epsilon: eps, Workers: 1}
-			pivot, pcs, ix := indexedCorpus(t, rng, n, 1+rng.Intn(9), 1+rng.Intn(5), noise, opts)
+			pivot, pcs, sums := indexedCorpus(t, rng, n, 1+rng.Intn(9), 1+rng.Intn(5), noise, opts)
 			label := fmt.Sprintf("seed=%d method=%v n=%d eps=%d minSim=%.3f", seed, method, n, eps, minSim)
-			checkRankAbove(t, label, pivot, pcs, ix, method, minSim, opts)
+			checkRankAbove(t, label, pivot, pcs, sums, method, minSim, opts)
 		}
 	}
-}
-
-// TestRankPreparedIndexZeroPrune: a full indexed ranking must score
-// every candidate identically to the unindexed engine while skipping
-// the joins of provably-zero candidates.
-func TestRankPreparedIndexZeroPrune(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	// Many archetypes in a huge domain with a tiny epsilon: most
-	// candidates are provably disjoint from the pivot.
-	opts := &csj.Options{Epsilon: 50, Workers: 1}
-	pivot, pcs, ix := indexedCorpus(t, rng, 48, 16, 4, 300, opts)
-
-	want, err := csj.RankPrepared(pivot, pcs, csj.ExMinMax, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats csj.IndexStats
-	iopts := *opts
-	iopts.Index = ix
-	iopts.OnIndexStats = func(s csj.IndexStats) { stats = s }
-	got, err := csj.RankPrepared(pivot, pcs, csj.ExMinMax, &iopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("indexed ranking has %d entries, reference %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Index != want[i].Index || got[i].Skipped != want[i].Skipped {
-			t.Fatalf("entry %d: cand %d (skipped=%v), reference cand %d (skipped=%v)",
-				i, got[i].Index, got[i].Skipped, want[i].Index, want[i].Skipped)
-		}
-		if (got[i].Result == nil) != (want[i].Result == nil) {
-			t.Fatalf("entry %d: result presence diverges", i)
-		}
-		if got[i].Result == nil {
-			continue
-		}
-		if got[i].Result.Similarity != want[i].Result.Similarity ||
-			len(got[i].Result.Pairs) != len(want[i].Result.Pairs) {
-			t.Fatalf("entry %d: sim %v pairs %d, reference sim %v pairs %d", i,
-				got[i].Result.Similarity, len(got[i].Result.Pairs),
-				want[i].Result.Similarity, len(want[i].Result.Pairs))
-		}
-	}
-	if stats.Pruned == 0 {
-		t.Fatalf("expected zero-bound pruning on a 16-archetype corpus with eps=50, stats %+v", stats)
-	}
-	t.Logf("rank zero-prune: %+v", stats)
 }
 
 // TestTopKIndexedPrunesSelectiveCorpus: on a clustered corpus with a
@@ -384,12 +376,12 @@ func TestRankPreparedIndexZeroPrune(t *testing.T) {
 func TestTopKIndexedPrunesSelectiveCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	opts := &csj.Options{Epsilon: 1500, Workers: 1}
-	pivot, pcs, ix := indexedCorpus(t, rng, 64, 16, 6, 1000, opts)
+	pivot, pcs, sums := indexedCorpus(t, rng, 64, 16, 6, 1000, opts)
 	var stats csj.IndexStats
 	iopts := *opts
-	iopts.Index = ix
 	iopts.OnIndexStats = func(s csj.IndexStats) { stats = s }
-	if _, err := csj.TopKPrepared(pivot, pcs, 3, &iopts); err != nil {
+	src := &sliceSource{pcs: pcs, sums: sums}
+	if _, err := csj.TopKIndexed(pivot, src.candidates(), 3, &iopts); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Pruned == 0 || stats.Visited >= stats.Candidates/2 {
@@ -420,13 +412,8 @@ func TestTopKIndexedPadsWithSkipped(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := csj.IndexPrepared(pcs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iopts := *opts
-	iopts.Index = ix
-	got, err := csj.TopKPrepared(pivot, pcs, 3, &iopts)
+	src := &sliceSource{pcs: pcs, sums: summarize(t, pcs)}
+	got, err := csj.TopKIndexed(pivot, src.candidates(), 3, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

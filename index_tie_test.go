@@ -12,7 +12,7 @@ import (
 // the engine stops at the first candidate whose (bound, index) ranks
 // below the running answer's worst (similarity, index), so candidates
 // tied with the kth-best score are pruned by index instead of joined.
-// Each case checks both indexed routes cell for cell against the
+// Each case checks every indexed route cell for cell against the
 // exhaustive ranking (checkIndexedTopK) and pins the visit count.
 
 // csjWeightZero scores by category alone: every candidate's lifted
@@ -27,11 +27,12 @@ func farComm(rng *rand.Rand, name string, size, d int) *csj.Community {
 	return clusteredComm(rng, name, size, randBase(rng, d), 50)
 }
 
-// prepareTieCorpus prepares the pivot and candidates and indexes them.
-// Every candidate listed in zero must have an upper bound of exactly 0
-// against the pivot, and every candidate in positive a bound above 0,
-// so a fixture cannot silently stop testing what it claims to.
-func prepareTieCorpus(t *testing.T, pivot *csj.Community, cands []*csj.Community, zero, positive []int) (*csj.PreparedCommunity, []*csj.PreparedCommunity, *csj.Index) {
+// prepareTieCorpus prepares the pivot and candidates and summarizes the
+// candidates. Every candidate listed in zero must have an upper bound
+// of exactly 0 against the pivot, and every candidate in positive a
+// bound above 0, so a fixture cannot silently stop testing what it
+// claims to.
+func prepareTieCorpus(t *testing.T, pivot *csj.Community, cands []*csj.Community, zero, positive []int) (*csj.PreparedCommunity, []*csj.PreparedCommunity, []*csj.CommunitySummary) {
 	t.Helper()
 	opts := &csj.Options{Epsilon: tieEps}
 	pv, err := csj.Precompute(pivot, opts)
@@ -44,25 +45,22 @@ func prepareTieCorpus(t *testing.T, pivot *csj.Community, cands []*csj.Community
 			t.Fatal(err)
 		}
 	}
-	ix, err := csj.IndexPrepared(pcs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sums := summarize(t, pcs)
 	ps, err := pv.Summarize(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, i := range zero {
-		if ub := csj.UpperBoundPairs(ps, ix.Summary(i), tieEps); ub != 0 {
+		if ub := csj.UpperBoundPairs(ps, sums[i], tieEps); ub != 0 {
 			t.Fatalf("fixture: candidate %d bound = %d, want 0", i, ub)
 		}
 	}
 	for _, i := range positive {
-		if ub := csj.UpperBoundPairs(ps, ix.Summary(i), tieEps); ub == 0 {
+		if ub := csj.UpperBoundPairs(ps, sums[i], tieEps); ub == 0 {
 			t.Fatalf("fixture: candidate %d bound = 0, want > 0", i)
 		}
 	}
-	return pv, pcs, ix
+	return pv, pcs, sums
 }
 
 // tieCase is one fixture with the visit counts it must produce without
@@ -187,7 +185,7 @@ func decoyCase(rng *rand.Rand) tieCase {
 func TestIndexedTopKTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, tc := range []tieCase{nicheCase(rng), copiesCase(rng), decoyCase(rng)} {
-		pivot, pcs, ix := prepareTieCorpus(t, tc.pivot, tc.cands, tc.zero, tc.positive)
+		pivot, pcs, sums := prepareTieCorpus(t, tc.pivot, tc.cands, tc.zero, tc.positive)
 		ranked, err := csj.RankPrepared(pivot, pcs, csj.ExMinMax, &csj.Options{Epsilon: tieEps})
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +194,7 @@ func TestIndexedTopKTies(t *testing.T) {
 		for _, sc := range []*csj.ScorerSpec{nil, csjWeightZero} {
 			label := fmt.Sprintf("%s scorer=%+v", tc.name, sc)
 			opts := &csj.Options{Epsilon: tieEps, Workers: 1, Scorer: sc}
-			stats := checkIndexedTopK(t, label, pivot, pcs, ix, tc.k, opts)
+			stats := checkIndexedTopK(t, label, pivot, pcs, sums, tc.k, opts)
 			want := tc.visited
 			if sc != nil {
 				want = tc.visitedCSJWeightZero
@@ -279,13 +277,10 @@ func TestIndexedTopKTiesRandomized(t *testing.T) {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
-		ix, err := csj.IndexPrepared(pcs, 0)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		sums := summarize(t, pcs)
 		k := 1 + rng.Intn(len(cands)+2)
 		label := fmt.Sprintf("seed %d (eps=%d scorer=%+v k=%d n=%d)", seed, opts.Epsilon, opts.Scorer, k, len(cands))
-		checkIndexedTopK(t, label, pv, pcs, ix, k, opts)
+		checkIndexedTopK(t, label, pv, pcs, sums, k, opts)
 
 		method := []csj.Method{csj.ExMinMax, csj.ApMinMax}[rng.Intn(2)]
 		aopts := *opts
@@ -299,6 +294,6 @@ func TestIndexedTopKTiesRandomized(t *testing.T) {
 			minSim = r.Result.Similarity
 		}
 		checkRankAbove(t, fmt.Sprintf("%s method=%v p=%v minSim=%v", label, method, aopts.P, minSim),
-			pv, pcs, ix, method, minSim, &aopts)
+			pv, pcs, sums, method, minSim, &aopts)
 	}
 }

@@ -254,10 +254,10 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	for _, sh := range c.shards {
 		if q, ok := queries[sh]; ok {
 			q.K = req.K
-			// Always the indexed engine: it returns the true exact
-			// top-k per shard, which is what makes merging per-shard
-			// answers exact (the two-phase engine's refinement pool is
-			// a global heuristic and does not merge cleanly).
+			// Shards of earlier releases pick their top-k engine by
+			// use_index; set, it runs the indexed engine, whose exact
+			// per-shard top-k is what makes the merge exact. Current
+			// shards always run it.
 			q.UseIndex = true
 			q.Options = req.Options
 			targets = append(targets, sh)
@@ -285,7 +285,7 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 // mergeTopK merges shard-local exact top-k lists. The global top-k is
 // a subset of the union of per-shard top-k lists, so sorting the union
 // by (exact desc, id asc) and cutting at k reproduces the single-node
-// indexed answer exactly; skipped entries pad the tail in id order,
+// answer exactly; skipped entries pad the tail in id order,
 // matching the single-node engine's padding.
 func mergeTopK(all []server.TopKEntry, k int) []server.TopKEntry {
 	refined := make([]server.TopKEntry, 0, len(all))

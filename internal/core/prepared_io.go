@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/opencsj/csj/internal/encoding"
 	"github.com/opencsj/csj/internal/vector"
@@ -29,8 +30,8 @@ import (
 // earlier releases load unchanged. A view does not keep its buffers, so
 // writing re-encodes them from the community; the encoders break ties
 // by user index, so the bytes are the ones the view was built from.
-// Loading builds the view from the stored buffers without re-encoding;
-// a sanity pass cross-checks the buffers against the stored vectors.
+// Loading re-encodes the buffers from the stored community and rejects
+// the record unless every stored entry equals its re-derived one.
 
 const (
 	preparedMagic    = "CSJP\x01"
@@ -140,57 +141,24 @@ func ReadPrepared(r io.Reader) (*Prepared, error) {
 		return nil, fmt.Errorf("core: prepared buffers hold %d/%d entries, community has %d users",
 			len(bb.Entries), len(ab.Entries), comm.Size())
 	}
-	// The view indexes the community's vectors by every Ref, so each
-	// user must appear exactly once per side.
-	seen := make([]bool, comm.Size())
+	// The view indexes the community's vectors by every Ref and trusts
+	// every encoded bound, so the record loads only if its buffers are
+	// exactly the ones WritePrepared derives from its community; a
+	// corrupted but well-formed record cannot poison later joins.
+	wantB := encoding.EncodeB(comm, bb.Layout)
 	for i := range bb.Entries {
-		if err := checkRef(seen, "B", i, bb.Entries[i].Ref); err != nil {
-			return nil, err
+		g, w := &bb.Entries[i], &wantB.Entries[i]
+		if g.ID != w.ID || g.Ref != w.Ref || !slices.Equal(g.Parts, w.Parts) {
+			return nil, fmt.Errorf("core: prepared B entry %d does not match its community", i)
 		}
 	}
-	clear(seen)
+	wantA := encoding.EncodeA(comm, bb.Layout, eps)
 	for i := range ab.Entries {
-		if err := checkRef(seen, "A", i, ab.Entries[i].Ref); err != nil {
-			return nil, err
-		}
-	}
-	// Cross-check a sample of entries against the stored vectors so a
-	// corrupted (but well-formed) file cannot poison later joins.
-	for _, i := range sampleIndexes(comm.Size()) {
-		e := &bb.Entries[i]
-		if e.ID != comm.Users[e.Ref].Sum() {
-			return nil, fmt.Errorf("core: prepared B entry %d does not match its vector", i)
+		g, w := &ab.Entries[i], &wantA.Entries[i]
+		if g.Min != w.Min || g.Max != w.Max || g.Ref != w.Ref ||
+			!slices.Equal(g.RangeLo, w.RangeLo) || !slices.Equal(g.RangeHi, w.RangeHi) {
+			return nil, fmt.Errorf("core: prepared A entry %d does not match its community", i)
 		}
 	}
 	return newPrepared(comm, bb.Layout, eps, bb, ab), nil
-}
-
-// checkRef reports an error unless ref names a user of the community
-// (len(seen) users) that no earlier entry of the side named.
-func checkRef(seen []bool, side string, i int, ref int32) error {
-	if ref < 0 || int(ref) >= len(seen) {
-		return fmt.Errorf("core: prepared %s entry %d refers to user %d of %d", side, i, ref, len(seen))
-	}
-	if seen[ref] {
-		return fmt.Errorf("core: prepared %s entry %d repeats user %d", side, i, ref)
-	}
-	seen[ref] = true
-	return nil
-}
-
-// sampleIndexes returns a deterministic spread of indexes to verify.
-func sampleIndexes(n int) []int {
-	if n <= 8 {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	step := n / 8
-	out := make([]int, 0, 8)
-	for i := 0; i < n; i += step {
-		out = append(out, i)
-	}
-	return out
 }

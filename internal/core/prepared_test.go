@@ -264,8 +264,7 @@ func refOffsets(t *testing.T, rec []byte) (bRefs, aRefs []int) {
 
 // TestReadPreparedRejectsBadRefs corrupts one Ref of the golden v1
 // record at a time. Each record is well formed — sorted, with parts
-// summing to IDs, and the corrupted B entry outside the sampled
-// vector cross-check — so only a check of every Ref catches it; an
+// summing to IDs — so only a check of every Ref catches it; an
 // unchecked out-of-range Ref would index past the community's users
 // while the view is built.
 func TestReadPreparedRejectsBadRefs(t *testing.T) {
@@ -287,6 +286,45 @@ func TestReadPreparedRejectsBadRefs(t *testing.T) {
 	} {
 		rec := bytes.Clone(golden)
 		binary.LittleEndian.PutUint32(rec[c.off:], c.ref)
+		if _, err := ReadPrepared(bytes.NewReader(rec)); err == nil {
+			t.Errorf("%s: ReadPrepared accepted the record", c.name)
+		}
+	}
+}
+
+// TestReadPreparedRejectsBadBounds corrupts one encoded bound of the
+// golden v1 record at a time. Each record stays well formed — sorted,
+// with parts summing to IDs and every Ref naming one user per side —
+// so only re-deriving every entry from the stored community catches
+// it. A loaded view would trust the bound: the A entry whose Max falls
+// below its Min drops a pair from the record's self-join.
+func TestReadPreparedRejectsBadBounds(t *testing.T) {
+	golden, err := os.ReadFile("testdata/prepared_v1.csjp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bRefs, aRefs := refOffsets(t, golden)
+	parts := (bRefs[1] - bRefs[0] - 12) / 8 // an ID, the part sums, a Ref
+	add := func(rec []byte, off int, delta int64) {
+		binary.LittleEndian.PutUint64(rec[off:], binary.LittleEndian.Uint64(rec[off:])+uint64(delta))
+	}
+	for _, c := range []struct {
+		name    string
+		corrupt func(rec []byte)
+	}{
+		{"A Max below Min", func(rec []byte) {
+			min := aRefs[3] - 16*parts - 16
+			copy(rec[min+8:min+16], rec[min:min+8]) // Max = Min
+			add(rec, min+8, -1)
+		}},
+		{"B part sum changed", func(rec []byte) {
+			id := bRefs[len(bRefs)-1] - 8*parts - 8 // the last entry, so the order holds
+			add(rec, id, 1)
+			add(rec, id+8, 1) // its first part sum
+		}},
+	} {
+		rec := bytes.Clone(golden)
+		c.corrupt(rec)
 		if _, err := ReadPrepared(bytes.NewReader(rec)); err == nil {
 			t.Errorf("%s: ReadPrepared accepted the record", c.name)
 		}

@@ -81,11 +81,16 @@ type ShardQueryRequest struct {
 	Exclude    int64      `json:"exclude,omitempty"`
 	Candidates []int64    `json:"candidates,omitempty"`
 	// Method and MinSimilarity apply to rank; K applies to topk.
-	Method        string         `json:"method,omitempty"`
-	K             int            `json:"k,omitempty"`
-	MinSimilarity float64        `json:"min_similarity,omitempty"`
-	UseIndex      bool           `json:"use_index,omitempty"`
-	Options       OptionsPayload `json:"options"`
+	Method        string  `json:"method,omitempty"`
+	K             int     `json:"k,omitempty"`
+	MinSimilarity float64 `json:"min_similarity,omitempty"`
+	// UseIndex selects no engine: top-k always runs the indexed engine
+	// and rank picks its engine from min_similarity. It stays on the
+	// wire because coordinators set it for shards of earlier releases,
+	// which chose their engine by it; on rank it keeps its MinMax-only
+	// check.
+	UseIndex bool           `json:"use_index,omitempty"`
+	Options  OptionsPayload `json:"options"`
 }
 
 // GuestCommunity is a non-local community's profile shipped inline for
@@ -241,18 +246,9 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	method, err := csj.ParseMethod(req.Method)
+	method, err := rankMethod(req.Method, req.MinSimilarity, req.UseIndex)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.MinSimilarity < 0 {
-		s.writeErr(w, http.StatusBadRequest, errors.New("min_similarity must be >= 0"))
-		return
-	}
-	if (req.UseIndex || req.MinSimilarity > 0) && !minMaxMethod(method) {
-		s.writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("use_index and min_similarity require a MinMax method, got %q", req.Method))
 		return
 	}
 	opts, err := req.Options.toOptions()
@@ -272,63 +268,24 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, []RankEntry{})
 		return
 	}
-	var ranked []csj.Ranked
+	var pv *csj.PreparedCommunity
+	var pc *csj.Community
+	var status int
 	if minMaxMethod(method) {
-		pv, status, perr := s.resolvePivotPrepared(snap, req.Pivot, opts)
-		if perr != nil {
-			s.writeErr(w, status, perr)
-			return
-		}
-		src := cands.Source(opts.Spec())
-		switch {
-		case req.MinSimilarity > 0 && req.UseIndex:
-			ranked, err = csj.RankAboveIndexedFrom(r.Context(), pv, src, method, req.MinSimilarity, s.instrumentOptions(opts))
-		case req.MinSimilarity > 0:
-			views, verr := preparedViews(src)
-			if verr != nil {
-				s.writeJoinErr(w, r, verr)
-				return
-			}
-			ranked, err = csj.RankAbovePreparedCtx(r.Context(), pv, views, method, req.MinSimilarity, s.instrumentOptions(opts))
-		default:
-			views, verr := preparedViews(src)
-			if verr != nil {
-				s.writeJoinErr(w, r, verr)
-				return
-			}
-			if req.UseIndex {
-				ix, ierr := candidateIndex(cands)
-				if ierr != nil {
-					s.writeJoinErr(w, r, ierr)
-					return
-				}
-				opts.Index = ix
-			}
-			ranked, err = csj.RankPreparedCtx(r.Context(), pv, views, method, s.instrumentOptions(opts))
-		}
+		pv, status, err = s.resolvePivotPrepared(snap, req.Pivot, opts)
 	} else {
-		pc, status, perr := resolvePivotRaw(snap, req.Pivot)
-		if perr != nil {
-			s.writeErr(w, status, perr)
-			return
-		}
-		ranked, err = csj.RankCtx(r.Context(), pc, candidateComms(cands), method, s.instrumentOptions(opts))
+		pc, status, err = resolvePivotRaw(snap, req.Pivot)
 	}
+	if err != nil {
+		s.writeErr(w, status, err)
+		return
+	}
+	ranked, err := s.rank(r.Context(), pv, pc, cands, method, req.MinSimilarity, opts)
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return
 	}
-	out := make([]RankEntry, len(ranked))
-	for i, e := range ranked {
-		out[i] = RankEntry{Community: cands.Entry(e.Index).ID, Name: e.Name, Skipped: e.Skipped}
-		if e.Result != nil {
-			out[i].Similarity = e.Result.Similarity
-		}
-		if e.Err != nil {
-			out[i].Error = e.Err.Error()
-		}
-	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, rankEntries(ranked, cands))
 }
 
 func (s *Server) handleInternalTopK(w http.ResponseWriter, r *http.Request) {
@@ -355,45 +312,19 @@ func (s *Server) handleInternalTopK(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, []TopKEntry{})
 		return
 	}
-	pv, status, perr := s.resolvePivotPrepared(snap, req.Pivot, opts)
-	if perr != nil {
-		s.writeErr(w, status, perr)
+	pv, status, err := s.resolvePivotPrepared(snap, req.Pivot, opts)
+	if err != nil {
+		s.writeErr(w, status, err)
 		return
 	}
-	// The coordinator always sets use_index: the indexed engine returns
-	// the true exact top-k, which is the property that makes per-shard
-	// answers merge-exact (DESIGN.md §13). The two-phase engine's
-	// refinement pool is a global heuristic and would not merge cleanly.
-	src := cands.Source(opts.Spec())
-	var top []csj.TopKResult
-	if req.UseIndex {
-		top, err = csj.TopKIndexedFrom(r.Context(), pv, src, req.K, s.instrumentOptions(opts))
-	} else {
-		views, verr := preparedViews(src)
-		if verr != nil {
-			s.writeJoinErr(w, r, verr)
-			return
-		}
-		top, err = csj.TopKPreparedCtx(r.Context(), pv, views, req.K, s.instrumentOptions(opts))
-	}
+	// The exact per-shard top-k is what makes the coordinator's merge
+	// exact (DESIGN.md §13).
+	top, err := csj.TopKIndexedFrom(r.Context(), pv, cands.Source(opts.Spec()), req.K, s.instrumentOptions(opts))
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return
 	}
-	out := make([]TopKEntry, len(top))
-	for i, e := range top {
-		out[i] = TopKEntry{
-			Community: cands.Entry(e.Index).ID,
-			Name:      e.Name,
-			Approx:    e.ApproxSimilarity,
-			Skipped:   e.Skipped,
-		}
-		if e.Result != nil {
-			out[i].Exact = e.Result.Similarity
-			out[i].Refined = true
-		}
-	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.writeJSON(w, http.StatusOK, topKEntries(top, cands))
 }
 
 func (s *Server) handleInternalMatrix(w http.ResponseWriter, r *http.Request) {

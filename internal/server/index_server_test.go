@@ -1,17 +1,22 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
+
+	csj "github.com/opencsj/csj"
 )
 
-// Endpoint coverage of the envelope index (DESIGN.md §12): use_index
-// requests must return exactly what the unindexed engines return, the
-// all_candidates expansion must match an explicit full-id list, and the
-// csj_index_* metric families must move on indexed requests.
+// Endpoint coverage of the envelope index (DESIGN.md §12): /topk and
+// min_similarity /rank must return the exhaustive answers, use_index
+// must change nothing, the all_candidates expansion must match an
+// explicit full-id list, and the csj_index_* metric families must move
+// on indexed requests.
 
 // clusteredUsers builds profiles around a base value, so same-base
 // communities join richly while a far base is provably disjoint under
@@ -28,46 +33,89 @@ func clusteredUsers(rng *rand.Rand, n, d int, base int32) [][]int32 {
 	return users
 }
 
-// uploadIndexCorpus uploads a pivot plus 12 candidates spread over
-// three near clusters and one far cluster (prunable at epsilon 600).
-func uploadIndexCorpus(t *testing.T, ts *httptest.Server) (pivot int64, cands []int64) {
-	t.Helper()
+// indexCorpus returns the users of a pivot plus 12 candidates spread
+// over three near clusters and one far cluster (prunable at epsilon
+// 600).
+func indexCorpus() (pivot [][]int32, cands [][][]int32) {
 	rng := rand.New(rand.NewSource(7))
 	bases := []int32{1000, 1400, 1800, 400000}
-	pivot = uploadCommunity(t, ts, "pivot", clusteredUsers(rng, 12, 4, bases[0]))
+	pivot = clusteredUsers(rng, 12, 4, bases[0])
 	for i := 0; i < 12; i++ {
-		id := uploadCommunity(t, ts, "cand", clusteredUsers(rng, 10+i%4, 4, bases[i%len(bases)]))
-		cands = append(cands, id)
+		cands = append(cands, clusteredUsers(rng, 10+i%4, 4, bases[i%len(bases)]))
 	}
 	return pivot, cands
 }
 
+// uploadIndexCorpus uploads indexCorpus: the pivot, then the candidates
+// in order, all candidates named "cand".
+func uploadIndexCorpus(t *testing.T, ts *httptest.Server) (pivot int64, cands []int64) {
+	t.Helper()
+	pivotUsers, candUsers := indexCorpus()
+	pivot = uploadCommunity(t, ts, "pivot", pivotUsers)
+	for _, users := range candUsers {
+		cands = append(cands, uploadCommunity(t, ts, "cand", users))
+	}
+	return pivot, cands
+}
+
+// TestTopKEndpointIndexedMatchesTwoPhase: use_index selects no engine,
+// so /topk returns the same bytes with it and without it, and they are
+// the library's exact indexed top-k over views built here — approx
+// similarities (the index upper bounds) included.
 func TestTopKEndpointIndexedMatchesTwoPhase(t *testing.T) {
 	ts := newTestServer(t)
 	pivot, cands := uploadIndexCorpus(t, ts)
 
-	// With 2k >= len(cands) the two-phase engine refines everything, so
-	// its answer is the true exact top-k — the indexed engine must agree
-	// cell for cell (approx differs by design: upper bound vs Ap-MinMax).
+	// At epsilon 60 the Ap-MinMax scores, the bounds and the exact
+	// similarities all differ, so the body shows which engine ran.
 	req := TopKRequest{Pivot: pivot, Candidates: cands, K: 6,
-		Options: OptionsPayload{Epsilon: 600}}
-	var plain, indexed []TopKEntry
+		Options: OptionsPayload{Epsilon: 60}}
+	var plain, indexed json.RawMessage
 	doJSON(t, "POST", ts.URL+"/topk", req, http.StatusOK, &plain)
 	req.UseIndex = true
 	doJSON(t, "POST", ts.URL+"/topk", req, http.StatusOK, &indexed)
-
-	if len(indexed) != len(plain) {
-		t.Fatalf("indexed returned %d entries, two-phase %d", len(indexed), len(plain))
+	if !bytes.Equal(plain, indexed) {
+		t.Fatalf("use_index changed the /topk body:\nwithout %s\nwith    %s", plain, indexed)
 	}
-	for i := range plain {
-		p, x := plain[i], indexed[i]
-		if p.Community != x.Community || p.Name != x.Name || p.Skipped != x.Skipped ||
-			p.Exact != x.Exact || p.Refined != x.Refined {
-			t.Errorf("entry %d: indexed %+v, two-phase %+v", i, x, p)
+
+	opts := &csj.Options{Epsilon: 60}
+	pivotUsers, candUsers := indexCorpus()
+	pv, err := csj.Precompute(&csj.Community{Name: "pivot", Category: -1, Users: pivotUsers}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ics := make([]csj.IndexedCandidate, len(candUsers))
+	for i, users := range candUsers {
+		c := &csj.Community{Name: "cand", Category: -1, Users: users}
+		pc, err := csj.Precompute(c, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !x.Skipped && x.Approx < x.Exact {
-			t.Errorf("entry %d: bound %v below exact similarity %v", i, x.Approx, x.Exact)
+		sum, err := csj.SummarizeCommunity(c, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		ics[i] = csj.IndexedCandidate{Name: c.Name, Summary: sum,
+			View: func() (*csj.PreparedCommunity, error) { return pc, nil }}
+	}
+	top, err := csj.TopKIndexed(pv, ics, req.K, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]TopKEntry, len(top))
+	for i, e := range top {
+		want[i] = TopKEntry{Community: cands[e.Index], Name: e.Name,
+			Approx: e.ApproxSimilarity, Skipped: e.Skipped}
+		if e.Result != nil {
+			want[i].Exact, want[i].Refined = e.Result.Similarity, true
+		}
+	}
+	wantBody, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain, wantBody) {
+		t.Errorf("/topk diverged from csj.TopKIndexed:\nserver  %s\nlibrary %s", plain, wantBody)
 	}
 }
 
@@ -92,8 +140,7 @@ func TestRankEndpointIndexedMatchesUnindexed(t *testing.T) {
 	ts := newTestServer(t)
 	pivot, cands := uploadIndexCorpus(t, ts)
 
-	// Full ranking: the index only skips provably-zero joins, so the
-	// response must be byte-identical.
+	// use_index selects no engine: the full ranking must not change.
 	req := RankRequest{Pivot: pivot, Candidates: cands, Method: "exminmax",
 		Options: OptionsPayload{Epsilon: 600}}
 	var plain, indexed []RankEntry
@@ -112,24 +159,32 @@ func TestRankEndpointMinSimilarity(t *testing.T) {
 	ts := newTestServer(t)
 	pivot, cands := uploadIndexCorpus(t, ts)
 
+	// The indexed threshold ranking must be the full ranking cut at the
+	// threshold (failed entries stay), with and without use_index.
 	req := RankRequest{Pivot: pivot, Candidates: cands, Method: "exminmax",
-		Options: OptionsPayload{Epsilon: 600}, MinSimilarity: 0.2}
-	var plain, indexed []RankEntry
-	doJSON(t, "POST", ts.URL+"/rank", req, http.StatusOK, &plain)
-	req.UseIndex = true
-	doJSON(t, "POST", ts.URL+"/rank", req, http.StatusOK, &indexed)
-	if !reflect.DeepEqual(plain, indexed) {
-		t.Errorf("indexed threshold ranking diverged:\nplain   %+v\nindexed %+v", plain, indexed)
+		Options: OptionsPayload{Epsilon: 600}}
+	var full []RankEntry
+	doJSON(t, "POST", ts.URL+"/rank", req, http.StatusOK, &full)
+	var want []RankEntry
+	for _, e := range full {
+		if e.Error != "" || !e.Skipped && e.Similarity >= 0.2 {
+			want = append(want, e)
+		}
 	}
-	if len(plain) == 0 {
-		t.Fatal("threshold ranking returned nothing; the corpus should clear 0.2")
+	if len(want) == 0 {
+		t.Fatal("no candidate clears 0.2; the corpus should")
 	}
-	if len(plain) >= len(cands) {
-		t.Errorf("threshold 0.2 filtered nothing (%d entries of %d candidates)", len(plain), len(cands))
+	if len(want) >= len(cands) {
+		t.Errorf("threshold 0.2 filtered nothing (%d entries of %d candidates)", len(want), len(cands))
 	}
-	for i, e := range plain {
-		if e.Error == "" && e.Similarity < 0.2 {
-			t.Errorf("entry %d: similarity %v below the 0.2 threshold", i, e.Similarity)
+	req.MinSimilarity = 0.2
+	for _, useIndex := range []bool{false, true} {
+		req.UseIndex = useIndex
+		var got []RankEntry
+		doJSON(t, "POST", ts.URL+"/rank", req, http.StatusOK, &got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("use_index=%v: threshold ranking diverged from the cut full ranking:\ngot  %+v\nwant %+v",
+				useIndex, got, want)
 		}
 	}
 }

@@ -54,8 +54,8 @@ type Config struct {
 	// IndexBuckets selects the histogram resolution of the pruning
 	// summaries the community store attaches to entries for the
 	// envelope index (DESIGN.md §12). 0 selects the library default;
-	// negative disables summaries, making use_index requests fall back
-	// to on-the-fly summarization.
+	// negative disables summaries, so the indexed top-k and threshold
+	// rank summarize each candidate on the fly.
 	IndexBuckets int
 	// Durable, when non-nil, is an opened write-ahead log the community
 	// store persists through (DESIGN.md §11). The server seeds the store

@@ -1,11 +1,12 @@
 // Package server exposes the CSJ library as a small JSON-over-HTTP
 // service: upload communities, compute similarities with any of the six
-// methods, rank candidate communities against a pivot, run the
-// two-phase top-k workflow, and maintain incremental joins under
-// follow/unfollow events. cmd/csjserve wraps it in a binary.
+// methods, rank candidate communities against a pivot, find the exact
+// top-k, and maintain incremental joins under follow/unfollow events.
+// cmd/csjserve wraps it in a binary.
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -338,14 +339,13 @@ type RankRequest struct {
 	// AllCandidates ranks every stored community except the pivot
 	// (ascending id), so Candidates may be omitted.
 	AllCandidates bool `json:"all_candidates,omitempty"`
-	// UseIndex consults the envelope index (DESIGN.md §12): a full
-	// ranking skips the joins of provably-zero candidates; a
-	// min_similarity ranking prunes every candidate whose upper bound
-	// cannot reach the threshold. MinMax methods only.
+	// UseIndex selects no engine and is accepted for compatibility; like
+	// min_similarity, it requires a MinMax method.
 	UseIndex bool `json:"use_index,omitempty"`
-	// MinSimilarity, when positive, switches to the threshold ranking
-	// (RankAbove): only candidates with similarity >= min_similarity
-	// are returned.
+	// MinSimilarity, when positive, switches to the threshold ranking:
+	// only candidates with similarity >= min_similarity are returned,
+	// and the envelope index (DESIGN.md §12) prunes every candidate
+	// whose upper bound cannot reach the threshold.
 	MinSimilarity float64 `json:"min_similarity,omitempty"`
 }
 
@@ -358,8 +358,10 @@ type RankEntry struct {
 	Error      string  `json:"error,omitempty"`
 }
 
-// TopKRequest asks for the two-phase top-k workflow — or, with
-// use_index, the best-first indexed exact engine.
+// TopKRequest asks for the exact Ex-MinMax top-k, served by the
+// best-first indexed engine (DESIGN.md §12): candidates are visited by
+// descending upper bound and pruned against the running kth-best exact
+// similarity, resolving prepared views only for the candidates joined.
 type TopKRequest struct {
 	Pivot      int64          `json:"pivot"`
 	Candidates []int64        `json:"candidates"`
@@ -368,16 +370,12 @@ type TopKRequest struct {
 	// AllCandidates targets every stored community except the pivot
 	// (ascending id), so Candidates may be omitted.
 	AllCandidates bool `json:"all_candidates,omitempty"`
-	// UseIndex switches to the envelope-index engine (DESIGN.md §12):
-	// candidates are visited best-first by upper bound and pruned
-	// against the running kth-best exact similarity, resolving
-	// prepared views only for the candidates actually joined. The
-	// answer is the true Ex-MinMax top-k; each entry's
-	// approx_similarity carries the index upper bound.
+	// UseIndex selects no engine and is accepted for compatibility.
 	UseIndex bool `json:"use_index,omitempty"`
 }
 
-// TopKEntry is one row of a top-k response.
+// TopKEntry is one row of a top-k response. Approx is the candidate's
+// index upper bound, which gated its exact join.
 type TopKEntry struct {
 	Community int64   `json:"community"`
 	Name      string  `json:"name"`
@@ -625,20 +623,6 @@ func candidateEntries(snap *store.Snapshot, ids []int64) ([]*store.Entry, error)
 	return out, nil
 }
 
-// candidateIndex builds the candidate-aligned Index that Options.Index
-// expects, from the store's entry summaries.
-func candidateIndex(cands store.Candidates) (*csj.Index, error) {
-	sums := make([]*csj.CommunitySummary, cands.Len())
-	for i := range sums {
-		sum, err := cands.Summary(i)
-		if err != nil {
-			return nil, err
-		}
-		sums[i] = sum
-	}
-	return csj.NewIndex(sums)
-}
-
 // candidateComms returns the candidates' raw communities, for the
 // methods that run without prepared views.
 func candidateComms(cands store.Candidates) []*csj.Community {
@@ -747,18 +731,9 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	method, err := csj.ParseMethod(req.Method)
+	method, err := rankMethod(req.Method, req.MinSimilarity, req.UseIndex)
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.MinSimilarity < 0 {
-		s.writeErr(w, http.StatusBadRequest, errors.New("min_similarity must be >= 0"))
-		return
-	}
-	if (req.UseIndex || req.MinSimilarity > 0) && !minMaxMethod(method) {
-		s.writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("use_index and min_similarity require a MinMax method, got %q", req.Method))
 		return
 	}
 	opts, err := req.Options.toOptions()
@@ -766,58 +741,62 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 		s.writeOptionsErr(w, err)
 		return
 	}
-	src := cands.Source(opts.Spec())
-	var ranked []csj.Ranked
-	switch {
-	case req.MinSimilarity > 0 && req.UseIndex:
-		// Threshold ranking over the envelope index: candidates whose
-		// upper bound cannot reach min_similarity are pruned without
-		// resolving their prepared views.
-		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
-		if verr != nil {
-			s.writeJoinErr(w, r, verr)
+	var pv *csj.PreparedCommunity
+	if minMaxMethod(method) {
+		if pv, err = snap.PreparedSpec(pivot.ID, opts.Spec()); err != nil {
+			s.writeJoinErr(w, r, err)
 			return
 		}
-		ranked, err = csj.RankAboveIndexedFrom(r.Context(), pv, src, method, req.MinSimilarity, s.instrumentOptions(opts))
-	case req.MinSimilarity > 0:
-		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
-		var views []*csj.PreparedCommunity
-		if verr == nil {
-			views, verr = preparedViews(src)
-		}
-		if verr != nil {
-			s.writeJoinErr(w, r, verr)
-			return
-		}
-		ranked, err = csj.RankAbovePreparedCtx(r.Context(), pv, views, method, req.MinSimilarity, s.instrumentOptions(opts))
-	case minMaxMethod(method):
-		pv, verr := snap.PreparedSpec(pivot.ID, opts.Spec())
-		var views []*csj.PreparedCommunity
-		if verr == nil {
-			views, verr = preparedViews(src)
-		}
-		if verr != nil {
-			s.writeJoinErr(w, r, verr)
-			return
-		}
-		if req.UseIndex {
-			// Full ranking must score every candidate, but provably-zero
-			// candidates skip their joins (DESIGN.md §12).
-			ix, ierr := candidateIndex(cands)
-			if ierr != nil {
-				s.writeJoinErr(w, r, ierr)
-				return
-			}
-			opts.Index = ix
-		}
-		ranked, err = csj.RankPreparedCtx(r.Context(), pv, views, method, s.instrumentOptions(opts))
-	default:
-		ranked, err = csj.RankCtx(r.Context(), pivot.Comm, candidateComms(cands), method, s.instrumentOptions(opts))
 	}
+	ranked, err := s.rank(r.Context(), pv, pivot.Comm, cands, method, req.MinSimilarity, opts)
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return
 	}
+	s.writeJSON(w, http.StatusOK, rankEntries(ranked, cands))
+}
+
+// rankMethod parses a rank request's method and checks it against the
+// request's min_similarity and use_index. An error maps to 400.
+// use_index selects no engine, but keeps its MinMax-only check.
+func rankMethod(name string, minSim float64, useIndex bool) (csj.Method, error) {
+	method, err := csj.ParseMethod(name)
+	if err != nil {
+		return method, err
+	}
+	if minSim < 0 {
+		return method, errors.New("min_similarity must be >= 0")
+	}
+	if (useIndex || minSim > 0) && !minMaxMethod(method) {
+		return method, fmt.Errorf("use_index and min_similarity require a MinMax method, got %q", name)
+	}
+	return method, nil
+}
+
+// rank is the engine dispatch of /rank and /internal/rank. A positive
+// minSim runs the indexed threshold ranking, which prunes candidates
+// whose upper bound cannot reach it without resolving their views
+// (DESIGN.md §12); another MinMax ranking joins every candidate's
+// cached view; the other methods join the raw communities. pv is the
+// pivot's view, needed by the MinMax methods; pc its raw community,
+// needed by the others.
+func (s *Server) rank(ctx context.Context, pv *csj.PreparedCommunity, pc *csj.Community, cands store.Candidates, method csj.Method, minSim float64, opts *csj.Options) ([]csj.Ranked, error) {
+	switch {
+	case minSim > 0:
+		return csj.RankAboveIndexedFrom(ctx, pv, cands.Source(opts.Spec()), method, minSim, s.instrumentOptions(opts))
+	case minMaxMethod(method):
+		views, err := preparedViews(cands.Source(opts.Spec()))
+		if err != nil {
+			return nil, err
+		}
+		return csj.RankPreparedCtx(ctx, pv, views, method, s.instrumentOptions(opts))
+	default:
+		return csj.RankCtx(ctx, pc, candidateComms(cands), method, s.instrumentOptions(opts))
+	}
+}
+
+// rankEntries renders a ranking over cands as response rows.
+func rankEntries(ranked []csj.Ranked, cands store.Candidates) []RankEntry {
 	out := make([]RankEntry, len(ranked))
 	for i, e := range ranked {
 		out[i] = RankEntry{Community: cands.Entry(e.Index).ID, Name: e.Name, Skipped: e.Skipped}
@@ -828,7 +807,7 @@ func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 			out[i].Error = e.Err.Error()
 		}
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
@@ -851,30 +830,23 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 		s.writeOptionsErr(w, err)
 		return
 	}
-	// Both top-k phases are MinMax joins, so the whole workflow runs on
-	// cached views. The indexed engine resolves views lazily: only the
-	// candidates it actually joins get encoded.
 	pv, err := snap.PreparedSpec(pivot.ID, opts.Spec())
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return
 	}
-	src := cands.Source(opts.Spec())
-	var top []csj.TopKResult
-	if req.UseIndex {
-		top, err = csj.TopKIndexedFrom(r.Context(), pv, src, req.K, s.instrumentOptions(opts))
-	} else {
-		views, verr := preparedViews(src)
-		if verr != nil {
-			s.writeJoinErr(w, r, verr)
-			return
-		}
-		top, err = csj.TopKPreparedCtx(r.Context(), pv, views, req.K, s.instrumentOptions(opts))
-	}
+	// The indexed engine returns the exact Ex-MinMax top-k and resolves
+	// views only for the candidates it joins (DESIGN.md §12).
+	top, err := csj.TopKIndexedFrom(r.Context(), pv, cands.Source(opts.Spec()), req.K, s.instrumentOptions(opts))
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return
 	}
+	s.writeJSON(w, http.StatusOK, topKEntries(top, cands))
+}
+
+// topKEntries renders a top-k answer over cands as response rows.
+func topKEntries(top []csj.TopKResult, cands store.Candidates) []TopKEntry {
 	out := make([]TopKEntry, len(top))
 	for i, e := range top {
 		out[i] = TopKEntry{
@@ -888,7 +860,7 @@ func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 			out[i].Refined = true
 		}
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	return out
 }
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {

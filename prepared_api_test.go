@@ -137,49 +137,6 @@ func TestSimilarityMatrixPreparedValidation(t *testing.T) {
 	}
 }
 
-// TestTopKPreparedEqualsUnprepared: same pivot, candidates, and k give
-// the same ranking, approx scores, and exact results either way.
-func TestTopKPreparedEqualsUnprepared(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	pivot := randComm(rng, "pivot", 40, 5, 8)
-	const n = 8
-	cands := make([]*csj.Community, n)
-	for i := range cands {
-		cands[i] = randComm(rng, string(rune('a'+i)), 24+rng.Intn(40), 5, 8)
-	}
-	opts := &csj.Options{Epsilon: 1, AllowSizeImbalance: true}
-	pp, err := csj.Precompute(pivot, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcs := make([]*csj.PreparedCommunity, n)
-	for i, c := range cands {
-		p, err := csj.Precompute(c, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pcs[i] = p
-	}
-	want, err := csj.TopK(pivot, cands, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := csj.TopKPrepared(pp, pcs, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%d results, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Index != want[i].Index || got[i].Name != want[i].Name ||
-			got[i].ApproxSimilarity != want[i].ApproxSimilarity || got[i].Skipped != want[i].Skipped {
-			t.Fatalf("rank %d: %+v vs %+v", i, got[i], want[i])
-		}
-		sameResult(t, "topk", got[i].Result, want[i].Result)
-	}
-}
-
 // TestRankPreparedEqualsUnprepared: prepared ranking matches the
 // community-slice ranking for both MinMax methods.
 func TestRankPreparedEqualsUnprepared(t *testing.T) {
@@ -243,7 +200,7 @@ func TestRankPreparedRejectsNonMinMax(t *testing.T) {
 	if _, err := csj.RankPrepared(pp, []*csj.PreparedCommunity{pc}, csj.ExSuperEGO, opts); !errors.Is(err, csj.ErrUnknownMethod) {
 		t.Errorf("expected ErrUnknownMethod for a non-MinMax method, got %v", err)
 	}
-	if _, err := csj.TopKPrepared(pp, nil, 1, opts); err == nil {
-		t.Error("TopKPrepared with no candidates should fail")
+	if _, err := csj.TopKIndexed(pp, nil, 1, opts); err == nil {
+		t.Error("TopKIndexed with no candidates should fail")
 	}
 }

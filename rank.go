@@ -10,7 +10,8 @@ import (
 // Ranked is one entry of a Rank result: a candidate community scored
 // against the pivot.
 type Ranked struct {
-	// Index is the candidate's position in the input slice.
+	// Index is the candidate's position among the candidates (the
+	// input slice, or the CandidateSource); it settles ties.
 	Index int
 	// Name is the candidate community's name.
 	Name string
@@ -83,15 +84,9 @@ func RankCtx(ctx context.Context, pivot *Community, candidates []*Community, met
 // method (ApMinMax or ExMinMax; the other methods do not use the cached
 // encodings). The encoding phase is skipped entirely, so repeated
 // rankings over a stored corpus re-encode nothing. All views must agree
-// on epsilon and parts.
-//
-// With opts.Index attached (candidate-aligned summaries), candidates
-// whose upper bound is zero — provably no matchable user pair under
-// epsilon — receive a synthesized zero-similarity result without
-// running a join (no OnJoinEvents callback fires for them, since no
-// scan ran). A full ranking must score every candidate, so this is the
-// only pruning an index can offer here; use RankAbovePrepared or
-// TopKPrepared for threshold/top-k pruning.
+// on epsilon and parts. A full ranking joins every candidate; the
+// indexed engines, RankAboveIndexedFrom and TopKIndexedFrom, prune the
+// threshold and top-k forms.
 func RankPrepared(pivot *PreparedCommunity, candidates []*PreparedCommunity, method Method, opts *Options) ([]Ranked, error) {
 	return RankPreparedCtx(context.Background(), pivot, candidates, method, opts)
 }
@@ -109,23 +104,13 @@ func RankPreparedCtx(ctx context.Context, pivot *PreparedCommunity, candidates [
 		}
 	}
 	o := opts.orDefault()
-	bounds, stats, err := rankBounds(pivot, candidates, &o)
-	if err != nil {
-		return nil, err
-	}
 	workers := batchWorkers(&o)
 	scratches := newScratchPool(workers)
 	out := make([]Ranked, len(candidates))
-	err = runPoolStats(ctx, workers, len(candidates), "rank/probe", o.OnPoolStats, func(w, i int) error {
+	err := runPoolStats(ctx, workers, len(candidates), "rank/probe", o.OnPoolStats, func(w, i int) error {
 		pc := candidates[i]
 		out[i] = Ranked{Index: i, Name: pc.Name()}
 		b, a := orientPrepared(pivot, pc)
-		if bounds != nil && bounds[i] == 0 {
-			// The index proves no user pair can match under epsilon:
-			// the join's answer is exactly zero, no scan needed.
-			out[i].Result = zeroResult(method, b, a, &o)
-			return nil
-		}
 		res, err := similarityPrepared(ctx, b, a, method, &o, scratches.get(w))
 		switch {
 		case err == nil:
@@ -145,63 +130,7 @@ func RankPreparedCtx(ctx context.Context, pivot *PreparedCommunity, candidates [
 		return nil, err
 	}
 	sortRanked(out)
-	if stats != nil && o.OnIndexStats != nil {
-		o.OnIndexStats(*stats)
-	}
 	return out, nil
-}
-
-// rankBounds computes the per-candidate pairs bounds of a full ranking
-// when opts.Index is attached (nil bounds otherwise). bounds[i] is -1
-// when the size precondition fails from the summary sizes alone — the
-// probe must still run so the join records the Skipped outcome exactly
-// as the unindexed engine would — and the upper bound otherwise; a
-// bound of zero lets the probe synthesize its result without a join.
-func rankBounds(pivot *PreparedCommunity, candidates []*PreparedCommunity, o *Options) ([]int, *IndexStats, error) {
-	if o.Index == nil {
-		return nil, nil, nil
-	}
-	if o.Index.Len() != len(candidates) {
-		return nil, nil, fmt.Errorf("csj: index has %d summaries for %d candidates", o.Index.Len(), len(candidates))
-	}
-	ps, err := pivot.Summarize(0)
-	if err != nil {
-		return nil, nil, fmt.Errorf("csj: summarizing pivot %s: %w", pivot.Name(), err)
-	}
-	stats := &IndexStats{Candidates: int64(len(candidates))}
-	bounds := make([]int, len(candidates))
-	pSize := pivot.Size()
-	for i := range candidates {
-		cs := o.Index.Summary(i)
-		bSize, aSize := pSize, cs.Size()
-		if aSize < bSize {
-			bSize, aSize = aSize, bSize
-		}
-		if !o.AllowSizeImbalance && bSize < (aSize+1)/2 {
-			bounds[i] = -1
-			stats.Skipped++
-			continue
-		}
-		stats.BoundChecks++
-		bounds[i] = upperBoundPairsOpts(ps, cs, o)
-		if bounds[i] == 0 {
-			stats.Pruned++
-		} else {
-			stats.Visited++
-		}
-	}
-	return bounds, stats, nil
-}
-
-// zeroResult synthesizes the answer of a pruned probe: zero pairs,
-// hence a zero CSJ score. With a composite scorer attached the category
-// and cosine components are still live — they are functions of the
-// communities alone — so the blend is applied exactly as a real join
-// would have.
-func zeroResult(method Method, b, a *PreparedCommunity, o *Options) *Result {
-	out := &Result{Method: method, SizeB: b.Size(), SizeA: a.Size()}
-	applyScorerPrepared(o, b, a, out)
-	return out
 }
 
 // sortRanked orders entries by descending similarity with an explicit

@@ -2,6 +2,7 @@ package csj_test
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -108,7 +109,8 @@ func TestEpsilonVecRequiresMinMax(t *testing.T) {
 // TestEpsilonVecIndexedExactness is the heterogeneous-tolerance
 // pruning soundness property: with a per-dimension vector, the indexed
 // top-k and threshold-ranking engines must return, cell for cell, the
-// answers of the unpruned engines. Part of `make specguard`.
+// exhaustive ranking cut to k or to the threshold. Part of
+// `make specguard`.
 func TestEpsilonVecIndexedExactness(t *testing.T) {
 	for _, seed := range []int64{41, 42, 43} {
 		rng := rand.New(rand.NewSource(seed))
@@ -119,102 +121,25 @@ func TestEpsilonVecIndexedExactness(t *testing.T) {
 			k := 1 + rng.Intn(6)
 			minSim := rng.Float64() * 0.9
 			opts := &csj.Options{EpsilonVec: vec, Workers: 1}
-			pivot, pcs, ix := indexedCorpus(t, rng, 36, 1+rng.Intn(10), d, noise, opts)
-			t.Logf("seed=%d trial=%d vec=%v k=%d minSim=%.3f", seed, trial, vec, k, minSim)
-
-			wantTop := exactTopKReference(t, pivot, pcs, k, opts)
-			iopts := *opts
-			iopts.Index = ix
-			gotTop, err := csj.TopKPrepared(pivot, pcs, k, &iopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotTop) != len(wantTop) {
-				t.Fatalf("seed %d: indexed top-k has %d entries, reference %d", seed, len(gotTop), len(wantTop))
-			}
-			for i := range gotTop {
-				w := wantTop[i]
-				if gotTop[i].Index != w.Index || gotTop[i].Skipped != w.Skipped {
-					t.Fatalf("seed %d: entry %d = cand %d (skipped=%v), reference cand %d (skipped=%v)",
-						seed, i, gotTop[i].Index, gotTop[i].Skipped, w.Index, w.Skipped)
-				}
-				if gotTop[i].Result != nil && gotTop[i].Result.Similarity != w.Result.Similarity {
-					t.Fatalf("seed %d: entry %d similarity %v, reference %v",
-						seed, i, gotTop[i].Result.Similarity, w.Result.Similarity)
-				}
-			}
-
-			wantAbove, err := csj.RankAbovePrepared(pivot, pcs, csj.ExMinMax, minSim, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotAbove, err := csj.RankAbovePrepared(pivot, pcs, csj.ExMinMax, minSim, &iopts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(gotAbove) != len(wantAbove) {
-				t.Fatalf("seed %d: indexed RankAbove has %d entries, reference %d", seed, len(gotAbove), len(wantAbove))
-			}
-			for i := range gotAbove {
-				if gotAbove[i].Index != wantAbove[i].Index ||
-					gotAbove[i].Result.Similarity != wantAbove[i].Result.Similarity {
-					t.Fatalf("seed %d: RankAbove entry %d diverges", seed, i)
-				}
-			}
+			pivot, pcs, sums := indexedCorpus(t, rng, 36, 1+rng.Intn(10), d, noise, opts)
+			label := fmt.Sprintf("seed=%d trial=%d vec=%v k=%d minSim=%.3f", seed, trial, vec, k, minSim)
+			checkIndexedTopK(t, label, pivot, pcs, sums, k, opts)
+			checkRankAbove(t, label, pivot, pcs, sums, csj.ExMinMax, minSim, opts)
 		}
 	}
 }
 
 // TestScorerIndexedExactness: composite-scorer pruning must stay
-// exact — the lifted bounds may only widen, never cut a true answer.
+// exact — the lifted bounds may only widen, never cut a true answer
+// (checkIndexedTopK also requires each bound to dominate its blended
+// similarity).
 func TestScorerIndexedExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(88))
 	sc := &csj.ScorerSpec{CSJWeight: 2, CategoryWeight: 1, CosineWeight: 1}
 	opts := &csj.Options{Epsilon: 2000, Workers: 1, Scorer: sc}
-	pivot, pcs, ix := indexedCorpus(t, rng, 32, 6, 4, 1200, opts)
-
-	k := 5
-	want := exactTopKReference(t, pivot, pcs, k, opts)
-	iopts := *opts
-	iopts.Index = ix
-	got, err := csj.TopKPrepared(pivot, pcs, k, &iopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("scored indexed top-k has %d entries, reference %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Index != want[i].Index {
-			t.Fatalf("entry %d = cand %d, reference cand %d", i, got[i].Index, want[i].Index)
-		}
-		if got[i].Result != nil && got[i].Result.Similarity != want[i].Result.Similarity {
-			t.Fatalf("entry %d similarity %v, reference %v", i, got[i].Result.Similarity, want[i].Result.Similarity)
-		}
-		if got[i].Result != nil && got[i].ApproxSimilarity < got[i].Result.Similarity {
-			t.Fatalf("entry %d lifted bound %v below blended similarity %v",
-				i, got[i].ApproxSimilarity, got[i].Result.Similarity)
-		}
-	}
-
-	minSim := 0.4
-	wantAbove, err := csj.RankAbovePrepared(pivot, pcs, csj.ExMinMax, minSim, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotAbove, err := csj.RankAbovePrepared(pivot, pcs, csj.ExMinMax, minSim, &iopts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotAbove) != len(wantAbove) {
-		t.Fatalf("scored RankAbove has %d entries, reference %d", len(gotAbove), len(wantAbove))
-	}
-	for i := range gotAbove {
-		if gotAbove[i].Index != wantAbove[i].Index ||
-			gotAbove[i].Result.Similarity != wantAbove[i].Result.Similarity {
-			t.Fatalf("RankAbove entry %d diverges", i)
-		}
-	}
+	pivot, pcs, sums := indexedCorpus(t, rng, 32, 6, 4, 1200, opts)
+	checkIndexedTopK(t, "scorer", pivot, pcs, sums, 5, opts)
+	checkRankAbove(t, "scorer", pivot, pcs, sums, csj.ExMinMax, 0.4, opts)
 }
 
 // TestScorerBlend pins the composite score on a hand-built pair: CSJ 0

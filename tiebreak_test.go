@@ -111,13 +111,8 @@ func TestTopKIndexedDuplicateScoreTieBreak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := csj.IndexPrepared(pcs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	iopts := *opts
-	iopts.Index = ix
-	top, err := csj.TopKPrepared(pp, pcs, len(pcs), &iopts)
+	src := &sliceSource{pcs: pcs, sums: summarize(t, pcs)}
+	top, err := csj.TopKIndexed(pp, src.candidates(), len(pcs), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +125,7 @@ func TestTopKIndexedDuplicateScoreTieBreak(t *testing.T) {
 	// The indexed and two-phase engines must agree on the full order:
 	// both rank exactly here (k covers everything, exact refinement
 	// covers 2k >= all candidates).
-	ref, err := csj.TopKPrepared(pp, pcs, len(pcs), opts)
+	ref, err := csj.TopK(pivot, cands, len(cands), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,14 +9,17 @@ import (
 
 // TopKResult is one entry of a TopK answer.
 type TopKResult struct {
-	// Index is the candidate's position in the input slice.
+	// Index is the candidate's position among the candidates (the
+	// input slice, or the CandidateSource); it settles ties.
 	Index int
 	// Name is the candidate community's name.
 	Name string
-	// ApproxSimilarity is the phase-1 (Ap-MinMax) score.
+	// ApproxSimilarity is the score that gated the exact join: the
+	// phase-1 Ap-MinMax score in TopK, the index upper bound in
+	// TopKIndexed and TopKIndexedFrom.
 	ApproxSimilarity float64
-	// Result is the phase-2 (Ex-MinMax) result; nil when the candidate
-	// was eliminated in phase 1 or skipped.
+	// Result is the Ex-MinMax result; nil when the candidate was
+	// eliminated by the gate or skipped.
 	Result *Result
 	// Skipped reports a violated size precondition.
 	Skipped bool
@@ -76,53 +79,9 @@ func TopKCtx(ctx context.Context, pivot *Community, candidates []*Community, k i
 	return topKPhases(ctx, pp, pcs, k, &o, workers)
 }
 
-// TopKPrepared is TopK over already-prepared communities: the encoding
-// phase is skipped entirely, so repeated top-k queries over a stored
-// corpus (the community store's workload) re-encode nothing. All views
-// must agree on epsilon and parts.
-//
-// With opts.Index attached (candidate-aligned summaries), the query
-// runs on the best-first indexed engine instead of the two-phase
-// workflow: candidates are visited in descending upper-bound order and
-// pruned against the running kth-best exact similarity, so most never
-// run a join at all (see TopKIndexed). The indexed answer is the TRUE
-// Ex-MinMax top-k — a stronger result than the approximate-gated
-// two-phase answer, which can miss a candidate the Ap-MinMax gate
-// underscores — and each entry's ApproxSimilarity carries the index
-// upper bound rather than an Ap-MinMax score.
-func TopKPrepared(pivot *PreparedCommunity, candidates []*PreparedCommunity, k int, opts *Options) ([]TopKResult, error) {
-	return TopKPreparedCtx(context.Background(), pivot, candidates, k, opts)
-}
-
-// TopKPreparedCtx is TopKPrepared with cooperative cancellation (see
-// TopKCtx for the semantics).
-func TopKPreparedCtx(ctx context.Context, pivot *PreparedCommunity, candidates []*PreparedCommunity, k int, opts *Options) ([]TopKResult, error) {
-	if pivot == nil || len(candidates) == 0 {
-		return nil, errors.New("csj: TopK needs a pivot and at least one candidate")
-	}
-	if k <= 0 {
-		return nil, fmt.Errorf("csj: TopK needs k >= 1, got %d", k)
-	}
-	for i, pc := range candidates {
-		if pc == nil {
-			return nil, fmt.Errorf("csj: prepared candidate %d is nil", i)
-		}
-	}
-	o := opts.orDefault()
-	if o.Index != nil {
-		src, err := newPreparedCandidates(candidates, o.Index)
-		if err != nil {
-			return nil, err
-		}
-		return topKIndexed(ctx, pivot, src, k, &o)
-	}
-	workers := batchWorkers(&o)
-	return topKPhases(ctx, pivot, candidates, k, &o, workers)
-}
-
-// topKPhases is the two-phase engine shared by TopKCtx and
-// TopKPreparedCtx: approximate prefilter over all candidates, exact
-// refinement of the 2k survivors.
+// topKPhases is TopKCtx's two-phase engine over the prepared views:
+// approximate prefilter over all candidates, exact refinement of the 2k
+// survivors.
 func topKPhases(ctx context.Context, pp *PreparedCommunity, pcs []*PreparedCommunity, k int, o *Options, workers int) ([]TopKResult, error) {
 	scratches := newScratchPool(workers)
 
