@@ -2,13 +2,16 @@ GO ?= go
 
 .PHONY: check vet build test race bench faults metricsguard storeguard indexguard kernelguard specguard fuzzsmoke crashguard clusterguard faultguard routecheck perfcheck
 
-# check is the CI gate: vet, build, and the full test suite twice —
-# once plain, so the !race-gated allocation tests run, and once under
-# the race detector.
+# check is the CI gate: vet (with the gofmt check), build, and the full
+# test suite twice — once plain, so the !race-gated allocation tests
+# run, and once under the race detector.
 check: vet build test race
 
+# vet also fails on any tracked Go file gofmt would rewrite.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists files to format:"; echo "$$unformatted"; exit 1; fi
 
 build:
 	$(GO) build ./...

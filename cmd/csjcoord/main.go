@@ -28,6 +28,12 @@
 //	GET    /communities/{id}   routed to the owner shard
 //	DELETE /communities/{id}   routed to the owner shard
 //	POST   /rank /topk /matrix scatter-gather with shard-side merging
+//
+// A shard's own error answer reaches the client with the shard's status
+// and, when it is JSON, its body verbatim, so a failed query reads as it
+// would from a single node. The coordinator serves through the same
+// HTTP surface as a node (internal/server.Surface): per-route metrics,
+// panic recovery and the completion log line.
 package main
 
 import (
@@ -97,8 +103,6 @@ func main() {
 			"health-probe cadence per shard")
 		promoteAfter = flag.Duration("promote-after", cluster.DefaultPromoteAfter,
 			"how long a shard with a replica must stay probe-dead before its replica is promoted")
-		metricsOn = flag.Bool("metrics", true,
-			"serve Prometheus metrics at GET /metrics")
 		shutdownGrace = flag.Duration("shutdown-grace", 15*time.Second,
 			"how long to let in-flight requests drain on SIGINT/SIGTERM")
 	)
@@ -123,7 +127,6 @@ func main() {
 		BreakerCooldown:  *breakerCooldown,
 		ProbeInterval:    *probeInterval,
 		PromoteAfter:     *promoteAfter,
-		DisableMetrics:   !*metricsOn,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "csjcoord: %v\n", err)

@@ -25,6 +25,14 @@
 //	GET    /joins/{id}
 //	POST   /joins/{id}/users                {"side": "B", "vector": [...]}
 //	DELETE /joins/{id}/users/{side}/{uid}
+//	GET    /metrics                         Prometheus text exposition
+//
+// /rank and /topk run the shard query of /internal/rank and
+// /internal/topk (the csjcoord scatter targets) with the pivot as a
+// local id, so a node answers every valid request, and every request
+// with one fault, as a csjcoord cluster over the same corpus does: 200 []
+// for an empty candidate set, 400 for k < 1 or for neither or both of
+// candidates and all_candidates, 404 for a missing pivot or candidate.
 //
 // Operational limits (see DESIGN.md §8):
 //
@@ -33,9 +41,9 @@
 //	-max-body-bytes       request body cap (exceeded → 413)
 //	-prepared-cache-bytes cap on the bytes cached prepared views own (see DESIGN.md §10)
 //
-// Observability (see DESIGN.md §9):
+// Observability (see DESIGN.md §9): GET /metrics always serves
+// Prometheus text metrics.
 //
-//	-metrics      serve Prometheus text metrics at GET /metrics (default on)
 //	-pprof        mount net/http/pprof under /debug/pprof/ (default off)
 //
 // Durability (see DESIGN.md §11):
@@ -169,12 +177,8 @@ func main() {
 			"max keep-alive idle time before a connection is closed")
 		shutdownGrace = flag.Duration("shutdown-grace", 15*time.Second,
 			"how long to let in-flight requests drain on SIGINT/SIGTERM")
-		metricsOn = flag.Bool("metrics", true,
-			"serve Prometheus metrics at GET /metrics (see DESIGN.md §9)")
 		pprofOn = flag.Bool("pprof", false,
 			"mount net/http/pprof under /debug/pprof/ (trusted networks only)")
-		indexBuckets = flag.Int("index-buckets", 0,
-			"histogram resolution of the envelope-index summaries used by /topk and min_similarity /rank (0 = default, negative disables; see DESIGN.md §12)")
 		storeDir = flag.String("store-dir", "",
 			"directory for the write-ahead log and checkpoints (empty = memory-only, see DESIGN.md §11)")
 		fsyncMode = flag.String("fsync", "always",
@@ -212,9 +216,7 @@ func main() {
 		RequestTimeout:     *reqTimeout,
 		MaxBodyBytes:       *maxBody,
 		PreparedCacheBytes: *preparedCache,
-		DisableMetrics:     !*metricsOn,
 		EnablePprof:        *pprofOn,
-		IndexBuckets:       *indexBuckets,
 	}
 	openLog := func() (*durable.Log, error) {
 		policy, err := durable.ParseFsyncPolicy(*fsyncMode)

@@ -126,11 +126,9 @@ func exactTopKReference(t *testing.T, pivot *csj.PreparedCommunity, pcs []*csj.P
 // the pivot's community under an id among theirs, and returns the
 // store and its listing minus the pivot as a candidate source under
 // opts' spec: the route the server's all-candidates queries take.
-// buckets < 0 runs the store without stored summaries, so the source
-// summarizes each candidate on the fly.
-func snapshotRoute(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, opts *csj.Options, buckets int) (*store.Store, *store.CandidateSource) {
+func snapshotRoute(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, opts *csj.Options) (*store.Store, *store.CandidateSource) {
 	t.Helper()
-	st := store.New(store.Config{IndexBuckets: buckets})
+	st := store.New(store.Config{})
 	pivotID := int64(len(pcs)/2 + 1)
 	for i, pc := range pcs {
 		id := int64(i + 1)
@@ -148,18 +146,13 @@ func snapshotRoute(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs
 	return st, st.Snapshot().Candidates(pivotID).Source(opts.Spec())
 }
 
-// snapshotBuckets are the store configurations the oracles run the
-// snapshot route under: stored summaries, and none.
-var snapshotBuckets = []int{0, -1}
-
 // checkIndexedTopK is the indexed top-k oracle: it runs one query
 // through TopKIndexed over a candidate slice and through
-// TopKIndexedFrom on a store snapshot's candidate source (with and
-// without stored summaries), and requires each to return, cell for
-// cell, the exhaustive RankPrepared ranking truncated to k, with the
-// same stats, every candidate accounted for once, and a view resolved
-// for exactly the visited candidates. label names the case (its seed)
-// in every failure. It returns the stats.
+// TopKIndexedFrom on a store snapshot's candidate source, and requires
+// each to return, cell for cell, the exhaustive RankPrepared ranking
+// truncated to k, with the same stats, every candidate accounted for
+// once, and a view resolved for exactly the visited candidates. label
+// names the case (its seed) in every failure. It returns the stats.
 func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, sums []*csj.CommunitySummary, k int, opts *csj.Options) csj.IndexStats {
 	t.Helper()
 	want := exactTopKReference(t, pivot, pcs, k, opts)
@@ -176,20 +169,18 @@ func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, 
 	indexed := stats
 	checkIndexStats(t, label, stats, len(pcs), src.resolved)
 
-	for _, buckets := range snapshotBuckets {
-		slabel := fmt.Sprintf("%s snapshot route (buckets %d)", label, buckets)
-		st, src := snapshotRoute(t, slabel, pivot, pcs, opts, buckets)
-		got, err = csj.TopKIndexedFrom(context.Background(), pivot, src, k, &iopts)
-		if err != nil {
-			t.Fatalf("%s: TopKIndexedFrom: %v", slabel, err)
-		}
-		checkTopKCells(t, slabel, got, want)
-		if stats != indexed {
-			t.Fatalf("%s: stats %+v, TopKIndexed %+v", slabel, stats, indexed)
-		}
-		if builds := st.CacheStats().Builds; builds != stats.Visited {
-			t.Fatalf("%s: %d views built for %d visited candidates", slabel, builds, stats.Visited)
-		}
+	slabel := label + " snapshot route"
+	st, ssrc := snapshotRoute(t, slabel, pivot, pcs, opts)
+	got, err = csj.TopKIndexedFrom(context.Background(), pivot, ssrc, k, &iopts)
+	if err != nil {
+		t.Fatalf("%s: TopKIndexedFrom: %v", slabel, err)
+	}
+	checkTopKCells(t, slabel, got, want)
+	if stats != indexed {
+		t.Fatalf("%s: stats %+v, TopKIndexed %+v", slabel, stats, indexed)
+	}
+	if builds := st.CacheStats().Builds; builds != stats.Visited {
+		t.Fatalf("%s: %d views built for %d visited candidates", slabel, builds, stats.Visited)
 	}
 	return stats
 }
@@ -269,12 +260,11 @@ func TestIndexedTopKExactness(t *testing.T) {
 
 // checkRankAbove is the indexed threshold-ranking oracle: it runs one
 // query through RankAboveIndexedFrom on a candidate slice and on a
-// store snapshot's candidate source (with and without stored
-// summaries), and requires each to return the exhaustive RankPrepared
-// ranking filtered to minSim — the scored entries reaching it, then
-// the errored ones — cell for cell, with the same stats, every
-// candidate accounted for once, and a view resolved for exactly the
-// visited candidates.
+// store snapshot's candidate source, and requires each to return the
+// exhaustive RankPrepared ranking filtered to minSim — the scored
+// entries reaching it, then the errored ones — cell for cell, with the
+// same stats, every candidate accounted for once, and a view resolved
+// for exactly the visited candidates.
 func checkRankAbove(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, sums []*csj.CommunitySummary, method csj.Method, minSim float64, opts *csj.Options) {
 	t.Helper()
 	ranked, err := csj.RankPrepared(pivot, pcs, method, opts)
@@ -304,20 +294,18 @@ func checkRankAbove(t *testing.T, label string, pivot *csj.PreparedCommunity, pc
 	indexed := stats
 	checkIndexStats(t, label, stats, len(pcs), src.resolved)
 
-	for _, buckets := range snapshotBuckets {
-		slabel := fmt.Sprintf("%s snapshot route (buckets %d)", label, buckets)
-		st, src := snapshotRoute(t, slabel, pivot, pcs, opts, buckets)
-		got, err := csj.RankAboveIndexedFrom(context.Background(), pivot, src, method, minSim, &sopts)
-		if err != nil {
-			t.Fatalf("%s: RankAboveIndexedFrom: %v", slabel, err)
-		}
-		checkRankedCells(t, slabel, got, want)
-		if stats != indexed {
-			t.Fatalf("%s: stats %+v, slice route %+v", slabel, stats, indexed)
-		}
-		if builds := st.CacheStats().Builds; builds != stats.Visited {
-			t.Fatalf("%s: %d views built for %d visited candidates", slabel, builds, stats.Visited)
-		}
+	slabel := label + " snapshot route"
+	st, ssrc := snapshotRoute(t, slabel, pivot, pcs, opts)
+	got, err = csj.RankAboveIndexedFrom(context.Background(), pivot, ssrc, method, minSim, &sopts)
+	if err != nil {
+		t.Fatalf("%s: RankAboveIndexedFrom: %v", slabel, err)
+	}
+	checkRankedCells(t, slabel, got, want)
+	if stats != indexed {
+		t.Fatalf("%s: stats %+v, slice route %+v", slabel, stats, indexed)
+	}
+	if builds := st.CacheStats().Builds; builds != stats.Visited {
+		t.Fatalf("%s: %d views built for %d visited candidates", slabel, builds, stats.Visited)
 	}
 }
 

@@ -127,7 +127,9 @@ func (c *shardClient) do(ctx context.Context, method, path string, body, out any
 			break // the caller's deadline expired; retrying is pointless
 		}
 	}
-	return fmt.Errorf("%w: %s: %v", ErrShardDown, c.shard.name, lastErr)
+	// lastErr stays reachable: a shard's own 5xx answer (a poisoned
+	// node's degraded body) passes through forwardErr as it was sent.
+	return fmt.Errorf("%w: %s: %w", ErrShardDown, c.shard.name, lastErr)
 }
 
 func (c *shardClient) attempt(ctx context.Context, method, path string, payload []byte, out any) error {

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/opencsj/csj/internal/metrics"
 )
 
 // newTestShardClient wires a shard + breaker + client against url with
@@ -24,6 +26,7 @@ func newTestShardClient(url string, threshold, retries int, timeout time.Duratio
 		timeout: timeout,
 		retries: retries,
 		backoff: time.Millisecond,
+		metrics: newClusterMetrics(metrics.NewRegistry(), []string{sh.name}),
 		rng:     rand.New(rand.NewSource(1)),
 	}
 	return sh, sh.client

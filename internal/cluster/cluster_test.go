@@ -86,6 +86,53 @@ func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any)
 	}
 }
 
+// post sends body to url and returns the status and the raw response
+// body.
+func post(t *testing.T, url string, body any) (int, []byte) {
+	t.Helper()
+	payload, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// checkSameAnswer sends one request to the cluster and to its
+// single-node reference, and requires both to answer with status want
+// and the same body, byte for byte. A 200 from the cluster is compared
+// by its envelope's result, which must not be partial.
+func checkSameAnswer(t *testing.T, tc *testCluster, path string, body any, want int) {
+	t.Helper()
+	nodeStatus, nodeBody := post(t, tc.reference.URL+path, body)
+	clusterStatus, clusterBody := post(t, tc.front.URL+path, body)
+	if nodeStatus != want || clusterStatus != want {
+		t.Fatalf("status: node %d %s, cluster %d %s; want %d", nodeStatus, nodeBody, clusterStatus, clusterBody, want)
+	}
+	if clusterStatus == http.StatusOK {
+		var env envelope
+		if err := json.Unmarshal(clusterBody, &env); err != nil {
+			t.Fatalf("decoding the cluster's envelope: %v", err)
+		}
+		if env.Partial {
+			t.Fatal("healthy cluster answered partial=true")
+		}
+		clusterBody = env.Result
+		nodeBody = bytes.TrimSuffix(nodeBody, []byte("\n"))
+	}
+	if !bytes.Equal(nodeBody, clusterBody) {
+		t.Fatalf("bodies differ:\n  node    %s\n  cluster %s", nodeBody, clusterBody)
+	}
+}
+
 // envelope mirrors Envelope with a raw result for re-decoding.
 type envelope struct {
 	Partial     bool            `json:"partial"`
@@ -251,6 +298,91 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		}
 	})
 
+	t.Run("rank and topk requests", func(t *testing.T) {
+		opts := server.OptionsPayload{Epsilon: 8}
+		for _, c := range []struct {
+			name string
+			path string
+			body any
+			want int
+		}{
+			{"rank all candidates", "/rank",
+				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "exminmax", Options: opts}, http.StatusOK},
+			{"rank explicit list", "/rank",
+				server.RankRequest{Pivot: 3, Candidates: []int64{1, 2, 5, 9, 11}, Method: "apminmax", Options: opts}, http.StatusOK},
+			{"rank min_similarity", "/rank",
+				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "exminmax", MinSimilarity: 0.2, Options: opts}, http.StatusOK},
+			{"rank non-MinMax method", "/rank",
+				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "exbaseline", Options: opts}, http.StatusOK},
+			{"topk all candidates", "/topk",
+				server.TopKRequest{Pivot: 5, AllCandidates: true, K: 4, Options: opts}, http.StatusOK},
+			{"topk explicit list", "/topk",
+				server.TopKRequest{Pivot: 5, Candidates: []int64{1, 2, 3, 8, 10}, K: 3, Options: opts}, http.StatusOK},
+			{"rank missing pivot", "/rank",
+				server.RankRequest{Pivot: 99, AllCandidates: true, Method: "exminmax", Options: opts}, http.StatusNotFound},
+			{"topk missing pivot", "/topk",
+				server.TopKRequest{Pivot: 99, Candidates: []int64{1, 2}, K: 1, Options: opts}, http.StatusNotFound},
+			{"rank missing candidate", "/rank",
+				server.RankRequest{Pivot: 3, Candidates: []int64{1, 99}, Method: "exminmax", Options: opts}, http.StatusNotFound},
+			{"topk missing candidate", "/topk",
+				server.TopKRequest{Pivot: 3, Candidates: []int64{99}, K: 1, Options: opts}, http.StatusNotFound},
+			{"topk k = 0", "/topk",
+				server.TopKRequest{Pivot: 3, AllCandidates: true, K: 0, Options: opts}, http.StatusBadRequest},
+			// Both check the candidate forms before k.
+			{"topk k = 0 and neither candidate form", "/topk",
+				server.TopKRequest{Pivot: 3, K: 0, Options: opts}, http.StatusBadRequest},
+			{"rank neither candidate form", "/rank",
+				server.RankRequest{Pivot: 3, Method: "exminmax", Options: opts}, http.StatusBadRequest},
+			{"rank both candidate forms", "/rank",
+				server.RankRequest{Pivot: 3, Candidates: []int64{1}, AllCandidates: true, Method: "exminmax", Options: opts}, http.StatusBadRequest},
+			{"topk neither candidate form", "/topk",
+				server.TopKRequest{Pivot: 3, K: 2, Options: opts}, http.StatusBadRequest},
+			{"topk both candidate forms", "/topk",
+				server.TopKRequest{Pivot: 3, Candidates: []int64{1}, AllCandidates: true, K: 2, Options: opts}, http.StatusBadRequest},
+			{"rank bad method", "/rank",
+				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "bogus", Options: opts}, http.StatusBadRequest},
+			{"rank bad matcher", "/rank",
+				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "exminmax",
+					Options: server.OptionsPayload{Epsilon: 8, Matcher: "bogus"}}, http.StatusBadRequest},
+			{"topk bad matcher", "/topk",
+				server.TopKRequest{Pivot: 3, AllCandidates: true, K: 2,
+					Options: server.OptionsPayload{Epsilon: 8, Matcher: "bogus"}}, http.StatusBadRequest},
+			{"rank negative epsilon_vec entry", "/rank",
+				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "exminmax",
+					Options: server.OptionsPayload{EpsilonVec: []int32{1, -2, 0, 1}}}, http.StatusUnprocessableEntity},
+			{"topk epsilon_vec of the wrong length", "/topk",
+				server.TopKRequest{Pivot: 3, AllCandidates: true, K: 2,
+					Options: server.OptionsPayload{EpsilonVec: []int32{1, 2}}}, http.StatusUnprocessableEntity},
+			{"rank negative min_similarity", "/rank",
+				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "exminmax", MinSimilarity: -0.5, Options: opts}, http.StatusBadRequest},
+			{"rank min_similarity with a non-MinMax method", "/rank",
+				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "exbaseline", MinSimilarity: 0.2, Options: opts}, http.StatusBadRequest},
+		} {
+			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, tc, c.path, c.body, c.want) })
+		}
+
+		// A corpus of one community: every candidate set is empty.
+		one := newTestCluster(t, Config{})
+		seedCorpus(t, one, 1)
+		for _, c := range []struct {
+			name string
+			path string
+			body any
+			want int
+		}{
+			{"rank empty candidate set", "/rank",
+				server.RankRequest{Pivot: 1, AllCandidates: true, Method: "exminmax", Options: opts}, http.StatusOK},
+			{"topk empty candidate set", "/topk",
+				server.TopKRequest{Pivot: 1, AllCandidates: true, K: 3, Options: opts}, http.StatusOK},
+			{"rank missing pivot, empty candidate set", "/rank",
+				server.RankRequest{Pivot: 99, AllCandidates: true, Method: "exminmax", Options: opts}, http.StatusNotFound},
+			{"topk missing pivot, empty candidate set", "/topk",
+				server.TopKRequest{Pivot: 99, AllCandidates: true, K: 3, Options: opts}, http.StatusNotFound},
+		} {
+			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, one, c.path, c.body, c.want) })
+		}
+	})
+
 	t.Run("delete", func(t *testing.T) {
 		doJSON(t, "DELETE", tc.front.URL+"/communities/12", nil, http.StatusNoContent, nil)
 		doJSON(t, "GET", tc.front.URL+"/communities/12", nil, http.StatusNotFound, nil)
@@ -371,4 +503,51 @@ func TestClusterCreateRejectsWhenAllocatorBlind(t *testing.T) {
 	tc.shards[2].Close()
 	p := server.CommunityPayload{Name: "x", Category: -1, Users: [][]int32{{1, 2}, {3, 4}}}
 	doJSON(t, "POST", tc.front.URL+"/communities", p, http.StatusServiceUnavailable, nil)
+}
+
+// TestCoordinatorForwardsShardErrorBodies pins how a shard's own error
+// answer reaches a coordinator client: a JSON body verbatim with the
+// shard's status — a poisoned node's pinned 503 on a write included —
+// and any other body as the message of an error body.
+func TestCoordinatorForwardsShardErrorBodies(t *testing.T) {
+	const degraded = `{"detail":"write-ahead log poisoned; node is read-only","error":"degraded"}`
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == "GET" && r.URL.Path == "/communities":
+			io.WriteString(w, "[]\n")
+		case r.URL.Path == "/internal/communities":
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			io.WriteString(w, degraded+"\n")
+		default:
+			http.Error(w, "no such thing", http.StatusNotFound)
+		}
+	}))
+	t.Cleanup(shard.Close)
+	coord, err := New(nil, Config{
+		Shards:         []ShardSpec{{Name: "alpha", URL: shard.URL}},
+		RequestTimeout: time.Second,
+		RetryBackoff:   time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(coord)
+	t.Cleanup(front.Close)
+
+	p := server.CommunityPayload{Name: "x", Category: -1, Users: [][]int32{{1, 2}, {3, 4}}}
+	status, body := post(t, front.URL+"/communities", p)
+	if status != http.StatusServiceUnavailable || string(body) != degraded+"\n" {
+		t.Errorf("create on a poisoned shard: %d %s, want 503 %s", status, body, degraded)
+	}
+
+	resp, err := http.Get(front.URL + "/communities/7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `{"error":"no such thing"}` + "\n"; resp.StatusCode != http.StatusNotFound || string(body) != want {
+		t.Errorf("get with a plain-text 404: %d %s, want 404 %s", resp.StatusCode, body, want)
+	}
 }

@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net/http"
@@ -45,9 +47,6 @@ type Config struct {
 	// PromoteAfter is how long a shard with a replica must stay
 	// probe-dead before the coordinator promotes the replica.
 	PromoteAfter time.Duration
-	// DisableMetrics turns off the /metrics endpoint and all
-	// csj_cluster_* instrumentation.
-	DisableMetrics bool
 }
 
 const (
@@ -106,15 +105,14 @@ func (s *shard) activeURL() string { return *s.active.Load() }
 // Coordinator is the cluster front door: an http.Handler that owns the
 // hash ring, the per-shard breakers, health probing, and replica
 // promotion. Create one with New; Serve traffic via ServeHTTP; start
-// probing with Start.
+// probing with Start. Its Surface is the HTTP plumbing a node uses too:
+// route metrics, panic recovery, the completion log line, /metrics.
 type Coordinator struct {
-	mux      *http.ServeMux
-	log      *log.Logger
+	*server.Surface
 	cfg      Config
 	metrics  *clusterMetrics
 	ring     *Ring
 	shards   []*shard
-	patterns []string
 	notReady atomic.Bool
 
 	// nextID is the cluster-wide community id allocator; 0 means "not
@@ -143,15 +141,13 @@ func New(logger *log.Logger, cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		mux:   http.NewServeMux(),
-		log:   logger,
-		cfg:   cfg,
-		ring:  ring,
-		httpc: &http.Client{},
+		// No body cap: the shards enforce their own.
+		Surface: server.NewSurface(logger, 0),
+		cfg:     cfg,
+		ring:    ring,
+		httpc:   &http.Client{},
 	}
-	if !cfg.DisableMetrics {
-		c.metrics = newClusterMetrics(names)
-	}
+	c.metrics = newClusterMetrics(c.Registry(), names)
 	c.shards = make([]*shard, len(cfg.Shards))
 	for i, spec := range cfg.Shards {
 		sh := &shard{name: spec.Name, primary: spec.URL, replica: spec.Replica}
@@ -172,19 +168,16 @@ func New(logger *log.Logger, cfg Config) (*Coordinator, error) {
 		c.shards[i] = sh
 	}
 
-	c.handle("GET /healthz", c.handleHealth)
-	c.handle("GET /readyz", c.handleReady)
-	c.handle("GET /cluster/status", c.handleStatus)
-	c.handle("POST /communities", c.handleCreate)
-	c.handle("GET /communities", c.handleList)
-	c.handle("GET /communities/{id}", c.handleGet)
-	c.handle("DELETE /communities/{id}", c.handleDelete)
-	c.handle("POST /rank", c.handleRank)
-	c.handle("POST /topk", c.handleTopK)
-	c.handle("POST /matrix", c.handleMatrix)
-	if c.metrics != nil {
-		c.handle("GET /metrics", c.handleMetrics)
-	}
+	c.Handle("GET /healthz", c.handleHealth)
+	c.Handle("GET /readyz", c.handleReady)
+	c.Handle("GET /cluster/status", c.handleStatus)
+	c.Handle("POST /communities", c.handleCreate)
+	c.Handle("GET /communities", c.handleList)
+	c.Handle("GET /communities/{id}", c.handleGet)
+	c.Handle("DELETE /communities/{id}", c.handleDelete)
+	c.Handle("POST /rank", c.handleRank)
+	c.Handle("POST /topk", c.handleTopK)
+	c.Handle("POST /matrix", c.handleMatrix)
 	return c, nil
 }
 
@@ -220,13 +213,13 @@ func (c *Coordinator) writeGathered(w http.ResponseWriter, r *http.Request, resu
 		env.Unreachable = unreachable
 		if requireComplete(r) {
 			c.metrics.observeIncomplete()
-			c.writeErr(w, http.StatusServiceUnavailable,
+			c.WriteErr(w, http.StatusServiceUnavailable,
 				fmt.Errorf("shards unreachable with require_complete set: %v", unreachable))
 			return
 		}
 		c.metrics.observePartial()
 	}
-	c.writeJSON(w, http.StatusOK, env)
+	c.WriteJSON(w, http.StatusOK, env)
 }
 
 // ---- scatter ----
@@ -277,16 +270,22 @@ func gatherErrors[T any](results []scatterResult[T]) (unreachable []string, term
 	return unreachable, terminal
 }
 
-// forwardErr maps a single-shard request error onto the client
-// response: 4xx/5xx from the shard pass through, unreachable becomes
-// 503.
+// forwardErr maps a shard request error onto the client response. A
+// shard's own error answer passes through with its status: a JSON body
+// verbatim, so the client reads what a node answers, any other body as
+// the message of an error body. An unreachable shard becomes 503.
 func (c *Coordinator) forwardErr(w http.ResponseWriter, err error) {
 	var he *httpError
-	if errors.As(err, &he) {
-		c.writeErr(w, he.status, errors.New(he.body))
-		return
+	switch {
+	case !errors.As(err, &he):
+		c.WriteErr(w, http.StatusServiceUnavailable, err)
+	case !json.Valid([]byte(he.body)):
+		c.WriteErr(w, he.status, errors.New(he.body))
+	default:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(he.status)
+		io.WriteString(w, he.body+"\n")
 	}
-	c.writeErr(w, http.StatusServiceUnavailable, err)
 }
 
 // ---- id allocation and routing ----

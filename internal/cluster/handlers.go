@@ -5,8 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"runtime"
 	"sort"
 	"strconv"
+	"time"
 
 	"github.com/opencsj/csj/internal/server"
 )
@@ -17,26 +20,83 @@ import (
 // compare them byte-for-byte.
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	c.writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	c.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (c *Coordinator) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if c.notReady.Load() {
-		c.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		c.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	c.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	c.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+}
+
+// ShardStatus is one shard's entry in the /cluster/status response.
+type ShardStatus struct {
+	Name     string `json:"name"`
+	Primary  string `json:"primary"`
+	Replica  string `json:"replica,omitempty"`
+	Active   string `json:"active"`
+	State    string `json:"state"`
+	Promoted bool   `json:"promoted,omitempty"`
+	// DownForMS is how long the current outage has lasted (0 while
+	// healthy) — the countdown toward PromoteAfter.
+	DownForMS int64 `json:"down_for_ms,omitempty"`
+}
+
+// StatusResponse is the GET /cluster/status body. Goroutines and
+// OpenFDs are the coordinator's own resource counters; clusterguard
+// diffs them across the chaos run to catch leaks.
+type StatusResponse struct {
+	Shards     []ShardStatus `json:"shards"`
+	Goroutines int           `json:"goroutines"`
+	OpenFDs    int           `json:"open_fds"`
+}
+
+func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
+	resp := StatusResponse{
+		Goroutines: runtime.NumGoroutine(),
+		OpenFDs:    countOpenFDs(),
+	}
+	now := time.Now()
+	for _, sh := range c.shards {
+		st := ShardStatus{
+			Name:     sh.name,
+			Primary:  sh.primary,
+			Replica:  sh.replica,
+			Active:   sh.activeURL(),
+			State:    sh.breaker.State().String(),
+			Promoted: sh.promoted.Load(),
+		}
+		if since := sh.downSince.Load(); since != 0 {
+			st.DownForMS = now.Sub(time.Unix(0, since)).Milliseconds()
+		}
+		resp.Shards = append(resp.Shards, st)
+	}
+	c.WriteJSON(w, http.StatusOK, resp)
+}
+
+// countOpenFDs counts this process's open file descriptors via
+// /proc/self/fd; -1 where proc is unavailable. The absolute number
+// includes the transient fd of the readdir itself — callers compare
+// deltas, where the constant bias cancels.
+func countOpenFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
 }
 
 // ---- community CRUD ----
 
 func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var p server.CommunityPayload
-	if !c.decode(w, r, &p) {
+	if !c.Decode(w, r, &p) {
 		return
 	}
 	if err := c.ensureNextID(r.Context()); err != nil {
-		c.writeErr(w, http.StatusServiceUnavailable, err)
+		c.WriteErr(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	id := c.nextID.Add(1)
@@ -51,7 +111,7 @@ func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 		c.forwardErr(w, err)
 		return
 	}
-	c.writeJSON(w, http.StatusCreated, info)
+	c.WriteJSON(w, http.StatusCreated, info)
 }
 
 func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
@@ -88,7 +148,7 @@ func pathID(r *http.Request) (int64, error) {
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 	id, err := pathID(r)
 	if err != nil {
-		c.writeErr(w, http.StatusBadRequest, err)
+		c.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	var info server.CommunityInfo
@@ -96,13 +156,13 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 		c.forwardErr(w, err)
 		return
 	}
-	c.writeJSON(w, http.StatusOK, info)
+	c.WriteJSON(w, http.StatusOK, info)
 }
 
 func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id, err := pathID(r)
 	if err != nil {
-		c.writeErr(w, http.StatusBadRequest, err)
+		c.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := c.owner(id).client.del(r.Context(), fmt.Sprintf("/communities/%d", id)); err != nil {
@@ -159,15 +219,11 @@ func (c *Coordinator) shardQueries(ctx context.Context, pivot int64, candidates 
 
 func (c *Coordinator) handleRank(w http.ResponseWriter, r *http.Request) {
 	var req server.RankRequest
-	if !c.decode(w, r, &req) {
+	if !c.Decode(w, r, &req) {
 		return
 	}
-	if req.AllCandidates && len(req.Candidates) > 0 {
-		c.writeErr(w, http.StatusBadRequest, errors.New("all_candidates excludes an explicit candidate list"))
-		return
-	}
-	if !req.AllCandidates && len(req.Candidates) == 0 {
-		c.writeErr(w, http.StatusBadRequest, errors.New("rank needs candidates or all_candidates"))
+	if err := server.CheckCandidates("rank", req.Candidates, req.AllCandidates); err != nil {
+		c.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	queries, err := c.shardQueries(r.Context(), req.Pivot, req.Candidates)
@@ -230,19 +286,16 @@ func mergeRank(all []server.RankEntry) []server.RankEntry {
 
 func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req server.TopKRequest
-	if !c.decode(w, r, &req) {
+	if !c.Decode(w, r, &req) {
+		return
+	}
+	// The node's order: the candidate forms, then k.
+	if err := server.CheckCandidates("topk", req.Candidates, req.AllCandidates); err != nil {
+		c.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.K < 1 {
-		c.writeErr(w, http.StatusBadRequest, fmt.Errorf("k must be >= 1, got %d", req.K))
-		return
-	}
-	if req.AllCandidates && len(req.Candidates) > 0 {
-		c.writeErr(w, http.StatusBadRequest, errors.New("all_candidates excludes an explicit candidate list"))
-		return
-	}
-	if !req.AllCandidates && len(req.Candidates) == 0 {
-		c.writeErr(w, http.StatusBadRequest, errors.New("topk needs candidates or all_candidates"))
+		c.WriteErr(w, http.StatusBadRequest, fmt.Errorf("k must be >= 1, got %d", req.K))
 		return
 	}
 	queries, err := c.shardQueries(r.Context(), req.Pivot, req.Candidates)
@@ -313,11 +366,11 @@ func mergeTopK(all []server.TopKEntry, k int) []server.TopKEntry {
 
 func (c *Coordinator) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	var req server.MatrixRequest
-	if !c.decode(w, r, &req) {
+	if !c.Decode(w, r, &req) {
 		return
 	}
 	if len(req.Communities) < 2 {
-		c.writeErr(w, http.StatusUnprocessableEntity,
+		c.WriteErr(w, http.StatusUnprocessableEntity,
 			fmt.Errorf("matrix needs at least 2 communities, got %d", len(req.Communities)))
 		return
 	}

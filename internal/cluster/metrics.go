@@ -4,14 +4,10 @@ import (
 	"github.com/opencsj/csj/internal/metrics"
 )
 
-// clusterMetrics bundles the coordinator's instruments: the shared
-// per-route HTTP set (same families as the shards, so dashboards query
-// one exposition shape) plus the csj_cluster_* series. A nil
-// *clusterMetrics disables observation.
+// clusterMetrics bundles the coordinator's csj_cluster_* series; its
+// Surface adds the per-route HTTP set (same families as the shards, so
+// dashboards query one exposition shape).
 type clusterMetrics struct {
-	reg    *metrics.Registry
-	routes *metrics.RouteSet
-
 	// shardState is a 0/1 gauge per (shard, state) — the breaker state
 	// machine rendered the Prometheus-idiomatic way: exactly one series
 	// per shard is 1 at any instant.
@@ -24,11 +20,8 @@ type clusterMetrics struct {
 	promotions *metrics.Counter
 }
 
-func newClusterMetrics(shardNames []string) *clusterMetrics {
-	reg := metrics.NewRegistry()
+func newClusterMetrics(reg *metrics.Registry, shardNames []string) *clusterMetrics {
 	m := &clusterMetrics{
-		reg:        reg,
-		routes:     metrics.NewRouteSet(reg),
 		shardState: make(map[string]map[BreakerState]*metrics.Gauge, len(shardNames)),
 		retries:    make(map[string]*metrics.Counter, len(shardNames)),
 		probes:     make(map[string]map[bool]*metrics.Counter, len(shardNames)),
@@ -64,9 +57,6 @@ func newClusterMetrics(shardNames []string) *clusterMetrics {
 // observeState flips the shard's state gauges after a breaker
 // transition.
 func (m *clusterMetrics) observeState(shard string, from, to BreakerState) {
-	if m == nil {
-		return
-	}
 	states := m.shardState[shard]
 	if states == nil {
 		return
@@ -76,37 +66,17 @@ func (m *clusterMetrics) observeState(shard string, from, to BreakerState) {
 }
 
 func (m *clusterMetrics) observeRetry(shard string) {
-	if m == nil {
-		return
-	}
 	if c := m.retries[shard]; c != nil {
 		c.Inc()
 	}
 }
 
 func (m *clusterMetrics) observeProbe(shard string, ok bool) {
-	if m == nil {
-		return
-	}
 	if byOutcome := m.probes[shard]; byOutcome != nil {
 		byOutcome[ok].Inc()
 	}
 }
 
-func (m *clusterMetrics) observePartial() {
-	if m != nil {
-		m.partials.Inc()
-	}
-}
-
-func (m *clusterMetrics) observeIncomplete() {
-	if m != nil {
-		m.incomplete.Inc()
-	}
-}
-
-func (m *clusterMetrics) observePromotion() {
-	if m != nil {
-		m.promotions.Inc()
-	}
-}
+func (m *clusterMetrics) observePartial()    { m.partials.Inc() }
+func (m *clusterMetrics) observeIncomplete() { m.incomplete.Inc() }
+func (m *clusterMetrics) observePromotion()  { m.promotions.Inc() }

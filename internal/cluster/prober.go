@@ -104,18 +104,18 @@ func (c *Coordinator) promote(ctx context.Context, sh *shard) {
 	defer cancel()
 	req, err := http.NewRequestWithContext(pctx, http.MethodPost, sh.replica+"/promote", nil)
 	if err != nil {
-		c.logf("promote %s: %v", sh.name, err)
+		c.Logf("promote %s: %v", sh.name, err)
 		return
 	}
 	resp, err := c.httpc.Do(req)
 	if err != nil {
-		c.logf("promote %s: replica unreachable: %v", sh.name, err)
+		c.Logf("promote %s: replica unreachable: %v", sh.name, err)
 		return
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	if resp.StatusCode != http.StatusOK {
-		c.logf("promote %s: replica answered HTTP %d: %s", sh.name, resp.StatusCode, body)
+		c.Logf("promote %s: replica answered HTTP %d: %s", sh.name, resp.StatusCode, body)
 		return
 	}
 	replica := sh.replica
@@ -126,5 +126,5 @@ func (c *Coordinator) promote(ctx context.Context, sh *shard) {
 	// freshly promoted replica starts with a clean slate.
 	sh.breaker.ForceClosed()
 	c.metrics.observePromotion()
-	c.logf("promoted shard %s: %s -> %s", sh.name, sh.primary, replica)
+	c.Logf("promoted shard %s: %s -> %s", sh.name, sh.primary, replica)
 }

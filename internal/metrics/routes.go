@@ -2,11 +2,10 @@ package metrics
 
 import "time"
 
-// Per-route HTTP instrumentation shared by every HTTP surface of the
-// system (the shard server in internal/server, the cluster coordinator
-// and replica front in internal/cluster): one latency histogram and one
-// requests-completed counter per status class, labeled {method, route}.
-// Centralizing the pattern keeps the exposition identical across
+// Per-route HTTP instrumentation of the system's HTTP surface
+// (internal/server.Surface, which the node and the cluster coordinator
+// share): one latency histogram and one requests-completed counter per
+// status class, labeled {method, route}. Centralizing the pattern keeps the exposition identical across
 // processes and lets the route-coverage check (`make routecheck`)
 // verify that every registered handler has a label entry — a route
 // without one would silently land in the "other" bucket and vanish
@@ -21,12 +20,8 @@ type RouteInstruments struct {
 	byClass [len(statusClasses)]*Counter
 }
 
-// Observe records one completed request. Safe on a nil receiver (the
-// metrics-disabled path observes nothing).
+// Observe records one completed request.
 func (ri *RouteInstruments) Observe(status int, elapsed time.Duration) {
-	if ri == nil {
-		return
-	}
 	class := status / 100
 	if class < 1 || class >= len(statusClasses) {
 		class = 5

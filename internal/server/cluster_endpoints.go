@@ -12,13 +12,14 @@ import (
 // Shard-local endpoints for the cluster coordinator (DESIGN.md §13).
 // The coordinator consistent-hashes communities across shards and
 // scatter-gathers queries; these endpoints are the scatter targets.
-// They differ from the public query endpoints in three ways: ingest
-// takes an explicit coordinator-assigned id (global uniqueness is the
-// coordinator's job), the query pivot may arrive as an inline profile
-// (the pivot usually lives on a different shard), and the candidate
-// set defaults to "everything on this shard" so the coordinator never
-// has to know shard contents. Results carry global community ids, so
-// the coordinator can merge shard answers without translation.
+// Ingest takes an explicit coordinator-assigned id (global uniqueness
+// is the coordinator's job). A query's pivot may arrive as an inline
+// profile (the pivot usually lives on a different shard), and its
+// candidate set defaults to "everything on this shard", so the
+// coordinator never has to know shard contents. A node's own /rank and
+// /topk run the same query functions with the pivot as a local id, so
+// a node and a cluster answer alike. Results carry global community
+// ids, so the coordinator can merge shard answers without translation.
 
 // ---- readiness ----
 
@@ -36,18 +37,18 @@ import (
 // drain/repair/re-follow path of the README runbook.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if s.notReady.Load() {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		s.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
 	if s.degraded() {
-		s.writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		s.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status":    "degraded",
 			"read_only": true,
 			"detail":    "write-ahead log poisoned; node serves reads only",
 		})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
+	s.WriteJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
 // BeginDrain flips /readyz to 503 so load balancers and the cluster
@@ -74,11 +75,11 @@ type ShardPivot struct {
 }
 
 // ShardQueryRequest is the body of POST /internal/rank and
-// /internal/topk. An empty Candidates list means every community on
-// this shard (minus Exclude and a local pivot).
+// /internal/topk, and the query a node's /rank and /topk run. An empty
+// Candidates list means every community on this shard but a local
+// pivot.
 type ShardQueryRequest struct {
 	Pivot      ShardPivot `json:"pivot"`
-	Exclude    int64      `json:"exclude,omitempty"`
 	Candidates []int64    `json:"candidates,omitempty"`
 	// Method and MinSimilarity apply to rank; K applies to topk.
 	Method        string  `json:"method,omitempty"`
@@ -127,74 +128,79 @@ func communityFromPayload(p *CommunityPayload) (*csj.Community, error) {
 	return c, nil
 }
 
-// resolvePivotPrepared returns the pivot's prepared MinMax view: the
-// cached view of a local community, or a one-shot encoding of an
-// inline profile. A non-zero status reports the HTTP mapping of err.
-func (s *Server) resolvePivotPrepared(snap *store.Snapshot, p ShardPivot, opts *csj.Options) (*csj.PreparedCommunity, int, error) {
+// resolvePivot returns a query's pivot: a local community by id, or
+// an inline profile. For a MinMax method it also returns the pivot's
+// prepared view under opts — the cached view of a local community, or
+// a one-shot encoding of a profile. The status is the HTTP mapping of a
+// non-nil err.
+func resolvePivot(snap *store.Snapshot, p ShardPivot, method csj.Method, opts *csj.Options) (*csj.Community, *csj.PreparedCommunity, int, error) {
 	switch {
 	case p.ID != nil && p.Profile != nil:
-		return nil, http.StatusBadRequest, errors.New("pivot carries both id and profile")
+		return nil, nil, http.StatusBadRequest, errors.New("pivot carries both id and profile")
 	case p.ID != nil:
-		pv, err := snap.PreparedSpec(*p.ID, opts.Spec())
+		e, err := lookup(snap, *p.ID)
 		if err != nil {
-			return nil, http.StatusNotFound, err
+			return nil, nil, http.StatusNotFound, err
 		}
-		return pv, 0, nil
+		if !minMaxMethod(method) {
+			return e.Comm, nil, 0, nil
+		}
+		pv, err := snap.PreparedSpec(e.ID, opts.Spec())
+		return e.Comm, pv, http.StatusUnprocessableEntity, err
 	case p.Profile != nil:
 		c, err := communityFromPayload(p.Profile)
-		if err != nil {
-			return nil, http.StatusUnprocessableEntity, err
+		if err != nil || !minMaxMethod(method) {
+			return c, nil, http.StatusUnprocessableEntity, err
 		}
 		pv, err := csj.Precompute(c, opts)
-		if err != nil {
-			return nil, http.StatusUnprocessableEntity, err
-		}
-		return pv, 0, nil
+		return c, pv, http.StatusUnprocessableEntity, err
 	default:
-		return nil, http.StatusBadRequest, errors.New("pivot needs an id or a profile")
+		return nil, nil, http.StatusBadRequest, errors.New("pivot needs an id or a profile")
 	}
 }
 
-// resolvePivotRaw returns the pivot as a raw community, for the
-// non-MinMax rank methods that run without prepared views.
-func resolvePivotRaw(snap *store.Snapshot, p ShardPivot) (*csj.Community, int, error) {
-	switch {
-	case p.ID != nil && p.Profile != nil:
-		return nil, http.StatusBadRequest, errors.New("pivot carries both id and profile")
-	case p.ID != nil:
-		e, ok := snap.Get(*p.ID)
-		if !ok {
-			return nil, http.StatusNotFound, fmt.Errorf("no community %d", *p.ID)
-		}
-		return e.Comm, 0, nil
-	case p.Profile != nil:
-		c, err := communityFromPayload(p.Profile)
-		if err != nil {
-			return nil, http.StatusUnprocessableEntity, err
-		}
-		return c, 0, nil
-	default:
-		return nil, http.StatusBadRequest, errors.New("pivot needs an id or a profile")
-	}
+// query is a /rank or /topk request resolved against one snapshot.
+type query struct {
+	opts  *csj.Options
+	pivot *csj.Community
+	view  *csj.PreparedCommunity // the pivot's view; MinMax methods only
+	cands store.Candidates
 }
 
-// shardCandidates resolves an internal query's candidates: the
-// explicit list when given (each must be local), otherwise every local
-// community minus Exclude and a local pivot. Community ids are always
-// positive, so Exclude's zero value excludes nothing.
-func shardCandidates(snap *store.Snapshot, req *ShardQueryRequest) (store.Candidates, error) {
+// resolve resolves req's options, pivot and candidates for method: the
+// explicit candidate list when given (each must be local), otherwise
+// every local community but a local pivot. The pivot resolves first,
+// so a missing one is 404 even when no candidate is left. resolve
+// writes the error response and reports false when the query cannot
+// run.
+func (s *Server) resolve(w http.ResponseWriter, req *ShardQueryRequest, method csj.Method) (query, bool) {
+	opts, err := req.Options.toOptions()
+	if err != nil {
+		s.writeOptionsErr(w, err)
+		return query{}, false
+	}
+	snap := s.store.Snapshot()
+	pc, pv, status, err := resolvePivot(snap, req.Pivot, method, opts)
+	if err != nil {
+		s.WriteErr(w, status, err)
+		return query{}, false
+	}
+	q := query{opts: opts, pivot: pc, view: pv}
 	if len(req.Candidates) > 0 {
 		entries, err := candidateEntries(snap, req.Candidates)
 		if err != nil {
-			return store.Candidates{}, err
+			s.WriteErr(w, http.StatusNotFound, err)
+			return query{}, false
 		}
-		return snap.CandidatesOf(entries), nil
+		q.cands = snap.CandidatesOf(entries)
+	} else {
+		var pivotID int64 // ids are positive, so 0 excludes nothing
+		if req.Pivot.ID != nil {
+			pivotID = *req.Pivot.ID
+		}
+		q.cands = snap.Candidates(pivotID)
 	}
-	var pivotID int64
-	if req.Pivot.ID != nil {
-		pivotID = *req.Pivot.ID
-	}
-	return snap.Candidates(req.Exclude, pivotID), nil
+	return q, true
 }
 
 // ---- handlers ----
@@ -209,22 +215,22 @@ func (s *Server) handleCommunityProfile(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	c := e.Comm
-	s.writeJSON(w, http.StatusOK, CommunityPayload{Name: c.Name, Category: c.Category, Users: c.Users})
+	s.WriteJSON(w, http.StatusOK, CommunityPayload{Name: c.Name, Category: c.Category, Users: c.Users})
 }
 
 func (s *Server) handleInternalCreate(w http.ResponseWriter, r *http.Request) {
 	var req InternalCreateRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	if req.ID <= 0 {
-		s.writeErr(w, http.StatusBadRequest,
+		s.WriteErr(w, http.StatusBadRequest,
 			fmt.Errorf("community id must be positive, got %d", req.ID))
 		return
 	}
 	c, err := communityFromPayload(&req.Community)
 	if err != nil {
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
+		s.WriteErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	// Same durability contract as the public ingest: with a WAL wired,
@@ -232,104 +238,99 @@ func (s *Server) handleInternalCreate(w http.ResponseWriter, r *http.Request) {
 	e, err := s.store.CreateWithID(req.ID, c)
 	if err != nil {
 		if errors.Is(err, store.ErrDuplicateID) {
-			s.writeErr(w, http.StatusConflict, err)
+			s.WriteErr(w, http.StatusConflict, err)
 			return
 		}
 		s.writeMutationErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, info(e))
+	s.WriteJSON(w, http.StatusCreated, info(e))
 }
 
 func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 	var req ShardQueryRequest
-	if !s.decode(w, r, &req) {
-		return
+	if s.Decode(w, r, &req) {
+		s.rank(w, r, &req)
 	}
+}
+
+// rank serves /rank and /internal/rank. A positive min_similarity runs
+// the indexed threshold ranking, which prunes candidates whose upper
+// bound cannot reach it without resolving their views (DESIGN.md §12);
+// another MinMax ranking joins every candidate's cached view; the other
+// methods join the raw communities. An empty candidate set ranks to [].
+func (s *Server) rank(w http.ResponseWriter, r *http.Request, req *ShardQueryRequest) {
 	method, err := rankMethod(req.Method, req.MinSimilarity, req.UseIndex)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		s.writeOptionsErr(w, err)
+	q, ok := s.resolve(w, req, method)
+	if !ok {
 		return
 	}
-	snap := s.store.Snapshot()
-	cands, err := shardCandidates(snap, &req)
-	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+	if q.cands.Len() == 0 {
+		// The engines reject empty candidate sets; nothing ranks to [].
+		s.WriteJSON(w, http.StatusOK, []RankEntry{})
 		return
 	}
-	if cands.Len() == 0 {
-		// Nothing local to rank; the engines reject empty candidate
-		// sets, so answer directly.
-		s.writeJSON(w, http.StatusOK, []RankEntry{})
-		return
+	opts := s.instrumentOptions(q.opts)
+	var ranked []csj.Ranked
+	switch {
+	case req.MinSimilarity > 0:
+		ranked, err = csj.RankAboveIndexedFrom(r.Context(), q.view, q.cands.Source(opts.Spec()), method, req.MinSimilarity, opts)
+	case minMaxMethod(method):
+		var views []*csj.PreparedCommunity
+		if views, err = preparedViews(q.cands.Source(opts.Spec())); err == nil {
+			ranked, err = csj.RankPreparedCtx(r.Context(), q.view, views, method, opts)
+		}
+	default:
+		ranked, err = csj.RankCtx(r.Context(), q.pivot, candidateComms(q.cands), method, opts)
 	}
-	var pv *csj.PreparedCommunity
-	var pc *csj.Community
-	var status int
-	if minMaxMethod(method) {
-		pv, status, err = s.resolvePivotPrepared(snap, req.Pivot, opts)
-	} else {
-		pc, status, err = resolvePivotRaw(snap, req.Pivot)
-	}
-	if err != nil {
-		s.writeErr(w, status, err)
-		return
-	}
-	ranked, err := s.rank(r.Context(), pv, pc, cands, method, req.MinSimilarity, opts)
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, rankEntries(ranked, cands))
+	s.WriteJSON(w, http.StatusOK, rankEntries(ranked, q.cands))
 }
 
 func (s *Server) handleInternalTopK(w http.ResponseWriter, r *http.Request) {
 	var req ShardQueryRequest
-	if !s.decode(w, r, &req) {
-		return
+	if s.Decode(w, r, &req) {
+		s.topK(w, r, &req)
 	}
+}
+
+// topK serves /topk and /internal/topk with the best-first indexed
+// engine: it returns the exact Ex-MinMax top-k and resolves views only
+// for the candidates it joins (DESIGN.md §12). The exact per-shard
+// top-k is what makes the coordinator's merge exact (DESIGN.md §13).
+// An empty candidate set answers [].
+func (s *Server) topK(w http.ResponseWriter, r *http.Request, req *ShardQueryRequest) {
 	if req.K < 1 {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("k must be >= 1, got %d", req.K))
+		s.WriteErr(w, http.StatusBadRequest, fmt.Errorf("k must be >= 1, got %d", req.K))
 		return
 	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		s.writeOptionsErr(w, err)
+	q, ok := s.resolve(w, req, csj.ExMinMax)
+	if !ok {
 		return
 	}
-	snap := s.store.Snapshot()
-	cands, err := shardCandidates(snap, &req)
-	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+	if q.cands.Len() == 0 {
+		s.WriteJSON(w, http.StatusOK, []TopKEntry{})
 		return
 	}
-	if cands.Len() == 0 {
-		s.writeJSON(w, http.StatusOK, []TopKEntry{})
-		return
-	}
-	pv, status, err := s.resolvePivotPrepared(snap, req.Pivot, opts)
-	if err != nil {
-		s.writeErr(w, status, err)
-		return
-	}
-	// The exact per-shard top-k is what makes the coordinator's merge
-	// exact (DESIGN.md §13).
-	top, err := csj.TopKIndexedFrom(r.Context(), pv, cands.Source(opts.Spec()), req.K, s.instrumentOptions(opts))
+	opts := s.instrumentOptions(q.opts)
+	top, err := csj.TopKIndexedFrom(r.Context(), q.view, q.cands.Source(opts.Spec()), req.K, opts)
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, topKEntries(top, cands))
+	s.WriteJSON(w, http.StatusOK, topKEntries(top, q.cands))
 }
 
 func (s *Server) handleInternalMatrix(w http.ResponseWriter, r *http.Request) {
 	var req ShardMatrixRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	if req.Method == "" {
@@ -337,7 +338,7 @@ func (s *Server) handleInternalMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	method, err := csj.ParseMethod(req.Method)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	opts, err := req.Options.toOptions()
@@ -351,19 +352,19 @@ func (s *Server) handleInternalMatrix(w http.ResponseWriter, r *http.Request) {
 	guests := make(map[int64]*csj.PreparedCommunity, len(req.Guests))
 	for _, g := range req.Guests {
 		if g.ID <= 0 {
-			s.writeErr(w, http.StatusBadRequest,
+			s.WriteErr(w, http.StatusBadRequest,
 				fmt.Errorf("guest id must be positive, got %d", g.ID))
 			return
 		}
 		c, cerr := communityFromPayload(&g.Community)
 		if cerr != nil {
-			s.writeErr(w, http.StatusUnprocessableEntity,
+			s.WriteErr(w, http.StatusUnprocessableEntity,
 				fmt.Errorf("guest %d: %w", g.ID, cerr))
 			return
 		}
 		pv, perr := csj.Precompute(c, opts)
 		if perr != nil {
-			s.writeErr(w, http.StatusUnprocessableEntity,
+			s.WriteErr(w, http.StatusUnprocessableEntity,
 				fmt.Errorf("guest %d: %w", g.ID, perr))
 			return
 		}
@@ -380,12 +381,12 @@ func (s *Server) handleInternalMatrix(w http.ResponseWriter, r *http.Request) {
 	for _, cell := range req.Cells {
 		pi, ierr := resolve(cell[0])
 		if ierr != nil {
-			s.writeErr(w, http.StatusNotFound, ierr)
+			s.WriteErr(w, http.StatusNotFound, ierr)
 			return
 		}
 		pj, jerr := resolve(cell[1])
 		if jerr != nil {
-			s.writeErr(w, http.StatusNotFound, jerr)
+			s.WriteErr(w, http.StatusNotFound, jerr)
 			return
 		}
 		// Same orientation rule as the batch matrix engine: the smaller
@@ -410,5 +411,5 @@ func (s *Server) handleInternalMatrix(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, mc)
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.WriteJSON(w, http.StatusOK, out)
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"net/http"
 	"net/http/pprof"
 	"time"
 
@@ -13,25 +12,15 @@ import (
 )
 
 // This file is the observability layer of the HTTP service (DESIGN.md
-// §9): a per-server metrics registry exposed at GET /metrics in the
-// Prometheus text format, per-endpoint request/latency/status-class
-// instrumentation, in-flight and admission-rejection tracking hooked
-// into the heavy-endpoint semaphore, live counters of the paper's scan
-// events fed from finished joins, batch-pool worker utilization, and
-// opt-in net/http/pprof.
+// §9): the node's own metric families in the registry its Surface
+// exposes at GET /metrics (the Surface adds the per-endpoint
+// request/latency/status-class instruments), in-flight and
+// admission-rejection tracking hooked into the heavy-endpoint
+// semaphore, live counters of the paper's scan events fed from finished
+// joins, batch-pool worker utilization, and opt-in net/http/pprof.
 
-// serverMetrics bundles the service's live instruments. A nil
-// *serverMetrics (Config.DisableMetrics) turns every observation into
-// a no-op.
+// serverMetrics bundles the service's live instruments.
 type serverMetrics struct {
-	reg *metrics.Registry
-
-	// routes holds the per-endpoint instrument sets (latency histogram
-	// plus status-class counters, see internal/metrics.RouteSet); its
-	// Unmatched entry covers requests no route matched (404s, bad
-	// methods).
-	routes *metrics.RouteSet
-
 	inflight *metrics.Gauge
 	rejected *metrics.Counter
 
@@ -65,11 +54,8 @@ type serverMetrics struct {
 	indexPruned      *metrics.Counter
 }
 
-func newServerMetrics() *serverMetrics {
-	reg := metrics.NewRegistry()
-	m := &serverMetrics{
-		reg:    reg,
-		routes: metrics.NewRouteSet(reg),
+func newServerMetrics(reg *metrics.Registry) *serverMetrics {
+	return &serverMetrics{
 		inflight: reg.Gauge("csj_http_inflight_heavy",
 			"Heavy join requests currently holding an admission slot.", nil),
 		rejected: reg.Counter("csj_http_rejected_total",
@@ -114,29 +100,17 @@ func newServerMetrics() *serverMetrics {
 		indexPruned: reg.Counter("csj_index_candidates_pruned_total",
 			"Candidates eliminated by the envelope index without running a join.", nil),
 	}
-	return m
-}
-
-// route registers (or returns) the instrument set for one endpoint.
-func (m *serverMetrics) route(method, path string) *metrics.RouteInstruments {
-	return m.routes.Route(method, path)
 }
 
 // observeJoinEvents feeds one finished join's tallies into the scan
 // counters; safe for concurrent use from pool workers.
 func (m *serverMetrics) observeJoinEvents(ev csj.Events) {
-	if m == nil {
-		return
-	}
 	cev := core.Events(ev)
 	m.scan.Observe(&cev)
 }
 
 // observePoolStats records one batch-engine pool stage.
 func (m *serverMetrics) observePoolStats(ps csj.PoolStats) {
-	if m == nil {
-		return
-	}
 	m.poolStages.Inc()
 	var tasks int64
 	for _, w := range ps.Workers {
@@ -200,9 +174,6 @@ func (m *serverMetrics) WALPoisoned() { m.walPoisoned.Set(1) }
 // observeIndexStats feeds one indexed query's pruning tallies into the
 // envelope-index counters.
 func (m *serverMetrics) observeIndexStats(st csj.IndexStats) {
-	if m == nil {
-		return
-	}
 	m.indexBoundChecks.Add(st.BoundChecks)
 	m.indexPruned.Add(st.Pruned)
 }
@@ -211,92 +182,22 @@ func (m *serverMetrics) observeIndexStats(st csj.IndexStats) {
 // to a request's options payload. Every join endpoint funnels its
 // options through here.
 func (s *Server) instrumentOptions(opts *csj.Options) *csj.Options {
-	if s.metrics == nil {
-		return opts
-	}
 	opts.OnJoinEvents = s.metrics.observeJoinEvents
 	opts.OnPoolStats = s.metrics.observePoolStats
 	opts.OnIndexStats = s.metrics.observeIndexStats
 	return opts
 }
 
-// handleMetrics serves the Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.metrics.reg.WritePrometheus(w); err != nil {
-		s.logf("writing /metrics: %v", err)
-	}
-}
-
 // mountPprof exposes net/http/pprof on the server's own mux (the
 // default-mux registrations of the pprof package are not served).
 // Gate this behind Config.EnablePprof: profiles reveal internals and
 // profiling costs CPU, so expose it on trusted networks only.
-// Registration goes through handle so even the debug routes carry
+// Registration goes through Handle so even the debug routes carry
 // route labels instead of polluting the "other" bucket.
 func (s *Server) mountPprof() {
-	s.handle("GET /debug/pprof/", pprof.Index)
-	s.handle("GET /debug/pprof/cmdline", pprof.Cmdline)
-	s.handle("GET /debug/pprof/profile", pprof.Profile)
-	s.handle("GET /debug/pprof/symbol", pprof.Symbol)
-	s.handle("GET /debug/pprof/trace", pprof.Trace)
-}
-
-// responseRecorder captures the status and byte count a handler writes
-// so the completion log line and the per-endpoint metrics can see
-// them. The route instruments are attached by the per-route wrapper
-// once the mux has matched.
-type responseRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-	rm     *metrics.RouteInstruments
-}
-
-func (r *responseRecorder) WriteHeader(status int) {
-	if r.status == 0 {
-		r.status = status
-	}
-	r.ResponseWriter.WriteHeader(status)
-}
-
-func (r *responseRecorder) Write(p []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	n, err := r.ResponseWriter.Write(p)
-	r.bytes += int64(n)
-	return n, err
-}
-
-// Flush forwards streaming support (pprof's trace endpoint flushes).
-func (r *responseRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-func (r *responseRecorder) statusOrDefault() int {
-	if r.status == 0 {
-		// Nothing was written: net/http would send 200 on return.
-		return http.StatusOK
-	}
-	return r.status
-}
-
-// finishRequest runs after the handler (and after panic recovery, so a
-// recovered 500 is observed): it updates the endpoint instruments and
-// emits the structured completion log line.
-func (s *Server) finishRequest(rec *responseRecorder, r *http.Request, start time.Time) {
-	elapsed := time.Since(start)
-	status := rec.statusOrDefault()
-	if s.metrics != nil {
-		rm := rec.rm
-		if rm == nil {
-			rm = s.metrics.routes.Unmatched
-		}
-		rm.Observe(status, elapsed)
-	}
-	s.logf("request method=%s path=%s status=%d bytes=%d dur=%s",
-		r.Method, r.URL.Path, status, rec.bytes, elapsed.Round(time.Microsecond))
+	s.Handle("GET /debug/pprof/", pprof.Index)
+	s.Handle("GET /debug/pprof/cmdline", pprof.Cmdline)
+	s.Handle("GET /debug/pprof/profile", pprof.Profile)
+	s.Handle("GET /debug/pprof/symbol", pprof.Symbol)
+	s.Handle("GET /debug/pprof/trace", pprof.Trace)
 }

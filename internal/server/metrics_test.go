@@ -199,20 +199,6 @@ func TestMetricsUnmatchedRoutesLandInOther(t *testing.T) {
 	}
 }
 
-func TestMetricsDisabled(t *testing.T) {
-	_, ts := newFaultServer(t, Config{DisableMetrics: true})
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("GET /metrics with metrics disabled: status %d, want 404", resp.StatusCode)
-	}
-	// The service itself still works.
-	doJSON(t, "GET", ts.URL+"/healthz", nil, http.StatusOK, nil)
-}
-
 func TestPprofGatedByConfig(t *testing.T) {
 	_, off := newFaultServer(t, Config{})
 	resp, err := http.Get(off.URL + "/debug/pprof/cmdline")

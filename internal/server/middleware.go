@@ -2,12 +2,10 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"time"
 
@@ -15,9 +13,10 @@ import (
 	"github.com/opencsj/csj/internal/durable"
 )
 
-// This file is the hardening layer of the HTTP service: panic
-// recovery, request-body limits, per-request deadlines, and
-// semaphore-based admission control for the CPU-heavy join endpoints.
+// This file is the hardening layer of the HTTP service: per-request
+// deadlines, semaphore-based admission control for the CPU-heavy join
+// endpoints, and the error-status mapping of the joins (panic recovery
+// and the request-body cap live in the shared Surface).
 // The join engine underneath is cancellation-aware, so a shed or
 // abandoned request releases its workers promptly instead of pinning
 // them for the full O(n²) cell fan-out.
@@ -43,20 +42,10 @@ type Config struct {
 	// §10). 0 selects DefaultPreparedCacheBytes; negative removes the
 	// cap.
 	PreparedCacheBytes int64
-	// DisableMetrics turns off the observability layer: no /metrics
-	// endpoint, no per-endpoint instrumentation, no scan-event counters.
-	// Collection is a few atomic adds per request, so the default is on.
-	DisableMetrics bool
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiles reveal internals and profiling costs CPU, so
 	// expose it on trusted networks only.
 	EnablePprof bool
-	// IndexBuckets selects the histogram resolution of the pruning
-	// summaries the community store attaches to entries for the
-	// envelope index (DESIGN.md §12). 0 selects the library default;
-	// negative disables summaries, so the indexed top-k and threshold
-	// rank summarize each candidate on the fly.
-	IndexBuckets int
 	// Durable, when non-nil, is an opened write-ahead log the community
 	// store persists through (DESIGN.md §11). The server seeds the store
 	// from the log's recovered image, feeds its metrics with the log's
@@ -109,24 +98,6 @@ func (c Config) withDefaults() Config {
 // response; the status exists for the access log.
 const statusClientClosedRequest = 499
 
-// recoverPanic turns a handler panic into a logged 500 and keeps the
-// server process serving. http.ErrAbortHandler is re-raised — it is
-// net/http's own control flow for aborting a response.
-func (s *Server) recoverPanic(w http.ResponseWriter, r *http.Request) {
-	p := recover()
-	if p == nil {
-		return
-	}
-	if p == http.ErrAbortHandler {
-		panic(p)
-	}
-	s.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
-	// If the handler already started writing, this WriteHeader is a
-	// no-op and the client sees a truncated response — the best we can
-	// do after the fact.
-	s.writeErr(w, http.StatusInternalServerError, errors.New("internal server error"))
-}
-
 // heavy wraps a CPU-bound join endpoint with admission control and a
 // per-request deadline. Both act before any community lookup or
 // decode, so a shed request costs near zero.
@@ -135,17 +106,13 @@ func (s *Server) heavy(h http.HandlerFunc) http.HandlerFunc {
 		if s.inflight != nil {
 			select {
 			case s.inflight <- struct{}{}:
-				if s.metrics != nil {
-					s.metrics.inflight.Inc()
-					defer s.metrics.inflight.Dec()
-				}
+				s.metrics.inflight.Inc()
+				defer s.metrics.inflight.Dec()
 				defer func() { <-s.inflight }()
 			default:
-				if s.metrics != nil {
-					s.metrics.rejected.Inc()
-				}
+				s.metrics.rejected.Inc()
 				w.Header().Set("Retry-After", "1")
-				s.writeErr(w, http.StatusTooManyRequests,
+				s.WriteErr(w, http.StatusTooManyRequests,
 					fmt.Errorf("server at capacity (%d heavy requests in flight)", cap(s.inflight)))
 				return
 			}
@@ -159,24 +126,6 @@ func (s *Server) heavy(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// decode unmarshals a JSON request body into v, writing the proper
-// error status (413 for an oversized body, 400 otherwise) and
-// returning false on failure.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(r.Body).Decode(v)
-	if err == nil {
-		return true
-	}
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		s.writeErr(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-		return false
-	}
-	s.writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-	return false
-}
-
 // writeJoinErr maps a join-computation error onto an HTTP response:
 // 409 for the CSJ size precondition, 503 + Retry-After when the
 // request's compute budget expired, 499 when the client disconnected
@@ -184,16 +133,16 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 func (s *Server) writeJoinErr(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
 	case errors.Is(err, csj.ErrSizeConstraint):
-		s.writeErr(w, http.StatusConflict, err)
+		s.WriteErr(w, http.StatusConflict, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RequestTimeout)))
-		s.writeErr(w, http.StatusServiceUnavailable,
+		s.WriteErr(w, http.StatusServiceUnavailable,
 			fmt.Errorf("request exceeded its %s compute budget", s.cfg.RequestTimeout))
 	case errors.Is(err, context.Canceled):
-		s.logf("client closed request %s %s mid-join", r.Method, r.URL.Path)
-		s.writeErr(w, statusClientClosedRequest, err)
+		s.Logf("client closed request %s %s mid-join", r.Method, r.URL.Path)
+		s.WriteErr(w, statusClientClosedRequest, err)
 	default:
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
+		s.WriteErr(w, http.StatusUnprocessableEntity, err)
 	}
 }
 
@@ -205,10 +154,10 @@ func (s *Server) writeJoinErr(w http.ResponseWriter, r *http.Request, err error)
 func (s *Server) writeOptionsErr(w http.ResponseWriter, err error) {
 	var se *specError
 	if errors.As(err, &se) {
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
+		s.WriteErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	s.writeErr(w, http.StatusBadRequest, err)
+	s.WriteErr(w, http.StatusBadRequest, err)
 }
 
 // degraded reports the node is in read-only degraded mode: the
@@ -233,10 +182,10 @@ var degradedBody = map[string]string{
 // mutation was never acknowledged, so nothing durable was promised.
 func (s *Server) writeMutationErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, durable.ErrPoisoned) {
-		s.writeJSON(w, http.StatusServiceUnavailable, degradedBody)
+		s.WriteJSON(w, http.StatusServiceUnavailable, degradedBody)
 		return
 	}
-	s.writeErr(w, http.StatusInternalServerError, err)
+	s.WriteErr(w, http.StatusInternalServerError, err)
 }
 
 // retryAfterSeconds suggests a retry delay proportional to the budget
@@ -247,24 +196,4 @@ func retryAfterSeconds(budget time.Duration) int {
 		secs = 1
 	}
 	return secs
-}
-
-// ---- response helpers ----
-
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.logf("encoding response: %v", err)
-	}
-}
-
-func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
-	s.writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.log != nil {
-		s.log.Printf(format, args...)
-	}
 }

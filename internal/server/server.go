@@ -6,16 +6,13 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	csj "github.com/opencsj/csj"
 	"github.com/opencsj/csj/internal/durable"
@@ -23,27 +20,22 @@ import (
 )
 
 // Server is the HTTP handler. Create one with New or NewWithConfig; it
-// is safe for concurrent use.
+// is safe for concurrent use. Its Surface carries the HTTP plumbing it
+// shares with the cluster coordinator: routes, metrics, panic recovery,
+// logging, and the body cap.
 type Server struct {
-	mux *http.ServeMux
-	log *log.Logger
+	*Surface
 	cfg Config
 	// inflight is the admission semaphore of the heavy join endpoints;
 	// nil when admission control is disabled.
 	inflight chan struct{}
-	// metrics is the observability layer (DESIGN.md §9); nil when
-	// Config.DisableMetrics is set, which turns every observation into
-	// a no-op.
+	// metrics is the node's observability layer (DESIGN.md §9),
+	// registered in the Surface's registry.
 	metrics *serverMetrics
 	// store owns the communities (DESIGN.md §10): immutable deep-copied
 	// entries, copy-on-write snapshots, and the shared prepared-view
 	// cache that makes repeated joins zero-rebuild.
 	store *store.Store
-	// patterns records every mux pattern registered through handle, so
-	// the route-coverage check (`make routecheck`) can prove each one
-	// has a route-label entry in the metrics — no silent "other"
-	// buckets for new routes.
-	patterns []string
 	// notReady, while true, makes /readyz answer 503: set during
 	// graceful drain (BeginDrain) so load balancers and the cluster
 	// coordinator's health probe stop routing here before the listener
@@ -72,136 +64,70 @@ func New(logger *log.Logger) *Server {
 // NewWithConfig builds a server with explicit protective limits (see
 // Config for the zero/negative conventions).
 func NewWithConfig(logger *log.Logger, cfg Config) *Server {
+	cfg = cfg.withDefaults()
 	s := &Server{
-		mux:   http.NewServeMux(),
-		log:   logger,
-		cfg:   cfg.withDefaults(),
-		joins: make(map[int64]*joinState),
+		Surface: NewSurface(logger, cfg.MaxBodyBytes),
+		cfg:     cfg,
+		joins:   make(map[int64]*joinState),
 	}
+	s.metrics = newServerMetrics(s.Registry())
 	if s.cfg.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, s.cfg.MaxInFlight)
-	}
-	if !s.cfg.DisableMetrics {
-		s.metrics = newServerMetrics()
 	}
 	cacheBytes := s.cfg.PreparedCacheBytes
 	if cacheBytes < 0 {
 		cacheBytes = 0 // store convention: <= 0 removes the cap
-	}
-	// The interface values must stay nil when metrics are off; a typed
-	// nil *serverMetrics would pass the store's nil checks and panic.
-	var obs store.Observer
-	if s.metrics != nil {
-		obs = s.metrics
 	}
 	var p store.Persistence
 	var seed *store.Seed
 	if s.cfg.Durable != nil {
 		p = s.cfg.Durable
 		seed = s.cfg.Durable.Seed()
-		if s.metrics != nil {
-			s.cfg.Durable.SetObserver(s.metrics)
-		}
+		s.cfg.Durable.SetObserver(s.metrics)
 	}
 	s.store = store.New(store.Config{
 		MaxCacheBytes: cacheBytes,
-		Observer:      obs,
+		Observer:      s.metrics,
 		Persistence:   p,
 		Seed:          seed,
-		Logf:          s.logf,
-		IndexBuckets:  s.cfg.IndexBuckets,
+		Logf:          s.Logf,
 	})
-	s.handle("GET /healthz", s.handleHealth)
-	s.handle("GET /readyz", s.handleReady)
-	s.handle("POST /communities", s.handleCreateCommunity)
-	s.handle("GET /communities", s.handleListCommunities)
-	s.handle("GET /communities/{id}", s.handleGetCommunity)
-	s.handle("GET /communities/{id}/profile", s.handleCommunityProfile)
-	s.handle("DELETE /communities/{id}", s.handleDeleteCommunity)
+	s.Handle("GET /healthz", s.handleHealth)
+	s.Handle("GET /readyz", s.handleReady)
+	s.Handle("POST /communities", s.handleCreateCommunity)
+	s.Handle("GET /communities", s.handleListCommunities)
+	s.Handle("GET /communities/{id}", s.handleGetCommunity)
+	s.Handle("GET /communities/{id}/profile", s.handleCommunityProfile)
+	s.Handle("DELETE /communities/{id}", s.handleDeleteCommunity)
 	// The four join endpoints run O(n²)-ish scans; they pass through
 	// admission control and get a compute deadline.
-	s.handle("POST /similarity", s.heavy(s.handleSimilarity))
-	s.handle("POST /rank", s.heavy(s.handleRank))
-	s.handle("POST /topk", s.heavy(s.handleTopK))
-	s.handle("POST /matrix", s.heavy(s.handleMatrix))
-	s.handle("POST /joins", s.handleCreateJoin)
-	s.handle("GET /joins/{id}", s.handleGetJoin)
-	s.handle("POST /joins/{id}/users", s.handleJoinAddUser)
-	s.handle("DELETE /joins/{id}/users/{side}/{uid}", s.handleJoinRemoveUser)
-	// Shard-local merge endpoints for the cluster coordinator
-	// (DESIGN.md §13): explicit-id ingest and inline-pivot queries over
-	// this shard's local candidates. Same engines, same store, same
-	// admission control as the public endpoints.
-	s.handle("POST /internal/communities", s.handleInternalCreate)
-	s.handle("POST /internal/rank", s.heavy(s.handleInternalRank))
-	s.handle("POST /internal/topk", s.heavy(s.handleInternalTopK))
-	s.handle("POST /internal/matrix", s.heavy(s.handleInternalMatrix))
+	s.Handle("POST /similarity", s.heavy(s.handleSimilarity))
+	s.Handle("POST /rank", s.heavy(s.handleRank))
+	s.Handle("POST /topk", s.heavy(s.handleTopK))
+	s.Handle("POST /matrix", s.heavy(s.handleMatrix))
+	s.Handle("POST /joins", s.handleCreateJoin)
+	s.Handle("GET /joins/{id}", s.handleGetJoin)
+	s.Handle("POST /joins/{id}/users", s.handleJoinAddUser)
+	s.Handle("DELETE /joins/{id}/users/{side}/{uid}", s.handleJoinRemoveUser)
+	// Shard-local endpoints for the cluster coordinator (DESIGN.md §13):
+	// explicit-id ingest and inline-pivot queries over this shard's
+	// local candidates. /internal/rank and /internal/topk run the very
+	// functions behind /rank and /topk.
+	s.Handle("POST /internal/communities", s.handleInternalCreate)
+	s.Handle("POST /internal/rank", s.heavy(s.handleInternalRank))
+	s.Handle("POST /internal/topk", s.heavy(s.handleInternalTopK))
+	s.Handle("POST /internal/matrix", s.heavy(s.handleInternalMatrix))
 	if s.cfg.Durable != nil {
 		// WAL segment shipping (DESIGN.md §13): followers tail these to
 		// mirror the leader's log byte-for-byte.
-		s.handle("GET /wal/status", s.handleWALStatus)
-		s.handle("GET /wal/segments/{id}", s.handleWALSegment)
-		s.handle("GET /wal/checkpoint/{id}", s.handleWALCheckpoint)
-	}
-	if s.metrics != nil {
-		s.handle("GET /metrics", s.handleMetrics)
+		s.Handle("GET /wal/status", s.handleWALStatus)
+		s.Handle("GET /wal/segments/{id}", s.handleWALSegment)
+		s.Handle("GET /wal/checkpoint/{id}", s.handleWALCheckpoint)
 	}
 	if s.cfg.EnablePprof {
 		s.mountPprof()
 	}
 	return s
-}
-
-// handle registers a route and, when metrics are enabled, wraps the
-// handler so the matched route's instrument set is attached to the
-// request's response recorder (created in ServeHTTP). The pattern must
-// be "METHOD /path".
-func (s *Server) handle(pattern string, h http.HandlerFunc) {
-	s.patterns = append(s.patterns, pattern)
-	if s.metrics == nil {
-		s.mux.HandleFunc(pattern, h)
-		return
-	}
-	method, path, ok := strings.Cut(pattern, " ")
-	if !ok {
-		panic("server: route pattern without method: " + pattern)
-	}
-	rm := s.metrics.route(method, path)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		if rec, isRec := w.(*responseRecorder); isRec {
-			rec.rm = rm
-		}
-		h(w, r)
-	})
-}
-
-// Patterns returns every registered "METHOD /path" pattern — the
-// route-coverage check's input (`make routecheck`).
-func (s *Server) Patterns() []string { return s.patterns }
-
-// HasRouteMetric reports whether a pattern has a route-label entry in
-// the metrics route set. Always false with metrics disabled.
-func (s *Server) HasRouteMetric(pattern string) bool {
-	if s.metrics == nil {
-		return false
-	}
-	return s.metrics.routes.Has(pattern)
-}
-
-// ServeHTTP implements http.Handler: panic recovery and the body-size
-// cap wrap every route, so one faulting request can neither kill the
-// process nor buffer an unbounded upload. Every response flows through
-// a recorder so the completion log line and the per-endpoint metrics
-// see the final status — including a 500 written by panic recovery
-// (finishRequest is deferred first, so it runs after recoverPanic).
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rec := &responseRecorder{ResponseWriter: w}
-	defer s.finishRequest(rec, r, time.Now())
-	defer s.recoverPanic(rec, r)
-	if s.cfg.MaxBodyBytes > 0 && r.Body != nil {
-		r.Body = http.MaxBytesReader(rec, r.Body, s.cfg.MaxBodyBytes)
-	}
-	s.mux.ServeHTTP(rec, r)
 }
 
 // ---- wire types ----
@@ -461,7 +387,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }
 
 // Close flushes and closes the store's persistence layer. Call it only
@@ -474,7 +400,7 @@ func (s *Server) Close() error {
 
 func (s *Server) handleCreateCommunity(w http.ResponseWriter, r *http.Request) {
 	var p CommunityPayload
-	if !s.decode(w, r, &p) {
+	if !s.Decode(w, r, &p) {
 		return
 	}
 	// Validate (inside communityFromPayload) rejects empty communities,
@@ -482,7 +408,7 @@ func (s *Server) handleCreateCommunity(w http.ResponseWriter, r *http.Request) {
 	// message naming the offending user.
 	c, err := communityFromPayload(&p)
 	if err != nil {
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
+		s.WriteErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	// The store deep-copies on ingest, so the decoder's slices (and any
@@ -494,7 +420,7 @@ func (s *Server) handleCreateCommunity(w http.ResponseWriter, r *http.Request) {
 		s.writeMutationErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, info(e))
+	s.WriteJSON(w, http.StatusCreated, info(e))
 }
 
 func info(e *store.Entry) CommunityInfo {
@@ -508,7 +434,7 @@ func (s *Server) handleListCommunities(w http.ResponseWriter, _ *http.Request) {
 	for i, e := range entries {
 		out[i] = info(e)
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.WriteJSON(w, http.StatusOK, out)
 }
 
 // errMalformedID marks an {id} path value that failed to parse. The
@@ -531,10 +457,10 @@ func pathID(r *http.Request, what string) (int64, error) {
 // id, 404 for a genuinely missing resource.
 func (s *Server) writeLookupErr(w http.ResponseWriter, err error) {
 	if errors.Is(err, errMalformedID) {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	s.writeErr(w, http.StatusNotFound, err)
+	s.WriteErr(w, http.StatusNotFound, err)
 }
 
 func (s *Server) community(r *http.Request) (*store.Entry, error) {
@@ -555,7 +481,7 @@ func (s *Server) handleGetCommunity(w http.ResponseWriter, r *http.Request) {
 		s.writeLookupErr(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, info(e))
+	s.WriteJSON(w, http.StatusOK, info(e))
 }
 
 func (s *Server) handleDeleteCommunity(w http.ResponseWriter, r *http.Request) {
@@ -633,46 +559,25 @@ func candidateComms(cands store.Candidates) []*csj.Community {
 	return out
 }
 
-// requestCandidates resolves the candidates of a /rank or /topk
-// request: every stored community but the pivot with all_candidates,
-// else the explicit list. It writes the error response and reports
-// false when the request cannot proceed.
-func (s *Server) requestCandidates(w http.ResponseWriter, snap *store.Snapshot, pivot int64, ids []int64, all bool) (store.Candidates, bool) {
-	if all {
-		if len(ids) > 0 {
-			s.writeErr(w, http.StatusBadRequest,
-				errors.New("all_candidates excludes an explicit candidate list"))
-			return store.Candidates{}, false
-		}
-		return snap.Candidates(pivot), true
-	}
-	entries, err := candidateEntries(snap, ids)
-	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
-		return store.Candidates{}, false
-	}
-	return snap.CandidatesOf(entries), true
-}
-
 func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	var req SimilarityRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	snap := s.store.Snapshot()
 	b, err := lookup(snap, req.B)
 	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+		s.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	a, err := lookup(snap, req.A)
 	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+		s.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	method, err := csj.ParseMethod(req.Method)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	opts, err := req.Options.toOptions()
@@ -713,47 +618,41 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 	if req.IncludePairs {
 		resp.Pairs = res.Pairs
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }
 
+// handleRank serves /rank: a node's ranking is the shard ranking of
+// /internal/rank with the request's pivot as a local id.
 func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
 	var req RankRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
-	snap := s.store.Snapshot()
-	pivot, err := lookup(snap, req.Pivot)
-	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+	if err := CheckCandidates("rank", req.Candidates, req.AllCandidates); err != nil {
+		s.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	cands, ok := s.requestCandidates(w, snap, req.Pivot, req.Candidates, req.AllCandidates)
-	if !ok {
-		return
+	s.rank(w, r, &ShardQueryRequest{
+		Pivot:         ShardPivot{ID: &req.Pivot},
+		Candidates:    req.Candidates,
+		Method:        req.Method,
+		MinSimilarity: req.MinSimilarity,
+		UseIndex:      req.UseIndex,
+		Options:       req.Options,
+	})
+}
+
+// CheckCandidates requires exactly one of an explicit candidate list and
+// all_candidates, the two ways a /rank or /topk request names its
+// candidates; query names the endpoint in the error.
+func CheckCandidates(query string, ids []int64, all bool) error {
+	switch {
+	case all && len(ids) > 0:
+		return errors.New("all_candidates excludes an explicit candidate list")
+	case !all && len(ids) == 0:
+		return fmt.Errorf("%s needs candidates or all_candidates", query)
 	}
-	method, err := rankMethod(req.Method, req.MinSimilarity, req.UseIndex)
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		s.writeOptionsErr(w, err)
-		return
-	}
-	var pv *csj.PreparedCommunity
-	if minMaxMethod(method) {
-		if pv, err = snap.PreparedSpec(pivot.ID, opts.Spec()); err != nil {
-			s.writeJoinErr(w, r, err)
-			return
-		}
-	}
-	ranked, err := s.rank(r.Context(), pv, pivot.Comm, cands, method, req.MinSimilarity, opts)
-	if err != nil {
-		s.writeJoinErr(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, rankEntries(ranked, cands))
+	return nil
 }
 
 // rankMethod parses a rank request's method and checks it against the
@@ -773,28 +672,6 @@ func rankMethod(name string, minSim float64, useIndex bool) (csj.Method, error) 
 	return method, nil
 }
 
-// rank is the engine dispatch of /rank and /internal/rank. A positive
-// minSim runs the indexed threshold ranking, which prunes candidates
-// whose upper bound cannot reach it without resolving their views
-// (DESIGN.md §12); another MinMax ranking joins every candidate's
-// cached view; the other methods join the raw communities. pv is the
-// pivot's view, needed by the MinMax methods; pc its raw community,
-// needed by the others.
-func (s *Server) rank(ctx context.Context, pv *csj.PreparedCommunity, pc *csj.Community, cands store.Candidates, method csj.Method, minSim float64, opts *csj.Options) ([]csj.Ranked, error) {
-	switch {
-	case minSim > 0:
-		return csj.RankAboveIndexedFrom(ctx, pv, cands.Source(opts.Spec()), method, minSim, s.instrumentOptions(opts))
-	case minMaxMethod(method):
-		views, err := preparedViews(cands.Source(opts.Spec()))
-		if err != nil {
-			return nil, err
-		}
-		return csj.RankPreparedCtx(ctx, pv, views, method, s.instrumentOptions(opts))
-	default:
-		return csj.RankCtx(ctx, pc, candidateComms(cands), method, s.instrumentOptions(opts))
-	}
-}
-
 // rankEntries renders a ranking over cands as response rows.
 func rankEntries(ranked []csj.Ranked, cands store.Candidates) []RankEntry {
 	out := make([]RankEntry, len(ranked))
@@ -810,39 +687,23 @@ func rankEntries(ranked []csj.Ranked, cands store.Candidates) []RankEntry {
 	return out
 }
 
+// handleTopK serves /topk: a node's top-k is the shard top-k of
+// /internal/topk with the request's pivot as a local id.
 func (s *Server) handleTopK(w http.ResponseWriter, r *http.Request) {
 	var req TopKRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
-	snap := s.store.Snapshot()
-	pivot, err := lookup(snap, req.Pivot)
-	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+	if err := CheckCandidates("topk", req.Candidates, req.AllCandidates); err != nil {
+		s.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	cands, ok := s.requestCandidates(w, snap, req.Pivot, req.Candidates, req.AllCandidates)
-	if !ok {
-		return
-	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		s.writeOptionsErr(w, err)
-		return
-	}
-	pv, err := snap.PreparedSpec(pivot.ID, opts.Spec())
-	if err != nil {
-		s.writeJoinErr(w, r, err)
-		return
-	}
-	// The indexed engine returns the exact Ex-MinMax top-k and resolves
-	// views only for the candidates it joins (DESIGN.md §12).
-	top, err := csj.TopKIndexedFrom(r.Context(), pv, cands.Source(opts.Spec()), req.K, s.instrumentOptions(opts))
-	if err != nil {
-		s.writeJoinErr(w, r, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, topKEntries(top, cands))
+	s.topK(w, r, &ShardQueryRequest{
+		Pivot:      ShardPivot{ID: &req.Pivot},
+		Candidates: req.Candidates,
+		K:          req.K,
+		Options:    req.Options,
+	})
 }
 
 // topKEntries renders a top-k answer over cands as response rows.
@@ -865,18 +726,18 @@ func topKEntries(top []csj.TopKResult, cands store.Candidates) []TopKEntry {
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	var req MatrixRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	if len(req.Communities) < 2 {
-		s.writeErr(w, http.StatusUnprocessableEntity,
+		s.WriteErr(w, http.StatusUnprocessableEntity,
 			fmt.Errorf("matrix needs at least 2 communities, got %d", len(req.Communities)))
 		return
 	}
 	snap := s.store.Snapshot()
 	comms, err := candidateEntries(snap, req.Communities)
 	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+		s.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
 	if req.Method == "" {
@@ -884,7 +745,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	}
 	method, err := csj.ParseMethod(req.Method)
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
+		s.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
 	opts, err := req.Options.toOptions()
@@ -917,17 +778,17 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 			out[i].ElapsedMS = float64(e.Result.Elapsed.Microseconds()) / 1000
 		}
 	}
-	s.writeJSON(w, http.StatusOK, out)
+	s.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleCreateJoin(w http.ResponseWriter, r *http.Request) {
 	var req JoinRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	j, err := csj.NewIncrementalJoin(req.Dim, &csj.Options{Epsilon: req.Epsilon, Parts: req.Parts})
 	if err != nil {
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
+		s.WriteErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	s.mu.Lock()
@@ -936,7 +797,7 @@ func (s *Server) handleCreateJoin(w http.ResponseWriter, r *http.Request) {
 	st := &joinState{join: j, dim: req.Dim, eps: req.Epsilon}
 	s.joins[id] = st
 	s.mu.Unlock()
-	s.writeJSON(w, http.StatusCreated, joinInfo(id, st))
+	s.WriteJSON(w, http.StatusCreated, joinInfo(id, st))
 }
 
 func (s *Server) joinState(r *http.Request) (int64, *joinState, error) {
@@ -976,7 +837,7 @@ func (s *Server) handleGetJoin(w http.ResponseWriter, r *http.Request) {
 	st.mu.Lock()
 	info := joinInfo(id, st)
 	st.mu.Unlock()
-	s.writeJSON(w, http.StatusOK, info)
+	s.WriteJSON(w, http.StatusOK, info)
 }
 
 func (s *Server) handleJoinAddUser(w http.ResponseWriter, r *http.Request) {
@@ -986,7 +847,7 @@ func (s *Server) handleJoinAddUser(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JoinUserRequest
-	if !s.decode(w, r, &req) {
+	if !s.Decode(w, r, &req) {
 		return
 	}
 	st.mu.Lock()
@@ -998,14 +859,14 @@ func (s *Server) handleJoinAddUser(w http.ResponseWriter, r *http.Request) {
 	case "A", "a":
 		uid, err = st.join.AddA(req.Vector)
 	default:
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("side must be B or A, got %q", req.Side))
+		s.WriteErr(w, http.StatusBadRequest, fmt.Errorf("side must be B or A, got %q", req.Side))
 		return
 	}
 	if err != nil {
-		s.writeErr(w, http.StatusUnprocessableEntity, err)
+		s.WriteErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	s.writeJSON(w, http.StatusCreated, JoinUserResponse{UserID: uid, State: joinInfo(id, st)})
+	s.WriteJSON(w, http.StatusCreated, JoinUserResponse{UserID: uid, State: joinInfo(id, st)})
 }
 
 func (s *Server) handleJoinRemoveUser(w http.ResponseWriter, r *http.Request) {
@@ -1016,7 +877,7 @@ func (s *Server) handleJoinRemoveUser(w http.ResponseWriter, r *http.Request) {
 	}
 	uid, err := strconv.Atoi(r.PathValue("uid"))
 	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad user id: %w", err))
+		s.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad user id: %w", err))
 		return
 	}
 	st.mu.Lock()
@@ -1027,12 +888,12 @@ func (s *Server) handleJoinRemoveUser(w http.ResponseWriter, r *http.Request) {
 	case "A", "a":
 		err = st.join.RemoveA(uid)
 	default:
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("side must be B or A"))
+		s.WriteErr(w, http.StatusBadRequest, fmt.Errorf("side must be B or A"))
 		return
 	}
 	if err != nil {
-		s.writeErr(w, http.StatusNotFound, err)
+		s.WriteErr(w, http.StatusNotFound, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, joinInfo(id, st))
+	s.WriteJSON(w, http.StatusOK, joinInfo(id, st))
 }

@@ -294,7 +294,7 @@ func TestTopKEndpoint(t *testing.T) {
 	}
 	doJSON(t, "POST", ts.URL+"/topk", TopKRequest{
 		Pivot: pivot, Candidates: []int64{twin}, K: 0,
-	}, http.StatusUnprocessableEntity, nil)
+	}, http.StatusBadRequest, nil)
 }
 
 func TestMatrixEndpoint(t *testing.T) {

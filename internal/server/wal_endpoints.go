@@ -27,10 +27,10 @@ const shipChunkBytes = 1 << 20
 func (s *Server) handleWALStatus(w http.ResponseWriter, _ *http.Request) {
 	st, err := s.cfg.Durable.ShipStatus()
 	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, err)
+		s.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, st)
+	s.WriteJSON(w, http.StatusOK, st)
 }
 
 // shipSeq parses the {id} path value as a segment/checkpoint sequence.
@@ -58,7 +58,7 @@ func (s *Server) handleWALSegment(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("offset"); raw != "" {
 		off, err = strconv.ParseInt(raw, 10, 64)
 		if err != nil || off < 0 {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad offset %q", raw))
+			s.WriteErr(w, http.StatusBadRequest, fmt.Errorf("bad offset %q", raw))
 			return
 		}
 	}
@@ -66,17 +66,17 @@ func (s *Server) handleWALSegment(w http.ResponseWriter, r *http.Request) {
 	n, err := s.cfg.Durable.ReadSegmentAt(seq, off, buf)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			s.writeErr(w, http.StatusNotFound, fmt.Errorf("no segment %d", seq))
+			s.WriteErr(w, http.StatusNotFound, fmt.Errorf("no segment %d", seq))
 			return
 		}
-		s.writeErr(w, http.StatusInternalServerError, err)
+		s.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(http.StatusOK)
 	if _, werr := w.Write(buf[:n]); werr != nil {
-		s.logf("shipping segment %d: %v", seq, werr)
+		s.Logf("shipping segment %d: %v", seq, werr)
 	}
 }
 
@@ -91,10 +91,10 @@ func (s *Server) handleWALCheckpoint(w http.ResponseWriter, r *http.Request) {
 	rc, size, err := s.cfg.Durable.OpenCheckpoint(seq)
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
-			s.writeErr(w, http.StatusNotFound, fmt.Errorf("no checkpoint %d", seq))
+			s.WriteErr(w, http.StatusNotFound, fmt.Errorf("no checkpoint %d", seq))
 			return
 		}
-		s.writeErr(w, http.StatusInternalServerError, err)
+		s.WriteErr(w, http.StatusInternalServerError, err)
 		return
 	}
 	defer rc.Close()
@@ -102,6 +102,6 @@ func (s *Server) handleWALCheckpoint(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 	w.WriteHeader(http.StatusOK)
 	if _, werr := io.Copy(w, rc); werr != nil {
-		s.logf("shipping checkpoint %d: %v", seq, werr)
+		s.Logf("shipping checkpoint %d: %v", seq, werr)
 	}
 }

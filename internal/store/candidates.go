@@ -2,71 +2,61 @@ package store
 
 import (
 	"fmt"
-	"slices"
 
 	csj "github.com/opencsj/csj"
 )
 
 // Candidates is a query's candidate set drawn from one snapshot and
-// addressed by position: the snapshot's listing minus a few excluded
-// ids, or an explicit list of its entries. Building one copies no
-// entries, so a query over the whole store costs what it visits, not
-// what is stored.
+// addressed by position: the snapshot's listing minus one excluded id,
+// or an explicit list of its entries. Building one copies no entries,
+// so a query over the whole store costs what it visits, not what is
+// stored.
 type Candidates struct {
-	snap    *Snapshot
-	entries []*Entry
-	skip    []int // ascending positions in entries that are not candidates
+	snap *Snapshot
+	// head then tail are the candidates in order: the listing split
+	// around the excluded entry, or the whole list in head.
+	head, tail []*Entry
 }
 
-// Candidates returns every entry of the snapshot but the excluded ids,
-// in ascending id order. An id the snapshot does not hold excludes
-// nothing.
-func (sn *Snapshot) Candidates(exclude ...int64) Candidates {
-	c := Candidates{snap: sn, entries: sn.list}
-	for _, id := range exclude {
-		if pos, ok := sn.search(id); ok && !slices.Contains(c.skip, pos) {
-			c.skip = append(c.skip, pos)
-		}
+// Candidates returns every entry of the snapshot but the one with id
+// exclude, in ascending id order. An id the snapshot does not hold
+// excludes nothing.
+func (sn *Snapshot) Candidates(exclude int64) Candidates {
+	pos, ok := sn.search(exclude)
+	if !ok {
+		return Candidates{snap: sn, head: sn.list}
 	}
-	slices.Sort(c.skip)
-	return c
+	return Candidates{snap: sn, head: sn.list[:pos], tail: sn.list[pos+1:]}
 }
 
 // CandidatesOf returns entries of the snapshot, in the given order, as
 // a candidate set. The slice is kept, not copied.
 func (sn *Snapshot) CandidatesOf(entries []*Entry) Candidates {
-	return Candidates{snap: sn, entries: entries}
+	return Candidates{snap: sn, head: entries}
 }
 
 // Len returns the candidate count.
-func (c Candidates) Len() int { return len(c.entries) - len(c.skip) }
+func (c Candidates) Len() int { return len(c.head) + len(c.tail) }
 
 // Entry returns candidate i.
 func (c Candidates) Entry(i int) *Entry {
-	for _, p := range c.skip {
-		if p > i {
-			break
-		}
-		i++
+	if i < len(c.head) {
+		return c.head[i]
 	}
-	return c.entries[i]
+	return c.tail[i-len(c.head)]
 }
 
 // Name returns candidate i's community name.
 func (c Candidates) Name(i int) string { return c.Entry(i).Comm.Name }
 
-// Summary returns candidate i's stored pruning summary. A store running
-// with summaries disabled summarizes the community on the fly.
+// Summary returns candidate i's stored pruning summary. Only an entry
+// whose community cannot be summarized has none.
 func (c Candidates) Summary(i int) (*csj.CommunitySummary, error) {
 	e := c.Entry(i)
-	if e.Summary != nil {
-		return e.Summary, nil
+	if e.Summary == nil {
+		return nil, fmt.Errorf("community %d has no pruning summary", e.ID)
 	}
-	sum, err := csj.SummarizeCommunity(e.Comm, 0)
-	if err != nil {
-		return nil, fmt.Errorf("summarizing community %d: %w", e.ID, err)
-	}
-	return sum, nil
+	return e.Summary, nil
 }
 
 // Source returns the candidates as a csj.CandidateSource whose views
@@ -77,8 +67,8 @@ func (c Candidates) Source(spec csj.MatchSpec) *CandidateSource {
 
 // CandidateSource is a candidate set bound to the match spec its views
 // resolve under. It implements csj.CandidateSource with no
-// per-candidate allocation: summaries are the entries' own (unless
-// summaries are disabled) and a view is one cache lookup.
+// per-candidate allocation: summaries are the entries' own and a view
+// is one cache lookup.
 type CandidateSource struct {
 	Candidates
 	spec csj.MatchSpec

@@ -14,12 +14,12 @@ import (
 
 func TestEntrySummaryBuiltOnCreate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	st := New(Config{}) // IndexBuckets 0 selects the default resolution
+	st := New(Config{})
 	e := mustCreate(t, st, testCommunity("a", rng, 20, 4))
 	if e.Summary == nil {
 		t.Fatal("created entry has no summary")
 	}
-	want, err := csj.SummarizeCommunity(e.Comm, 0)
+	want, err := csj.SummarizeCommunity(e.Comm, csj.DefaultIndexBuckets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,31 +31,23 @@ func TestEntrySummaryBuiltOnCreate(t *testing.T) {
 	}
 }
 
-func TestEntrySummaryDisabled(t *testing.T) {
+// TestCandidatesSummaryErrorsWithoutSummary: an entry whose community
+// cannot be summarized (here an empty one) carries no summary, and the
+// candidate source reports it as an error rather than a nil summary.
+func TestCandidatesSummaryErrorsWithoutSummary(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	st := New(Config{IndexBuckets: -1})
-	if e := mustCreate(t, st, testCommunity("a", rng, 10, 3)); e.Summary != nil {
-		t.Fatal("IndexBuckets < 0 must disable summaries")
+	st := New(Config{})
+	mustCreate(t, st, testCommunity("a", rng, 10, 3))
+	empty := mustCreate(t, st, &csj.Community{Name: "empty", Category: -1})
+	if empty.Summary != nil {
+		t.Fatal("an empty community got a summary")
 	}
-}
-
-func TestEntrySummaryCustomBuckets(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	st := New(Config{IndexBuckets: 4})
-	e := mustCreate(t, st, testCommunity("a", rng, 16, 3))
-	want, err := csj.SummarizeCommunity(e.Comm, 4)
-	if err != nil {
-		t.Fatal(err)
+	cands := st.Snapshot().Candidates(0)
+	if sum, err := cands.Summary(0); err != nil || sum == nil {
+		t.Fatalf("Summary(0) = %v, %v; want the stored summary", sum, err)
 	}
-	if e.Summary == nil || !e.Summary.Equal(want) {
-		t.Fatal("entry summary not built at the configured resolution")
-	}
-	other, err := csj.SummarizeCommunity(e.Comm, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.Summary.Equal(other) {
-		t.Fatal("summaries of different resolutions must differ")
+	if _, err := cands.Summary(1); err == nil {
+		t.Fatal("Summary of an entry without one returned no error")
 	}
 }
 

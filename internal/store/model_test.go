@@ -169,7 +169,7 @@ func runStoreModel(t *testing.T, seed int64, steps int) {
 // entries when read again after more writes. Run it under -race with
 // -count=10.
 func TestSnapshotsUnderConcurrentWrites(t *testing.T) {
-	st := New(Config{IndexBuckets: -1})
+	st := New(Config{})
 	rng := rand.New(rand.NewSource(5))
 	comms := make([]*csj.Community, 64)
 	for i := range comms {

@@ -97,13 +97,6 @@ type Config struct {
 	// Logf, when non-nil, receives background-failure log lines
 	// (checkpoint errors from the automatic checkpoint goroutine).
 	Logf func(format string, args ...any)
-	// IndexBuckets selects the per-dimension histogram resolution of
-	// the pruning summary attached to every entry (DESIGN.md §12): 0
-	// selects csj.DefaultIndexBuckets, negative disables summaries
-	// entirely. Summaries are pure functions of the community, so they
-	// are rebuilt — identically — when a Seed boots the store after
-	// recovery; they are never persisted.
-	IndexBuckets int
 }
 
 // Entry is one stored community. Entries are immutable: the community
@@ -118,11 +111,13 @@ type Entry struct {
 	// Comm is the deep-copied community.
 	Comm *csj.Community
 	// Summary is the community's pruning summary for the envelope index
-	// (nil when disabled or when the community cannot be summarized —
-	// such entries are simply never pruned). Entries are immutable and
-	// replaced wholesale on mutation, so the summary is versioned
-	// exactly like the entry: built on Create, dropped with the entry
-	// on Delete, rebuilt on the Seed boot path after WAL recovery.
+	// at csj.DefaultIndexBuckets (DESIGN.md §12); nil only when the
+	// community cannot be summarized, which the indexed engines report
+	// as an error. Entries are immutable and replaced wholesale on
+	// mutation, so the summary is versioned exactly like the entry:
+	// built on Create, dropped with the entry on Delete, rebuilt — being
+	// a pure function of the community, identically — on the Seed boot
+	// path after WAL recovery. Summaries are never persisted.
 	Summary *csj.CommunitySummary
 }
 
@@ -143,17 +138,14 @@ type Store struct {
 	nextID  int64
 	version uint64
 	snap    atomic.Pointer[Snapshot]
-
-	indexBuckets int // summary resolution; < 0 disables summaries
 }
 
 // New returns a store, empty unless cfg.Seed carries an image.
 func New(cfg Config) *Store {
 	s := &Store{
-		cache:        newCache(cfg.MaxCacheBytes, cfg.Observer),
-		p:            cfg.Persistence,
-		logf:         cfg.Logf,
-		indexBuckets: cfg.IndexBuckets,
+		cache: newCache(cfg.MaxCacheBytes, cfg.Observer),
+		p:     cfg.Persistence,
+		logf:  cfg.Logf,
 	}
 	var list []*Entry
 	if cfg.Seed != nil {
@@ -165,7 +157,7 @@ func New(cfg Config) *Store {
 			// community, so the rebuilt index prunes identically to the
 			// pre-crash one (pinned by TestRecoveredSummariesPruneIdentically).
 			list[i] = &Entry{ID: se.ID, Version: se.Version, Comm: se.Comm,
-				Summary: s.summarize(se.Comm)}
+				Summary: summarize(se.Comm)}
 		}
 		list = sortByID(list)
 		for _, e := range list {
@@ -204,7 +196,7 @@ func sortByID(list []*Entry) []*Entry {
 // before it is applied: an error means the community was not stored.
 func (s *Store) Create(c *csj.Community) (*Entry, error) {
 	clone := c.Clone()
-	sum := s.summarize(clone) // built outside the lock; O(users*d)
+	sum := summarize(clone) // built outside the lock; O(users*d)
 	s.mu.Lock()
 	id, version := s.nextID+1, s.version+1
 	if s.p != nil {
@@ -238,7 +230,7 @@ func (s *Store) CreateWithID(id int64, c *csj.Community) (*Entry, error) {
 		return nil, fmt.Errorf("store: community id must be positive, got %d", id)
 	}
 	clone := c.Clone()
-	sum := s.summarize(clone)
+	sum := summarize(clone)
 	s.mu.Lock()
 	old := s.snap.Load()
 	pos, found := old.search(id)
@@ -293,14 +285,10 @@ func (s *Store) Delete(id int64) (bool, error) {
 	return true, nil
 }
 
-// summarize builds an entry's pruning summary, or nil when summaries
-// are disabled or the community cannot be summarized (e.g. empty) —
-// the index then simply never prunes that entry.
-func (s *Store) summarize(c *csj.Community) *csj.CommunitySummary {
-	if s.indexBuckets < 0 {
-		return nil
-	}
-	sum, err := csj.SummarizeCommunity(c, s.indexBuckets)
+// summarize builds an entry's pruning summary, or nil when the
+// community cannot be summarized (e.g. empty).
+func summarize(c *csj.Community) *csj.CommunitySummary {
+	sum, err := csj.SummarizeCommunity(c, csj.DefaultIndexBuckets)
 	if err != nil {
 		return nil
 	}
