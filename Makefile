@@ -68,15 +68,19 @@ indexguard:
 	$(GO) test -count=1 -v -run '^TestDimFlowIsExactMaxFlow$$|^TestUpperBoundDominatesExactJoin$$|^TestUpperBoundZeroAllocs$$' ./internal/index
 	$(GO) test -count=1 -v -run '^TestIndexedTopKExactness$$|^TestRankAboveExactness$$|^TestIndexedTopKTies$$|^TestIndexedTopKTiesRandomized$$' .
 
-# kernelguard is the SoA scan-kernel gate (DESIGN.md §14): the flat
-# kernel must be byte-identical to the scalar reference over seeded
-# random corpora (duplicates, full-int32 extremes, block-boundary
-# dimensions), the prepared SoA Ap and Ex joins must stay 0 allocs/op
-# (Ex with its CSF flushes), and the workers<=1 pool path must run
-# tasks inline on the caller's goroutine.
+# kernelguard is the SoA scan-kernel gate (DESIGN.md §14): the fused
+# sweeps must be byte-identical to the scalar reference, pairs and event
+# tallies, over seeded random corpora (part counts 1-5, the skip offset
+# on and off, duplicates, full-int32 extremes, block-boundary
+# dimensions), over the served shapes (node-rank's 1,500 x 27 VK-like
+# pairs, a top-k read's 16-24 x 6 archetype siblings), and on the
+# directed empty-part-range pair that a one-compare range test gets
+# wrong; the prepared SoA Ap and Ex joins must stay 0 allocs/op (Ex
+# with its CSF flushes), and the workers<=1 pool path must run tasks
+# inline on the caller's goroutine.
 # The alloc check is !race-gated, same reason as metricsguard.
 kernelguard:
-	$(GO) test -count=1 -v -run '^TestSoAKernelMatchesReference$$|^TestSoAKernelDuplicateScores$$|^TestSoAKernelExtremeValues$$|^TestEpsWithinKernelEdges$$|^TestKernelGuardSoAZeroAlloc$$' ./internal/core
+	$(GO) test -count=1 -v -run '^TestSoAKernelMatchesReference$$|^TestSoAKernelServedShapes$$|^TestSoAKernelDuplicateScores$$|^TestSoAKernelExtremeValues$$|^TestSoAKernelEmptyPartRange$$|^TestEpsWithinKernelEdges$$|^TestKernelGuardSoAZeroAlloc$$' ./internal/core
 	$(GO) test -count=1 -v -run '^TestRunPoolSerialInline$$' .
 
 # specguard is the MatchSpec gate (DESIGN.md §15): per-dimension

@@ -357,6 +357,19 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "exminmax", MinSimilarity: -0.5, Options: opts}, http.StatusBadRequest},
 			{"rank min_similarity with a non-MinMax method", "/rank",
 				server.RankRequest{Pivot: 3, AllCandidates: true, Method: "exbaseline", MinSimilarity: 0.2, Options: opts}, http.StatusBadRequest},
+			// Two faults: both check the method and the options before
+			// the pivot.
+			{"rank missing pivot and bad method", "/rank",
+				server.RankRequest{Pivot: 99, AllCandidates: true, Method: "bogus", Options: opts}, http.StatusBadRequest},
+			{"rank missing pivot and negative epsilon_vec entry", "/rank",
+				server.RankRequest{Pivot: 99, AllCandidates: true, Method: "exminmax",
+					Options: server.OptionsPayload{EpsilonVec: []int32{1, -2, 0, 1}}}, http.StatusUnprocessableEntity},
+			{"topk missing pivot and negative epsilon_vec entry", "/topk",
+				server.TopKRequest{Pivot: 99, AllCandidates: true, K: 2,
+					Options: server.OptionsPayload{EpsilonVec: []int32{1, -2, 0, 1}}}, http.StatusUnprocessableEntity},
+			{"topk missing pivot and bad matcher", "/topk",
+				server.TopKRequest{Pivot: 99, Candidates: []int64{1, 2}, K: 2,
+					Options: server.OptionsPayload{Epsilon: 8, Matcher: "bogus"}}, http.StatusBadRequest},
 		} {
 			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, tc, c.path, c.body, c.want) })
 		}

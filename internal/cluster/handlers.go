@@ -222,8 +222,14 @@ func (c *Coordinator) handleRank(w http.ResponseWriter, r *http.Request) {
 	if !c.Decode(w, r, &req) {
 		return
 	}
+	// The node's order: the candidate forms, the method and the options,
+	// and only then the pivot.
 	if err := server.CheckCandidates("rank", req.Candidates, req.AllCandidates); err != nil {
 		c.WriteErr(w, http.StatusBadRequest, err)
+		return
+	}
+	if _, _, status, err := server.CheckRank(req.Method, req.MinSimilarity, req.UseIndex, &req.Options); err != nil {
+		c.WriteErr(w, status, err)
 		return
 	}
 	queries, err := c.shardQueries(r.Context(), req.Pivot, req.Candidates)
@@ -289,13 +295,14 @@ func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
 	if !c.Decode(w, r, &req) {
 		return
 	}
-	// The node's order: the candidate forms, then k.
+	// The node's order: the candidate forms, k and the options, and only
+	// then the pivot.
 	if err := server.CheckCandidates("topk", req.Candidates, req.AllCandidates); err != nil {
 		c.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.K < 1 {
-		c.WriteErr(w, http.StatusBadRequest, fmt.Errorf("k must be >= 1, got %d", req.K))
+	if _, status, err := server.CheckTopK(req.K, &req.Options); err != nil {
+		c.WriteErr(w, status, err)
 		return
 	}
 	queries, err := c.shardQueries(r.Context(), req.Pivot, req.Candidates)

@@ -2,8 +2,9 @@
 // Ap-MinMax and Ex-MinMax algorithms (Sections 4.1 and 4.2), built on
 // the MinMax encoding scheme. The scan loops emit the paper's five
 // pairing events — MIN PRUNE, MAX PRUNE, NO OVERLAP, NO MATCH, MATCH —
-// which are counted in Events and optionally recorded in a Trace (the
-// golden tests replay the paper's Figures 2 and 3 exactly).
+// which are counted in Events and, by ScanAp and ScanEx, optionally
+// recorded in a Trace (the golden tests replay the paper's Figures 2
+// and 3 exactly).
 package core
 
 import "fmt"
@@ -135,9 +136,10 @@ type TraceEvent struct {
 	APos int
 }
 
-// Trace records the full event sequence of a scan when attached to
-// Options. It exists for debugging, teaching, and the Figure 2/3 golden
-// tests; production runs leave it nil.
+// Trace records the full event sequence of a reference scan, passed to
+// ScanAp or ScanEx. It exists for debugging, teaching, and the Figure
+// 2/3 golden tests. The joins record none: the one-shot joins run the
+// same scans untraced, and the prepared joins' sweeps classify in bulk.
 type Trace struct {
 	Events []TraceEvent
 }

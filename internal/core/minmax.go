@@ -24,8 +24,6 @@ type Options struct {
 	// Matcher resolves segments of the exact algorithm into one-to-one
 	// pairs; nil selects CSF. Ignored by ApMinMax.
 	Matcher matching.Matcher
-	// Trace, when non-nil, records the full event sequence.
-	Trace *Trace
 	// DisableSkipOffset turns off the skip/offset fast-forwarding
 	// (ablation only; results are identical).
 	DisableSkipOffset bool
@@ -188,7 +186,7 @@ func ApMinMax(b, a *vector.Community, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	pairs, err := apScan(in, &res.Events, opts.Trace)
+	pairs, err := apScan(in, &res.Events, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +205,7 @@ func ExMinMax(b, a *vector.Community, opts Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	pairs, err := exScan(in, opts.matcher(), &res.Events, opts.Trace)
+	pairs, err := exScan(in, opts.matcher(), &res.Events, nil)
 	if err != nil {
 		return nil, err
 	}

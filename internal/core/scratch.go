@@ -66,7 +66,7 @@ func ApMinMaxPreparedInto(b, a *Prepared, opts Options, s *Scratch, res *Result)
 	}
 	in := s.bindPrepared(b, a, &opts)
 	res.Events = Events{}
-	pairs, err := apScanSoA(in, &b.soa, &a.soa, &res.Events, opts.Trace, s)
+	pairs, err := apScanSoA(in, &b.soa, &a.soa, &res.Events, s)
 	if err != nil {
 		return err
 	}
@@ -85,7 +85,7 @@ func ExMinMaxPreparedInto(b, a *Prepared, opts Options, s *Scratch, res *Result)
 	}
 	in := s.bindPrepared(b, a, &opts)
 	res.Events = Events{}
-	pairs, err := exScanSoA(in, &b.soa, &a.soa, opts.matcher(), &res.Events, opts.Trace, s)
+	pairs, err := exScanSoA(in, &b.soa, &a.soa, opts.matcher(), &res.Events, s)
 	if err != nil {
 		return err
 	}

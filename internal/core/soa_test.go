@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"github.com/opencsj/csj/internal/dataset"
 	"github.com/opencsj/csj/internal/vector"
 )
 
@@ -98,10 +100,12 @@ func requireBothPathsEqual(t *testing.T, label string, b, a *vector.Community, o
 // TestSoAKernelMatchesReference is the exactness property of the SoA
 // scan path: over seeded random corpora — varied sizes, dimensions
 // (below, at, and above the kernel block width), epsilons, duplicate
-// scores — the prepared joins' flat kernel must produce byte-identical
-// pairs and event tallies to the one-shot scalar reference.
-// A failing seed is named by the trial index. Part of `make
-// kernelguard` and the ordinary `-race` suite.
+// scores, part counts 1–5 (the exact sweep's 4-part and generic pass
+// 1), each corpus with the skip offset on and off — the prepared
+// joins' flat kernel must produce byte-identical pairs and event
+// tallies to the one-shot scalar reference. A failing seed is named by
+// the trial index. Part of `make kernelguard` and the ordinary `-race`
+// suite.
 func TestSoAKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 60; trial++ {
@@ -112,21 +116,62 @@ func TestSoAKernelMatchesReference(t *testing.T) {
 		}
 		b := randCommunity(rng, "B", 1+rng.Intn(60), d, 12)
 		a := randCommunity(rng, "A", 1+rng.Intn(60), d, 12)
-		opts := Options{Eps: eps, Parts: 1 + rng.Intn(min(4, d))}
-		requireBothPathsEqual(t, "random", b, a, opts)
+		opts := Options{Eps: eps, Parts: 1 + rng.Intn(min(5, d))}
+		for _, off := range []bool{false, true} {
+			opts.DisableSkipOffset = off
+			requireBothPathsEqual(t, fmt.Sprintf("random trial %d, skip offset off=%v", trial, off), b, a, opts)
+		}
+	}
+}
+
+// TestSoAKernelServedShapes extends the property to the join shapes
+// the served reads run: node-rank's VK-like 1,500 × 27 pairs under eps
+// 1, whose rows see a hundred NO OVERLAPs each, and a top-k read's
+// 16–24 × 6 archetype siblings under eps 1500, which match often. The
+// top-k pairs run at part counts 1–5 and the rank pairs at 1, 3, 4 and
+// 5, both with the skip offset on and off. Three rank pairs make most
+// rows' windows span several pass-1 chunks: two with the offset off,
+// so every window starts at the first A entry, and one under eps 5.
+func TestSoAKernelServedShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1500))
+	rank := rankShapeCorpus(rng, 3, 1500)
+	for i, opts := range []Options{
+		{Eps: dataset.EpsilonVK},
+		{Eps: dataset.EpsilonVK, DisableSkipOffset: true},
+		{Eps: 5},
+		{Eps: dataset.EpsilonVK, Parts: 1},
+		{Eps: dataset.EpsilonVK, Parts: 3, DisableSkipOffset: true},
+		{Eps: dataset.EpsilonVK, Parts: 5},
+	} {
+		b, a := rank[i%3], rank[(i+1)%3]
+		requireBothPathsEqual(t, fmt.Sprintf("rank shape %d", i), b, a, opts)
+	}
+	group := topkShapeGroup(rng, 21)
+	for i := 1; i < len(group); i++ {
+		b, a := group[0], group[i]
+		if a.Size() < b.Size() {
+			b, a = a, b
+		}
+		opts := Options{Eps: 1500, Parts: 1 + i%5, DisableSkipOffset: i%2 == 0}
+		requireBothPathsEqual(t, fmt.Sprintf("top-k shape %d", i), b, a, opts)
 	}
 }
 
 // TestSoAKernelDuplicateScores covers tie-heavy corpora: repeated
 // identical vectors collapse encoded IDs and windows, stressing the
-// greedy consumption and offset logic on both shapes.
+// greedy consumption and offset logic on both shapes, each corpus with
+// the skip offset on and off.
 func TestSoAKernelDuplicateScores(t *testing.T) {
 	rng := rand.New(rand.NewSource(515))
 	for trial := 0; trial < 40; trial++ {
 		d := 1 + rng.Intn(10)
 		b := dupCommunity(rng, "B", 2+rng.Intn(30), d, 3)
 		a := dupCommunity(rng, "A", 2+rng.Intn(30), d, 3)
-		requireBothPathsEqual(t, "dups", b, a, Options{Eps: rng.Int31n(3)})
+		opts := Options{Eps: rng.Int31n(3)}
+		for _, off := range []bool{false, true} {
+			opts.DisableSkipOffset = off
+			requireBothPathsEqual(t, fmt.Sprintf("dups trial %d, skip offset off=%v", trial, off), b, a, opts)
+		}
 	}
 }
 
@@ -174,6 +219,42 @@ func TestSoAKernelExtremeValues(t *testing.T) {
 	for shape, res := range map[string]*Result{"one-shot": oneShot, "prepared": prepared} {
 		if len(res.Pairs) != 0 {
 			t.Fatalf("%s: MaxInt32 vs MinInt32 matched under eps=5 (overflow)", shape)
+		}
+	}
+}
+
+// TestSoAKernelEmptyPartRange pins the directed case of an empty part
+// range. The encoding clamps a range's low end at 0, so an A counter
+// below -eps gives its part a range whose high end lies below its low
+// end. Here A's first counter is -5 under eps 3: part 0's range is
+// [0, -2]. B's encoded ID lies inside A's window and its vector is
+// within eps of A's, but its part-0 sum (-5) is outside the empty
+// range, so the reference reports NO OVERLAP and no pair; the prepared
+// sweep must agree, with four parts (admit4) and with two (the generic
+// pass 1). A one-compare range test, uint64(s-lo) <= uint64(hi-lo),
+// admits every s when hi < lo and would report a MATCH.
+func TestSoAKernelEmptyPartRange(t *testing.T) {
+	for _, c := range []struct {
+		b, a vector.Vector
+	}{
+		{vector.Vector{-5, 12, 10, 10}, vector.Vector{-5, 10, 10, 10}},
+		{vector.Vector{-5, 12}, vector.Vector{-5, 10}},
+	} {
+		b := &vector.Community{Name: "B", Category: -1, Users: []vector.Vector{c.b}}
+		a := &vector.Community{Name: "A", Category: -1, Users: []vector.Vector{c.a}}
+		for _, skipOff := range []bool{false, true} {
+			opts := Options{Eps: 3, Parts: len(c.a), DisableSkipOffset: skipOff}
+			label := fmt.Sprintf("d=%d skip offset off=%v", len(c.a), skipOff)
+			requireBothPathsEqual(t, label, b, a, opts)
+			// The pair reaches the part check: the window admits it and
+			// the empty range rejects it.
+			ref, err := ExMinMax(b, a, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ref.Pairs) != 0 || ref.Events.NoOverlaps != 1 || ref.Events.Comparisons() != 0 {
+				t.Fatalf("%s: got %d pairs and %+v, want no pair and one NO OVERLAP", label, len(ref.Pairs), ref.Events)
+			}
 		}
 	}
 }

@@ -161,31 +161,25 @@ func resolvePivot(snap *store.Snapshot, p ShardPivot, method csj.Method, opts *c
 
 // query is a /rank or /topk request resolved against one snapshot.
 type query struct {
-	opts  *csj.Options
 	pivot *csj.Community
 	view  *csj.PreparedCommunity // the pivot's view; MinMax methods only
 	cands store.Candidates
 }
 
-// resolve resolves req's options, pivot and candidates for method: the
-// explicit candidate list when given (each must be local), otherwise
-// every local community but a local pivot. The pivot resolves first,
-// so a missing one is 404 even when no candidate is left. resolve
-// writes the error response and reports false when the query cannot
-// run.
-func (s *Server) resolve(w http.ResponseWriter, req *ShardQueryRequest, method csj.Method) (query, bool) {
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		s.writeOptionsErr(w, err)
-		return query{}, false
-	}
+// resolve resolves req's pivot and candidates for method under opts:
+// the explicit candidate list when given (each must be local),
+// otherwise every local community but a local pivot. The pivot resolves
+// first, so a missing one is 404 even when no candidate is left.
+// resolve writes the error response and reports false when the query
+// cannot run.
+func (s *Server) resolve(w http.ResponseWriter, req *ShardQueryRequest, method csj.Method, opts *csj.Options) (query, bool) {
 	snap := s.store.Snapshot()
 	pc, pv, status, err := resolvePivot(snap, req.Pivot, method, opts)
 	if err != nil {
 		s.WriteErr(w, status, err)
 		return query{}, false
 	}
-	q := query{opts: opts, pivot: pc, view: pv}
+	q := query{pivot: pc, view: pv}
 	if len(req.Candidates) > 0 {
 		entries, err := candidateEntries(snap, req.Candidates)
 		if err != nil {
@@ -260,12 +254,12 @@ func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
 // another MinMax ranking joins every candidate's cached view; the other
 // methods join the raw communities. An empty candidate set ranks to [].
 func (s *Server) rank(w http.ResponseWriter, r *http.Request, req *ShardQueryRequest) {
-	method, err := rankMethod(req.Method, req.MinSimilarity, req.UseIndex)
+	method, opts, status, err := CheckRank(req.Method, req.MinSimilarity, req.UseIndex, &req.Options)
 	if err != nil {
-		s.WriteErr(w, http.StatusBadRequest, err)
+		s.WriteErr(w, status, err)
 		return
 	}
-	q, ok := s.resolve(w, req, method)
+	q, ok := s.resolve(w, req, method, opts)
 	if !ok {
 		return
 	}
@@ -274,7 +268,7 @@ func (s *Server) rank(w http.ResponseWriter, r *http.Request, req *ShardQueryReq
 		s.WriteJSON(w, http.StatusOK, []RankEntry{})
 		return
 	}
-	opts := s.instrumentOptions(q.opts)
+	opts = s.instrumentOptions(opts)
 	var ranked []csj.Ranked
 	switch {
 	case req.MinSimilarity > 0:
@@ -307,11 +301,12 @@ func (s *Server) handleInternalTopK(w http.ResponseWriter, r *http.Request) {
 // top-k is what makes the coordinator's merge exact (DESIGN.md §13).
 // An empty candidate set answers [].
 func (s *Server) topK(w http.ResponseWriter, r *http.Request, req *ShardQueryRequest) {
-	if req.K < 1 {
-		s.WriteErr(w, http.StatusBadRequest, fmt.Errorf("k must be >= 1, got %d", req.K))
+	opts, status, err := CheckTopK(req.K, &req.Options)
+	if err != nil {
+		s.WriteErr(w, status, err)
 		return
 	}
-	q, ok := s.resolve(w, req, csj.ExMinMax)
+	q, ok := s.resolve(w, req, csj.ExMinMax, opts)
 	if !ok {
 		return
 	}
@@ -319,7 +314,7 @@ func (s *Server) topK(w http.ResponseWriter, r *http.Request, req *ShardQueryReq
 		s.WriteJSON(w, http.StatusOK, []TopKEntry{})
 		return
 	}
-	opts := s.instrumentOptions(q.opts)
+	opts = s.instrumentOptions(opts)
 	top, err := csj.TopKIndexedFrom(r.Context(), q.view, q.cands.Source(opts.Spec()), req.K, opts)
 	if err != nil {
 		s.writeJoinErr(w, r, err)

@@ -146,18 +146,22 @@ func (s *Server) writeJoinErr(w http.ResponseWriter, r *http.Request, err error)
 	}
 }
 
-// writeOptionsErr maps an options-payload failure: spec errors (a bad
+// optionsStatus maps an options-payload failure: spec errors (a bad
 // epsilon vector or scorer in an otherwise well-formed request) are
 // semantic and map to 422, matching the engine-level status of the
 // same condition; anything else (unknown matcher) is a malformed
 // request, 400.
-func (s *Server) writeOptionsErr(w http.ResponseWriter, err error) {
+func optionsStatus(err error) int {
 	var se *specError
 	if errors.As(err, &se) {
-		s.WriteErr(w, http.StatusUnprocessableEntity, err)
-		return
+		return http.StatusUnprocessableEntity
 	}
-	s.WriteErr(w, http.StatusBadRequest, err)
+	return http.StatusBadRequest
+}
+
+// writeOptionsErr writes an options-payload failure with its status.
+func (s *Server) writeOptionsErr(w http.ResponseWriter, err error) {
+	s.WriteErr(w, optionsStatus(err), err)
 }
 
 // degraded reports the node is in read-only degraded mode: the

@@ -181,7 +181,7 @@ type ScorerPayload struct {
 
 // specError marks an options failure that is semantic rather than
 // syntactic — a well-formed request asking for an impossible match
-// spec (negative epsilon entries, a bad scorer). writeOptionsErr maps
+// spec (negative epsilon entries, a bad scorer). optionsStatus maps
 // it to 422, matching the engine-level status of the same condition,
 // while parse-level failures (unknown matcher) stay 400.
 type specError struct{ err error }
@@ -655,21 +655,43 @@ func CheckCandidates(query string, ids []int64, all bool) error {
 	return nil
 }
 
-// rankMethod parses a rank request's method and checks it against the
-// request's min_similarity and use_index. An error maps to 400.
-// use_index selects no engine, but keeps its MinMax-only check.
-func rankMethod(name string, minSim float64, useIndex bool) (csj.Method, error) {
+// CheckRank runs the checks of a rank query that come before its
+// pivot, in this order: the method against min_similarity and use_index
+// (400), then the options (422 for a bad spec, else 400). It returns
+// the parsed method and options, or a failure with its status. A node's
+// rank runs it before it resolves the pivot, and the coordinator before
+// it fetches the pivot's profile, so both answer a request with several
+// faults alike. use_index selects no engine, but keeps its MinMax-only
+// check.
+func CheckRank(name string, minSim float64, useIndex bool, o *OptionsPayload) (csj.Method, *csj.Options, int, error) {
 	method, err := csj.ParseMethod(name)
+	switch {
+	case err != nil:
+	case minSim < 0:
+		err = errors.New("min_similarity must be >= 0")
+	case (useIndex || minSim > 0) && !minMaxMethod(method):
+		err = fmt.Errorf("use_index and min_similarity require a MinMax method, got %q", name)
+	}
 	if err != nil {
-		return method, err
+		return method, nil, http.StatusBadRequest, err
 	}
-	if minSim < 0 {
-		return method, errors.New("min_similarity must be >= 0")
+	opts, err := o.toOptions()
+	if err != nil {
+		return method, nil, optionsStatus(err), err
 	}
-	if (useIndex || minSim > 0) && !minMaxMethod(method) {
-		return method, fmt.Errorf("use_index and min_similarity require a MinMax method, got %q", name)
+	return method, opts, 0, nil
+}
+
+// CheckTopK is CheckRank for a top-k query: k (400), then the options.
+func CheckTopK(k int, o *OptionsPayload) (*csj.Options, int, error) {
+	if k < 1 {
+		return nil, http.StatusBadRequest, fmt.Errorf("k must be >= 1, got %d", k)
 	}
-	return method, nil
+	opts, err := o.toOptions()
+	if err != nil {
+		return nil, optionsStatus(err), err
+	}
+	return opts, 0, nil
 }
 
 // rankEntries renders a ranking over cands as response rows.
