@@ -107,11 +107,14 @@ specguard:
 # prepared-record target is seeded with the golden v1/v2 files; every
 # record it loads must also Ex-join itself. Its minimization is capped
 # at 1s: the default 60s spends the whole burst shrinking the first
-# interesting 3.7 KB input instead of fuzzing.
+# interesting 3.7 KB input instead of fuzzing. The wire-options target
+# runs the pre-lookup checks of /rank, /topk and /matrix on decoded
+# options: no panic, one verdict, 400 or 422 on rejection.
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 15s ./internal/vector
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 15s ./internal/vector
 	$(GO) test -run '^$$' -fuzz '^FuzzReadPrepared$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzOptionsPayload$$' -fuzztime 15s ./internal/server
 
 # crashguard is the end-to-end durability gate (DESIGN.md §11): it
 # kill -9s a live csjserve mid-ingest, restarts it over the same WAL

@@ -46,22 +46,16 @@ type poolStageReport struct {
 }
 
 // batchReport is the JSON emitted by -batch: wall-clock and allocation
-// figures for the batch-join engine, serial versus parallel.
+// figures for the batch-join engine at the -workers pool size.
 type batchReport struct {
 	Communities   int `json:"communities"`
 	CommunitySize int `json:"community_size"`
 	Workers       int `json:"workers"`
 	GOMAXPROCS    int `json:"gomaxprocs"`
 
-	MatrixSerialNsOp       int64   `json:"matrix_serial_ns_op"`
-	MatrixParallelNsOp     int64   `json:"matrix_parallel_ns_op"`
-	MatrixSpeedup          float64 `json:"matrix_speedup"`
-	MatrixSerialAllocsOp   int64   `json:"matrix_serial_allocs_op"`
-	MatrixParallelAllocsOp int64   `json:"matrix_parallel_allocs_op"`
-
-	TopKSerialNsOp   int64   `json:"topk_serial_ns_op"`
-	TopKParallelNsOp int64   `json:"topk_parallel_ns_op"`
-	TopKSpeedup      float64 `json:"topk_speedup"`
+	MatrixNsOp     int64 `json:"matrix_ns_op"`
+	MatrixAllocsOp int64 `json:"matrix_allocs_op"`
+	TopKNsOp       int64 `json:"topk_ns_op"`
 
 	// Steady-state allocations of one prepared join run through a
 	// reused scratch and result (the batch engine's hot path).
@@ -74,14 +68,13 @@ type batchReport struct {
 	// Store section: the same matrix run through the community store's
 	// prepared-view cache, cold (every view is a miss that triggers a
 	// build) versus warm (every view is a hit, zero core.Prepare calls).
-	StoreColdMatrixNs int64   `json:"store_cold_matrix_ns"`
-	StoreWarmMatrixNs int64   `json:"store_warm_matrix_ns"`
-	StoreWarmSpeedup  float64 `json:"store_warm_speedup"`
-	StoreCacheHits    int64   `json:"store_cache_hits"`
-	StoreCacheMisses  int64   `json:"store_cache_misses"`
-	StoreCacheBuilds  int64   `json:"store_cache_builds"`
-	StoreCacheBytes   int64   `json:"store_cache_bytes"`
-	StoreCacheEntries int     `json:"store_cache_entries"`
+	StoreColdMatrixNs int64 `json:"store_cold_matrix_ns"`
+	StoreWarmMatrixNs int64 `json:"store_warm_matrix_ns"`
+	StoreCacheHits    int64 `json:"store_cache_hits"`
+	StoreCacheMisses  int64 `json:"store_cache_misses"`
+	StoreCacheBuilds  int64 `json:"store_cache_builds"`
+	StoreCacheBytes   int64 `json:"store_cache_bytes"`
+	StoreCacheEntries int   `json:"store_cache_entries"`
 
 	// Durability section: the cost of one WAL append of a
 	// cfg.Size-user community, with an fsync per append (the
@@ -90,7 +83,7 @@ type batchReport struct {
 	WALAppendNoFsyncNs int64 `json:"wal_append_nofsync_ns"`
 
 	// With -metrics: scan-event totals and per-worker pool utilization
-	// from one instrumented parallel Matrix + TopK run.
+	// from one instrumented Matrix + TopK run.
 	ScanEvents map[string]int64  `json:"scan_events,omitempty"`
 	PoolStages []poolStageReport `json:"pool_stages,omitempty"`
 }
@@ -143,46 +136,26 @@ func runBatch(w io.Writer, cfg batchConfig) error {
 		GOMAXPROCS:    runtime.GOMAXPROCS(0),
 	}
 
-	serialOpts := &csj.Options{Epsilon: eps, Workers: 1}
-	parallelOpts := &csj.Options{Epsilon: eps, Workers: cfg.Workers}
-
-	matrixBench := func(opts *csj.Options) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := csj.SimilarityMatrix(comms, csj.ExMinMax, opts); err != nil {
-					b.Fatal(err)
-				}
+	opts := &csj.Options{Epsilon: eps, Workers: cfg.Workers}
+	matrix := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := csj.SimilarityMatrix(comms, csj.ExMinMax, opts); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	ms := matrixBench(serialOpts)
-	mp := matrixBench(parallelOpts)
-	rep.MatrixSerialNsOp = ms.NsPerOp()
-	rep.MatrixParallelNsOp = mp.NsPerOp()
-	rep.MatrixSerialAllocsOp = ms.AllocsPerOp()
-	rep.MatrixParallelAllocsOp = mp.AllocsPerOp()
-	if mp.NsPerOp() > 0 {
-		rep.MatrixSpeedup = float64(ms.NsPerOp()) / float64(mp.NsPerOp())
-	}
+		}
+	})
+	rep.MatrixNsOp = matrix.NsPerOp()
+	rep.MatrixAllocsOp = matrix.AllocsPerOp()
 
 	pivot, cands := comms[0], comms[1:]
-	topkBench := func(opts *csj.Options) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := csj.TopK(pivot, cands, cfg.K, opts); err != nil {
-					b.Fatal(err)
-				}
+	rep.TopKNsOp = testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := csj.TopK(pivot, cands, cfg.K, opts); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	ts := topkBench(serialOpts)
-	tp := topkBench(parallelOpts)
-	rep.TopKSerialNsOp = ts.NsPerOp()
-	rep.TopKParallelNsOp = tp.NsPerOp()
-	if tp.NsPerOp() > 0 {
-		rep.TopKSpeedup = float64(ts.NsPerOp()) / float64(tp.NsPerOp())
-	}
+		}
+	}).NsPerOp()
 
 	// Prepared-join allocation profile: the same pair joined through the
 	// scratch hot path versus the one-shot API.
@@ -222,7 +195,7 @@ func runBatch(w io.Writer, cfg batchConfig) error {
 		}
 	})
 
-	if err := storeRun(comms, eps, parallelOpts, &rep); err != nil {
+	if err := storeRun(comms, eps, opts, &rep); err != nil {
 		return err
 	}
 
@@ -241,7 +214,7 @@ func runBatch(w io.Writer, cfg batchConfig) error {
 	return enc.Encode(rep)
 }
 
-// instrumentedRun performs one parallel Matrix + TopK pass with the
+// instrumentedRun performs one Matrix + TopK pass with the
 // join-event and pool-stats observers attached and folds the tallies
 // into the report. Kept out of the benchmark loops so the timing
 // figures stay uninstrumented.
@@ -302,7 +275,7 @@ func storeRun(comms []*csj.Community, eps int32, opts *csj.Options, rep *batchRe
 		views := make([]*csj.PreparedCommunity, len(ids))
 		start := time.Now()
 		for i, id := range ids {
-			v, err := snap.Prepared(id, eps, 0)
+			v, err := snap.PreparedSpec(id, csj.MatchSpec{Epsilon: eps})
 			if err != nil {
 				return 0, err
 			}
@@ -323,9 +296,6 @@ func storeRun(comms []*csj.Community, eps int32, opts *csj.Options, rep *batchRe
 	}
 	rep.StoreColdMatrixNs = cold.Nanoseconds()
 	rep.StoreWarmMatrixNs = warm.Nanoseconds()
-	if warm > 0 {
-		rep.StoreWarmSpeedup = float64(cold) / float64(warm)
-	}
 	cs := st.CacheStats()
 	rep.StoreCacheHits = cs.Hits
 	rep.StoreCacheMisses = cs.Misses

@@ -10,14 +10,15 @@
 //	csjbench -ablation parts          # run one ablation study
 //	csjbench -ablation all            # run every ablation study
 //	csjbench -table 11 -scale 0.005   # smaller/faster scalability sweep
-//	csjbench -batch -workers 8        # batch-join engine: serial vs parallel, JSON
+//	csjbench -batch -workers 1        # batch-join engine at one pool size, JSON
 //	csjbench -index                   # envelope-index top-k vs full scan at 1k/10k/100k, JSON
 //
 // Flags -scale, -minsize, and -seed control the synthesized data;
 // -format selects text (default), markdown, or csv output. The -batch
 // mode measures the worker-pool SimilarityMatrix/TopK engine on N
 // synthesized communities (-communities, -batchsize, -workers, -topkk)
-// and emits a JSON report with ns/op, allocs/op, and speedups.
+// and emits a JSON report with ns/op and allocs/op; `make bench`
+// compares pool sizes.
 //
 // Service latency is measured by perfbench (perfbench/README.md); the
 // scan kernels are compared by the Go benchmarks in internal/core

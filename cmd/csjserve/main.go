@@ -27,12 +27,15 @@
 //	DELETE /joins/{id}/users/{side}/{uid}
 //	GET    /metrics                         Prometheus text exposition
 //
-// /rank and /topk run the shard query of /internal/rank and
-// /internal/topk (the csjcoord scatter targets) with the pivot as a
-// local id, so a node answers every valid request, and every request
-// with one fault, as a csjcoord cluster over the same corpus does: 200 []
-// for an empty candidate set, 400 for k < 1 or for neither or both of
-// candidates and all_candidates, 404 for a missing pivot or candidate.
+// /rank, /topk and /matrix run the shard query of /internal/rank,
+// /internal/topk and /internal/matrix (the csjcoord scatter targets)
+// with the pivot as a local id and a matrix's pairs as its cells, so a
+// node answers every valid request, and every request with one fault,
+// as a csjcoord cluster over the same corpus does: 200 [] for an empty
+// candidate set, 400 for k < 1 or for neither or both of candidates and
+// all_candidates, 404 for a missing pivot, candidate or matrix id (the
+// first in request order), 422 for a matrix over one community or with
+// a method other than ap-minmax and ex-minmax.
 //
 // Operational limits (see DESIGN.md §8):
 //

@@ -175,8 +175,9 @@ type Options struct {
 	// (ablation).
 	DisableDimReorder bool
 	// Workers is the pool size of the batch engines (SimilarityMatrix,
-	// TopK, Rank, SimilarityMatrixPrepared and RankPrepared): 0 selects
-	// GOMAXPROCS, 1 runs the cells serially on the caller's goroutine.
+	// TopK, Rank, SimilarityMatrixPrepared, SimilarityMatrixCellsCtx and
+	// RankPrepared): 0 selects GOMAXPROCS, 1 runs the cells serially on
+	// the caller's goroutine.
 	// Results are identical for every pool size. A single join always
 	// runs serially, as in the paper's evaluation, so Similarity,
 	// SimilarityPrepared and the indexed engines ignore Workers.

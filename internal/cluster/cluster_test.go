@@ -127,10 +127,31 @@ func checkSameAnswer(t *testing.T, tc *testCluster, path string, body any, want 
 		}
 		clusterBody = env.Result
 		nodeBody = bytes.TrimSuffix(nodeBody, []byte("\n"))
+		if path == "/matrix" {
+			// A cell carries its join's wall time; compare the rest.
+			nodeBody, clusterBody = untimedCells(t, nodeBody), untimedCells(t, clusterBody)
+		}
 	}
 	if !bytes.Equal(nodeBody, clusterBody) {
 		t.Fatalf("bodies differ:\n  node    %s\n  cluster %s", nodeBody, clusterBody)
 	}
+}
+
+// untimedCells re-encodes a /matrix answer with every elapsed_ms zeroed.
+func untimedCells(t *testing.T, body []byte) []byte {
+	t.Helper()
+	var cells []server.MatrixCell
+	if err := json.Unmarshal(body, &cells); err != nil {
+		t.Fatalf("decoding matrix cells: %v", err)
+	}
+	for i := range cells {
+		cells[i].ElapsedMS = 0
+	}
+	out, err := json.Marshal(cells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // envelope mirrors Envelope with a raw result for re-decoding.
@@ -279,23 +300,63 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	})
 
 	t.Run("matrix", func(t *testing.T) {
-		req := server.MatrixRequest{Communities: []int64{1, 2, 3, 4, 5, 6, 7},
-			Options: server.OptionsPayload{Epsilon: 8}}
-		var env envelope
-		doJSON(t, "POST", tc.front.URL+"/matrix", req, http.StatusOK, &env)
-		got := decodeResult[[]server.MatrixCell](t, env)
-		var want []server.MatrixCell
-		doJSON(t, "POST", tc.reference.URL+"/matrix", req, http.StatusOK, &want)
-		if len(got) != len(want) {
-			t.Fatalf("cluster matrix returned %d cells, want %d", len(got), len(want))
+		// The ring puts 1, 5, 6, 95 and 97 on alpha, 2, 3, 8, 98 and 99
+		// on beta, and 4 and 7 on gamma; 95..99 name no community.
+		opts := server.OptionsPayload{Epsilon: 8}
+		wrongLen := server.OptionsPayload{EpsilonVec: []int32{1, 2}}
+		negative := server.OptionsPayload{EpsilonVec: []int32{1, -2, 0, 1}}
+		badMatcher := server.OptionsPayload{Epsilon: 8, Matcher: "bogus"}
+		spread := []int64{1, 2, 3, 4, 5, 6, 7}
+		for _, c := range []struct {
+			name string
+			body server.MatrixRequest
+			want int
+		}{
+			{"ids on all three shards", server.MatrixRequest{Communities: spread, Options: opts}, http.StatusOK},
+			{"a repeated id", server.MatrixRequest{Communities: []int64{4, 1, 4, 2}, Options: opts}, http.StatusOK},
+			{"missing first id", server.MatrixRequest{Communities: []int64{99, 1, 2, 4}, Options: opts}, http.StatusNotFound},
+			{"missing last id", server.MatrixRequest{Communities: []int64{1, 2, 4, 99}, Options: opts}, http.StatusNotFound},
+			{"bad method", server.MatrixRequest{Communities: spread, Method: "bogus", Options: opts}, http.StatusBadRequest},
+			{"non-MinMax method", server.MatrixRequest{Communities: spread, Method: "exbaseline", Options: opts}, http.StatusUnprocessableEntity},
+			{"epsilon_vec of the wrong length, ids on several shards",
+				server.MatrixRequest{Communities: spread, Options: wrongLen}, http.StatusUnprocessableEntity},
+			{"epsilon_vec of the wrong length, ids on one shard",
+				server.MatrixRequest{Communities: []int64{2, 3, 8}, Options: wrongLen}, http.StatusUnprocessableEntity},
+			{"negative epsilon_vec entry", server.MatrixRequest{Communities: spread, Options: negative}, http.StatusUnprocessableEntity},
+			{"bad matcher", server.MatrixRequest{Communities: spread, Options: badMatcher}, http.StatusBadRequest},
+			{"one community", server.MatrixRequest{Communities: []int64{1}, Options: opts}, http.StatusUnprocessableEntity},
+			// Two faults: both check the method and the options before
+			// the ids.
+			{"missing first id and bad method",
+				server.MatrixRequest{Communities: []int64{99, 1, 2}, Method: "bogus", Options: opts}, http.StatusBadRequest},
+			{"missing first id and bad matcher",
+				server.MatrixRequest{Communities: []int64{99, 1, 2}, Options: badMatcher}, http.StatusBadRequest},
+			{"missing first id and negative epsilon_vec entry",
+				server.MatrixRequest{Communities: []int64{99, 1, 2}, Options: negative}, http.StatusUnprocessableEntity},
+			{"missing first id and a non-MinMax method",
+				server.MatrixRequest{Communities: []int64{99, 1, 2}, Method: "exbaseline", Options: opts}, http.StatusUnprocessableEntity},
+			{"missing middle id and bad method",
+				server.MatrixRequest{Communities: []int64{1, 99, 2}, Method: "bogus", Options: opts}, http.StatusBadRequest},
+			// Two faults among the ids: both report the first in
+			// request order, whether or not the coordinator fetches it.
+			{"a missing id no shard takes as a guest, then one they do",
+				server.MatrixRequest{Communities: []int64{1, 95, 99}, Options: opts}, http.StatusNotFound},
+			{"epsilon_vec of the wrong length and a missing last id",
+				server.MatrixRequest{Communities: []int64{1, 2, 99}, Options: wrongLen}, http.StatusUnprocessableEntity},
+			{"missing first id and epsilon_vec of the wrong length",
+				server.MatrixRequest{Communities: []int64{99, 1, 5}, Options: wrongLen}, http.StatusNotFound},
+		} {
+			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, tc, "/matrix", c.body, c.want) })
 		}
-		for i := range got {
-			g, w := got[i], want[i]
-			g.ElapsedMS, w.ElapsedMS = 0, 0
-			if g != w {
-				t.Fatalf("matrix cell %d = %+v, want %+v", i, g, w)
+
+		// Several missing ids: the cluster names the same one, the
+		// first in request order, every time.
+		t.Run("missing ids, repeated", func(t *testing.T) {
+			body := server.MatrixRequest{Communities: []int64{1, 99, 98, 97}, Options: opts}
+			for i := 0; i < 20; i++ {
+				checkSameAnswer(t, tc, "/matrix", body, http.StatusNotFound)
 			}
-		}
+		})
 	})
 
 	t.Run("rank and topk requests", func(t *testing.T) {

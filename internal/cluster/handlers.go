@@ -174,82 +174,61 @@ func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
 
 // ---- scatter-gather queries ----
 
-// shardQueries builds the per-shard request for a rank/topk scatter:
-// the pivot's owner gets the local id (cached views stay hot), every
-// other shard gets the pivot profile inline. With an explicit
-// candidate list the ids are partitioned by ownership and shards
-// without candidates are skipped entirely.
-func (c *Coordinator) shardQueries(ctx context.Context, pivot int64, candidates []int64) (map[*shard]*server.ShardQueryRequest, error) {
-	pivotOwner := c.owner(pivot)
-	var profile *server.CommunityPayload
-	if len(c.shards) > 1 {
-		// The profile ships to every non-owner shard; fetch it once.
-		p, err := c.fetchProfile(ctx, pivot)
-		if err != nil {
-			return nil, fmt.Errorf("resolving pivot %d: %w", pivot, err)
-		}
-		profile = p
-	}
-	reqs := make(map[*shard]*server.ShardQueryRequest, len(c.shards))
-	byShard := map[*shard][]int64{}
-	if len(candidates) > 0 {
-		for _, id := range candidates {
-			sh := c.owner(id)
-			byShard[sh] = append(byShard[sh], id)
-		}
-	}
-	for _, sh := range c.shards {
-		if len(candidates) > 0 && len(byShard[sh]) == 0 {
-			continue
-		}
-		req := &server.ShardQueryRequest{Candidates: byShard[sh]}
-		if sh == pivotOwner {
-			p := pivot
-			req.Pivot.ID = &p
-		} else {
-			req.Pivot.Profile = profile
-		}
-		reqs[sh] = req
-	}
-	// Verify the pivot exists even when its owner serves no candidates
-	// (pivotOwner always got a query above unless an explicit candidate
-	// list skipped it — the profile fetch covered that case).
-	return reqs, nil
-}
-
 func (c *Coordinator) handleRank(w http.ResponseWriter, r *http.Request) {
 	var req server.RankRequest
 	if !c.Decode(w, r, &req) {
 		return
 	}
-	// The node's order: the candidate forms, the method and the options,
-	// and only then the pivot.
-	if err := server.CheckCandidates("rank", req.Candidates, req.AllCandidates); err != nil {
+	check := func() (int, error) {
+		_, _, status, err := server.CheckRank(req.Method, req.MinSimilarity, req.UseIndex, &req.Options)
+		return status, err
+	}
+	q := server.ShardQueryRequest{Method: req.Method, MinSimilarity: req.MinSimilarity,
+		UseIndex: req.UseIndex, Options: req.Options}
+	scatterQuery(c, w, r, "rank", req.Pivot, req.Candidates, req.AllCandidates, check, q, mergeRank)
+}
+
+func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
+	var req server.TopKRequest
+	if !c.Decode(w, r, &req) {
+		return
+	}
+	check := func() (int, error) {
+		_, status, err := server.CheckTopK(req.K, &req.Options)
+		return status, err
+	}
+	// Shards of earlier releases pick their top-k engine by use_index;
+	// set, it runs the indexed engine, whose exact per-shard top-k is
+	// what makes the merge exact. Current shards always run it.
+	q := server.ShardQueryRequest{K: req.K, UseIndex: true, Options: req.Options}
+	scatterQuery(c, w, r, "topk", req.Pivot, req.Candidates, req.AllCandidates, check, q,
+		func(all []server.TopKEntry) []server.TopKEntry { return mergeTopK(all, req.K) })
+}
+
+// scatterQuery serves a rank or top-k request in a node's order: the
+// candidate forms (400), then check — the query's own checks, method or
+// k and then the options — and only then the pivot. Each shard gets q
+// with its own pivot form and candidates at /internal/<query>, and
+// merge turns the entries of the shards that answered into the result.
+func scatterQuery[T any](c *Coordinator, w http.ResponseWriter, r *http.Request, query string,
+	pivot int64, candidates []int64, all bool, check func() (int, error),
+	q server.ShardQueryRequest, merge func([]T) []T) {
+	if err := server.CheckCandidates(query, candidates, all); err != nil {
 		c.WriteErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if _, _, status, err := server.CheckRank(req.Method, req.MinSimilarity, req.UseIndex, &req.Options); err != nil {
+	if status, err := check(); err != nil {
 		c.WriteErr(w, status, err)
 		return
 	}
-	queries, err := c.shardQueries(r.Context(), req.Pivot, req.Candidates)
+	targets, queries, err := c.shardQueries(r.Context(), pivot, candidates, q)
 	if err != nil {
 		c.forwardErr(w, err)
 		return
 	}
-	targets := make([]*shard, 0, len(queries))
-	for _, sh := range c.shards {
-		if q, ok := queries[sh]; ok {
-			q.Method = req.Method
-			q.MinSimilarity = req.MinSimilarity
-			q.UseIndex = req.UseIndex
-			q.Options = req.Options
-			targets = append(targets, sh)
-		}
-	}
-	results := scatter(r.Context(), targets, func(ctx context.Context, sh *shard) ([]server.RankEntry, error) {
-		var out []server.RankEntry
-		err := sh.client.postJSON(ctx, "/internal/rank", queries[sh], &out, true)
+	results := scatter(r.Context(), targets, func(ctx context.Context, sh *shard) ([]T, error) {
+		var out []T
+		err := sh.client.postJSON(ctx, "/internal/"+query, queries[sh], &out, true)
 		return out, err
 	})
 	unreachable, terminal := gatherErrors(results)
@@ -257,13 +236,54 @@ func (c *Coordinator) handleRank(w http.ResponseWriter, r *http.Request) {
 		c.forwardErr(w, terminal)
 		return
 	}
-	var all []server.RankEntry
+	var entries []T
 	for _, res := range results {
 		if res.err == nil {
-			all = append(all, res.val...)
+			entries = append(entries, res.val...)
 		}
 	}
-	c.writeGathered(w, r, mergeRank(all), unreachable)
+	c.writeGathered(w, r, merge(entries), unreachable)
+}
+
+// shardQueries builds the per-shard copies of q for a rank/topk
+// scatter, and lists their shards in shard order: the pivot's owner
+// gets the local id (cached views stay hot), every other shard gets the
+// pivot profile inline. With an explicit candidate list the ids are
+// partitioned by ownership and shards without candidates are skipped
+// entirely; the profile fetch still proves the pivot exists.
+func (c *Coordinator) shardQueries(ctx context.Context, pivot int64, candidates []int64, q server.ShardQueryRequest) ([]*shard, map[*shard]*server.ShardQueryRequest, error) {
+	pivotOwner := c.owner(pivot)
+	var profile *server.CommunityPayload
+	if len(c.shards) > 1 {
+		// The profile ships to every non-owner shard; fetch it once.
+		p, err := c.fetchProfile(ctx, pivot)
+		if err != nil {
+			return nil, nil, fmt.Errorf("resolving pivot %d: %w", pivot, err)
+		}
+		profile = p
+	}
+	byShard := map[*shard][]int64{}
+	for _, id := range candidates {
+		sh := c.owner(id)
+		byShard[sh] = append(byShard[sh], id)
+	}
+	var targets []*shard
+	queries := make(map[*shard]*server.ShardQueryRequest, len(c.shards))
+	for _, sh := range c.shards {
+		if len(candidates) > 0 && len(byShard[sh]) == 0 {
+			continue
+		}
+		sq := q
+		sq.Candidates = byShard[sh]
+		if sh == pivotOwner {
+			sq.Pivot.ID = &pivot
+		} else {
+			sq.Pivot.Profile = profile
+		}
+		targets = append(targets, sh)
+		queries[sh] = &sq
+	}
+	return targets, queries, nil
 }
 
 // mergeRank reassembles a global ranking from shard-local rankings:
@@ -288,58 +308,6 @@ func mergeRank(all []server.RankEntry) []server.RankEntry {
 	})
 	sort.Slice(unscored, func(i, j int) bool { return unscored[i].Community < unscored[j].Community })
 	return append(scored, unscored...)
-}
-
-func (c *Coordinator) handleTopK(w http.ResponseWriter, r *http.Request) {
-	var req server.TopKRequest
-	if !c.Decode(w, r, &req) {
-		return
-	}
-	// The node's order: the candidate forms, k and the options, and only
-	// then the pivot.
-	if err := server.CheckCandidates("topk", req.Candidates, req.AllCandidates); err != nil {
-		c.WriteErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if _, status, err := server.CheckTopK(req.K, &req.Options); err != nil {
-		c.WriteErr(w, status, err)
-		return
-	}
-	queries, err := c.shardQueries(r.Context(), req.Pivot, req.Candidates)
-	if err != nil {
-		c.forwardErr(w, err)
-		return
-	}
-	targets := make([]*shard, 0, len(queries))
-	for _, sh := range c.shards {
-		if q, ok := queries[sh]; ok {
-			q.K = req.K
-			// Shards of earlier releases pick their top-k engine by
-			// use_index; set, it runs the indexed engine, whose exact
-			// per-shard top-k is what makes the merge exact. Current
-			// shards always run it.
-			q.UseIndex = true
-			q.Options = req.Options
-			targets = append(targets, sh)
-		}
-	}
-	results := scatter(r.Context(), targets, func(ctx context.Context, sh *shard) ([]server.TopKEntry, error) {
-		var out []server.TopKEntry
-		err := sh.client.postJSON(ctx, "/internal/topk", queries[sh], &out, true)
-		return out, err
-	})
-	unreachable, terminal := gatherErrors(results)
-	if terminal != nil {
-		c.forwardErr(w, terminal)
-		return
-	}
-	var all []server.TopKEntry
-	for _, res := range results {
-		if res.err == nil {
-			all = append(all, res.val...)
-		}
-	}
-	c.writeGathered(w, r, mergeTopK(all, req.K), unreachable)
 }
 
 // mergeTopK merges shard-local exact top-k lists. The global top-k is
@@ -376,122 +344,136 @@ func (c *Coordinator) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	if !c.Decode(w, r, &req) {
 		return
 	}
-	if len(req.Communities) < 2 {
+	ids := req.Communities
+	if len(ids) < 2 {
 		c.WriteErr(w, http.StatusUnprocessableEntity,
-			fmt.Errorf("matrix needs at least 2 communities, got %d", len(req.Communities)))
+			fmt.Errorf("matrix needs at least 2 communities, got %d", len(ids)))
+		return
+	}
+	// The node's order: the method and the options, and only then the
+	// ids.
+	if _, _, status, err := server.CheckMatrix(req.Method, &req.Options); err != nil {
+		c.WriteErr(w, status, err)
 		return
 	}
 	// Canonical cell order: (i, j) over request positions with i < j —
 	// identical to the single-node matrix. Each cell is computed by the
 	// shard owning its position-i community; ids that shard does not
 	// own ship inline as guests (O(n) profile bytes buy O(n²) cells of
-	// distributed compute).
-	type cellKey struct{ a, b int64 }
-	var canonical []cellKey
-	cellsByShard := map[*shard][][2]int64{}
-	guestsByShard := map[*shard]map[int64]bool{}
-	for i := 0; i < len(req.Communities); i++ {
-		for j := i + 1; j < len(req.Communities); j++ {
-			a, b := req.Communities[i], req.Communities[j]
-			canonical = append(canonical, cellKey{a, b})
-			sh := c.owner(a)
-			cellsByShard[sh] = append(cellsByShard[sh], [2]int64{a, b})
-			if c.owner(b) != sh {
-				if guestsByShard[sh] == nil {
-					guestsByShard[sh] = map[int64]bool{}
-				}
-				guestsByShard[sh][b] = true
-			}
-		}
-	}
-	// Fetch each needed guest profile once, from its owner. A failed
-	// fetch marks the owner unreachable and drops the cells that need
-	// the guest — the partial contract, not a hard failure.
-	profiles := map[int64]*server.CommunityPayload{}
-	unreachableSet := map[string]bool{}
-	var terminal error
-	for _, guests := range guestsByShard {
-		for id := range guests {
-			if _, done := profiles[id]; done {
-				continue
-			}
-			p, err := c.fetchProfile(r.Context(), id)
-			if err != nil {
-				var he *httpError
-				if errors.As(err, &he) && he.status < 500 {
-					terminal = err // e.g. 404: the request names a missing id
-					break
-				}
-				unreachableSet[c.owner(id).name] = true
-				continue
-			}
-			profiles[id] = p
-		}
-	}
-	if terminal != nil {
-		c.forwardErr(w, terminal)
-		return
-	}
-	targets := make([]*shard, 0, len(cellsByShard))
+	// distributed compute). Targets are listed in the order of their
+	// first cell, so the owner of the first id, whose cells name every
+	// other id, comes first.
+	var targets []*shard
 	reqs := map[*shard]*server.ShardMatrixRequest{}
-	for _, sh := range c.shards {
-		cells, ok := cellsByShard[sh]
-		if !ok {
-			continue
+	guest := map[int64]bool{}
+	for i, a := range ids[:len(ids)-1] {
+		sh := c.owner(a)
+		sreq := reqs[sh]
+		if sreq == nil {
+			sreq = &server.ShardMatrixRequest{Method: req.Method, Options: req.Options}
+			reqs[sh] = sreq
+			targets = append(targets, sh)
 		}
-		sreq := &server.ShardMatrixRequest{Method: req.Method, Options: req.Options}
-		for _, cell := range cells {
-			if guestsByShard[sh][cell[1]] && profiles[cell[1]] == nil {
-				continue // guest's owner is down; drop the cell
-			}
-			sreq.Cells = append(sreq.Cells, cell)
-		}
-		for id := range guestsByShard[sh] {
-			if p := profiles[id]; p != nil {
-				sreq.Guests = append(sreq.Guests, server.GuestCommunity{ID: id, Community: *p})
+		for _, b := range ids[i+1:] {
+			sreq.Cells = append(sreq.Cells, [2]int64{a, b})
+			if c.owner(b) != sh {
+				guest[b] = true
 			}
 		}
-		sort.Slice(sreq.Guests, func(i, j int) bool { return sreq.Guests[i].ID < sreq.Guests[j].ID })
-		if len(sreq.Cells) == 0 {
-			continue
-		}
-		reqs[sh] = sreq
-		targets = append(targets, sh)
 	}
-	results := scatter(r.Context(), targets, func(ctx context.Context, sh *shard) ([]server.MatrixCell, error) {
+	// Fetch each guest profile once, from its owner, in request order.
+	// A 4xx (the request names a missing id) stops the fetches. Any
+	// other failure marks the owner unreachable and drops the cells that
+	// need the guest — the partial contract, not a hard failure.
+	profiles := map[int64]*server.CommunityPayload{}
+	down := map[int64]bool{}
+	unreachable := map[string]bool{}
+	var missing error
+	for _, id := range ids {
+		if !guest[id] || profiles[id] != nil || down[id] {
+			continue
+		}
+		p, err := c.fetchProfile(r.Context(), id)
+		if err == nil {
+			profiles[id] = p
+			continue
+		}
+		var he *httpError
+		if errors.As(err, &he) && he.status < 500 {
+			missing = err
+			break
+		}
+		down[id] = true
+		unreachable[c.owner(id).name] = true
+	}
+	if missing != nil {
+		// The request fails, with the fault a node meets first in
+		// request order. The owner of the first id resolves the ids in
+		// that order, so it alone is asked; if it cannot answer, the
+		// missing id's error stands.
+		targets = targets[:1]
+	}
+	live := targets[:0]
+	for _, sh := range targets {
+		sreq := reqs[sh]
+		cells := sreq.Cells[:0]
+		shipped := map[int64]bool{}
+		for _, cell := range sreq.Cells {
+			b := cell[1]
+			if c.owner(b) != sh {
+				if down[b] {
+					continue // the guest's owner is down; drop the cell
+				}
+				if p := profiles[b]; p != nil && !shipped[b] {
+					shipped[b] = true
+					sreq.Guests = append(sreq.Guests, server.GuestCommunity{ID: b, Community: *p})
+				}
+			}
+			cells = append(cells, cell)
+		}
+		if sreq.Cells = cells; len(cells) > 0 {
+			live = append(live, sh)
+		}
+	}
+	results := scatter(r.Context(), live, func(ctx context.Context, sh *shard) ([]server.MatrixCell, error) {
 		var out []server.MatrixCell
 		err := sh.client.postJSON(ctx, "/internal/matrix", reqs[sh], &out, true)
 		return out, err
 	})
-	unreachable, terminal := gatherErrors(results)
+	names, terminal := gatherErrors(results)
+	if terminal == nil {
+		terminal = missing
+	}
 	if terminal != nil {
 		c.forwardErr(w, terminal)
 		return
 	}
-	for _, name := range unreachable {
-		unreachableSet[name] = true
+	for _, name := range names {
+		unreachable[name] = true
 	}
 	// Reassemble in canonical order from whatever came back.
-	got := make(map[cellKey]server.MatrixCell, len(canonical))
+	got := map[[2]int64]server.MatrixCell{}
 	for _, res := range results {
 		if res.err != nil {
 			continue
 		}
 		for _, cell := range res.val {
-			got[cellKey{cell.I, cell.J}] = cell
+			got[[2]int64{cell.I, cell.J}] = cell
 		}
 	}
-	merged := make([]server.MatrixCell, 0, len(canonical))
-	for _, key := range canonical {
-		if cell, ok := got[key]; ok {
-			merged = append(merged, cell)
+	merged := make([]server.MatrixCell, 0, len(ids)*(len(ids)-1)/2)
+	for i, a := range ids {
+		for _, b := range ids[i+1:] {
+			if cell, ok := got[[2]int64{a, b}]; ok {
+				merged = append(merged, cell)
+			}
 		}
 	}
-	names := make([]string, 0, len(unreachableSet))
+	var shards []string
 	for _, sh := range c.shards {
-		if unreachableSet[sh.name] {
-			names = append(names, sh.name)
+		if unreachable[sh.name] {
+			shards = append(shards, sh.name)
 		}
 	}
-	c.writeGathered(w, r, merged, names)
+	c.writeGathered(w, r, merged, shards)
 }

@@ -47,7 +47,7 @@ type topKCell struct {
 func indexedTopK(t *testing.T, st *store.Store, pivotID int64, k int, eps int32) ([]topKCell, csj.IndexStats) {
 	t.Helper()
 	snap := st.Snapshot()
-	pivotView, err := snap.Prepared(pivotID, eps, 0)
+	pivotView, err := snap.PreparedSpec(pivotID, csj.MatchSpec{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func indexedTopK(t *testing.T, st *store.Store, pivotID int64, k int, eps int32)
 			Name:    e.Comm.Name,
 			Summary: e.Summary,
 			View: func() (*csj.PreparedCommunity, error) {
-				return snap.Prepared(e.ID, eps, 0)
+				return snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: eps})
 			},
 		})
 		ids = append(ids, e.ID)

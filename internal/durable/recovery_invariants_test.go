@@ -47,7 +47,7 @@ func matrixCells(t *testing.T, st *store.Store, eps int32) []matrixCell {
 	list := snap.List()
 	views := make([]*csj.PreparedCommunity, len(list))
 	for i, e := range list {
-		v, err := snap.Prepared(e.ID, eps, 0)
+		v, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: eps})
 		if err != nil {
 			t.Fatal(err)
 		}

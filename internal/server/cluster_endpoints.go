@@ -16,10 +16,11 @@ import (
 // is the coordinator's job). A query's pivot may arrive as an inline
 // profile (the pivot usually lives on a different shard), and its
 // candidate set defaults to "everything on this shard", so the
-// coordinator never has to know shard contents. A node's own /rank and
-// /topk run the same query functions with the pivot as a local id, so
-// a node and a cluster answer alike. Results carry global community
-// ids, so the coordinator can merge shard answers without translation.
+// coordinator never has to know shard contents. A node's own /rank,
+// /topk and /matrix run the same query functions with the pivot as a
+// local id and no guests, so a node and a cluster answer alike.
+// Results carry global community ids, so the coordinator can merge
+// shard answers without translation.
 
 // ---- readiness ----
 
@@ -101,10 +102,11 @@ type GuestCommunity struct {
 	Community CommunityPayload `json:"community"`
 }
 
-// ShardMatrixRequest asks this shard to score an explicit list of
-// cells. Cell ids resolve against the guests first, then the local
-// store; cells come back in request order, so the coordinator can
-// reassemble the full matrix deterministically.
+// ShardMatrixRequest is the body of POST /internal/matrix, and the
+// query a node's /matrix runs: an explicit list of cells to score.
+// Cell ids resolve against the guests first, then the local store;
+// cells come back in request order, so the coordinator can reassemble
+// the full matrix deterministically.
 type ShardMatrixRequest struct {
 	Cells   [][2]int64       `json:"cells"`
 	Guests  []GuestCommunity `json:"guests,omitempty"`
@@ -128,12 +130,12 @@ func communityFromPayload(p *CommunityPayload) (*csj.Community, error) {
 	return c, nil
 }
 
-// resolvePivot returns a query's pivot: a local community by id, or
-// an inline profile. For a MinMax method it also returns the pivot's
-// prepared view under opts — the cached view of a local community, or
-// a one-shot encoding of a profile. The status is the HTTP mapping of a
-// non-nil err.
-func resolvePivot(snap *store.Snapshot, p ShardPivot, method csj.Method, opts *csj.Options) (*csj.Community, *csj.PreparedCommunity, int, error) {
+// resolveCommunity returns a query's community — a pivot or a matrix
+// id: a local community by id, or an inline profile. For a MinMax
+// method it also returns the community's prepared view under opts —
+// the cached view of a local community, or a one-shot encoding of a
+// profile. The status is the HTTP mapping of a non-nil err.
+func resolveCommunity(snap *store.Snapshot, p ShardPivot, method csj.Method, opts *csj.Options) (*csj.Community, *csj.PreparedCommunity, int, error) {
 	switch {
 	case p.ID != nil && p.Profile != nil:
 		return nil, nil, http.StatusBadRequest, errors.New("pivot carries both id and profile")
@@ -174,7 +176,7 @@ type query struct {
 // cannot run.
 func (s *Server) resolve(w http.ResponseWriter, req *ShardQueryRequest, method csj.Method, opts *csj.Options) (query, bool) {
 	snap := s.store.Snapshot()
-	pc, pv, status, err := resolvePivot(snap, req.Pivot, method, opts)
+	pc, pv, status, err := resolveCommunity(snap, req.Pivot, method, opts)
 	if err != nil {
 		s.WriteErr(w, status, err)
 		return query{}, false
@@ -325,86 +327,74 @@ func (s *Server) topK(w http.ResponseWriter, r *http.Request, req *ShardQueryReq
 
 func (s *Server) handleInternalMatrix(w http.ResponseWriter, r *http.Request) {
 	var req ShardMatrixRequest
-	if !s.Decode(w, r, &req) {
-		return
+	if s.Decode(w, r, &req) {
+		s.matrix(w, r, &req)
 	}
-	if req.Method == "" {
-		req.Method = "exminmax"
-	}
-	method, err := csj.ParseMethod(req.Method)
+}
+
+// matrix serves /matrix and /internal/matrix. After CheckMatrix it
+// resolves each distinct id of the cells once, in the order the cells
+// first name it: a guest's one-shot view, else the local store's cached
+// view — 404 for a missing community, 422 for a view that fails to
+// build, guest or local alike. The cells then join on the batch pool
+// and come back in request order. A node's cells are the canonical
+// pairs of its request, so it resolves ids in request order, and so
+// does the shard owning a cluster request's first id, whose cells name
+// every later id.
+func (s *Server) matrix(w http.ResponseWriter, r *http.Request, req *ShardMatrixRequest) {
+	method, opts, status, err := CheckMatrix(req.Method, &req.Options)
 	if err != nil {
-		s.WriteErr(w, http.StatusBadRequest, err)
+		s.WriteErr(w, status, err)
 		return
 	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		s.writeOptionsErr(w, err)
-		return
-	}
-	snap := s.store.Snapshot()
 	// Guests are one-shot encodings: they exist for this request only
 	// and never enter the shared view cache.
-	guests := make(map[int64]*csj.PreparedCommunity, len(req.Guests))
-	for _, g := range req.Guests {
+	guests := make(map[int64]*CommunityPayload, len(req.Guests))
+	for i, g := range req.Guests {
 		if g.ID <= 0 {
 			s.WriteErr(w, http.StatusBadRequest,
 				fmt.Errorf("guest id must be positive, got %d", g.ID))
 			return
 		}
-		c, cerr := communityFromPayload(&g.Community)
-		if cerr != nil {
-			s.WriteErr(w, http.StatusUnprocessableEntity,
-				fmt.Errorf("guest %d: %w", g.ID, cerr))
-			return
-		}
-		pv, perr := csj.Precompute(c, opts)
-		if perr != nil {
-			s.WriteErr(w, http.StatusUnprocessableEntity,
-				fmt.Errorf("guest %d: %w", g.ID, perr))
-			return
-		}
-		guests[g.ID] = pv
+		guests[g.ID] = &req.Guests[i].Community
 	}
-	resolve := func(id int64) (*csj.PreparedCommunity, error) {
-		if pv, ok := guests[id]; ok {
-			return pv, nil
+	snap := s.store.Snapshot()
+	slots := make(map[int64]int)
+	var views []*csj.PreparedCommunity
+	cells := make([][2]int, len(req.Cells))
+	for k, cell := range req.Cells {
+		for side, id := range cell {
+			slot, ok := slots[id]
+			if !ok {
+				ref := ShardPivot{Profile: guests[id]}
+				if ref.Profile == nil {
+					ref.ID = &id
+				}
+				_, pv, status, err := resolveCommunity(snap, ref, method, opts)
+				if err != nil {
+					s.WriteErr(w, status, err)
+					return
+				}
+				slot = len(views)
+				slots[id] = slot
+				views = append(views, pv)
+			}
+			cells[k][side] = slot
 		}
-		return snap.PreparedSpec(id, opts.Spec())
 	}
-	iopts := s.instrumentOptions(opts)
-	out := make([]MatrixCell, 0, len(req.Cells))
-	for _, cell := range req.Cells {
-		pi, ierr := resolve(cell[0])
-		if ierr != nil {
-			s.WriteErr(w, http.StatusNotFound, ierr)
-			return
+	entries, err := csj.SimilarityMatrixCellsCtx(r.Context(), views, cells, method, s.instrumentOptions(opts))
+	if err != nil {
+		s.writeJoinErr(w, r, err)
+		return
+	}
+	out := make([]MatrixCell, len(entries))
+	for k, e := range entries {
+		out[k] = MatrixCell{I: req.Cells[k][0], J: req.Cells[k][1], Skipped: e.Skipped}
+		if e.Result != nil {
+			out[k].Similarity = e.Result.Similarity
+			out[k].Matched = len(e.Result.Pairs)
+			out[k].ElapsedMS = float64(e.Result.Elapsed.Microseconds()) / 1000
 		}
-		pj, jerr := resolve(cell[1])
-		if jerr != nil {
-			s.WriteErr(w, http.StatusNotFound, jerr)
-			return
-		}
-		// Same orientation rule as the batch matrix engine: the smaller
-		// community becomes B, ties keep (i, j) order — so a distributed
-		// cell is bit-identical to its single-node counterpart.
-		b, a := pi, pj
-		if b.Size() > a.Size() {
-			b, a = a, b
-		}
-		mc := MatrixCell{I: cell[0], J: cell[1]}
-		res, jerr2 := csj.SimilarityPreparedCtx(r.Context(), b, a, method, iopts)
-		switch {
-		case jerr2 == nil:
-			mc.Similarity = res.Similarity
-			mc.Matched = len(res.Pairs)
-			mc.ElapsedMS = float64(res.Elapsed.Microseconds()) / 1000
-		case errors.Is(jerr2, csj.ErrSizeConstraint):
-			mc.Skipped = true
-		default:
-			s.writeJoinErr(w, r, jerr2)
-			return
-		}
-		out = append(out, mc)
 	}
 	s.WriteJSON(w, http.StatusOK, out)
 }

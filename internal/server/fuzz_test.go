@@ -1,0 +1,66 @@
+package server
+
+import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"testing"
+
+	csj "github.com/opencsj/csj"
+)
+
+// FuzzOptionsPayload decodes arbitrary bytes as a request's options and
+// runs the checks every query makes before it resolves a community:
+// CheckRank, CheckTopK and CheckMatrix. None may panic; all three must
+// reach the same verdict on the same options; a rejection is 400 or
+// 422; accepted options carry no negative epsilon_vec entry and a
+// scorer that validates. Seeded with the option bodies of the cluster's
+// /matrix table. Part of `make fuzzsmoke`.
+func FuzzOptionsPayload(f *testing.F) {
+	for _, o := range []OptionsPayload{
+		{Epsilon: 8},
+		{EpsilonVec: []int32{1, 2}},
+		{EpsilonVec: []int32{1, -2, 0, 1}},
+		{Epsilon: 8, Matcher: "bogus"},
+		{EpsilonVec: []int32{0, 2, 1, 3}, Parts: 2, Scorer: &ScorerPayload{CSJ: 2, Category: 1, Cosine: 1}},
+		{Scorer: &ScorerPayload{CSJ: -1, Category: 1}},
+	} {
+		seed, err := json.Marshal(o)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var o OptionsPayload
+		if json.Unmarshal(data, &o) != nil {
+			return
+		}
+		verdict := func(name string, opts *csj.Options, status int, err error) string {
+			if err != nil {
+				if status != http.StatusBadRequest && status != http.StatusUnprocessableEntity {
+					t.Fatalf("%s rejected %s with status %d: %v", name, data, status, err)
+				}
+				return fmt.Sprintf("%d %v", status, err)
+			}
+			for i, e := range opts.EpsilonVec {
+				if e < 0 {
+					t.Fatalf("%s accepted %s with epsilon_vec entry %d = %d", name, data, i, e)
+				}
+			}
+			if err := opts.Scorer.Validate(); err != nil {
+				t.Fatalf("%s accepted %s with a scorer that fails validation: %v", name, data, err)
+			}
+			return "accepted"
+		}
+		_, opts, status, err := CheckRank("exminmax", 0, false, &o)
+		rank := verdict("CheckRank", opts, status, err)
+		opts, status, err = CheckTopK(1, &o)
+		topk := verdict("CheckTopK", opts, status, err)
+		_, opts, status, err = CheckMatrix("", &o)
+		matrix := verdict("CheckMatrix", opts, status, err)
+		if rank != topk || rank != matrix {
+			t.Fatalf("verdicts on %s differ: rank %q, topk %q, matrix %q", data, rank, topk, matrix)
+		}
+	})
+}

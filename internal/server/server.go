@@ -111,8 +111,9 @@ func NewWithConfig(logger *log.Logger, cfg Config) *Server {
 	s.Handle("DELETE /joins/{id}/users/{side}/{uid}", s.handleJoinRemoveUser)
 	// Shard-local endpoints for the cluster coordinator (DESIGN.md §13):
 	// explicit-id ingest and inline-pivot queries over this shard's
-	// local candidates. /internal/rank and /internal/topk run the very
-	// functions behind /rank and /topk.
+	// local candidates. /internal/rank, /internal/topk and
+	// /internal/matrix run the very functions behind /rank, /topk and
+	// /matrix.
 	s.Handle("POST /internal/communities", s.handleInternalCreate)
 	s.Handle("POST /internal/rank", s.heavy(s.handleInternalRank))
 	s.Handle("POST /internal/topk", s.heavy(s.handleInternalTopK))
@@ -312,8 +313,8 @@ type TopKEntry struct {
 }
 
 // MatrixRequest asks for the full pairwise similarity matrix of a set
-// of stored communities. The batch engine encodes each community once
-// and fans the cells across Options.Workers goroutines (0 selects
+// of stored communities with a MinMax method. The cells join cached
+// views on the batch pool of Options.Workers goroutines (0 selects
 // GOMAXPROCS).
 type MatrixRequest struct {
 	Communities []int64        `json:"communities"`
@@ -694,6 +695,29 @@ func CheckTopK(k int, o *OptionsPayload) (*csj.Options, int, error) {
 	return opts, 0, nil
 }
 
+// CheckMatrix is CheckRank for a matrix: the method (400 if unknown,
+// 422 if not a MinMax one; empty selects Ex-MinMax), then the options.
+// A node's matrix runs it before it resolves any community, and the
+// coordinator before it fetches any guest profile.
+func CheckMatrix(name string, o *OptionsPayload) (csj.Method, *csj.Options, int, error) {
+	if name == "" {
+		name = "exminmax"
+	}
+	method, err := csj.ParseMethod(name)
+	if err != nil {
+		return method, nil, http.StatusBadRequest, err
+	}
+	if !minMaxMethod(method) {
+		return method, nil, http.StatusUnprocessableEntity,
+			fmt.Errorf("matrix requires a MinMax method, got %q", name)
+	}
+	opts, err := o.toOptions()
+	if err != nil {
+		return method, nil, optionsStatus(err), err
+	}
+	return method, opts, 0, nil
+}
+
 // rankEntries renders a ranking over cands as response rows.
 func rankEntries(ranked []csj.Ranked, cands store.Candidates) []RankEntry {
 	out := make([]RankEntry, len(ranked))
@@ -746,6 +770,10 @@ func topKEntries(top []csj.TopKResult, cands store.Candidates) []TopKEntry {
 	return out
 }
 
+// handleMatrix serves /matrix: a node's matrix is the shard matrix of
+// /internal/matrix over the request's canonical cells — every pair
+// (i, j) of request positions with i < j, in row-major order — with no
+// guests.
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	var req MatrixRequest
 	if !s.Decode(w, r, &req) {
@@ -756,51 +784,14 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("matrix needs at least 2 communities, got %d", len(req.Communities)))
 		return
 	}
-	snap := s.store.Snapshot()
-	comms, err := candidateEntries(snap, req.Communities)
-	if err != nil {
-		s.WriteErr(w, http.StatusNotFound, err)
-		return
-	}
-	if req.Method == "" {
-		req.Method = "exminmax"
-	}
-	method, err := csj.ParseMethod(req.Method)
-	if err != nil {
-		s.WriteErr(w, http.StatusBadRequest, err)
-		return
-	}
-	opts, err := req.Options.toOptions()
-	if err != nil {
-		s.writeOptionsErr(w, err)
-		return
-	}
-	// The matrix is MinMax-only; the cells run straight on cached views,
-	// so a warmed-up matrix performs zero core.Prepare calls.
-	views, err := preparedViews(snap.CandidatesOf(comms).Source(opts.Spec()))
-	if err != nil {
-		s.writeJoinErr(w, r, err)
-		return
-	}
-	entries, err := csj.SimilarityMatrixPreparedCtx(r.Context(), views, method, s.instrumentOptions(opts))
-	if err != nil {
-		s.writeJoinErr(w, r, err)
-		return
-	}
-	out := make([]MatrixCell, len(entries))
-	for i, e := range entries {
-		out[i] = MatrixCell{
-			I:       req.Communities[e.I],
-			J:       req.Communities[e.J],
-			Skipped: e.Skipped,
-		}
-		if e.Result != nil {
-			out[i].Similarity = e.Result.Similarity
-			out[i].Matched = len(e.Result.Pairs)
-			out[i].ElapsedMS = float64(e.Result.Elapsed.Microseconds()) / 1000
+	ids := req.Communities
+	cells := make([][2]int64, 0, len(ids)*(len(ids)-1)/2)
+	for i := range ids {
+		for _, id := range ids[i+1:] {
+			cells = append(cells, [2]int64{ids[i], id})
 		}
 	}
-	s.WriteJSON(w, http.StatusOK, out)
+	s.matrix(w, r, &ShardMatrixRequest{Cells: cells, Method: req.Method, Options: req.Options})
 }
 
 func (s *Server) handleCreateJoin(w http.ResponseWriter, r *http.Request) {

@@ -369,6 +369,50 @@ func TestMatrixEndpointWorkerEquivalence(t *testing.T) {
 	}
 }
 
+// TestInternalMatrixWorkerEquivalence checks a shard's /internal/matrix
+// runs its cells — local ids and a guest profile — on the batch pool,
+// and answers the same cells, in request order, at workers 1 and 3.
+func TestInternalMatrixWorkerEquivalence(t *testing.T) {
+	ts := newTestServer(t)
+	rng := rand.New(rand.NewSource(29))
+	ids := make([]int64, 4)
+	for i := range ids {
+		ids[i] = uploadCommunity(t, ts, fmt.Sprintf("c%d", i), randUsers(rng, 30+i, 3, 8))
+	}
+	const guest = 1000
+	req := ShardMatrixRequest{
+		Cells: [][2]int64{{ids[2], ids[0]}, {ids[0], guest}, {ids[1], ids[3]}, {ids[3], guest}, {ids[1], ids[2]}},
+		Guests: []GuestCommunity{{ID: guest,
+			Community: CommunityPayload{Name: "guest", Users: randUsers(rng, 33, 3, 8)}}},
+		Method: "ap-minmax",
+	}
+	run := func(workers int) []MatrixCell {
+		req.Options = OptionsPayload{Epsilon: 1, Workers: workers}
+		var cells []MatrixCell
+		doJSON(t, "POST", ts.URL+"/internal/matrix", req, http.StatusOK, &cells)
+		for i := range cells {
+			cells[i].ElapsedMS = 0 // timing differs run to run
+		}
+		return cells
+	}
+	serial := run(1)
+	for k, c := range serial {
+		if c.I != req.Cells[k][0] || c.J != req.Cells[k][1] {
+			t.Fatalf("cell %d is (%d, %d), want the request's (%d, %d)", k, c.I, c.J, req.Cells[k][0], req.Cells[k][1])
+		}
+	}
+	if got := run(3); !reflect.DeepEqual(got, serial) {
+		t.Errorf("workers=3 cells differ from serial:\n%+v\nvs\n%+v", got, serial)
+	}
+	m := scrapeMetrics(t, ts)
+	if got := m["csj_batch_pool_stages_total"]; got != 2 {
+		t.Errorf("pool stages = %v, want one per request", got)
+	}
+	if got := m["csj_batch_pool_tasks_total"]; got != float64(2*len(req.Cells)) {
+		t.Errorf("pool tasks = %v, want one per cell", got)
+	}
+}
+
 func TestIncrementalJoinEndpoints(t *testing.T) {
 	ts := newTestServer(t)
 	var info JoinInfo

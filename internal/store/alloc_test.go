@@ -44,11 +44,11 @@ func TestStoreCacheHitPreparedZeroAllocs(t *testing.T) {
 		var res csj.Result
 		join := func() {
 			snap := st.Snapshot()
-			vb, err := snap.Prepared(b.ID, leg.eps, 0)
+			vb, err := snap.PreparedSpec(b.ID, csj.MatchSpec{Epsilon: leg.eps})
 			if err != nil {
 				panic(err)
 			}
-			va, err := snap.Prepared(a.ID, leg.eps, 0)
+			va, err := snap.PreparedSpec(a.ID, csj.MatchSpec{Epsilon: leg.eps})
 			if err != nil {
 				panic(err)
 			}
@@ -135,11 +135,11 @@ func BenchmarkStoreCacheHitPreparedAp(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap := st.Snapshot()
-		vb, err := snap.Prepared(cb.ID, eps, 0)
+		vb, err := snap.PreparedSpec(cb.ID, csj.MatchSpec{Epsilon: eps})
 		if err != nil {
 			b.Fatal(err)
 		}
-		va, err := snap.Prepared(ca.ID, eps, 0)
+		va, err := snap.PreparedSpec(ca.ID, csj.MatchSpec{Epsilon: eps})
 		if err != nil {
 			b.Fatal(err)
 		}

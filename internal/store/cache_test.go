@@ -17,11 +17,11 @@ func TestCacheHitMissAndKeying(t *testing.T) {
 	e := mustCreate(t, st, testCommunity("c", rng, 16, 8))
 	snap := st.Snapshot()
 
-	v1, err := snap.Prepared(e.ID, 2, 0)
+	v1, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := snap.Prepared(e.ID, 2, 0)
+	v2, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestCacheHitMissAndKeying(t *testing.T) {
 		t.Error("second request for the same view returned a different object")
 	}
 	// parts 0 and the explicit default are the same canonical key.
-	v3, err := snap.Prepared(e.ID, 2, encoding.DefaultParts)
+	v3, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 2, Parts: encoding.DefaultParts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestCacheHitMissAndKeying(t *testing.T) {
 		t.Error("parts=0 and parts=default produced distinct views")
 	}
 	// A different epsilon is a different view.
-	v4, err := snap.Prepared(e.ID, 3, 0)
+	v4, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCacheHitMissAndKeying(t *testing.T) {
 	if cs.Entries != 2 || cs.Bytes <= 0 {
 		t.Errorf("entries=%d bytes=%d, want 2 resident views with positive bytes", cs.Entries, cs.Bytes)
 	}
-	if _, err := snap.Prepared(e.ID+100, 2, 0); !errors.Is(err, ErrUnknownCommunity) {
+	if _, err := snap.PreparedSpec(e.ID+100, csj.MatchSpec{Epsilon: 2}); !errors.Is(err, ErrUnknownCommunity) {
 		t.Errorf("unknown id error = %v, want ErrUnknownCommunity", err)
 	}
 }
@@ -88,7 +88,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := snap.Prepared(e.ID, 1, 0)
+			v, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 1})
 			if err != nil {
 				t.Errorf("waiter %d: %v", i, err)
 			}
@@ -128,14 +128,14 @@ func TestCacheEviction(t *testing.T) {
 
 	// Size the cap from a real footprint: room for one view plus a bit,
 	// so a second view always overflows.
-	probe, err := snap.Prepared(e.ID, 0, 0)
+	probe, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.cache.maxBytes = probe.Footprint() + probe.Footprint()/2
 
 	for epsInt := 1; epsInt <= 3; epsInt++ {
-		if _, err := snap.Prepared(e.ID, int32(epsInt), 0); err != nil {
+		if _, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: int32(epsInt)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +154,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// The newest view (eps=3) must still be a hit, not a rebuild.
 	builds := cs.Builds
-	if _, err := snap.Prepared(e.ID, 3, 0); err != nil {
+	if _, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.CacheStats().Builds; got != builds {
@@ -177,7 +177,7 @@ func TestCacheInvalidationOnDelete(t *testing.T) {
 	bytes := map[int64]int64{} // resident bytes per community
 	for _, id := range ids {
 		for eps := int32(1); eps <= 3; eps++ {
-			pc, err := snap.Prepared(id, eps, 0)
+			pc, err := snap.PreparedSpec(id, csj.MatchSpec{Epsilon: eps})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +212,7 @@ func TestCacheInvalidationOnDelete(t *testing.T) {
 			continue
 		}
 		for eps := int32(1); eps <= 3; eps++ {
-			if _, err := snap.Prepared(id, eps, 0); err != nil {
+			if _, err := snap.PreparedSpec(id, csj.MatchSpec{Epsilon: eps}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -234,7 +234,7 @@ func TestCacheStaleBuildDiscarded(t *testing.T) {
 	st.cache.buildHook = func(viewKey) { <-deleted }
 	got := make(chan *csj.PreparedCommunity, 1)
 	go func() {
-		v, err := snap.Prepared(e.ID, 1, 0)
+		v, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 1})
 		if err != nil {
 			t.Errorf("stale build returned error: %v", err)
 		}
@@ -298,7 +298,7 @@ func TestObserverMatchesStats(t *testing.T) {
 	e := mustCreate(t, st, testCommunity("c", rng, 16, 8))
 	snap := st.Snapshot()
 	for i := 0; i < 3; i++ {
-		if _, err := snap.Prepared(e.ID, 1, 0); err != nil {
+		if _, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -114,7 +114,7 @@ func TestSeedBootsStore(t *testing.T) {
 	if !ok || got.Comm.Name != "seeded" {
 		t.Fatalf("seeded community missing: %v, %v", got, ok)
 	}
-	if _, err := st.Snapshot().Prepared(3, 1, 0); err != nil {
+	if _, err := st.Snapshot().PreparedSpec(3, csj.MatchSpec{Epsilon: 1}); err != nil {
 		t.Errorf("prepared view of a seeded community: %v", err)
 	}
 	e := mustCreate(t, st, testCommunity("next", rng, 6, 3))

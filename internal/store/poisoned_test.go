@@ -62,7 +62,7 @@ func TestFaultStorePoisonedPersistenceKeepsServingReads(t *testing.T) {
 	if st.Len() != 1 {
 		t.Errorf("Len = %d, want 1", st.Len())
 	}
-	if _, err := snap.Prepared(e.ID, 1, 0); err != nil {
+	if _, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 1}); err != nil {
 		t.Errorf("prepared view on degraded store: %v", err)
 	}
 

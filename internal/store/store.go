@@ -438,10 +438,3 @@ func (sn *Snapshot) PreparedSpec(id int64, spec csj.MatchSpec) (*csj.PreparedCom
 	}
 	return sn.store.cache.get(e, spec)
 }
-
-// Prepared is PreparedSpec under a scalar epsilon and part count — the
-// legacy entry point, equivalent to a spec with no epsilon vector and
-// no scorer.
-func (sn *Snapshot) Prepared(id int64, eps int32, parts int) (*csj.PreparedCommunity, error) {
-	return sn.PreparedSpec(id, csj.MatchSpec{Epsilon: eps, Parts: parts})
-}

@@ -135,7 +135,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if _, ok := old.Get(e.ID); !ok {
 		t.Error("pre-delete snapshot lost the entry")
 	}
-	if _, err := old.Prepared(e.ID, 1, 0); err != nil {
+	if _, err := old.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 1}); err != nil {
 		t.Errorf("pre-delete snapshot cannot prepare the entry: %v", err)
 	}
 	if _, ok := st.Snapshot().Get(e.ID); ok {

@@ -134,17 +134,6 @@ func (o *Options) Spec() MatchSpec {
 	}
 }
 
-// options converts the spec back into engine options (the non-spec
-// fields at their defaults).
-func (s MatchSpec) options() *Options {
-	return &Options{
-		Epsilon:    s.Epsilon,
-		EpsilonVec: s.EpsilonVec,
-		Parts:      s.Parts,
-		Scorer:     s.Scorer,
-	}
-}
-
 // DefaultParts is the MinMax part count selected by Parts == 0 — the
 // paper's default encoding granularity (clamped to the profile
 // dimensionality when larger).
@@ -191,19 +180,6 @@ func (s MatchSpec) Canonical(d int) MatchSpec {
 func (s MatchSpec) ViewSpec() MatchSpec {
 	s.Scorer = nil
 	return s
-}
-
-// Validate checks the spec against profile dimensionality d: epsilon
-// entries must be non-negative, a vector must have exactly d entries,
-// and scorer weights must be non-negative and not all zero.
-func (s MatchSpec) Validate(d int) error {
-	if s.Epsilon < 0 {
-		return fmt.Errorf("%w: epsilon is %d", vector.ErrNegativeEpsilon, s.Epsilon)
-	}
-	if err := vector.NewEps(s.Epsilon, s.EpsilonVec).Validate(d); err != nil {
-		return err
-	}
-	return s.Scorer.validate()
 }
 
 // SpecDigest is a collision-resistant fingerprint of a canonical

@@ -170,46 +170,56 @@ func SimilarityMatrixCtx(ctx context.Context, comms []*Community, method Method,
 	}); err != nil {
 		return nil, err
 	}
-	return matrixCells(ctx, prepared, method, &o, workers)
+	return matrixCells(ctx, prepared, allPairs(len(prepared)), method, &o, workers)
 }
 
 // SimilarityMatrixPrepared scores every unordered pair of
 // already-prepared communities, skipping the per-call encoding phase
-// entirely — the workload the community store's view cache serves. All
-// views must agree on epsilon and parts (Precompute with the same
-// options, or views from one store snapshot); a mismatch surfaces as a
-// join error.
+// entirely. All views must agree on epsilon and parts (Precompute with
+// the same options, or views from one store snapshot); a mismatch
+// surfaces as a join error.
 func SimilarityMatrixPrepared(prepared []*PreparedCommunity, method Method, opts *Options) ([]MatrixEntry, error) {
-	return SimilarityMatrixPreparedCtx(context.Background(), prepared, method, opts)
-}
-
-// SimilarityMatrixPreparedCtx is SimilarityMatrixPrepared with
-// cooperative cancellation (see SimilarityMatrixCtx for the semantics).
-func SimilarityMatrixPreparedCtx(ctx context.Context, prepared []*PreparedCommunity, method Method, opts *Options) ([]MatrixEntry, error) {
 	if len(prepared) < 2 {
 		return nil, errors.New("csj: SimilarityMatrix needs at least two communities")
 	}
-	for i, p := range prepared {
-		if p == nil {
-			return nil, fmt.Errorf("csj: prepared community %d is nil", i)
+	return SimilarityMatrixCellsCtx(context.Background(), prepared, allPairs(len(prepared)), method, opts)
+}
+
+// SimilarityMatrixCellsCtx scores an explicit list of cells over
+// already-prepared communities — the workload the community store's
+// view cache serves, where a request names its cells. Cell k joins
+// prepared[cells[k][0]] with prepared[cells[k][1]], and entry k reports
+// it with those indexes as I and J. The cells run on the batch pool
+// like SimilarityMatrix's, with its cancellation semantics; the views
+// must agree on epsilon and parts as for SimilarityMatrixPrepared.
+func SimilarityMatrixCellsCtx(ctx context.Context, prepared []*PreparedCommunity, cells [][2]int, method Method, opts *Options) ([]MatrixEntry, error) {
+	for k, cell := range cells {
+		for _, i := range cell {
+			if i < 0 || i >= len(prepared) || prepared[i] == nil {
+				return nil, fmt.Errorf("csj: cell %d names no prepared community at index %d", k, i)
+			}
 		}
 	}
 	o := opts.orDefault()
-	workers := batchWorkers(&o)
-	return matrixCells(ctx, prepared, method, &o, workers)
+	return matrixCells(ctx, prepared, cells, method, &o, batchWorkers(&o))
 }
 
-// matrixCells is the cell engine shared by the one-shot and prepared
-// matrix entry points: every unordered pair, fanned out across the
-// worker pool with per-worker scratch, smaller community as B.
-func matrixCells(ctx context.Context, prepared []*PreparedCommunity, method Method, o *Options, workers int) ([]MatrixEntry, error) {
-	n := len(prepared)
+// allPairs lists every unordered pair (i, j), i < j, of n communities
+// in row-major order.
+func allPairs(n int) [][2]int {
 	cells := make([][2]int, 0, n*(n-1)/2)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			cells = append(cells, [2]int{i, j})
 		}
 	}
+	return cells
+}
+
+// matrixCells is the cell engine behind every matrix entry point: the
+// given cells, fanned out across the worker pool with per-worker
+// scratch, smaller community as B.
+func matrixCells(ctx context.Context, prepared []*PreparedCommunity, cells [][2]int, method Method, o *Options, workers int) ([]MatrixEntry, error) {
 	out := make([]MatrixEntry, len(cells))
 	scratches := newScratchPool(workers)
 	err := runPoolStats(ctx, workers, len(cells), "matrix/cells", o.OnPoolStats, func(w, idx int) error {

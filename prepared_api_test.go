@@ -1,7 +1,9 @@
 package csj_test
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -134,6 +136,52 @@ func TestSimilarityMatrixPreparedValidation(t *testing.T) {
 	}
 	if _, err := csj.SimilarityMatrixPrepared([]*csj.PreparedCommunity{p, nil}, csj.ExMinMax, nil); err == nil {
 		t.Error("nil prepared entry should fail")
+	}
+}
+
+// TestSimilarityMatrixCellsCtx: an explicit cell list — any order,
+// either orientation, repeats — scores each cell as the all-pairs
+// matrix scores the same pair, and an index outside the views fails.
+func TestSimilarityMatrixCellsCtx(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	prepared := make([]*csj.PreparedCommunity, 4)
+	for i := range prepared {
+		p, err := csj.Precompute(randComm(rng, string(rune('A'+i)), 20+rng.Intn(12), 5, 8), &csj.Options{Epsilon: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prepared[i] = p
+	}
+	opts := &csj.Options{Epsilon: 2, Workers: 3}
+	all, err := csj.SimilarityMatrixPrepared(prepared, csj.ExMinMax, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPair := map[[2]int]csj.MatrixEntry{}
+	for _, e := range all {
+		byPair[[2]int{e.I, e.J}] = e
+	}
+	cells := [][2]int{{2, 3}, {1, 0}, {0, 3}, {2, 3}, {3, 1}}
+	got, err := csj.SimilarityMatrixCellsCtx(context.Background(), prepared, cells, csj.ExMinMax, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(cells) {
+		t.Fatalf("%d entries for %d cells", len(got), len(cells))
+	}
+	for k, cell := range cells {
+		if got[k].I != cell[0] || got[k].J != cell[1] {
+			t.Fatalf("entry %d is (%d, %d), want (%d, %d)", k, got[k].I, got[k].J, cell[0], cell[1])
+		}
+		lo, hi := min(cell[0], cell[1]), max(cell[0], cell[1])
+		want := byPair[[2]int{lo, hi}]
+		if got[k].Skipped != want.Skipped {
+			t.Fatalf("entry %d skipped %v, want %v", k, got[k].Skipped, want.Skipped)
+		}
+		sameResult(t, fmt.Sprintf("cell %v", cell), got[k].Result, want.Result)
+	}
+	if _, err := csj.SimilarityMatrixCellsCtx(context.Background(), prepared, [][2]int{{0, 4}}, csj.ExMinMax, opts); err == nil {
+		t.Error("a cell naming index 4 of 4 views should fail")
 	}
 }
 
