@@ -16,18 +16,9 @@ import (
 	csj "github.com/opencsj/csj"
 	"github.com/opencsj/csj/internal/dataset"
 	"github.com/opencsj/csj/internal/harness"
-	"github.com/opencsj/csj/internal/vector"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func toPublic(c *vector.Community) *csj.Community {
-	users := make([]csj.Vector, len(c.Users))
-	for i, u := range c.Users {
-		users[i] = []int32(u)
-	}
-	return &csj.Community{Name: c.Name, Category: c.Category, Users: users}
-}
 
 // benchCfg keeps one benchmark iteration in the tens-of-milliseconds
 // range: 0.2% of the paper's community sizes.
@@ -223,11 +214,10 @@ func BenchmarkScalingSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pb, pa := toPublic(cb), toPublic(ca)
 			opts := &csj.Options{Epsilon: dataset.EpsilonVK}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := csj.Similarity(pb, pa, csj.ExMinMax, opts); err != nil {
+				if _, err := csj.Similarity(cb, ca, csj.ExMinMax, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -271,8 +261,7 @@ func BenchmarkPrecomputedMatrix(b *testing.B) {
 	gen := dataset.NewGenerator(dataset.VK, rng, 0)
 	comms := make([]*csj.Community, 6)
 	for i := range comms {
-		c := dataset.GenerateCommunity(gen, "c", 0, 600+50*i)
-		comms[i] = toPublic(c)
+		comms[i] = dataset.GenerateCommunity(gen, "c", 0, 600+50*i)
 	}
 	opts := &csj.Options{Epsilon: dataset.EpsilonVK}
 	b.Run("precomputed", func(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,6 @@ import (
 	"github.com/opencsj/csj/internal/dataset"
 	"github.com/opencsj/csj/internal/durable"
 	"github.com/opencsj/csj/internal/store"
-	"github.com/opencsj/csj/internal/vector"
 )
 
 // batchConfig parameterizes the -batch benchmark mode.
@@ -94,7 +94,7 @@ type batchReport struct {
 func batchCommunities(cfg batchConfig) []*csj.Community {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	gen := dataset.NewGenerator(dataset.VK, rng, 0)
-	pool := make([]vector.Vector, cfg.Size*2)
+	pool := make([]csj.Vector, cfg.Size*2)
 	for i := range pool {
 		pool[i] = gen.User()
 	}
@@ -106,12 +106,9 @@ func batchCommunities(cfg batchConfig) []*csj.Community {
 		users := make([]csj.Vector, size)
 		for i := range users {
 			if rng.Float64() < 0.3 {
-				src := pool[rng.Intn(len(pool))]
-				u := make(vector.Vector, len(src))
-				copy(u, src)
-				users[i] = []int32(u)
+				users[i] = slices.Clone(pool[rng.Intn(len(pool))])
 			} else {
-				users[i] = []int32(gen.User())
+				users[i] = gen.User()
 			}
 		}
 		comms[c] = &csj.Community{Name: fmt.Sprintf("brand-%02d", c), Category: -1, Users: users}
@@ -164,11 +161,11 @@ func runBatch(w io.Writer, cfg batchConfig) error {
 		ib, ia = ia, ib
 	}
 	copts := core.Options{Eps: eps}
-	pb, err := core.Prepare(toInternal(ib), copts)
+	pb, err := core.Prepare(ib, copts)
 	if err != nil {
 		return err
 	}
-	pa, err := core.Prepare(toInternal(ia), copts)
+	pa, err := core.Prepare(ia, copts)
 	if err != nil {
 		return err
 	}
@@ -226,9 +223,8 @@ func instrumentedRun(comms []*csj.Community, pivot *csj.Community, cands []*csj.
 		Epsilon: eps,
 		Workers: cfg.Workers,
 		OnJoinEvents: func(ev csj.Events) {
-			cev := core.Events(ev)
 			mu.Lock()
-			cev.AddTo(func(name string, n int64) { events[name] += n })
+			ev.AddTo(func(name string, n int64) { events[name] += n })
 			mu.Unlock()
 		},
 		OnPoolStats: func(ps csj.PoolStats) {
@@ -343,12 +339,4 @@ func durableRun(c *csj.Community, rep *batchReport) error {
 	rep.WALAppendFsyncNs = fsync
 	rep.WALAppendNoFsyncNs = noFsync
 	return nil
-}
-
-func toInternal(c *csj.Community) *vector.Community {
-	users := make([]vector.Vector, len(c.Users))
-	for i, u := range c.Users {
-		users[i] = vector.Vector(u)
-	}
-	return &vector.Community{Name: c.Name, Category: c.Category, Users: users}
 }

@@ -92,7 +92,7 @@ func main() {
 		reqTimeout = flag.Duration("request-timeout", cluster.DefaultRequestTimeout,
 			"per-shard request attempt budget")
 		retries = flag.Int("retries", cluster.DefaultRetries,
-			"extra attempts per idempotent read after the first (writes never retry)")
+			"extra attempts per idempotent read after the first; 0 disables retries (writes never retry)")
 		retryBackoff = flag.Duration("retry-backoff", cluster.DefaultRetryBackoff,
 			"base retry backoff (doubles per attempt, plus full jitter)")
 		breakerThreshold = flag.Int("breaker-threshold", cluster.DefaultBreakerThreshold,
@@ -117,6 +117,9 @@ func main() {
 	reqLogger := logger
 	if *quiet {
 		reqLogger = nil
+	}
+	if *retries == 0 {
+		*retries = -1 // the flag counts retries; Config reads 0 as the default
 	}
 	coord, err := cluster.New(reqLogger, cluster.Config{
 		Shards:           shards,

@@ -23,7 +23,6 @@ import (
 
 	csj "github.com/opencsj/csj"
 	"github.com/opencsj/csj/internal/dataset"
-	"github.com/opencsj/csj/internal/vector"
 )
 
 func main() {
@@ -92,7 +91,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			n = fmt.Sprintf("%s-%d", kind, *size)
 		}
 		c := dataset.GenerateCommunity(gen, n, home, *size)
-		if err := save(*out, c); err != nil {
+		if err := csj.SaveCommunity(*out, c); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "wrote %s: %d users, d=%d\n", *out, c.Size(), c.Dim())
@@ -118,22 +117,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		prefix, ext = prefix[:i], prefix[i:]
 	}
 	pathB, pathA := prefix+"_B"+ext, prefix+"_A"+ext
-	if err := save(pathB, b); err != nil {
+	if err := csj.SaveCommunity(pathB, b); err != nil {
 		return err
 	}
-	if err := save(pathA, a); err != nil {
+	if err := csj.SaveCommunity(pathA, a); err != nil {
 		return err
 	}
 	fmt.Fprintf(stdout, "wrote %s (%d users) and %s (%d users); planted similarity %.0f%%, eps=%d\n",
 		pathB, b.Size(), pathA, a.Size(), 100**target, kind.Epsilon())
 	return nil
-}
-
-func save(path string, c *vector.Community) error {
-	users := make([]csj.Vector, len(c.Users))
-	for i, u := range c.Users {
-		users[i] = []int32(u)
-	}
-	pub := &csj.Community{Name: c.Name, Category: c.Category, Users: users}
-	return csj.SaveCommunity(path, pub)
 }

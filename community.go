@@ -13,73 +13,14 @@ import (
 // preference counter per category.
 type Vector = []int32
 
-// Community is a brand page and its subscribers' profiles. All users
-// must share the same dimensionality.
-type Community struct {
-	// Name identifies the community (brand page).
-	Name string
-	// Category is the home-category dimension of the community, or -1
-	// when unknown. Informational only.
-	Category int
-	// Users holds one profile per subscriber.
-	Users []Vector
-}
-
-// Size returns the number of subscribers.
-func (c *Community) Size() int { return len(c.Users) }
-
-// Clone returns a deep copy of the community: the user vectors are
-// copied into fresh storage, so mutating the original (or the clone)
-// afterwards cannot affect the other. Stores that accept communities
-// from callers clone on ingest to cut every external alias.
-func (c *Community) Clone() *Community {
-	total := 0
-	for _, u := range c.Users {
-		total += len(u)
-	}
-	backing := make([]int32, 0, total)
-	users := make([]Vector, len(c.Users))
-	for i, u := range c.Users {
-		start := len(backing)
-		backing = append(backing, u...)
-		users[i] = backing[start:len(backing):len(backing)]
-	}
-	return &Community{Name: c.Name, Category: c.Category, Users: users}
-}
-
-// Dim returns the profile dimensionality (0 for an empty community).
-func (c *Community) Dim() int {
-	if len(c.Users) == 0 {
-		return 0
-	}
-	return len(c.Users[0])
-}
-
-// Validate checks that the community is non-empty, dimensionally
-// consistent, and holds no negative counters.
-func (c *Community) Validate() error {
-	return c.internal().Validate(0)
-}
-
-// internal adapts the public community to the internal representation.
-// The user slices are shared, not copied.
-func (c *Community) internal() *vector.Community {
-	users := make([]vector.Vector, len(c.Users))
-	for i, u := range c.Users {
-		users[i] = vector.Vector(u)
-	}
-	return &vector.Community{Name: c.Name, Category: c.Category, Users: users}
-}
-
-// fromInternal adapts an internal community to the public type, sharing
-// the user slices.
-func fromInternal(c *vector.Community) *Community {
-	users := make([]Vector, len(c.Users))
-	for i, u := range c.Users {
-		users[i] = []int32(u)
-	}
-	return &Community{Name: c.Name, Category: c.Category, Users: users}
-}
+// Community is a brand page and its subscribers' profiles: Name
+// identifies it, Category is its home-category dimension or -1 when
+// unknown (informational only), and Users holds one profile per
+// subscriber, all of the same dimensionality. Its methods are Size,
+// Dim, Clone (a deep copy into one fresh backing array, which stores
+// take on ingest) and Validate (non-empty, dimensionally consistent,
+// no negative counters).
+type Community = vector.Community
 
 // Orient returns the pair ordered for CSJ: the less-followed community
 // first (B), the more-followed second (A). Ties keep the input order.
@@ -108,32 +49,24 @@ var ErrUnknownMethod = errors.New("csj: unknown method")
 // ReadCommunityCSV parses a community from CSV (one user per line,
 // comma-separated counters, optional "# category=N name=..." header).
 func ReadCommunityCSV(r io.Reader) (*Community, error) {
-	c, err := vector.ReadCSV(r)
-	if err != nil {
-		return nil, err
-	}
-	return fromInternal(c), nil
+	return vector.ReadCSV(r)
 }
 
 // WriteCommunityCSV writes the community in the CSV format understood
 // by ReadCommunityCSV.
 func WriteCommunityCSV(w io.Writer, c *Community) error {
-	return vector.WriteCSV(w, c.internal())
+	return vector.WriteCSV(w, c)
 }
 
 // ReadCommunityBinary parses a community from the compact binary format.
 func ReadCommunityBinary(r io.Reader) (*Community, error) {
-	c, err := vector.ReadBinary(r)
-	if err != nil {
-		return nil, err
-	}
-	return fromInternal(c), nil
+	return vector.ReadBinary(r)
 }
 
 // WriteCommunityBinary writes the community in the compact binary
 // format understood by ReadCommunityBinary.
 func WriteCommunityBinary(w io.Writer, c *Community) error {
-	return vector.WriteBinary(w, c.internal())
+	return vector.WriteBinary(w, c)
 }
 
 // LoadCommunity reads a community file, selecting the format by

@@ -171,9 +171,6 @@ type Options struct {
 	// P is the approximate-confidence factor p of Eq. (1), applied to
 	// the similarity of approximate methods; 0 or 1 means no discount.
 	P float64
-	// DisableDimReorder keeps SuperEGO's original dimension order
-	// (ablation).
-	DisableDimReorder bool
 	// Workers is the pool size of the batch engines (SimilarityMatrix,
 	// TopK, Rank, SimilarityMatrixPrepared, SimilarityMatrixCellsCtx and
 	// RankPrepared): 0 selects GOMAXPROCS, 1 runs the cells serially on
@@ -233,27 +230,13 @@ type Pair struct {
 	B, A int
 }
 
-// Events counts the algorithmic events of one run. Fields that do not
-// exist for a method (e.g. prune events for the Baseline) stay zero.
-type Events struct {
-	// MinPrunes and MaxPrunes count the MinMax window prunes.
-	MinPrunes, MaxPrunes int64
-	// NoOverlaps counts candidate pairs rejected by the part/range
-	// overlap check without a d-dimensional comparison.
-	NoOverlaps int64
-	// NoMatches and Matches count d-dimensional comparisons by outcome.
-	NoMatches, Matches int64
-	// CSFCalls counts matcher invocations of the exact methods.
-	CSFCalls int64
-	// EGOPrunes counts SuperEGO segment pairs pruned by the
-	// EGO-Strategy.
-	EGOPrunes int64
-	// OffsetAdvances counts skip/offset fast-forward steps.
-	OffsetAdvances int64
-}
-
-// Comparisons returns the number of d-dimensional vector comparisons.
-func (e *Events) Comparisons() int64 { return e.NoMatches + e.Matches }
+// Events counts the algorithmic events of one run: MinPrunes,
+// MaxPrunes, NoOverlaps, NoMatches, Matches, CSFCalls, EGOPrunes and
+// OffsetAdvances. Fields that do not exist for a method (e.g. prune
+// events for the Baseline) stay zero. Comparisons returns the number of
+// d-dimensional vector comparisons, and AddTo feeds the tallies to a
+// metrics aggregator under their snake_case names.
+type Events = core.Events
 
 // Result is the outcome of one CSJ computation.
 type Result struct {
@@ -293,24 +276,23 @@ func Similarity(b, a *Community, method Method, opts *Options) (*Result, error) 
 // between phases (their scans run to completion once started).
 func SimilarityCtx(ctx context.Context, b, a *Community, method Method, opts *Options) (*Result, error) {
 	o := opts.orDefault()
-	ib, ia := b.internal(), a.internal()
-	if err := ib.Validate(0); err != nil {
+	if err := b.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ia.Validate(0); err != nil {
+	if err := a.Validate(); err != nil {
 		return nil, err
 	}
 	if err := o.Scorer.validate(); err != nil {
 		return nil, err
 	}
 	if !o.AllowSizeImbalance {
-		if err := vector.CheckSizes(ib, ia); err != nil {
+		if err := vector.CheckSizes(b, a); err != nil {
 			return nil, fmt.Errorf("%w (pass AllowSizeImbalance to override)", err)
 		}
 	}
 
 	start := time.Now()
-	res, err := dispatch(ctx, ib, ia, method, &o)
+	res, err := dispatch(ctx, b, a, method, &o)
 	if err != nil {
 		return nil, mapCanceled(ctx, err)
 	}
@@ -321,14 +303,14 @@ func SimilarityCtx(ctx context.Context, b, a *Community, method Method, opts *Op
 		Pairs:   make([]Pair, len(res.Pairs)),
 		SizeB:   b.Size(),
 		SizeA:   a.Size(),
-		Events:  Events(res.Events),
+		Events:  res.Events,
 		Elapsed: elapsed,
 	}
 	for i, p := range res.Pairs {
 		out.Pairs[i] = Pair{B: int(p.B), A: int(p.A)}
 	}
 	out.Similarity = csjScore(method, &o, len(out.Pairs), b.Size())
-	applyScorerRaw(&o, ib, ia, out)
+	applyScorerRaw(&o, b, a, out)
 	if o.OnJoinEvents != nil {
 		o.OnJoinEvents(out.Events)
 	}
@@ -396,12 +378,11 @@ func dispatch(ctx context.Context, b, a *vector.Community, method Method, o *Opt
 			return nil, fmt.Errorf("%w: %s", ErrEpsilonVecUnsupported, method)
 		}
 		opts := ego.Options{
-			Eps:            o.Epsilon,
-			T:              o.EGOThreshold,
-			Float64:        o.Float64Normalization,
-			VerifyInteger:  o.VerifyInteger,
-			DisableReorder: o.DisableDimReorder,
-			Matcher:        o.Matcher.matcher(),
+			Eps:           o.Epsilon,
+			T:             o.EGOThreshold,
+			Float64:       o.Float64Normalization,
+			VerifyInteger: o.VerifyInteger,
+			Matcher:       o.Matcher.matcher(),
 		}
 		if method == ApSuperEGO {
 			return ego.ApSuperEGO(b, a, opts)

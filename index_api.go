@@ -34,11 +34,10 @@ type CommunitySummary struct {
 // SummarizeCommunity builds the pruning summary of a community.
 // buckets <= 0 selects DefaultIndexBuckets.
 func SummarizeCommunity(c *Community, buckets int) (*CommunitySummary, error) {
-	ic := c.internal()
-	if err := ic.Validate(0); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	s, err := index.NewSummary(ic, buckets)
+	s, err := index.NewSummary(c, buckets)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +74,7 @@ func (cs *CommunitySummary) Equal(o *CommunitySummary) bool {
 // pairs any CSJ join (approximate or exact, any matcher) can match
 // between the two summarized communities under eps. It runs in
 // O(d*buckets) from the summaries alone — no encodings, no scan — and
-// allocates nothing (pinned by `make indexguard`).
+// allocates nothing (pinned by internal/index's TestUpperBoundZeroAllocs).
 func UpperBoundPairs(x, y *CommunitySummary, eps int32) int {
 	return index.UpperBoundPairs(x.s, y.s, vector.UniformEps(eps))
 }
@@ -176,7 +175,8 @@ func (c indexedCandidates) View(i int) (*PreparedCommunity, error) {
 // higher index — since neither it nor any later candidate can enter
 // the answer. Pruning is exact: the returned ranking is identical,
 // cell-for-cell, to an exhaustive Ex-MinMax ranking truncated to k
-// (pinned by `make indexguard`).
+// (pinned by TestIndexedTopKExactness and the TestIndexedTopKTies
+// suite).
 //
 // Unlike the two-phase TopK, no approximate gate runs: every visited
 // candidate is joined exactly, so the answer is the true top-k, not a
@@ -487,7 +487,7 @@ func (h *topKHeap) offer(r TopKResult, k int) {
 // Every candidate whose upper bound falls strictly below minSim is
 // eliminated without resolving its view or running a join. Pruning is
 // exact: the output equals the exhaustive RankPrepared ranking filtered
-// to minSim (pinned by `make indexguard`). The engine runs serially;
+// to minSim (pinned by TestRankAboveExactness). The engine runs serially;
 // opts.Workers is ignored.
 func RankAboveIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, method Method, minSim float64, opts *Options) ([]Ranked, error) {
 	if pivot == nil || src.Len() == 0 {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -572,11 +573,49 @@ func TestClusterCreateRejectsWhenAllocatorBlind(t *testing.T) {
 	// With a shard down before the first write, the id allocator cannot
 	// prove the cluster-wide max id, so creates must fail loudly rather
 	// than risk a duplicate id.
-	tc := newTestCluster(t, Config{Retries: 0, BreakerThreshold: 100, RequestTimeout: time.Second})
+	tc := newTestCluster(t, Config{Retries: -1, BreakerThreshold: 100, RequestTimeout: time.Second})
 	tc.shards[2].CloseClientConnections()
 	tc.shards[2].Close()
 	p := server.CommunityPayload{Name: "x", Category: -1, Users: [][]int32{{1, 2}, {3, 4}}}
 	doJSON(t, "POST", tc.front.URL+"/communities", p, http.StatusServiceUnavailable, nil)
+}
+
+// TestCoordinatorRetriesCanBeDisabled counts the attempts one routed
+// read makes against a shard that answers 503: a negative Retries
+// disables retries (1 attempt), and 0 selects DefaultRetries (3).
+func TestCoordinatorRetriesCanBeDisabled(t *testing.T) {
+	for _, tc := range []struct {
+		retries, want int
+	}{{-1, 1}, {0, 1 + DefaultRetries}} {
+		var attempts atomic.Int32
+		shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/communities/7" {
+				attempts.Add(1)
+			}
+			http.Error(w, "busy", http.StatusServiceUnavailable)
+		}))
+		coord, err := New(nil, Config{
+			Shards:           []ShardSpec{{Name: "alpha", URL: shard.URL}},
+			Retries:          tc.retries,
+			RetryBackoff:     time.Millisecond,
+			BreakerThreshold: 100,
+			RequestTimeout:   time.Second,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front := httptest.NewServer(coord)
+		resp, err := http.Get(front.URL + "/communities/7")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		front.Close()
+		shard.Close()
+		if got := int(attempts.Load()); got != tc.want {
+			t.Errorf("Retries %d: shard saw %d attempts of GET /communities/7, want %d", tc.retries, got, tc.want)
+		}
+	}
 }
 
 // TestCoordinatorForwardsShardErrorBodies pins how a shard's own error

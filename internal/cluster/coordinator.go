@@ -26,13 +26,14 @@ type ShardSpec struct {
 }
 
 // Config parameterizes a Coordinator. Zero values select the defaults
-// below.
+// below; a negative Retries disables retries.
 type Config struct {
 	Shards []ShardSpec
 	// RequestTimeout bounds one shard request attempt.
 	RequestTimeout time.Duration
 	// Retries is how many extra attempts an idempotent read gets after
-	// the first (writes never retry).
+	// the first (writes never retry). 0 selects DefaultRetries;
+	// negative disables retries.
 	Retries int
 	// RetryBackoff is the base backoff; attempt i waits
 	// backoff*2^(i-1) plus full jitter.
@@ -63,8 +64,11 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = DefaultRequestTimeout
 	}
-	if c.Retries == 0 {
+	switch {
+	case c.Retries == 0:
 		c.Retries = DefaultRetries
+	case c.Retries < 0:
+		c.Retries = 0
 	}
 	if c.RetryBackoff == 0 {
 		c.RetryBackoff = DefaultRetryBackoff

@@ -5,7 +5,8 @@ import (
 	"time"
 )
 
-// TestRouteMetricsCoverage is the cluster half of `make routecheck`:
+// TestRouteMetricsCoverage is the cluster half of the route-coverage
+// check (internal/server's test of the same name is the other half):
 // every route registered on the coordinator must have a route-label
 // entry in the metrics set, or its traffic lands silently in the
 // {method="other", route="other"} bucket and vanishes from

@@ -26,8 +26,7 @@ import (
 // actual wire encoding, not an in-process shortcut. A scattered rank
 // with the same spec is also checked against a single-node reference
 // server holding the same corpus: forwarding that *looked* verbatim
-// but dropped a field would diverge there. Part of `make specguard`
-// (and the clusterguard family of scatter-gather exactness checks).
+// but dropped a field would diverge there.
 func TestCoordinatorForwardsSpecVerbatim(t *testing.T) {
 	var mu sync.Mutex
 	var captured []server.ShardQueryRequest

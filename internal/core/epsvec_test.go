@@ -36,7 +36,7 @@ func randEpsVec(rng *rand.Rand, d int) []int32 {
 // property to per-dimension tolerances: over seeded random corpora
 // with heterogeneous epsilon vectors, the prepared joins' flat SoA
 // kernel must produce byte-identical pairs and event tallies to the
-// one-shot scalar reference, Ap and Ex. Part of `make specguard`.
+// one-shot scalar reference, Ap and Ex.
 func TestEpsVecKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9191))
 	for trial := 0; trial < 60; trial++ {

@@ -58,11 +58,15 @@ func (k EventKind) String() string {
 // the statistics block of the Baseline and SuperEGO competitors, which
 // emit the subset of events that exists for them.
 type Events struct {
-	MinPrunes  int64
-	MaxPrunes  int64
+	// MinPrunes and MaxPrunes count the MinMax window prunes.
+	MinPrunes int64
+	MaxPrunes int64
+	// NoOverlaps counts candidate pairs rejected by the part/range
+	// overlap check without a d-dimensional comparison.
 	NoOverlaps int64
-	NoMatches  int64
-	Matches    int64
+	// NoMatches and Matches count d-dimensional comparisons by outcome.
+	NoMatches int64
+	Matches   int64
 	// CSFCalls counts segment flushes of the exact algorithms.
 	CSFCalls int64
 	// EGOPrunes counts segment pairs pruned by SuperEGO's EGO-Strategy

@@ -106,7 +106,7 @@ func validate(b, a *vector.Community, opts *Options) error {
 // vectors under the per-dimension epsilon condition — read through the
 // array-of-vectors layout. The one-shot joins scan with it; it is the
 // executable specification that the prepared joins' fused SoA sweep is
-// pinned to (the property suite and `make kernelguard`). A one-shot
+// pinned to (TestSoAKernelMatchesReference and its siblings). A one-shot
 // join scans once, so building SoA streams for it would cost more than
 // the sweep saves.
 type encComparer struct {

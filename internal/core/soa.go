@@ -194,8 +194,8 @@ func (s *soaStreams) footprint() int64 {
 // slice of the sweep).
 //
 // Their pairs, CSF flush points and event tallies equal the reference
-// loops' (apScan, exScan); the property suite and `make kernelguard`
-// pin them. They record no trace: a Trace replays the reference loops
+// loops' (apScan, exScan); TestSoAKernelMatchesReference and its
+// siblings pin them. They record no trace: a Trace replays the reference loops
 // one candidate at a time (ScanAp, ScanEx).
 
 // bump folds the fused loops' local event counters into e.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -32,7 +33,7 @@ func rankShapeCorpus(rng *rand.Rand, n, size int) []*vector.Community {
 		g := dataset.NewVKGenerator(rng, i%dataset.Dim)
 		users := make([]vector.Vector, 0, size)
 		for _, p := range rng.Perm(len(pool))[:size*3/10] {
-			users = append(users, pool[p].Clone())
+			users = append(users, slices.Clone(pool[p]))
 		}
 		for len(users) < size {
 			users = append(users, g.User())

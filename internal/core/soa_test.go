@@ -48,7 +48,7 @@ func dupCommunity(rng *rand.Rand, name string, n, d int, maxVal int32) *vector.C
 	}
 	users := make([]vector.Vector, n)
 	for i := range users {
-		users[i] = protos[rng.Intn(distinct)].Clone()
+		users[i] = slices.Clone(protos[rng.Intn(distinct)])
 	}
 	return &vector.Community{Name: name, Category: -1, Users: users}
 }
@@ -104,8 +104,7 @@ func requireBothPathsEqual(t *testing.T, label string, b, a *vector.Community, o
 // 1), each corpus with the skip offset on and off — the prepared
 // joins' flat kernel must produce byte-identical pairs and event
 // tallies to the one-shot scalar reference. A failing seed is named by
-// the trial index. Part of `make kernelguard` and the ordinary `-race`
-// suite.
+// the trial index.
 func TestSoAKernelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	for trial := 0; trial < 60; trial++ {
@@ -318,13 +317,12 @@ func TestSatInt32(t *testing.T) {
 	}
 }
 
-// TestKernelGuardSoAZeroAlloc is the `make kernelguard` allocation
-// gate: a steady-state prepared join through the SoA kernel — the
-// serving hot path — must perform zero allocations per operation, Ap
-// and Ex alike. The SoA streams are built once at Prepare time; binding
-// the scan view into the scratch, sweeping, and (Ex) running CSF on
-// every segment flush in the scratch's match graph must not touch the
-// heap.
+// TestKernelGuardSoAZeroAlloc is the kernel's allocation gate: a
+// steady-state prepared join through the SoA kernel — the serving hot
+// path — must perform zero allocations per operation, Ap and Ex alike.
+// The SoA streams are built once at Prepare time; binding the scan view
+// into the scratch, sweeping, and (Ex) running CSF on every segment
+// flush in the scratch's match graph must not touch the heap.
 func TestKernelGuardSoAZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")

@@ -58,13 +58,13 @@ func TestVKGeneratorShape(t *testing.T) {
 		if len(u) != Dim {
 			t.Fatalf("user has %d dims", len(u))
 		}
-		if err := u.Validate(); err != nil {
+		if err := vector.Validate(u); err != nil {
 			t.Fatal(err)
 		}
 		for j, v := range u {
 			totals[j] += int64(v)
 		}
-		grand += u.Sum()
+		grand += vector.Sum(u)
 	}
 	mean := float64(grand) / n
 	if mean < 50 || mean > 1500 {
@@ -150,7 +150,7 @@ func TestPerturbIsWithinEpsilon(t *testing.T) {
 		if !vector.MatchEpsilon(u, p, eps) {
 			t.Fatalf("perturbation exceeded eps=%d", eps)
 		}
-		if err := p.Validate(); err != nil {
+		if err := vector.Validate(p); err != nil {
 			t.Fatal(err)
 		}
 	}

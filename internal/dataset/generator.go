@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"github.com/opencsj/csj/internal/vector"
 )
@@ -128,7 +129,7 @@ func (g *VKGenerator) drawCategory() int {
 // exactly-at-epsilon dimensions low reproduces the paper's mild
 // SuperEGO accuracy loss on VK instead of an exaggerated one.
 func (g *VKGenerator) Perturb(u vector.Vector, eps int32) vector.Vector {
-	out := u.Clone()
+	out := slices.Clone(u)
 	if eps == 0 || g.rng.Float64() >= vkPerturbProb {
 		return out
 	}

@@ -12,7 +12,8 @@ import (
 	"github.com/opencsj/csj/internal/store"
 )
 
-// This file is the crash-recovery fault suite (run via `make faults`):
+// This file is the crash-recovery fault suite (the TestFault* tests,
+// run under -race by `make check`):
 // torn tails from a kill mid-append, bit rot inside fsynced records,
 // repair semantics, the never-reuse-ids invariant across a
 // delete-then-crash, a crash between checkpoint rotation and commit,
@@ -303,7 +304,7 @@ func TestFaultCheckpointCrashBeforeCommit(t *testing.T) {
 }
 
 // TestFaultChurnStorm hammers a live WAL-backed store from many
-// goroutines (run under -race via `make faults`), checkpoints
+// goroutines (run under -race by `make check`), checkpoints
 // concurrently, then closes and replays: the recovered image must be
 // exactly the surviving state, ids unique, counters ratcheted.
 func TestFaultChurnStorm(t *testing.T) {

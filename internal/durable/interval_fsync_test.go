@@ -15,10 +15,9 @@ import (
 // does), this also pins the flushLoop/append/Close synchronization.
 func TestIntervalFsyncConcurrentAppendVsClose(t *testing.T) {
 	dir := t.TempDir()
-	l := openLog(t, dir, Options{
-		Fsync:         FsyncEveryInterval,
-		FsyncInterval: time.Millisecond, // keep the flusher busy mid-test
-	})
+	tick := time.NewTicker(time.Millisecond) // keep the flusher busy mid-test
+	defer tick.Stop()
+	l := openLog(t, dir, Options{Fsync: FsyncEveryInterval, flushTick: tick.C})
 
 	const writers = 8
 	var (

@@ -49,7 +49,7 @@ const (
 	// survives even a kill -9 at any instant. The default.
 	FsyncAlways FsyncPolicy = iota
 	// FsyncEveryInterval fsyncs from a background flusher every
-	// Options.FsyncInterval: a crash can lose at most the last
+	// DefaultFsyncInterval: a crash can lose at most the last
 	// interval's acknowledged mutations.
 	FsyncEveryInterval
 	// FsyncOff never fsyncs appends; the OS flushes on its own
@@ -98,9 +98,6 @@ const DefaultCheckpointEvery = 4096
 type Options struct {
 	// Fsync is the append durability policy (default FsyncAlways).
 	Fsync FsyncPolicy
-	// FsyncInterval is the FsyncEveryInterval cadence; 0 selects
-	// DefaultFsyncInterval.
-	FsyncInterval time.Duration
 	// CheckpointEvery is the append count between automatic checkpoints;
 	// 0 selects DefaultCheckpointEvery, negative disables automatic
 	// checkpoints (explicit store.Checkpoint calls still work).
@@ -122,9 +119,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.FsyncInterval == 0 {
-		o.FsyncInterval = DefaultFsyncInterval
-	}
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = DefaultCheckpointEvery
 	}
@@ -374,7 +368,7 @@ func (l *Log) flushLoop() {
 	defer close(l.flushDone)
 	tick := l.opts.flushTick
 	if tick == nil {
-		t := time.NewTicker(l.opts.FsyncInterval)
+		t := time.NewTicker(DefaultFsyncInterval)
 		defer t.Stop()
 		tick = t.C
 	}

@@ -21,10 +21,11 @@ import (
 //	int64   community id
 //	uint64  store version of the mutation
 //
-// A put payload is followed by the community in the compact binary
-// format of csj.WriteCommunityBinary; a delete payload is exactly the
-// header. The CRC covers the payload only: a frame whose payload is
-// shorter than its length prefix is a torn write (the process died
+// A put payload is the header and then exactly one community in the
+// compact binary format of csj.WriteCommunityBinary; a delete payload
+// is exactly the header. Trailing bytes after either are corruption.
+// The CRC covers the payload only: a frame whose payload is shorter
+// than its length prefix is a torn write (the process died
 // mid-append), while a full-length payload that fails the CRC is
 // corruption — recovery treats the two very differently (see replay).
 
@@ -91,6 +92,12 @@ func decodePayload(p []byte) (record, error) {
 		c, err := csj.ReadCommunityBinary(bytes.NewReader(p[mutationHeaderSize:]))
 		if err != nil {
 			return record{}, fmt.Errorf("put record community: %w", err)
+		}
+		// The binary reader buffers its input and cannot report what it
+		// left unread, so compare with the community's encoded size:
+		// 5 magic and 16 header bytes, the name, 4 bytes a counter.
+		if n := mutationHeaderSize + 5 + 16 + len(c.Name) + 4*c.Size()*c.Dim(); len(p) != n {
+			return record{}, fmt.Errorf("put record carries %d trailing bytes", len(p)-n)
 		}
 		r.comm = c
 	case opDelete:

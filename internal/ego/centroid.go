@@ -21,7 +21,7 @@ func NormalizedCentroid(c *vector.Community) []float64 {
 	if c.Size() == 0 {
 		return out
 	}
-	mv := c.MaxCounter()
+	mv := maxCounter(c)
 	if mv == 0 {
 		return out
 	}

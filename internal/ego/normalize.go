@@ -45,11 +45,21 @@ type normalizer struct {
 	float64 bool
 }
 
-func newNormalizer(b, a *vector.Community, eps int32, useFloat64 bool) *normalizer {
-	mv := b.MaxCounter()
-	if v := a.MaxCounter(); v > mv {
-		mv = v
+// maxCounter returns the largest counter over all users and dimensions
+// of c. SuperEGO normalizes by this value over the union of both
+// communities.
+func maxCounter(c *vector.Community) int32 {
+	var m int32
+	for _, u := range c.Users {
+		for _, v := range u {
+			m = max(m, v)
+		}
 	}
+	return m
+}
+
+func newNormalizer(b, a *vector.Community, eps int32, useFloat64 bool) *normalizer {
+	mv := max(maxCounter(b), maxCounter(a))
 	if mv == 0 {
 		// All counters are zero: every value normalizes to 0 and any
 		// non-negative epsilon matches everything. Avoid dividing by 0.

@@ -27,6 +27,12 @@ func TestNormalizerScalesByGlobalMax(t *testing.T) {
 	}
 }
 
+func TestMaxCounter(t *testing.T) {
+	if got := maxCounter(comm(vector.Vector{1, 20}, vector.Vector{30, 4})); got != 30 {
+		t.Errorf("maxCounter = %d, want 30", got)
+	}
+}
+
 func TestNormalizerAllZeroGuard(t *testing.T) {
 	z := comm(vector.Vector{0, 0})
 	n := newNormalizer(z, z, 0, false)

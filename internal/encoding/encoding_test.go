@@ -225,7 +225,7 @@ func TestEncodingInternalConsistency(t *testing.T) {
 		for _, p := range eB.Parts {
 			sum += p
 		}
-		if eB.ID != sum || eB.ID != u.Sum() {
+		if eB.ID != sum || eB.ID != vector.Sum(u) {
 			return false
 		}
 		eA := EncodeA(c, l, vector.UniformEps(0)).Entries[0]

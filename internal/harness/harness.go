@@ -7,7 +7,6 @@ import (
 
 	csj "github.com/opencsj/csj"
 	"github.com/opencsj/csj/internal/dataset"
-	"github.com/opencsj/csj/internal/vector"
 )
 
 // Config controls the scaled-down reproduction runs.
@@ -98,26 +97,14 @@ func caseStudyTableNumber(kind dataset.Kind, same, exact bool) int {
 }
 
 // BuildCouple synthesizes one case-study couple at the configured
-// scale and returns the generated pair as public communities.
+// scale and returns the generated pair.
 func BuildCouple(c *dataset.Couple, kind dataset.Kind, cfg Config) (*csj.Community, *csj.Community, error) {
 	cfg = cfg.withDefaults()
 	spec := c.Spec(kind).Scaled(cfg.Scale, cfg.MinSize)
 	rng := rand.New(rand.NewSource(cfg.Seed*1000 + int64(c.CID)))
 	genB := dataset.NewGenerator(kind, rng, spec.CatB)
 	genA := dataset.NewGenerator(kind, rng, spec.CatA)
-	b, a, err := dataset.BuildPair(spec, genB, genA, kind.Epsilon(), rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return toPublic(b), toPublic(a), nil
-}
-
-func toPublic(c *vector.Community) *csj.Community {
-	users := make([]csj.Vector, len(c.Users))
-	for i, u := range c.Users {
-		users[i] = []int32(u)
-	}
-	return &csj.Community{Name: c.Name, Category: c.Category, Users: users}
+	return dataset.BuildPair(spec, genB, genA, kind.Epsilon(), rng)
 }
 
 // RunCaseStudy reproduces one of Tables 3-10: the given dataset and

@@ -123,7 +123,7 @@ func RunTable11(cfg Config) (*Table, []ScalabilityPoint, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			res, err := csj.Similarity(toPublic(b), toPublic(a), csj.ExMinMax,
+			res, err := csj.Similarity(b, a, csj.ExMinMax,
 				&csj.Options{Epsilon: dataset.EpsilonVK})
 			if err != nil {
 				return nil, nil, err

@@ -152,7 +152,7 @@ func (j *Join) Add(s Side, u vector.Vector) (int32, error) {
 	if len(u) != j.d {
 		return 0, fmt.Errorf("%w: got %d dimensions, want %d", vector.ErrDimensionMismatch, len(u), j.d)
 	}
-	if err := u.Validate(); err != nil {
+	if err := vector.Validate(u); err != nil {
 		return 0, err
 	}
 	id := int32(len(j.users[s]))

@@ -1,6 +1,6 @@
 //go:build !race
 
-// The index-overhead guard (`make indexguard`, mirroring storeguard):
+// The index-overhead guard (mirroring internal/store's guard):
 // the bound-check fast path — one UpperBoundPairs call over two warm
 // summaries — must allocate 0 bytes/op, so visiting 100k candidate
 // bounds per query stays allocation-free. Skipped under -race because

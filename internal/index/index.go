@@ -37,7 +37,8 @@
 //
 // Pruning with this bound is therefore exact: an eliminated candidate
 // provably cannot enter the answer. The property suite in the root
-// package (make indexguard) compares pruned and unpruned engines
+// package (TestIndexedTopKExactness, TestRankAboveExactness) compares
+// pruned and unpruned engines
 // cell-for-cell on randomized corpora and epsilons.
 package index
 
@@ -159,7 +160,7 @@ func eq32(a, b []int32) bool {
 // CSJ join of the two summarized communities under eps: the true
 // maximum one-to-one matching (and hence every method's pair count,
 // greedy or exact) is <= the returned value. It runs in O(d*buckets)
-// with zero allocations (the indexguard gate pins 0 B/op).
+// with zero allocations (TestUpperBoundZeroAllocs pins 0 B/op).
 //
 // The bound is min over dimensions of the per-dimension bucket-flow
 // bound, capped at min(|X|, |Y|); a dimension whose envelopes are

@@ -1,7 +1,7 @@
 //go:build !race
 
-// The metrics-overhead guard (`make metricsguard`, CI): the prepared
-// MinMax hot path, Ap and Ex, must stay 0 allocs/op with metrics
+// The metrics-overhead guard (run by `make check`'s plain pass): the
+// prepared MinMax hot path, Ap and Ex, must stay 0 allocs/op with metrics
 // collection enabled. The scan loops tally into core.Events in-loop (plain integer
 // adds); the metrics layer aggregates those tallies once per join via
 // ScanEventCounters.Observe, which is map lookups plus atomic adds.

@@ -6,7 +6,7 @@ import "time"
 // (internal/server.Surface, which the node and the cluster coordinator
 // share): one latency histogram and one requests-completed counter per
 // status class, labeled {method, route}. Centralizing the pattern keeps the exposition identical across
-// processes and lets the route-coverage check (`make routecheck`)
+// processes and lets the route-coverage check (TestRouteMetricsCoverage)
 // verify that every registered handler has a label entry — a route
 // without one would silently land in the "other" bucket and vanish
 // from per-endpoint dashboards.

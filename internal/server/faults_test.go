@@ -15,7 +15,8 @@ import (
 	"time"
 )
 
-// Fault-injection suite (run alone with `make faults`): each test
+// Fault-injection suite (the TestFault* tests, run under -race by
+// `make check`): each test
 // drives the server into a failure mode — a panicking handler, an
 // oversized upload, a saturated admission semaphore, an exhausted
 // compute budget, a client that walks away mid-join — and checks the

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 // CheckRank, CheckTopK and CheckMatrix. None may panic; all three must
 // reach the same verdict on the same options; a rejection is 400 or
 // 422; accepted options carry no negative epsilon_vec entry and a
-// scorer that validates. Seeded with the option bodies of the cluster's
+// scorer that validates, whose weights normalize to finite values
+// summing to 1. Seeded with the option bodies of the cluster's
 // /matrix table. Part of `make fuzzsmoke`.
 func FuzzOptionsPayload(f *testing.F) {
 	for _, o := range []OptionsPayload{
@@ -24,6 +26,7 @@ func FuzzOptionsPayload(f *testing.F) {
 		{Epsilon: 8, Matcher: "bogus"},
 		{EpsilonVec: []int32{0, 2, 1, 3}, Parts: 2, Scorer: &ScorerPayload{CSJ: 2, Category: 1, Cosine: 1}},
 		{Scorer: &ScorerPayload{CSJ: -1, Category: 1}},
+		{Scorer: &ScorerPayload{CSJ: 1e308, Category: 1e308}},
 	} {
 		seed, err := json.Marshal(o)
 		if err != nil {
@@ -50,6 +53,13 @@ func FuzzOptionsPayload(f *testing.F) {
 			}
 			if err := opts.Scorer.Validate(); err != nil {
 				t.Fatalf("%s accepted %s with a scorer that fails validation: %v", name, data, err)
+			}
+			if sc := opts.Scorer; sc != nil {
+				sum := sc.CSJWeight + sc.CategoryWeight + sc.CosineWeight
+				w := []float64{sc.CSJWeight / sum, sc.CategoryWeight / sum, sc.CosineWeight / sum}
+				if total := w[0] + w[1] + w[2]; math.IsNaN(total) || math.IsInf(total, 0) || math.Abs(total-1) > 1e-9 {
+					t.Fatalf("%s accepted %s with normalized scorer weights %v", name, data, w)
+				}
 			}
 			return "accepted"
 		}

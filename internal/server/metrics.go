@@ -5,7 +5,6 @@ import (
 	"time"
 
 	csj "github.com/opencsj/csj"
-	"github.com/opencsj/csj/internal/core"
 	"github.com/opencsj/csj/internal/durable"
 	"github.com/opencsj/csj/internal/metrics"
 	"github.com/opencsj/csj/internal/store"
@@ -105,8 +104,7 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 // observeJoinEvents feeds one finished join's tallies into the scan
 // counters; safe for concurrent use from pool workers.
 func (m *serverMetrics) observeJoinEvents(ev csj.Events) {
-	cev := core.Events(ev)
-	m.scan.Observe(&cev)
+	m.scan.Observe(&ev)
 }
 
 // observePoolStats records one batch-engine pool stage.

@@ -6,7 +6,8 @@ import (
 	"github.com/opencsj/csj/internal/durable"
 )
 
-// TestRouteMetricsCoverage is the server half of `make routecheck`:
+// TestRouteMetricsCoverage is the server half of the route-coverage
+// check (internal/cluster's test of the same name is the other half):
 // every registered route — including the pprof mounts and the
 // durability-gated WAL shipping endpoints — must have a route-label
 // entry in the metrics set, or its traffic lands silently in the

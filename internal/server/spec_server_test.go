@@ -14,7 +14,7 @@ import (
 // invalid. These are all 422s — the request is well-formed JSON with
 // known fields, the *spec* is what's wrong — and the bodies are part
 // of the wire contract (clients match on them to surface actionable
-// messages). Part of `make specguard`.
+// messages).
 func TestSpecValidationStatusAndBodies(t *testing.T) {
 	ts := newTestServer(t)
 	rng := rand.New(rand.NewSource(31))
@@ -46,6 +46,10 @@ func TestSpecValidationStatusAndBodies(t *testing.T) {
 			SimilarityRequest{B: b, A: a, Method: "exminmax",
 				Options: OptionsPayload{Scorer: &ScorerPayload{CSJ: -1, Category: 1}}},
 			"weights must be non-negative"},
+		{"scorer weights whose sum overflows",
+			SimilarityRequest{B: b, A: a, Method: "exminmax",
+				Options: OptionsPayload{Scorer: &ScorerPayload{CSJ: 1e308, Category: 1e308}}},
+			"weights must be finite with a finite sum"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

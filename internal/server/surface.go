@@ -27,7 +27,7 @@ type Surface struct {
 	// covers requests no route matched (404s, bad methods).
 	routes *metrics.RouteSet
 	// patterns records every pattern registered through Handle, so the
-	// route-coverage check (`make routecheck`) can prove each one has a
+	// route-coverage check (TestRouteMetricsCoverage) can prove each one has a
 	// route-label entry: no silent "other" buckets for new routes.
 	patterns []string
 	maxBody  int64
@@ -72,7 +72,7 @@ func (s *Surface) Handle(pattern string, h http.HandlerFunc) {
 }
 
 // Patterns returns every registered "METHOD /path" pattern — the
-// route-coverage check's input (`make routecheck`).
+// route-coverage check's input (TestRouteMetricsCoverage).
 func (s *Surface) Patterns() []string { return s.patterns }
 
 // HasRouteMetric reports whether a pattern has a route-label entry in

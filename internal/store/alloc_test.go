@@ -1,6 +1,6 @@
 //go:build !race
 
-// The store-overhead guard (`make storeguard`, mirroring metricsguard):
+// The store-overhead guard (mirroring internal/metrics' guard):
 // the cache-hit prepared path must stay 0 allocs/op end to end, Ap and
 // Ex alike — snapshot load, two view lookups, and the scratch'd join
 // through the public csj.SimilarityPreparedInto API. The hit path is a
@@ -81,7 +81,7 @@ func TestStoreCacheHitPreparedZeroAllocs(t *testing.T) {
 // must also be 0 allocs/op. This empirically pins the digest's stack
 // encoding buffer (matchspec.go, specDigestStack) — if the encoder or
 // canonicalizer started escaping to the heap, every warm spec-keyed
-// request would pay for it. Part of `make specguard`.
+// request would pay for it.
 func TestStoreCacheHitSpecZeroAllocs(t *testing.T) {
 	st := New(Config{})
 	rng := rand.New(rand.NewSource(43))

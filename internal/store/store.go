@@ -430,7 +430,8 @@ func (sn *Snapshot) List() []*Entry { return sn.list }
 // entry's version: a racing delete cannot leave a stale view behind.
 //
 // The cache-hit path performs zero allocations, including the spec
-// digest (see `make storeguard` and `make specguard`).
+// digest (see TestStoreCacheHitPreparedZeroAllocs and
+// TestStoreCacheHitSpecZeroAllocs).
 func (sn *Snapshot) PreparedSpec(id int64, spec csj.MatchSpec) (*csj.PreparedCommunity, error) {
 	e, ok := sn.Get(id)
 	if !ok {

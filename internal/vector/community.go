@@ -7,7 +7,8 @@ import (
 
 // Community is a named set of subscribers (user profiles) of the same
 // dimensionality. In the paper's terms a community is a brand page and
-// its Users are the page's subscribers.
+// its Users are the page's subscribers. The root package exports it as
+// csj.Community.
 type Community struct {
 	// Name identifies the community (e.g. the brand-page name).
 	Name string
@@ -26,11 +27,16 @@ var ErrEmptyCommunity = errors.New("vector: empty community")
 var ErrSizeConstraint = errors.New("vector: CSJ size constraint violated")
 
 // NewCommunity builds a community and validates that all user vectors
-// share dimensionality d and hold non-negative counters.
+// share dimensionality d (d <= 0 accepts the first user's) and hold
+// non-negative counters.
 func NewCommunity(name string, d int, users []Vector) (*Community, error) {
 	c := &Community{Name: name, Category: -1, Users: users}
-	if err := c.Validate(d); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
+	}
+	if d > 0 && c.Dim() != d {
+		return nil, fmt.Errorf("community %q: %w: got %d dimensions, want %d",
+			name, ErrDimensionMismatch, c.Dim(), d)
 	}
 	return c, nil
 }
@@ -48,59 +54,42 @@ func (c *Community) Dim() int {
 }
 
 // Validate checks that the community is non-empty, that every user has
-// dimensionality d (d <= 0 means "use the first user's dimensionality"),
-// and that all counters are non-negative.
-func (c *Community) Validate(d int) error {
+// the first user's dimensionality, and that all counters are
+// non-negative.
+func (c *Community) Validate() error {
 	if len(c.Users) == 0 {
 		return fmt.Errorf("community %q: %w", c.Name, ErrEmptyCommunity)
 	}
-	if d <= 0 {
-		d = len(c.Users[0])
-	}
+	d := len(c.Users[0])
 	for i, u := range c.Users {
 		if len(u) != d {
 			return fmt.Errorf("community %q user %d: %w: got %d dimensions, want %d",
 				c.Name, i, ErrDimensionMismatch, len(u), d)
 		}
-		if err := u.Validate(); err != nil {
+		if err := Validate(u); err != nil {
 			return fmt.Errorf("community %q user %d: %w", c.Name, i, err)
 		}
 	}
 	return nil
 }
 
-// Clone returns a deep copy of the community.
+// Clone returns a deep copy of the community: the user vectors are
+// copied into one fresh backing array, so mutating the original (or the
+// clone) afterwards cannot affect the other. Stores that accept
+// communities from callers clone on ingest to cut every external alias.
 func (c *Community) Clone() *Community {
+	total := 0
+	for _, u := range c.Users {
+		total += len(u)
+	}
+	backing := make([]int32, 0, total)
 	users := make([]Vector, len(c.Users))
 	for i, u := range c.Users {
-		users[i] = u.Clone()
+		start := len(backing)
+		backing = append(backing, u...)
+		users[i] = backing[start:len(backing):len(backing)]
 	}
 	return &Community{Name: c.Name, Category: c.Category, Users: users}
-}
-
-// MaxCounter returns the largest counter over all users and dimensions.
-// SuperEGO normalizes by this value (over the union of both communities).
-func (c *Community) MaxCounter() int32 {
-	var m int32
-	for _, u := range c.Users {
-		if v := u.Max(); v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// TotalLikesPerDim returns, for each dimension, the sum of counters over
-// all users. This is the paper's Table 1 "total_likes per category".
-func (c *Community) TotalLikesPerDim() []int64 {
-	d := c.Dim()
-	totals := make([]int64, d)
-	for _, u := range c.Users {
-		for i, v := range u {
-			totals[i] += int64(v)
-		}
-	}
-	return totals
 }
 
 // CheckSizes validates the CSJ precondition on a community pair:

@@ -50,17 +50,6 @@ func TestCommunityCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestMaxCounterAndTotals(t *testing.T) {
-	c := mkCommunity(t, "c", Vector{1, 20}, Vector{30, 4})
-	if got := c.MaxCounter(); got != 30 {
-		t.Errorf("MaxCounter = %d, want 30", got)
-	}
-	totals := c.TotalLikesPerDim()
-	if len(totals) != 2 || totals[0] != 31 || totals[1] != 24 {
-		t.Errorf("TotalLikesPerDim = %v, want [31 24]", totals)
-	}
-}
-
 func TestCheckSizes(t *testing.T) {
 	tests := []struct {
 		name   string

@@ -73,7 +73,7 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if err := c.Validate(0); err != nil {
+		if err := c.Validate(); err != nil {
 			t.Fatalf("ReadBinary accepted an invalid community: %v", err)
 		}
 	})

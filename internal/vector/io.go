@@ -83,7 +83,7 @@ func ReadCSV(r io.Reader) (*Community, error) {
 			return nil, rerr
 		}
 	}
-	if err := c.Validate(0); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -216,7 +216,9 @@ func ReadBinarySized(r io.Reader, sizeHint int64) (*Community, error) {
 		}
 		c.Users = append(c.Users, u)
 	}
-	if err := c.Validate(int(d)); err != nil {
+	// Every row was read at the header's d, so Validate's
+	// first-user dimension is the header's.
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -14,8 +14,10 @@ import (
 )
 
 // Vector is a d-dimensional user profile. Each element is an aggregate
-// preference counter for one category and must be non-negative.
-type Vector []int32
+// preference counter for one category and must be non-negative. It is
+// a plain []int32, so profiles cross package boundaries without a copy;
+// slices.Clone copies one.
+type Vector = []int32
 
 // ErrDimensionMismatch is returned when two vectors or communities with
 // different dimensionalities are combined.
@@ -24,15 +26,8 @@ var ErrDimensionMismatch = errors.New("vector: dimension mismatch")
 // ErrNegativeCounter is returned by Validate when a counter is negative.
 var ErrNegativeCounter = errors.New("vector: negative counter")
 
-// Clone returns a deep copy of v.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	copy(out, v)
-	return out
-}
-
-// Validate checks that every counter is non-negative.
-func (v Vector) Validate() error {
+// Validate checks that every counter of v is non-negative.
+func Validate(v Vector) error {
 	for i, c := range v {
 		if c < 0 {
 			return fmt.Errorf("%w: dimension %d holds %d", ErrNegativeCounter, i, c)
@@ -41,25 +36,14 @@ func (v Vector) Validate() error {
 	return nil
 }
 
-// Sum returns the total number of preferences across all dimensions.
-// The result is an int64 because d*MaxInt32 overflows int32.
-func (v Vector) Sum() int64 {
+// Sum returns the total number of preferences across all dimensions of
+// v. The result is an int64 because d*MaxInt32 overflows int32.
+func Sum(v Vector) int64 {
 	var s int64
 	for _, c := range v {
 		s += int64(c)
 	}
 	return s
-}
-
-// Max returns the largest counter in v, or 0 for an empty vector.
-func (v Vector) Max() int32 {
-	var m int32
-	for _, c := range v {
-		if c > m {
-			m = c
-		}
-	}
-	return m
 }
 
 // MatchEpsilon reports whether a and b match under the CSJ per-dimension

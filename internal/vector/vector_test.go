@@ -188,22 +188,12 @@ func TestPerDimMatchImpliesL1Bound(t *testing.T) {
 	}
 }
 
-func TestVectorSumMaxClone(t *testing.T) {
-	v := Vector{3, 1, 4, 1, 5}
-	if got := v.Sum(); got != 14 {
+func TestVectorSum(t *testing.T) {
+	if got := Sum(Vector{3, 1, 4, 1, 5}); got != 14 {
 		t.Errorf("Sum = %d, want 14", got)
 	}
-	if got := v.Max(); got != 5 {
-		t.Errorf("Max = %d, want 5", got)
-	}
-	c := v.Clone()
-	c[0] = 99
-	if v[0] != 3 {
-		t.Error("Clone is not a deep copy")
-	}
-	var empty Vector
-	if empty.Sum() != 0 || empty.Max() != 0 {
-		t.Error("empty vector Sum/Max should be 0")
+	if got := Sum(nil); got != 0 {
+		t.Errorf("empty vector Sum = %d, want 0", got)
 	}
 }
 
@@ -211,16 +201,16 @@ func TestVectorSumNoOverflow(t *testing.T) {
 	const big = int32(1<<31 - 1)
 	v := Vector{big, big, big}
 	want := 3 * int64(big)
-	if got := v.Sum(); got != want {
+	if got := Sum(v); got != want {
 		t.Errorf("Sum = %d, want %d", got, want)
 	}
 }
 
 func TestValidate(t *testing.T) {
-	if err := (Vector{0, 1, 2}).Validate(); err != nil {
+	if err := Validate(Vector{0, 1, 2}); err != nil {
 		t.Errorf("unexpected error: %v", err)
 	}
-	if err := (Vector{0, -1, 2}).Validate(); err == nil {
+	if err := Validate(Vector{0, -1, 2}); err == nil {
 		t.Error("expected error on negative counter")
 	}
 }

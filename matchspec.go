@@ -20,8 +20,9 @@ import (
 // scalar before this check, so it works with every method.
 var ErrEpsilonVecUnsupported = errors.New("csj: per-dimension epsilon requires a MinMax method")
 
-// ErrBadScorer reports an invalid composite-scorer specification:
-// a negative weight, or all weights zero.
+// ErrBadScorer reports an invalid composite-scorer specification: a
+// NaN, infinite or negative weight, all weights zero, or weights whose
+// sum overflows.
 var ErrBadScorer = errors.New("csj: bad scorer")
 
 // ScorerSpec is the optional composite scorer of a match spec. When
@@ -35,12 +36,13 @@ var ErrBadScorer = errors.New("csj: bad scorer")
 // both >= 0) and 0 otherwise, and cosine is the cosine similarity of
 // the two communities' normalized centroid profiles (internal/ego's
 // max-counter normalization; 0 when either centroid is the zero
-// vector). Weights must be non-negative and not all zero; they are
-// normalized to sum 1, so ScorerSpec{CSJWeight: 2, CosineWeight: 2}
-// means an equal 50/50 blend. All three components live in [0, 1], so
-// the blend does too, and the batch engines' ordering, top-k merging,
-// and cluster scatter-gather operate on it unchanged. Result.Blend
-// reports the unweighted components alongside the blended score.
+// vector). Weights must be finite, non-negative, not all zero, and sum
+// to a finite value; they are normalized to sum 1, so
+// ScorerSpec{CSJWeight: 2, CosineWeight: 2} means an equal 50/50 blend.
+// All three components live in [0, 1], so the blend does too, and the
+// batch engines' ordering, top-k merging, and cluster scatter-gather
+// operate on it unchanged. Result.Blend reports the unweighted
+// components alongside the blended score.
 //
 // A scorer whose normalized weights are (1, 0, 0) is the plain CSJ
 // score and is canonicalized away (equivalent to a nil Scorer).
@@ -53,20 +55,28 @@ type ScorerSpec struct {
 	CosineWeight float64
 }
 
-// Validate rejects negative or all-zero weights. A nil scorer is
-// valid (the plain CSJ score).
+// Validate rejects NaN, infinite, negative or all-zero weights, and
+// weights whose sum overflows. A nil scorer is valid (the plain CSJ
+// score).
 func (sc *ScorerSpec) Validate() error { return sc.validate() }
 
-// validate rejects negative or all-zero weights.
+// validate rejects NaN, infinite, negative or all-zero weights, and
+// weights whose sum overflows: normalized divides by the sum, so an
+// infinite sum would turn every weight into 0 or NaN.
 func (sc *ScorerSpec) validate() error {
 	if sc == nil {
 		return nil
 	}
-	if sc.CSJWeight < 0 || sc.CategoryWeight < 0 || sc.CosineWeight < 0 {
+	// A NaN or infinite weight makes the sum NaN or infinite too.
+	sum := sc.CSJWeight + sc.CategoryWeight + sc.CosineWeight
+	switch {
+	case math.IsNaN(sum) || math.IsInf(sum, 0):
+		return fmt.Errorf("%w: weights must be finite with a finite sum, got (%g, %g, %g)",
+			ErrBadScorer, sc.CSJWeight, sc.CategoryWeight, sc.CosineWeight)
+	case sc.CSJWeight < 0 || sc.CategoryWeight < 0 || sc.CosineWeight < 0:
 		return fmt.Errorf("%w: weights must be non-negative, got (%g, %g, %g)",
 			ErrBadScorer, sc.CSJWeight, sc.CategoryWeight, sc.CosineWeight)
-	}
-	if sc.CSJWeight == 0 && sc.CategoryWeight == 0 && sc.CosineWeight == 0 {
+	case sum == 0:
 		return fmt.Errorf("%w: all weights are zero", ErrBadScorer)
 	}
 	return nil

@@ -33,7 +33,7 @@ func (pc *PreparedCommunity) Size() int { return pc.p.Size() }
 
 // Community returns the underlying community (shared, not copied).
 func (pc *PreparedCommunity) Community() *Community {
-	return fromInternal(pc.p.Community())
+	return pc.p.Community()
 }
 
 // centroid returns the cached normalized centroid (see ScorerSpec).
@@ -50,11 +50,10 @@ func (pc *PreparedCommunity) centroid() []float64 {
 // N*(N-1)/2 pairwise joins from O(N^2) encodings into O(N).
 func Precompute(c *Community, opts *Options) (*PreparedCommunity, error) {
 	o := opts.orDefault()
-	ic := c.internal()
-	if err := ic.Validate(0); err != nil {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-	p, err := core.Prepare(ic, core.Options{Eps: o.Epsilon, EpsVec: o.EpsilonVec, Parts: o.Parts})
+	p, err := core.Prepare(c, core.Options{Eps: o.Epsilon, EpsVec: o.EpsilonVec, Parts: o.Parts})
 	if err != nil {
 		return nil, err
 	}

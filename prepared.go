@@ -32,8 +32,8 @@ func NewScratch() *Scratch { return &Scratch{} }
 // ExMinMax), writing the result into out. It reuses sc's scan state and
 // out's Pairs capacity, so at steady state — warm scratch, sufficient
 // capacity — a join performs zero allocations (guarded by
-// `make storeguard`). out's previous contents are overwritten. sc may
-// be nil for a one-shot run.
+// internal/store's TestStoreCacheHitPreparedZeroAllocs). out's previous
+// contents are overwritten. sc may be nil for a one-shot run.
 func SimilarityPreparedInto(b, a *PreparedCommunity, method Method, opts *Options, sc *Scratch, out *Result) error {
 	return SimilarityPreparedIntoCtx(context.Background(), b, a, method, opts, sc, out)
 }
@@ -88,7 +88,7 @@ func similarityPreparedInto(ctx context.Context, b, a *PreparedCommunity, method
 	out.Pairs = pairs
 	out.SizeB = b.Size()
 	out.SizeA = a.Size()
-	out.Events = Events(cres.Events)
+	out.Events = cres.Events
 	out.Elapsed = time.Since(start)
 	out.Similarity = csjScore(method, o, len(pairs), b.Size())
 	out.Blend = nil // out is reused; clear any stale blend first

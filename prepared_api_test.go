@@ -252,3 +252,29 @@ func TestRankPreparedRejectsNonMinMax(t *testing.T) {
 		t.Error("TopKIndexed with no candidates should fail")
 	}
 }
+
+// TestCommunityCrossesUncopied pins that a community is one value on
+// both sides of the API: a prepared view returns the community it was
+// built from, the same pointer on every call, and neither that nor
+// Validate allocates.
+func TestCommunityCrossesUncopied(t *testing.T) {
+	c := randComm(rand.New(rand.NewSource(23)), "c", 250, 6, 9)
+	pc, err := csj.Precompute(c, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, second := pc.Community(), pc.Community(); first != c || second != c {
+		t.Errorf("Community() = %p, then %p; want the precomputed %p on every call", first, second, c)
+	}
+	var sink *csj.Community
+	if n := testing.AllocsPerRun(100, func() { sink = pc.Community() }); n != 0 {
+		t.Errorf("PreparedCommunity.Community allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := sink.Validate(); err != nil {
+			panic(err)
+		}
+	}); n != 0 {
+		t.Errorf("Community.Validate allocates %v times per call, want 0", n)
+	}
+}

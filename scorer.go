@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"github.com/opencsj/csj/internal/ego"
-	"github.com/opencsj/csj/internal/vector"
 )
 
 // This file applies the composite scorer (Options.Scorer / ScorerSpec)
@@ -81,14 +80,14 @@ func scoreBound(sc *ScorerSpec, csjBound float64) float64 {
 
 // applyScorerRaw rewrites out.Similarity into the composite blend for
 // a one-shot join of raw communities. No-op without a scorer.
-func applyScorerRaw(o *Options, ib, ia *vector.Community, out *Result) {
+func applyScorerRaw(o *Options, b, a *Community, out *Result) {
 	if o.Scorer == nil {
 		return
 	}
 	out.Blend = &ScoreBlend{
 		CSJ:      out.Similarity,
-		Category: categoryOverlap(ib.Category, ia.Category),
-		Cosine:   cosine(ego.NormalizedCentroid(ib), ego.NormalizedCentroid(ia)),
+		Category: categoryOverlap(b.Category, a.Category),
+		Cosine:   cosine(ego.NormalizedCentroid(b), ego.NormalizedCentroid(a)),
 	}
 	out.Similarity = blendScore(o.Scorer, out.Blend)
 }

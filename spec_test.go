@@ -109,8 +109,7 @@ func TestEpsilonVecRequiresMinMax(t *testing.T) {
 // TestEpsilonVecIndexedExactness is the heterogeneous-tolerance
 // pruning soundness property: with a per-dimension vector, the indexed
 // top-k and threshold-ranking engines must return, cell for cell, the
-// exhaustive ranking cut to k or to the threshold. Part of
-// `make specguard`.
+// exhaustive ranking cut to k or to the threshold.
 func TestEpsilonVecIndexedExactness(t *testing.T) {
 	for _, seed := range []int64{41, 42, 43} {
 		rng := rand.New(rand.NewSource(seed))
@@ -210,6 +209,33 @@ func TestScorerBlend(t *testing.T) {
 // TestScorerValidationAndNoop: invalid scorers are rejected with the
 // pinned sentinel on every entry point; a scorer that normalizes to
 // the pure CSJ score is canonicalized away entirely (no Blend).
+// TestScorerRejectsNonFiniteWeights pins that a NaN or infinite
+// weight, and finite weights whose sum overflows, are bad scorers: the
+// normalization divides by the sum, so such a scorer would blend every
+// similarity to 0 or NaN. Large weights with a finite sum still blend.
+func TestScorerRejectsNonFiniteWeights(t *testing.T) {
+	b := &csj.Community{Name: "B", Category: 2, Users: []csj.Vector{{1, 2}, {3, 4}, {5, 6}}}
+	for _, sc := range []*csj.ScorerSpec{
+		{CSJWeight: math.NaN(), CategoryWeight: 1},
+		{CSJWeight: 1, CosineWeight: math.Inf(1)},
+		{CSJWeight: 1e308, CategoryWeight: 1e308},
+	} {
+		if err := sc.Validate(); !errors.Is(err, csj.ErrBadScorer) {
+			t.Errorf("Validate(%+v) = %v, want ErrBadScorer", sc, err)
+		}
+		if _, err := csj.Similarity(b, b, csj.ExMinMax, &csj.Options{Scorer: sc}); !errors.Is(err, csj.ErrBadScorer) {
+			t.Errorf("Similarity with scorer %+v: err = %v, want ErrBadScorer", sc, err)
+		}
+	}
+	res, err := csj.Similarity(b, b, csj.ExMinMax, &csj.Options{Scorer: &csj.ScorerSpec{CSJWeight: 1e307, CategoryWeight: 1e307}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Similarity-1) > 1e-12 {
+		t.Fatalf("self-join blended similarity = %v, want 1", res.Similarity)
+	}
+}
+
 func TestScorerValidationAndNoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	b := randComm(rng, "B", 5, 3, 6)
