@@ -32,10 +32,9 @@ bench:
 # fuzzsmoke gives each ingest fuzz target a short native-fuzzing burst
 # (seeded with the crafted-header corpus of the hardening pass), so CI
 # catches parser regressions without a long fuzzing budget. The
-# prepared-record target is seeded with the golden v1/v2 files; every
-# record it loads must also Ex-join itself. Its minimization is capped
-# at 1s: the default 60s spends the whole burst shrinking the first
-# interesting 3.7 KB input instead of fuzzing. The wire-options target
+# community-body target runs the ingest check of POST /communities on
+# decoded bodies: whatever it accepts must read back unchanged from the
+# binary form the WAL and checkpoints store. The wire-options target
 # runs the pre-lookup checks of /rank, /topk and /matrix on decoded
 # options: no panic, one verdict, 400 or 422 on rejection. The WAL
 # payload target decodes arbitrary payloads: no panic, and every
@@ -43,7 +42,7 @@ bench:
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime 15s ./internal/vector
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 15s ./internal/vector
-	$(GO) test -run '^$$' -fuzz '^FuzzReadPrepared$$' -fuzztime 15s -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzCommunityPayload$$' -fuzztime 15s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzOptionsPayload$$' -fuzztime 15s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 15s ./internal/durable
 

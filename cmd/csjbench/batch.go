@@ -68,19 +68,26 @@ type batchReport struct {
 	// Store section: the same matrix run through the community store's
 	// prepared-view cache, cold (every view is a miss that triggers a
 	// build) versus warm (every view is a hit, zero core.Prepare calls).
-	StoreColdMatrixNs int64 `json:"store_cold_matrix_ns"`
-	StoreWarmMatrixNs int64 `json:"store_warm_matrix_ns"`
-	StoreCacheHits    int64 `json:"store_cache_hits"`
-	StoreCacheMisses  int64 `json:"store_cache_misses"`
-	StoreCacheBuilds  int64 `json:"store_cache_builds"`
-	StoreCacheBytes   int64 `json:"store_cache_bytes"`
-	StoreCacheEntries int   `json:"store_cache_entries"`
+	// Each time is the median of legRuns runs, beside its IQR; the
+	// cache counters are one run's.
+	StoreColdMatrixNs    int64 `json:"store_cold_matrix_ns"`
+	StoreColdMatrixIQRNs int64 `json:"store_cold_matrix_iqr_ns"`
+	StoreWarmMatrixNs    int64 `json:"store_warm_matrix_ns"`
+	StoreWarmMatrixIQRNs int64 `json:"store_warm_matrix_iqr_ns"`
+	StoreCacheHits       int64 `json:"store_cache_hits"`
+	StoreCacheMisses     int64 `json:"store_cache_misses"`
+	StoreCacheBuilds     int64 `json:"store_cache_builds"`
+	StoreCacheBytes      int64 `json:"store_cache_bytes"`
+	StoreCacheEntries    int   `json:"store_cache_entries"`
 
 	// Durability section: the cost of one WAL append of a
 	// cfg.Size-user community, with an fsync per append (the
-	// -fsync=always acknowledgement price) versus none (DESIGN.md §11).
-	WALAppendFsyncNs   int64 `json:"wal_append_fsync_ns"`
-	WALAppendNoFsyncNs int64 `json:"wal_append_nofsync_ns"`
+	// -fsync=always acknowledgement price) versus none (DESIGN.md §11),
+	// each the median of legRuns runs, beside its IQR.
+	WALAppendFsyncNs      int64 `json:"wal_append_fsync_ns"`
+	WALAppendFsyncIQRNs   int64 `json:"wal_append_fsync_iqr_ns"`
+	WALAppendNoFsyncNs    int64 `json:"wal_append_nofsync_ns"`
+	WALAppendNoFsyncIQRNs int64 `json:"wal_append_nofsync_iqr_ns"`
 
 	// With -metrics: scan-event totals and per-worker pool utilization
 	// from one instrumented Matrix + TopK run.
@@ -252,21 +259,26 @@ func instrumentedRun(comms []*csj.Community, pivot *csj.Community, cands []*csj.
 	return nil
 }
 
+// legRuns is how many times storeRun and durableRun run each leg: one
+// timing of a leg moved by half between runs of the same code.
+const legRuns = 5
+
+// medianIQR returns the median of the runs' times and their
+// interquartile range, with nearest-rank quartiles.
+func medianIQR(runs []int64) (median, iqr int64) {
+	s := slices.Clone(runs)
+	slices.Sort(s)
+	n := len(s)
+	return s[n/2], s[3*n/4] - s[n/4]
+}
+
 // storeRun measures the community store's prepared-view cache on the
-// matrix workload: a cold pass (every view misses and builds) and a
-// warm pass over the same snapshot (every view hits; zero core.Prepare
-// calls), with the cache counters folded into the report.
+// matrix workload, legRuns times on a fresh store: a cold pass (every
+// view misses and builds) and a warm pass over the same snapshot
+// (every view hits; zero core.Prepare calls). The last store's cache
+// counters are folded into the report.
 func storeRun(comms []*csj.Community, eps int32, opts *csj.Options, rep *batchReport) error {
-	st := store.New(store.Config{})
-	ids := make([]int64, len(comms))
-	for i, c := range comms {
-		e, err := st.Create(c)
-		if err != nil {
-			return err
-		}
-		ids[i] = e.ID
-	}
-	pass := func() (time.Duration, error) {
+	pass := func(st *store.Store, ids []int64) (int64, error) {
 		snap := st.Snapshot()
 		views := make([]*csj.PreparedCommunity, len(ids))
 		start := time.Now()
@@ -280,18 +292,32 @@ func storeRun(comms []*csj.Community, eps int32, opts *csj.Options, rep *batchRe
 		if _, err := csj.SimilarityMatrixPrepared(views, csj.ExMinMax, opts); err != nil {
 			return 0, err
 		}
-		return time.Since(start), nil
+		return time.Since(start).Nanoseconds(), nil
 	}
-	cold, err := pass()
-	if err != nil {
-		return err
+	var st *store.Store
+	var cold, warm []int64
+	for range legRuns {
+		st = store.New(store.Config{})
+		ids := make([]int64, len(comms))
+		for i, c := range comms {
+			e, err := st.Create(c)
+			if err != nil {
+				return err
+			}
+			ids[i] = e.ID
+		}
+		coldNs, err := pass(st, ids)
+		if err != nil {
+			return err
+		}
+		warmNs, err := pass(st, ids)
+		if err != nil {
+			return err
+		}
+		cold, warm = append(cold, coldNs), append(warm, warmNs)
 	}
-	warm, err := pass()
-	if err != nil {
-		return err
-	}
-	rep.StoreColdMatrixNs = cold.Nanoseconds()
-	rep.StoreWarmMatrixNs = warm.Nanoseconds()
+	rep.StoreColdMatrixNs, rep.StoreColdMatrixIQRNs = medianIQR(cold)
+	rep.StoreWarmMatrixNs, rep.StoreWarmMatrixIQRNs = medianIQR(warm)
 	cs := st.CacheStats()
 	rep.StoreCacheHits = cs.Hits
 	rep.StoreCacheMisses = cs.Misses
@@ -302,8 +328,10 @@ func storeRun(comms []*csj.Community, eps int32, opts *csj.Options, rep *batchRe
 }
 
 // durableRun prices one WAL append of community c under both fsync
-// extremes, into throwaway log directories. The gap between the two
-// rows is what -fsync=always charges per acknowledged ingest.
+// extremes, into throwaway log directories, legRuns times each with the
+// two legs alternating, so drift on the machine reaches both. The gap
+// between the two rows is what -fsync=always charges per acknowledged
+// ingest.
 func durableRun(c *csj.Community, rep *batchReport) error {
 	bench := func(policy durable.FsyncPolicy) (int64, error) {
 		dir, err := os.MkdirTemp("", "csjbench-wal-*")
@@ -328,15 +356,19 @@ func durableRun(c *csj.Community, rep *batchReport) error {
 		})
 		return r.NsPerOp(), nil
 	}
-	fsync, err := bench(durable.FsyncAlways)
-	if err != nil {
-		return err
+	var fsync, noFsync []int64
+	for range legRuns {
+		fsyncNs, err := bench(durable.FsyncAlways)
+		if err != nil {
+			return err
+		}
+		noFsyncNs, err := bench(durable.FsyncOff)
+		if err != nil {
+			return err
+		}
+		fsync, noFsync = append(fsync, fsyncNs), append(noFsync, noFsyncNs)
 	}
-	noFsync, err := bench(durable.FsyncOff)
-	if err != nil {
-		return err
-	}
-	rep.WALAppendFsyncNs = fsync
-	rep.WALAppendNoFsyncNs = noFsync
+	rep.WALAppendFsyncNs, rep.WALAppendFsyncIQRNs = medianIQR(fsync)
+	rep.WALAppendNoFsyncNs, rep.WALAppendNoFsyncIQRNs = medianIQR(noFsync)
 	return nil
 }

@@ -123,3 +123,21 @@ func readFile(path string) (string, error) {
 	data, err := os.ReadFile(path)
 	return string(data), err
 }
+
+// TestMedianIQR pins the batch records' spread: the median of the runs
+// and the distance between their nearest-rank quartiles, whatever the
+// order the runs came in.
+func TestMedianIQR(t *testing.T) {
+	for _, c := range []struct {
+		runs        []int64
+		median, iqr int64
+	}{
+		{[]int64{50, 10, 40, 20, 30}, 30, 20},
+		{[]int64{7}, 7, 0},
+		{[]int64{4, 1, 3, 2}, 3, 2},
+	} {
+		if median, iqr := medianIQR(c.runs); median != c.median || iqr != c.iqr {
+			t.Errorf("medianIQR(%v) = %d, %d; want %d, %d", c.runs, median, iqr, c.median, c.iqr)
+		}
+	}
+}

@@ -87,15 +87,22 @@ func doJSON(t *testing.T, method, url string, body any, wantStatus int, out any)
 	}
 }
 
-// post sends body to url and returns the status and the raw response
-// body.
-func post(t *testing.T, url string, body any) (int, []byte) {
+// send sends a request with body, when it is not nil, as JSON to url
+// and returns the status and the raw response body.
+func send(t *testing.T, method, url string, body any) (int, []byte) {
 	t.Helper()
-	payload, err := json.Marshal(body)
+	var payload []byte
+	if body != nil {
+		var err error
+		if payload, err = json.Marshal(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req, err := http.NewRequest(method, url, bytes.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +118,10 @@ func post(t *testing.T, url string, body any) (int, []byte) {
 // single-node reference, and requires both to answer with status want
 // and the same body, byte for byte. A 200 from the cluster is compared
 // by its envelope's result, which must not be partial.
-func checkSameAnswer(t *testing.T, tc *testCluster, path string, body any, want int) {
+func checkSameAnswer(t *testing.T, tc *testCluster, method, path string, body any, want int) {
 	t.Helper()
-	nodeStatus, nodeBody := post(t, tc.reference.URL+path, body)
-	clusterStatus, clusterBody := post(t, tc.front.URL+path, body)
+	nodeStatus, nodeBody := send(t, method, tc.reference.URL+path, body)
+	clusterStatus, clusterBody := send(t, method, tc.front.URL+path, body)
 	if nodeStatus != want || clusterStatus != want {
 		t.Fatalf("status: node %d %s, cluster %d %s; want %d", nodeStatus, nodeBody, clusterStatus, clusterBody, want)
 	}
@@ -347,7 +354,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 			{"missing first id and epsilon_vec of the wrong length",
 				server.MatrixRequest{Communities: []int64{99, 1, 5}, Options: wrongLen}, http.StatusNotFound},
 		} {
-			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, tc, "/matrix", c.body, c.want) })
+			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, tc, "POST", "/matrix", c.body, c.want) })
 		}
 
 		// Several missing ids: the cluster names the same one, the
@@ -355,7 +362,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		t.Run("missing ids, repeated", func(t *testing.T) {
 			body := server.MatrixRequest{Communities: []int64{1, 99, 98, 97}, Options: opts}
 			for i := 0; i < 20; i++ {
-				checkSameAnswer(t, tc, "/matrix", body, http.StatusNotFound)
+				checkSameAnswer(t, tc, "POST", "/matrix", body, http.StatusNotFound)
 			}
 		})
 	})
@@ -433,7 +440,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				server.TopKRequest{Pivot: 99, Candidates: []int64{1, 2}, K: 2,
 					Options: server.OptionsPayload{Epsilon: 8, Matcher: "bogus"}}, http.StatusBadRequest},
 		} {
-			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, tc, c.path, c.body, c.want) })
+			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, tc, "POST", c.path, c.body, c.want) })
 		}
 
 		// A corpus of one community: every candidate set is empty.
@@ -454,7 +461,7 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 			{"topk missing pivot, empty candidate set", "/topk",
 				server.TopKRequest{Pivot: 99, AllCandidates: true, K: 3, Options: opts}, http.StatusNotFound},
 		} {
-			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, one, c.path, c.body, c.want) })
+			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, one, "POST", c.path, c.body, c.want) })
 		}
 	})
 
@@ -462,6 +469,37 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 		doJSON(t, "DELETE", tc.front.URL+"/communities/12", nil, http.StatusNoContent, nil)
 		doJSON(t, "GET", tc.front.URL+"/communities/12", nil, http.StatusNotFound, nil)
 		doJSON(t, "DELETE", tc.front.URL+"/communities/12", nil, http.StatusNotFound, nil)
+	})
+
+	t.Run("community requests", func(t *testing.T) {
+		// Both parse the path with the node's parser and check a body
+		// with the node's ingest check, which the cluster runs before
+		// it allocates an id: the create after the rejected ones gets
+		// the same id from both.
+		ok := server.CommunityPayload{Name: "after", Users: [][]int32{{1, 2, 3, 4}, {5, 6, 7, 8}}}
+		for _, c := range []struct {
+			name, method, path string
+			body               any
+			want               int
+		}{
+			{"get malformed id", "GET", "/communities/abc", nil, http.StatusBadRequest},
+			{"get missing id", "GET", "/communities/99", nil, http.StatusNotFound},
+			{"delete malformed id", "DELETE", "/communities/abc", nil, http.StatusBadRequest},
+			{"delete missing id", "DELETE", "/communities/99", nil, http.StatusNotFound},
+			{"create with no users", "POST", "/communities",
+				server.CommunityPayload{Name: "none"}, http.StatusUnprocessableEntity},
+			{"create with users of zero dimensions", "POST", "/communities",
+				server.CommunityPayload{Users: [][]int32{{}, {}}}, http.StatusUnprocessableEntity},
+			{"create with a category past int32", "POST", "/communities",
+				json.RawMessage(`{"category":4294967297,"users":[[1]]}`), http.StatusUnprocessableEntity},
+			{"create with ragged users", "POST", "/communities",
+				server.CommunityPayload{Users: [][]int32{{1, 2}, {3}}}, http.StatusUnprocessableEntity},
+			{"create with a negative counter", "POST", "/communities",
+				server.CommunityPayload{Users: [][]int32{{1, -2}}}, http.StatusUnprocessableEntity},
+			{"create after the rejected ones", "POST", "/communities", ok, http.StatusCreated},
+		} {
+			t.Run(c.name, func(t *testing.T) { checkSameAnswer(t, tc, c.method, c.path, c.body, c.want) })
+		}
 	})
 }
 
@@ -649,7 +687,7 @@ func TestCoordinatorForwardsShardErrorBodies(t *testing.T) {
 	t.Cleanup(front.Close)
 
 	p := server.CommunityPayload{Name: "x", Category: -1, Users: [][]int32{{1, 2}, {3, 4}}}
-	status, body := post(t, front.URL+"/communities", p)
+	status, body := send(t, "POST", front.URL+"/communities", p)
 	if status != http.StatusServiceUnavailable || string(body) != degraded+"\n" {
 		t.Errorf("create on a poisoned shard: %d %s, want 503 %s", status, body, degraded)
 	}

@@ -8,7 +8,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"time"
 
 	"github.com/opencsj/csj/internal/server"
@@ -95,6 +94,12 @@ func (c *Coordinator) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if !c.Decode(w, r, &p) {
 		return
 	}
+	// The node's ingest check comes before the id allocation, so a
+	// rejected body uses up no id.
+	if _, err := server.CheckCommunity(&p); err != nil {
+		c.WriteErr(w, http.StatusUnprocessableEntity, err)
+		return
+	}
 	if err := c.ensureNextID(r.Context()); err != nil {
 		c.WriteErr(w, http.StatusServiceUnavailable, err)
 		return
@@ -135,18 +140,8 @@ func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	c.writeGathered(w, r, merged, unreachable)
 }
 
-// pathID parses the {id} path value.
-func pathID(r *http.Request) (int64, error) {
-	raw := r.PathValue("id")
-	id, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("bad community id %q", raw)
-	}
-	return id, nil
-}
-
 func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
-	id, err := pathID(r)
+	id, err := server.PathID(r, "community")
 	if err != nil {
 		c.WriteErr(w, http.StatusBadRequest, err)
 		return
@@ -160,7 +155,7 @@ func (c *Coordinator) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleDelete(w http.ResponseWriter, r *http.Request) {
-	id, err := pathID(r)
+	id, err := server.PathID(r, "community")
 	if err != nil {
 		c.WriteErr(w, http.StatusBadRequest, err)
 		return

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -52,7 +50,8 @@ func TestEpsVecKernelMatchesReference(t *testing.T) {
 // the engine level: an all-equal epsilon vector must produce results
 // cell-for-cell identical to the equivalent scalar, in both join shapes
 // (one-shot reference scan, prepared SoA sweep) and both method
-// variants — all pinned to the one-shot scalar run.
+// variants — all pinned to the one-shot scalar run — and a view
+// prepared under it must hold the scalar.
 func TestEpsVecAllEqualMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(2727))
 	for trial := 0; trial < 30; trial++ {
@@ -84,6 +83,14 @@ func TestEpsVecAllEqualMatchesScalar(t *testing.T) {
 				pa, err := Prepare(a, o)
 				if err != nil {
 					return nil, err
+				}
+				// An all-equal vector prepares as its scalar: there is
+				// one canonical tolerance per view.
+				for _, p := range []*Prepared{pb, pa} {
+					if !p.eps.Equal(vector.UniformEps(eps)) {
+						t.Fatalf("trial %d: prepared under %v, the view keeps tolerance %s, want the scalar %d",
+							trial, o.EpsVec, epsString(p.eps), eps)
+					}
 				}
 				if exact {
 					return ExMinMaxPrepared(pb, pa, o)
@@ -126,82 +133,6 @@ func TestEpsVecValidation(t *testing.T) {
 	}
 	if _, err := Prepare(b, Options{EpsVec: []int32{0, 1}}); !errors.Is(err, vector.ErrDimensionMismatch) {
 		t.Fatalf("Prepare length mismatch: %v, want ErrDimensionMismatch", err)
-	}
-}
-
-// TestPreparedIOEpsVec covers the v2 prepared-file format: a prepared
-// community with a heterogeneous tolerance round-trips losslessly, and
-// joins against the recovered form are identical to the original.
-// Scalar-tolerance files must keep the v1 magic byte-for-byte, so
-// files written by older builds stay readable and vice versa.
-func TestPreparedIOEpsVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(313))
-	d := 6
-	b := randCommunity(rng, "B", 30, d, 9)
-	a := randCommunity(rng, "A", 35, d, 9)
-	vecOpts := Options{EpsVec: []int32{0, 1, 3, 1, 0, 2}, Parts: 2}
-	pb, err := Prepare(b, vecOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WritePrepared(&buf, pb); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(buf.Bytes()[:len(preparedMagicVec)]); got != preparedMagicVec {
-		t.Fatalf("vector-tolerance file magic = %q, want %q", got, preparedMagicVec)
-	}
-	back, err := ReadPrepared(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.eps.Equal(pb.eps) {
-		t.Fatalf("tolerance did not round-trip: %s vs %s", epsString(back.eps), epsString(pb.eps))
-	}
-	pa, err := Prepare(a, vecOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, err := ExMinMaxPrepared(pb, pa, vecOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := ExMinMaxPrepared(back, pa, vecOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(orig.Pairs, rec.Pairs) || orig.Events != rec.Events {
-		t.Fatal("join against the recovered prepared form diverges")
-	}
-
-	// Scalar tolerances keep the v1 format byte-for-byte.
-	ps, err := Prepare(b, Options{Eps: 2, Parts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sbuf bytes.Buffer
-	if err := WritePrepared(&sbuf, ps); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(sbuf.Bytes()[:len(preparedMagic)]); got != preparedMagic {
-		t.Fatalf("scalar-tolerance file magic = %q, want %q", got, preparedMagic)
-	}
-	if _, err := ReadPrepared(&sbuf); err != nil {
-		t.Fatal(err)
-	}
-
-	// An all-equal vector canonicalizes at Prepare time and therefore
-	// also writes the v1 format: there is no second on-disk spelling.
-	pe, err := Prepare(b, Options{EpsVec: []int32{2, 2, 2, 2, 2, 2}, Parts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ebuf bytes.Buffer
-	if err := WritePrepared(&ebuf, pe); err != nil {
-		t.Fatal(err)
-	}
-	if got := string(ebuf.Bytes()[:len(preparedMagic)]); got != preparedMagic {
-		t.Fatalf("all-equal vector wrote magic %q, want v1 %q", got, preparedMagic)
 	}
 }
 

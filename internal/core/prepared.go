@@ -18,7 +18,10 @@ import (
 // the sorted encoded columns, the flat streams, and the sorted-position
 // to user-index maps that translate matched positions into pairs. The
 // Encd_B/Encd_A entry buffers are built once to fill these and then
-// dropped; WritePrepared re-encodes them from the community.
+// dropped. A view is never persisted: everything in it derives from
+// the community's vectors, the tolerance and the part count, so a
+// caller that stores the community rebuilds the view with Prepare
+// (DESIGN.md §10).
 //
 // A Prepared is immutable after construction and safe for concurrent
 // joins: the cached columns and streams are only ever read.
@@ -43,35 +46,6 @@ type Prepared struct {
 	soa soaStreams
 }
 
-// newPrepared builds a view from the community's sorted buffers. Every
-// Prepared constructor (Prepare, ReadPrepared) goes through it; the
-// buffers are not retained.
-func newPrepared(comm *vector.Community, layout *encoding.Layout, eps vector.Eps, bb *encoding.BBuffer, ab *encoding.ABuffer) *Prepared {
-	p := &Prepared{
-		comm:   comm,
-		layout: layout,
-		eps:    eps,
-		bid:    make([]int64, len(bb.Entries)),
-		bref:   make([]int32, len(bb.Entries)),
-		amin:   make([]int64, len(ab.Entries)),
-		amax:   make([]int64, len(ab.Entries)),
-		aref:   make([]int32, len(ab.Entries)),
-		soa:    soaStreams{d: comm.Dim(), parts: layout.Parts()},
-	}
-	for i := range bb.Entries {
-		p.bid[i] = bb.Entries[i].ID
-		p.bref[i] = bb.Entries[i].Ref
-	}
-	for i := range ab.Entries {
-		p.amin[i] = ab.Entries[i].Min
-		p.amax[i] = ab.Entries[i].Max
-		p.aref[i] = ab.Entries[i].Ref
-	}
-	p.soa.buildB(comm.Users, bb)
-	p.soa.buildA(comm.Users, ab, eps)
-	return p
-}
-
 // Prepare encodes the community for repeated MinMax joins under the
 // given epsilon (scalar or per-dimension) and part count.
 func Prepare(c *vector.Community, opts Options) (*Prepared, error) {
@@ -89,7 +63,32 @@ func Prepare(c *vector.Community, opts Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newPrepared(c, layout, eps, encoding.EncodeB(c, layout), encoding.EncodeA(c, layout, eps)), nil
+	// The sorted buffers fill the view's columns and streams and are
+	// not retained.
+	bb, ab := encoding.EncodeB(c, layout), encoding.EncodeA(c, layout, eps)
+	p := &Prepared{
+		comm:   c,
+		layout: layout,
+		eps:    eps,
+		bid:    make([]int64, len(bb.Entries)),
+		bref:   make([]int32, len(bb.Entries)),
+		amin:   make([]int64, len(ab.Entries)),
+		amax:   make([]int64, len(ab.Entries)),
+		aref:   make([]int32, len(ab.Entries)),
+		soa:    soaStreams{d: c.Dim(), parts: layout.Parts()},
+	}
+	for i := range bb.Entries {
+		p.bid[i] = bb.Entries[i].ID
+		p.bref[i] = bb.Entries[i].Ref
+	}
+	for i := range ab.Entries {
+		p.amin[i] = ab.Entries[i].Min
+		p.amax[i] = ab.Entries[i].Max
+		p.aref[i] = ab.Entries[i].Ref
+	}
+	p.soa.buildB(c.Users, bb)
+	p.soa.buildA(c.Users, ab, eps)
+	return p, nil
 }
 
 // Community returns the underlying community.

@@ -117,29 +117,52 @@ func TestFigure1Encoding(t *testing.T) {
 	}
 }
 
+// TestEncodeBuffersAreSorted: Encd_B ascends on encoded_ID and Encd_A
+// on encoded_Min, and equal keys keep ascending Ref, so a community
+// encodes to one order however its ties fall. The second input draws
+// counters from [0, 3) over 4 dimensions, so most keys are tied.
 func TestEncodeBuffersAreSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	users := make([]vector.Vector, 200)
-	for i := range users {
-		u := make(vector.Vector, 27)
-		for j := range u {
-			u[j] = int32(rng.Intn(50))
+	for _, in := range []struct{ d, max, parts int }{{27, 50, 4}, {4, 3, 2}} {
+		users := make([]vector.Vector, 200)
+		for i := range users {
+			u := make(vector.Vector, in.d)
+			for j := range u {
+				u[j] = int32(rng.Intn(in.max))
+			}
+			users[i] = u
 		}
-		users[i] = u
-	}
-	c := &vector.Community{Name: "c", Users: users}
-	l, _ := NewLayout(27, 4)
+		c := &vector.Community{Name: "c", Users: users}
+		l, _ := NewLayout(in.d, in.parts)
 
-	bb := EncodeB(c, l)
-	for i := 1; i < len(bb.Entries); i++ {
-		if bb.Entries[i-1].ID > bb.Entries[i].ID {
-			t.Fatal("Encd_B not ascending-sorted on encoded_ID")
+		bb := EncodeB(c, l)
+		ties := 0
+		for i := 1; i < len(bb.Entries); i++ {
+			prev, cur := &bb.Entries[i-1], &bb.Entries[i]
+			if prev.ID > cur.ID {
+				t.Fatalf("d=%d: Encd_B not ascending-sorted on encoded_ID", in.d)
+			}
+			if prev.ID == cur.ID {
+				ties++
+				if prev.Ref > cur.Ref {
+					t.Fatalf("d=%d: Encd_B entries %d and %d tie on encoded_ID %d but hold Refs %d, %d",
+						in.d, i-1, i, cur.ID, prev.Ref, cur.Ref)
+				}
+			}
 		}
-	}
-	ab := EncodeA(c, l, vector.UniformEps(1))
-	for i := 1; i < len(ab.Entries); i++ {
-		if ab.Entries[i-1].Min > ab.Entries[i].Min {
-			t.Fatal("Encd_A not ascending-sorted on encoded_Min")
+		ab := EncodeA(c, l, vector.UniformEps(1))
+		for i := 1; i < len(ab.Entries); i++ {
+			prev, cur := &ab.Entries[i-1], &ab.Entries[i]
+			if prev.Min > cur.Min {
+				t.Fatalf("d=%d: Encd_A not ascending-sorted on encoded_Min", in.d)
+			}
+			if prev.Min == cur.Min && prev.Ref > cur.Ref {
+				t.Fatalf("d=%d: Encd_A entries %d and %d tie on encoded_Min %d but hold Refs %d, %d",
+					in.d, i-1, i, cur.Min, prev.Ref, cur.Ref)
+			}
+		}
+		if in.max == 3 && ties == 0 {
+			t.Fatal("the tie-prone input encoded no tied IDs")
 		}
 	}
 }

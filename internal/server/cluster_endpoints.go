@@ -116,10 +116,13 @@ type ShardMatrixRequest struct {
 
 // ---- helpers ----
 
-// communityFromPayload builds and validates the community of one JSON
-// payload, applying the absent-category convention (0 decodes from a
-// missing field; store "unknown").
-func communityFromPayload(p *CommunityPayload) (*csj.Community, error) {
+// CheckCommunity is the ingest check of POST /communities: it builds
+// and validates the community of one JSON payload, applying the
+// absent-category convention (0 decodes from a missing field; store
+// "unknown"). A rejection is 422. The coordinator runs it before it
+// allocates an id, so a rejected create uses up no id on a cluster,
+// as on a node.
+func CheckCommunity(p *CommunityPayload) (*csj.Community, error) {
 	c := &csj.Community{Name: p.Name, Category: p.Category, Users: p.Users}
 	if c.Category == 0 {
 		c.Category = -1
@@ -150,7 +153,7 @@ func resolveCommunity(snap *store.Snapshot, p ShardPivot, method csj.Method, opt
 		pv, err := snap.PreparedSpec(e.ID, opts.Spec())
 		return e.Comm, pv, http.StatusUnprocessableEntity, err
 	case p.Profile != nil:
-		c, err := communityFromPayload(p.Profile)
+		c, err := CheckCommunity(p.Profile)
 		if err != nil || !minMaxMethod(method) {
 			return c, nil, http.StatusUnprocessableEntity, err
 		}
@@ -224,7 +227,7 @@ func (s *Server) handleInternalCreate(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("community id must be positive, got %d", req.ID))
 		return
 	}
-	c, err := communityFromPayload(&req.Community)
+	c, err := CheckCommunity(&req.Community)
 	if err != nil {
 		s.WriteErr(w, http.StatusUnprocessableEntity, err)
 		return

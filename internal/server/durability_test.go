@@ -1,8 +1,10 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -109,6 +111,44 @@ func TestDurableServerRestartServesIdenticalState(t *testing.T) {
 	doJSON(t, "GET", ts2.URL+"/healthz", nil, http.StatusOK, &health2)
 	if health2.Durability.RecoveredCommunities != 3 {
 		t.Errorf("recovered = %d, want 3", health2.Durability.RecoveredCommunities)
+	}
+}
+
+// TestDurableIngestLimits: a durable node answers 422 to a community
+// outside the limits of the WAL's binary format, so it never
+// acknowledges a record that recovery would refuse as corrupt (d = 0,
+// d over 65,536, a name over 1 MiB) or read back changed (a category
+// past int32). The directory then reopens cleanly and holds the one
+// valid community posted after them, its int32 category intact.
+func TestDurableIngestLimits(t *testing.T) {
+	dir := t.TempDir()
+	ts, s := newDurableServer(t, dir)
+	for _, c := range []struct {
+		name string
+		body string
+	}{
+		{"users of zero dimensions", `{"users":[[],[]]}`},
+		{"a user of 65,537 dimensions", `{"users":[[` + strings.Repeat("0,", 1<<16) + `0]]}`},
+		{"a name of 1,048,577 bytes", `{"name":"` + strings.Repeat("n", 1<<20+1) + `","users":[[1]]}`},
+		{"a category past int32", `{"category":4294967297,"users":[[1]]}`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			doJSON(t, "POST", ts.URL+"/communities", json.RawMessage(c.body), http.StatusUnprocessableEntity, nil)
+		})
+	}
+	valid := CommunityPayload{Name: "valid", Category: math.MaxInt32, Users: [][]int32{{1, 2}, {3, 4}}}
+	var created CommunityInfo
+	doJSON(t, "POST", ts.URL+"/communities", valid, http.StatusCreated, &created)
+	ts.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ts2, _ := newDurableServer(t, dir)
+	var list []CommunityInfo
+	doJSON(t, "GET", ts2.URL+"/communities", nil, http.StatusOK, &list)
+	if len(list) != 1 || list[0] != created {
+		t.Fatalf("reopened listing = %+v, want [%+v]", list, created)
 	}
 }
 

@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"testing"
 
 	csj "github.com/opencsj/csj"
@@ -71,6 +73,48 @@ func FuzzOptionsPayload(f *testing.F) {
 		matrix := verdict("CheckMatrix", opts, status, err)
 		if rank != topk || rank != matrix {
 			t.Fatalf("verdicts on %s differ: rank %q, topk %q, matrix %q", data, rank, topk, matrix)
+		}
+	})
+}
+
+// FuzzCommunityPayload decodes arbitrary bytes as the body of POST
+// /communities. Whatever the ingest check (CheckCommunity) accepts must
+// write and read back through the compact binary format, the encoding
+// of the WAL's puts and of checkpoints, with its name, category and
+// users unchanged: ingest must never acknowledge a community recovery
+// cannot replay. Seeded with a valid body, a ragged one, a negative
+// counter, users of zero dimensions and a category past int32. Part of
+// `make fuzzsmoke`.
+func FuzzCommunityPayload(f *testing.F) {
+	for _, seed := range []string{
+		`{"name":"c","category":3,"users":[[1,2],[3,4]]}`,
+		`{"users":[[1,2],[3]]}`,
+		`{"users":[[1,-2]]}`,
+		`{"users":[[],[]]}`,
+		`{"category":4294967297,"users":[[1]]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p CommunityPayload
+		if json.Unmarshal(data, &p) != nil {
+			return
+		}
+		c, err := CheckCommunity(&p)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := csj.WriteCommunityBinary(&buf, c); err != nil {
+			t.Fatalf("writing accepted %s: %v", data, err)
+		}
+		back, err := csj.ReadCommunityBinary(&buf)
+		if err != nil {
+			t.Fatalf("ingest accepted %s, but its binary form does not read back: %v", data, err)
+		}
+		if back.Name != c.Name || back.Category != c.Category || !slices.EqualFunc(back.Users, c.Users, slices.Equal) {
+			t.Fatalf("ingest accepted %s, but it reads back as %q category %d users %v",
+				data, back.Name, back.Category, back.Users)
 		}
 	})
 }

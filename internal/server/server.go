@@ -404,10 +404,10 @@ func (s *Server) handleCreateCommunity(w http.ResponseWriter, r *http.Request) {
 	if !s.Decode(w, r, &p) {
 		return
 	}
-	// Validate (inside communityFromPayload) rejects empty communities,
-	// ragged dimensionalities, and negative counters, each with a
-	// message naming the offending user.
-	c, err := communityFromPayload(&p)
+	// Validate (inside CheckCommunity) rejects empty communities,
+	// communities outside the limits, ragged dimensionalities, and
+	// negative counters, each with a message naming the offending user.
+	c, err := CheckCommunity(&p)
 	if err != nil {
 		s.WriteErr(w, http.StatusUnprocessableEntity, err)
 		return
@@ -443,9 +443,11 @@ func (s *Server) handleListCommunities(w http.ResponseWriter, _ *http.Request) {
 // well-formed id that is merely absent (404).
 var errMalformedID = errors.New("malformed id in path")
 
-// pathID parses the {id} path value, wrapping parse failures in
+// PathID parses the {id} path value, wrapping parse failures in
 // errMalformedID so writeLookupErr can distinguish them from misses.
-func pathID(r *http.Request, what string) (int64, error) {
+// The coordinator parses its paths with it too, so a malformed id
+// answers alike from a node and a cluster.
+func PathID(r *http.Request, what string) (int64, error) {
 	raw := r.PathValue("id")
 	id, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
@@ -465,7 +467,7 @@ func (s *Server) writeLookupErr(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) community(r *http.Request) (*store.Entry, error) {
-	id, err := pathID(r, "community")
+	id, err := PathID(r, "community")
 	if err != nil {
 		return nil, err
 	}
@@ -486,7 +488,7 @@ func (s *Server) handleGetCommunity(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteCommunity(w http.ResponseWriter, r *http.Request) {
-	id, err := pathID(r, "community")
+	id, err := PathID(r, "community")
 	if err != nil {
 		s.writeLookupErr(w, err)
 		return
@@ -814,7 +816,7 @@ func (s *Server) handleCreateJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) joinState(r *http.Request) (int64, *joinState, error) {
-	id, err := pathID(r, "join")
+	id, err := PathID(r, "join")
 	if err != nil {
 		return 0, nil, err
 	}

@@ -3,6 +3,7 @@ package vector
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Community is a named set of subscribers (user profiles) of the same
@@ -25,6 +26,44 @@ var ErrEmptyCommunity = errors.New("vector: empty community")
 // ErrSizeConstraint is returned by CheckSizes when the CSJ precondition
 // ceil(|A|/2) <= |B| <= |A| does not hold.
 var ErrSizeConstraint = errors.New("vector: CSJ size constraint violated")
+
+// The limits of a community. They are the ones the binary format's
+// header can express (WriteBinary), and a category must also fit in
+// int32, so every community that validates reads back from the WAL and
+// the checkpoints, which store it in that format. Validate checks them.
+// ReadBinarySized checks an untrusted header against them before it
+// allocates, so a crafted 21-byte header cannot claim gigabytes.
+const (
+	MaxDim       = 1 << 16 // dimensions of a user; the least is 1
+	MaxUsers     = 1 << 30
+	MaxNameBytes = 1 << 20
+	// MaxBinaryPayloadBytes caps a community's counters, n·d·4 bytes.
+	MaxBinaryPayloadBytes = int64(1) << 31
+)
+
+// ErrLimit reports a community outside the limits above.
+var ErrLimit = errors.New("vector: community outside the format's limits")
+
+// checkLimits checks the shape of a community against the limits: a
+// name of nameBytes bytes, a category, and n users of d dimensions.
+func checkLimits(nameBytes, category, n, d int) error {
+	switch {
+	case n == 0:
+		return ErrEmptyCommunity
+	case nameBytes > MaxNameBytes:
+		return fmt.Errorf("%w: a name of %d bytes, over %d", ErrLimit, nameBytes, MaxNameBytes)
+	case category < math.MinInt32 || category > math.MaxInt32:
+		return fmt.Errorf("%w: category %d does not fit in int32", ErrLimit, category)
+	case n > MaxUsers:
+		return fmt.Errorf("%w: %d users, over %d", ErrLimit, n, MaxUsers)
+	case d < 1 || d > MaxDim:
+		return fmt.Errorf("%w: users of %d dimensions, outside [1, %d]", ErrLimit, d, MaxDim)
+	case int64(n)*int64(d)*4 > MaxBinaryPayloadBytes:
+		return fmt.Errorf("%w: %d users of %d dimensions hold %d bytes of counters, over the %d-byte cap",
+			ErrLimit, n, d, int64(n)*int64(d)*4, MaxBinaryPayloadBytes)
+	}
+	return nil
+}
 
 // NewCommunity builds a community and validates that all user vectors
 // share dimensionality d (d <= 0 accepts the first user's) and hold
@@ -53,21 +92,26 @@ func (c *Community) Dim() int {
 	return len(c.Users[0])
 }
 
-// Validate checks that the community is non-empty, that every user has
-// the first user's dimensionality, and that all counters are
-// non-negative.
+// Validate checks that the community is non-empty and within the
+// limits, that every user has the first user's dimensionality, and
+// that all counters are non-negative. Its errors quote at most the
+// first 64 bytes of the name, since ingest returns them to the client.
 func (c *Community) Validate() error {
-	if len(c.Users) == 0 {
-		return fmt.Errorf("community %q: %w", c.Name, ErrEmptyCommunity)
+	name := c.Name
+	if len(name) > 64 {
+		name = name[:64] + "..."
+	}
+	if err := checkLimits(len(c.Name), c.Category, len(c.Users), c.Dim()); err != nil {
+		return fmt.Errorf("community %q: %w", name, err)
 	}
 	d := len(c.Users[0])
 	for i, u := range c.Users {
 		if len(u) != d {
 			return fmt.Errorf("community %q user %d: %w: got %d dimensions, want %d",
-				c.Name, i, ErrDimensionMismatch, len(u), d)
+				name, i, ErrDimensionMismatch, len(u), d)
 		}
 		if err := Validate(u); err != nil {
-			return fmt.Errorf("community %q user %d: %w", c.Name, i, err)
+			return fmt.Errorf("community %q user %d: %w", name, i, err)
 		}
 	}
 	return nil

@@ -144,12 +144,6 @@ func WriteBinary(w io.Writer, c *Community) error {
 	return bw.Flush()
 }
 
-// MaxBinaryPayloadBytes caps how many profile-payload bytes (n*d*4) a
-// binary header may claim. The header is untrusted input — without a
-// cap, a 36-byte crafted file claiming n=1<<30 users would drive a
-// multi-gigabyte allocation before a single payload byte is read.
-const MaxBinaryPayloadBytes = int64(1) << 31
-
 // ReadBinary parses a community written by WriteBinary. When the total
 // input size is known (a file, an HTTP body with Content-Length), prefer
 // ReadBinarySized so implausible headers are rejected up front.
@@ -158,12 +152,13 @@ func ReadBinary(r io.Reader) (*Community, error) {
 }
 
 // ReadBinarySized parses a community written by WriteBinary, treating
-// the header as untrusted: the claimed payload size n*d*4 is checked
-// against MaxBinaryPayloadBytes and, when sizeHint >= 0, against the
-// number of bytes the source can actually supply. Rows are then
-// allocated incrementally as they are read, so memory use tracks the
-// bytes actually consumed rather than the header's claim. A negative
-// sizeHint means the total input size is unknown.
+// the header as untrusted: its shape is checked against the community
+// limits (MaxBinaryPayloadBytes caps the claimed n*d*4 payload) and,
+// when sizeHint >= 0, against the number of bytes the source can
+// actually supply. Rows are then allocated incrementally as they are
+// read, so memory use tracks the bytes actually consumed rather than
+// the header's claim. A negative sizeHint means the total input size
+// is unknown.
 func ReadBinarySized(r io.Reader, sizeHint int64) (*Community, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(binaryMagic))
@@ -181,21 +176,14 @@ func ReadBinarySized(r io.Reader, sizeHint int64) (*Community, error) {
 	category := int32(binary.LittleEndian.Uint32(hdr[4:8]))
 	n := binary.LittleEndian.Uint32(hdr[8:12])
 	d := binary.LittleEndian.Uint32(hdr[12:16])
-	if nameLen > 1<<20 || n > 1<<30 || d > 1<<16 {
-		return nil, fmt.Errorf("vector: implausible header (nameLen=%d n=%d d=%d)", nameLen, n, d)
+	// The limits are Validate's, checked before anything is allocated.
+	// They include d >= 1: users of zero dimensions claim a 0-byte
+	// payload, so the row loop below would otherwise spin n times, CPU
+	// and slice headers in proportion to the claim.
+	if err := checkLimits(int(nameLen), int(category), int(n), int(d)); err != nil {
+		return nil, fmt.Errorf("binary header: %w", err)
 	}
-	if n > 0 && d == 0 {
-		// Zero-dim users are invalid (Validate rejects them), but the
-		// claimed payload is 0 bytes, so without this check the row loop
-		// below would spin n times — CPU and slice-header memory
-		// proportional to an attacker-chosen claim — before failing.
-		return nil, fmt.Errorf("vector: header claims %d users of zero dimensions", n)
-	}
-	payload := int64(n) * int64(d) * 4 // n <= 1<<30, d <= 1<<16: no overflow
-	if payload > MaxBinaryPayloadBytes {
-		return nil, fmt.Errorf("vector: header claims %d bytes of profiles (n=%d d=%d), over the %d-byte cap",
-			payload, n, d, MaxBinaryPayloadBytes)
-	}
+	payload := int64(n) * int64(d) * 4
 	if need := int64(len(binaryMagic)) + 16 + int64(nameLen) + payload; sizeHint >= 0 && sizeHint < need {
 		return nil, fmt.Errorf("vector: header claims %d bytes but the source holds only %d", need, sizeHint)
 	}

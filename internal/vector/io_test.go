@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -206,16 +206,18 @@ func TestReadBinarySizedRejectsShortSource(t *testing.T) {
 
 // TestReadCSVWideRow pins the scanner fix: one profile row wider than
 // bufio.Scanner's old 4MiB token cap must parse (ReadCSV now streams
-// lines through a bufio.Reader with no per-line limit).
+// lines through a bufio.Reader with no per-line limit). A row holds at
+// most MaxDim counters, so each is padded with spaces, which the
+// parser trims, to make the row that wide.
 func TestReadCSVWideRow(t *testing.T) {
-	const d = 1<<21 + 64 // ~2M dims; the row alone is >4MiB of text
+	const d = MaxDim
 	var sb strings.Builder
-	sb.Grow(3 * d)
+	sb.Grow(65 * d)
 	for i := 0; i < d; i++ {
 		if i > 0 {
 			sb.WriteByte(',')
 		}
-		sb.WriteString(strconv.Itoa(i % 10))
+		fmt.Fprintf(&sb, "%64d", i%10)
 	}
 	row := sb.String()
 	if len(row) <= 1<<22 {

@@ -1,7 +1,11 @@
 package vector
 
 import (
+	"bytes"
+	"errors"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -206,11 +210,67 @@ func TestVectorSumNoOverflow(t *testing.T) {
 	}
 }
 
+// TestValidate: a profile holds no negative counter, and a community
+// is non-empty, within the limits and of one dimensionality. Each limit
+// is tried at its bound, where the community must also write and read
+// back through the binary format unchanged, and one past it. An error
+// stays short whatever the name: ingest returns it to the client.
 func TestValidate(t *testing.T) {
 	if err := Validate(Vector{0, 1, 2}); err != nil {
 		t.Errorf("unexpected error: %v", err)
 	}
 	if err := Validate(Vector{0, -1, 2}); err == nil {
 		t.Error("expected error on negative counter")
+	}
+
+	one := []Vector{{1, 2}}
+	wide := make(Vector, MaxDim)
+	// Users share one profile of MaxDim dimensions, so the counter cap
+	// is passed without allocating 2 GiB.
+	shared := make([]Vector, MaxBinaryPayloadBytes/4/MaxDim+1)
+	for i := range shared {
+		shared[i] = wide
+	}
+	for _, c := range []struct {
+		name string
+		comm Community
+		want error // nil: valid
+	}{
+		{"two users of two dimensions", Community{Name: "ok", Category: -1, Users: []Vector{{1, 2}, {3, 4}}}, nil},
+		{"no users", Community{Name: "none"}, ErrEmptyCommunity},
+		{"users of zero dimensions", Community{Users: []Vector{{}, {}}}, ErrLimit},
+		{"users of MaxDim dimensions", Community{Users: []Vector{wide, wide}}, nil},
+		{"a user of MaxDim+1 dimensions", Community{Users: []Vector{make(Vector, MaxDim+1)}}, ErrLimit},
+		{"a name of MaxNameBytes", Community{Name: strings.Repeat("n", MaxNameBytes), Users: one}, nil},
+		{"a name of MaxNameBytes+1", Community{Name: strings.Repeat("n", MaxNameBytes+1), Users: one}, ErrLimit},
+		{"category MaxInt32", Community{Category: math.MaxInt32, Users: one}, nil},
+		{"category MinInt32", Community{Category: math.MinInt32, Users: one}, nil},
+		{"category MaxInt32+1", Community{Category: math.MaxInt32 + 1, Users: one}, ErrLimit},
+		{"category MinInt32-1", Community{Category: math.MinInt32 - 1, Users: one}, ErrLimit},
+		{"counters past the cap", Community{Users: shared}, ErrLimit},
+		{"ragged users", Community{Users: []Vector{{1, 2}, {3}}}, ErrDimensionMismatch},
+		{"ragged users under a name of MaxNameBytes",
+			Community{Name: strings.Repeat("n", MaxNameBytes), Users: []Vector{{1, 2}, {3}}}, ErrDimensionMismatch},
+		{"a negative counter", Community{Users: []Vector{{1, 2}, {3, -4}}}, ErrNegativeCounter},
+	} {
+		err := c.comm.Validate()
+		if !errors.Is(err, c.want) {
+			t.Errorf("%s: Validate = %v, want %v", c.name, err, c.want)
+			continue
+		}
+		if err != nil {
+			if len(err.Error()) > 200 {
+				t.Errorf("%s: a %d-byte error message", c.name, len(err.Error()))
+			}
+			continue
+		}
+		var buf bytes.Buffer
+		if err := WriteBinary(&buf, &c.comm); err != nil {
+			t.Fatalf("%s: WriteBinary: %v", c.name, err)
+		}
+		back, err := ReadBinary(&buf)
+		if err != nil || !communitiesEqual(back, &c.comm) {
+			t.Errorf("%s: the binary form reads back as %v", c.name, err)
+		}
 	}
 }

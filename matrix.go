@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 
 	"github.com/opencsj/csj/internal/core"
@@ -13,7 +12,9 @@ import (
 
 // PreparedCommunity is a community with its MinMax encodings cached for
 // repeated joins (see Precompute). The underlying community must not be
-// mutated while the prepared form is in use.
+// mutated while the prepared form is in use. It has no file form: save
+// Community() with SaveCommunity, and Precompute the loaded community
+// with the same options to get the same view back.
 type PreparedCommunity struct {
 	p    *core.Prepared
 	name string
@@ -58,38 +59,6 @@ func Precompute(c *Community, opts *Options) (*PreparedCommunity, error) {
 		return nil, err
 	}
 	return &PreparedCommunity{p: p, name: c.Name}, nil
-}
-
-// SavePreparedCommunity writes a prepared community (vectors plus both
-// cached encodings) to a file, so later processes can join it without
-// re-encoding.
-func SavePreparedCommunity(path string, pc *PreparedCommunity) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := core.WritePrepared(f, pc.p)
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("csj: saving prepared community %s: %w", path, werr)
-	}
-	return nil
-}
-
-// LoadPreparedCommunity reads a file written by SavePreparedCommunity.
-func LoadPreparedCommunity(path string) (*PreparedCommunity, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	p, err := core.ReadPrepared(f)
-	if err != nil {
-		return nil, fmt.Errorf("csj: loading prepared community %s: %w", path, err)
-	}
-	return &PreparedCommunity{p: p, name: p.Community().Name}, nil
 }
 
 // SimilarityPrepared joins two precomputed communities with a MinMax

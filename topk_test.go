@@ -2,7 +2,6 @@ package csj_test
 
 import (
 	"math/rand"
-	"path/filepath"
 	"testing"
 
 	csj "github.com/opencsj/csj"
@@ -121,45 +120,5 @@ func TestTopKLargerKThanCandidates(t *testing.T) {
 	}
 	if len(top) != 2 {
 		t.Fatalf("got %d results, want all 2", len(top))
-	}
-}
-
-func TestPreparedCommunityFileRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(39))
-	c := randComm(rng, "saved", 50, 6, 9)
-	opts := &csj.Options{Epsilon: 1}
-	pc, err := csj.Precompute(c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "c.csjp")
-	if err := csj.SavePreparedCommunity(path, pc); err != nil {
-		t.Fatal(err)
-	}
-	back, err := csj.LoadPreparedCommunity(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name() != "saved" || back.Size() != 50 {
-		t.Fatalf("loaded metadata mismatch: %s/%d", back.Name(), back.Size())
-	}
-	other := randComm(rng, "other", 60, 6, 9)
-	po, err := csj.Precompute(other, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := csj.SimilarityPrepared(pc, po, csj.ExMinMax, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := csj.SimilarityPrepared(back, po, csj.ExMinMax, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Similarity != want.Similarity {
-		t.Errorf("loaded prepared join %.4f != original %.4f", got.Similarity, want.Similarity)
-	}
-	if _, err := csj.LoadPreparedCommunity(filepath.Join(t.TempDir(), "missing")); err == nil {
-		t.Error("expected error for a missing file")
 	}
 }
