@@ -2,17 +2,16 @@ package csj
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/opencsj/csj/internal/core"
 )
 
 // This file is the batch-join engine shared by SimilarityMatrix, TopK,
 // and Rank: a bounded worker pool with deterministic task numbering,
-// first-error cancellation, and one reusable core.Scratch per worker.
+// first-error cancellation, and one reusable joinScratch per worker.
 //
 // Batch engines parallelize across pairs (the fan-out axis of the
 // paper's broadcast scenario) and run each individual join serially, so
@@ -182,17 +181,35 @@ func poolCanceled(done <-chan struct{}) bool {
 	}
 }
 
-// scratchPool lazily hands each pool worker its own core.Scratch, so
+// scratchPool lazily hands each pool worker its own joinScratch, so
 // repeated prepared joins on one worker stop allocating scan state.
-type scratchPool []*core.Scratch
+type scratchPool []*joinScratch
 
 func newScratchPool(workers int) scratchPool { return make(scratchPool, workers) }
 
-func (sp scratchPool) get(worker int) *core.Scratch {
+func (sp scratchPool) get(worker int) *joinScratch {
 	if sp[worker] == nil {
-		sp[worker] = core.NewScratch()
+		sp[worker] = new(joinScratch)
 	}
 	return sp[worker]
+}
+
+// precomputeAll is the prepare stage of the raw batch engines
+// (SimilarityMatrix and TopK): it encodes every community once on the
+// pool, reporting the stage under the given name.
+func precomputeAll(ctx context.Context, comms []*Community, o *Options, workers int, stage string) ([]*PreparedCommunity, error) {
+	prepared := make([]*PreparedCommunity, len(comms))
+	if err := runPoolStats(ctx, workers, len(comms), stage, o.OnPoolStats, func(_, i int) error {
+		p, err := Precompute(comms[i], o)
+		if err != nil {
+			return fmt.Errorf("csj: preparing community %d (%s): %w", i, comms[i].Name, err)
+		}
+		prepared[i] = p
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	return prepared, nil
 }
 
 // orientPrepared orders a prepared pair like Orient: the smaller

@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -44,7 +45,7 @@ func TestSimilarityMatrixWorkerEquivalence(t *testing.T) {
 	comms := batchComms(rng, 6)
 	for _, matcher := range []csj.MatcherKind{csj.MatcherHopcroftKarp, csj.MatcherCSF} {
 		run := func(workers int) []csj.MatrixEntry {
-			out, err := csj.SimilarityMatrix(comms, csj.ExMinMax,
+			out, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax,
 				&csj.Options{Epsilon: 1, Matcher: matcher, Workers: workers})
 			if err != nil {
 				t.Fatalf("matcher=%v workers=%d: %v", matcher, workers, err)
@@ -74,7 +75,7 @@ func TestTopKWorkerEquivalence(t *testing.T) {
 	pivot, cands := comms[0], comms[1:]
 	for _, matcher := range []csj.MatcherKind{csj.MatcherHopcroftKarp, csj.MatcherCSF} {
 		run := func(workers int) []csj.TopKResult {
-			out, err := csj.TopK(pivot, cands, 3,
+			out, err := csj.TopK(context.Background(), pivot, cands, 3,
 				&csj.Options{Epsilon: 1, Matcher: matcher, Workers: workers})
 			if err != nil {
 				t.Fatalf("matcher=%v workers=%d: %v", matcher, workers, err)
@@ -100,7 +101,7 @@ func TestRankWorkerEquivalence(t *testing.T) {
 	comms := batchComms(rng, 8)
 	pivot, cands := comms[0], comms[1:]
 	run := func(workers int) []csj.Ranked {
-		out, err := csj.Rank(pivot, cands, csj.ExMinMax,
+		out, err := csj.Rank(context.Background(), pivot, cands, csj.ExMinMax,
 			&csj.Options{Epsilon: 1, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -127,7 +128,7 @@ func TestParallelScanDeterministicCSF(t *testing.T) {
 	b := randComm(rng, "B", 90, 4, 6)
 	a := randComm(rng, "A", 110, 4, 6)
 	opts := &csj.Options{Epsilon: 1, Matcher: csj.MatcherCSF, Workers: 3}
-	first, err := csj.Similarity(b, a, csj.ExMinMax, opts)
+	first, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestParallelScanDeterministicCSF(t *testing.T) {
 		t.Fatal("want a non-trivial match set")
 	}
 	for rep := 0; rep < 5; rep++ {
-		got, err := csj.Similarity(b, a, csj.ExMinMax, opts)
+		got, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +165,7 @@ func BenchmarkSimilarityMatrix(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := csj.SimilarityMatrix(comms, csj.ExMinMax, opts); err != nil {
+				if _, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -181,7 +182,7 @@ func BenchmarkTopK(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := csj.TopK(pivot, cands, 3, opts); err != nil {
+				if _, err := csj.TopK(context.Background(), pivot, cands, 3, opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -9,6 +9,7 @@
 package csj_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -90,7 +91,7 @@ func benchMethod(b *testing.B, kind dataset.Kind, m csj.Method) {
 	opts := &csj.Options{Epsilon: kind.Epsilon()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := csj.Similarity(cb, ca, m, opts); err != nil {
+		if _, err := csj.Similarity(context.Background(), cb, ca, m, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,7 +119,7 @@ func BenchmarkAblationParts(b *testing.B) {
 		b.Run(partsName(parts), func(b *testing.B) {
 			opts := &csj.Options{Epsilon: dataset.EpsilonVK, Parts: parts}
 			for i := 0; i < b.N; i++ {
-				if _, err := csj.Similarity(cb, ca, csj.ExMinMax, opts); err != nil {
+				if _, err := csj.Similarity(context.Background(), cb, ca, csj.ExMinMax, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -136,7 +137,7 @@ func BenchmarkAblationMatcher(b *testing.B) {
 		b.Run(mk.String(), func(b *testing.B) {
 			opts := &csj.Options{Epsilon: dataset.EpsilonVK, Matcher: mk}
 			for i := 0; i < b.N; i++ {
-				if _, err := csj.Similarity(cb, ca, csj.ExBaseline, opts); err != nil {
+				if _, err := csj.Similarity(context.Background(), cb, ca, csj.ExBaseline, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -154,7 +155,7 @@ func BenchmarkAblationSkipOffset(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			opts := &csj.Options{Epsilon: dataset.EpsilonVK, DisableSkipOffset: disabled}
 			for i := 0; i < b.N; i++ {
-				if _, err := csj.Similarity(cb, ca, csj.ApMinMax, opts); err != nil {
+				if _, err := csj.Similarity(context.Background(), cb, ca, csj.ApMinMax, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -168,7 +169,7 @@ func BenchmarkAblationEGOThreshold(b *testing.B) {
 		b.Run("t="+itoa(tv), func(b *testing.B) {
 			opts := &csj.Options{Epsilon: dataset.EpsilonVK, EGOThreshold: tv}
 			for i := 0; i < b.N; i++ {
-				if _, err := csj.Similarity(cb, ca, csj.ExSuperEGO, opts); err != nil {
+				if _, err := csj.Similarity(context.Background(), cb, ca, csj.ExSuperEGO, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -187,7 +188,7 @@ func BenchmarkAblationNormalization(b *testing.B) {
 		opts := variants[name]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := csj.Similarity(cb, ca, csj.ExSuperEGO, &opts); err != nil {
+				if _, err := csj.Similarity(context.Background(), cb, ca, csj.ExSuperEGO, &opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -217,7 +218,7 @@ func BenchmarkScalingSweep(b *testing.B) {
 			opts := &csj.Options{Epsilon: dataset.EpsilonVK}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := csj.Similarity(cb, ca, csj.ExMinMax, opts); err != nil {
+				if _, err := csj.Similarity(context.Background(), cb, ca, csj.ExMinMax, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -266,7 +267,7 @@ func BenchmarkPrecomputedMatrix(b *testing.B) {
 	opts := &csj.Options{Epsilon: dataset.EpsilonVK}
 	b.Run("precomputed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := csj.SimilarityMatrix(comms, csj.ExMinMax, opts); err != nil {
+			if _, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -276,7 +277,7 @@ func BenchmarkPrecomputedMatrix(b *testing.B) {
 			for x := 0; x < len(comms); x++ {
 				for y := x + 1; y < len(comms); y++ {
 					cb, ca := csj.Orient(comms[x], comms[y])
-					if _, err := csj.Similarity(cb, ca, csj.ExMinMax, opts); err != nil {
+					if _, err := csj.Similarity(context.Background(), cb, ca, csj.ExMinMax, opts); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -25,29 +25,38 @@ func heavyComms(rng *rand.Rand, n, size int) []*csj.Community {
 	return comms
 }
 
-// TestCtxAPIsHonorPreCanceledContext: every Ctx entry point must refuse
-// to start work on an already-canceled context and surface the
+// TestQueriesHonorPreCanceledContext: every context-first query must
+// refuse to start work on an already-canceled context and surface the
 // context's own error.
-func TestCtxAPIsHonorPreCanceledContext(t *testing.T) {
+func TestQueriesHonorPreCanceledContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	comms := heavyComms(rng, 4, 40)
+	views := precomputeAll(t, comms, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	calls := map[string]func() error{
-		"SimilarityCtx": func() error {
-			_, err := csj.SimilarityCtx(ctx, comms[0], comms[1], csj.ExMinMax, nil)
+		"Similarity": func() error {
+			_, err := csj.Similarity(ctx, comms[0], comms[1], csj.ExMinMax, nil)
 			return err
 		},
-		"RankCtx": func() error {
-			_, err := csj.RankCtx(ctx, comms[0], comms[1:], csj.ExMinMax, nil)
+		"Rank": func() error {
+			_, err := csj.Rank(ctx, comms[0], comms[1:], csj.ExMinMax, nil)
 			return err
 		},
-		"TopKCtx": func() error {
-			_, err := csj.TopKCtx(ctx, comms[0], comms[1:], 2, nil)
+		"TopK": func() error {
+			_, err := csj.TopK(ctx, comms[0], comms[1:], 2, nil)
 			return err
 		},
-		"SimilarityMatrixCtx": func() error {
-			_, err := csj.SimilarityMatrixCtx(ctx, comms, csj.ExMinMax, nil)
+		"SimilarityMatrix": func() error {
+			_, err := csj.SimilarityMatrix(ctx, comms, csj.ExMinMax, nil)
+			return err
+		},
+		"SimilarityMatrixCells": func() error {
+			_, err := csj.SimilarityMatrixCells(ctx, views, [][2]int{{0, 1}}, csj.ExMinMax, nil)
+			return err
+		},
+		"RankPreparedCtx": func() error {
+			_, err := csj.RankPreparedCtx(ctx, views[0], views[1:], csj.ExMinMax, nil)
 			return err
 		},
 	}
@@ -58,33 +67,32 @@ func TestCtxAPIsHonorPreCanceledContext(t *testing.T) {
 	}
 }
 
-// TestSimilarityCtxDeadlineSurfacesAsDeadlineExceeded: an expired
+// TestSimilarityDeadlineSurfacesAsDeadlineExceeded: an expired
 // compute budget must map to context.DeadlineExceeded (the HTTP layer
 // turns this into 503), not the internal sentinel.
-func TestSimilarityCtxDeadlineSurfacesAsDeadlineExceeded(t *testing.T) {
+func TestSimilarityDeadlineSurfacesAsDeadlineExceeded(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	b := randComm(rng, "B", 400, 8, 6)
 	a := randComm(rng, "A", 500, 8, 6)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	<-ctx.Done() // the budget has certainly expired
-	if _, err := csj.SimilarityCtx(ctx, b, a, csj.ExMinMax, nil); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := csj.Similarity(ctx, b, a, csj.ExMinMax, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
 
-// TestSimilarityMatrixCtxCancelMidRun is the tentpole's end-to-end
-// proof at the library layer: canceling a large in-flight matrix must
-// return promptly — well before the full fan-out would finish — and
-// release every worker goroutine.
-func TestSimilarityMatrixCtxCancelMidRun(t *testing.T) {
+// TestSimilarityMatrixCancelMidRun: canceling a large in-flight matrix
+// must return promptly — well before the full fan-out would finish —
+// and release every worker goroutine.
+func TestSimilarityMatrixCancelMidRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	comms := heavyComms(rng, 12, 500)
 	opts := &csj.Options{Workers: 4, Epsilon: 2}
 
 	// Baseline: how long the uncanceled matrix takes.
 	start := time.Now()
-	if _, err := csj.SimilarityMatrixCtx(context.Background(), comms, csj.ExMinMax, opts); err != nil {
+	if _, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, opts); err != nil {
 		t.Fatal(err)
 	}
 	full := time.Since(start)
@@ -100,7 +108,7 @@ func TestSimilarityMatrixCtxCancelMidRun(t *testing.T) {
 		cancel()
 	}()
 	start = time.Now()
-	res, err := csj.SimilarityMatrixCtx(ctx, comms, csj.ExMinMax, opts)
+	res, err := csj.SimilarityMatrix(ctx, comms, csj.ExMinMax, opts)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)

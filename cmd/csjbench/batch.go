@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -144,7 +145,7 @@ func runBatch(w io.Writer, cfg batchConfig) error {
 	matrix := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := csj.SimilarityMatrix(comms, csj.ExMinMax, opts); err != nil {
+			if _, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -155,7 +156,7 @@ func runBatch(w io.Writer, cfg batchConfig) error {
 	pivot, cands := comms[0], comms[1:]
 	rep.TopKNsOp = testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := csj.TopK(pivot, cands, cfg.K, opts); err != nil {
+			if _, err := csj.TopK(context.Background(), pivot, cands, cfg.K, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -248,10 +249,10 @@ func instrumentedRun(comms []*csj.Community, pivot *csj.Community, cands []*csj.
 			mu.Unlock()
 		},
 	}
-	if _, err := csj.SimilarityMatrix(comms, csj.ExMinMax, opts); err != nil {
+	if _, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, opts); err != nil {
 		return err
 	}
-	if _, err := csj.TopK(pivot, cands, cfg.K, opts); err != nil {
+	if _, err := csj.TopK(context.Background(), pivot, cands, cfg.K, opts); err != nil {
 		return err
 	}
 	rep.ScanEvents = events
@@ -278,6 +279,12 @@ func medianIQR(runs []int64) (median, iqr int64) {
 // (every view hits; zero core.Prepare calls). The last store's cache
 // counters are folded into the report.
 func storeRun(comms []*csj.Community, eps int32, opts *csj.Options, rep *batchReport) error {
+	var cells [][2]int // every unordered pair, as SimilarityMatrix joins them
+	for i := range comms {
+		for j := i + 1; j < len(comms); j++ {
+			cells = append(cells, [2]int{i, j})
+		}
+	}
 	pass := func(st *store.Store, ids []int64) (int64, error) {
 		snap := st.Snapshot()
 		views := make([]*csj.PreparedCommunity, len(ids))
@@ -289,7 +296,7 @@ func storeRun(comms []*csj.Community, eps int32, opts *csj.Options, rep *batchRe
 			}
 			views[i] = v
 		}
-		if _, err := csj.SimilarityMatrixPrepared(views, csj.ExMinMax, opts); err != nil {
+		if _, err := csj.SimilarityMatrixCells(context.Background(), views, cells, csj.ExMinMax, opts); err != nil {
 			return 0, err
 		}
 		return time.Since(start).Nanoseconds(), nil

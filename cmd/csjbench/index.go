@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -125,7 +126,7 @@ func indexedCells(top []csj.TopKResult) []topKCell {
 // engine pads (index-ascending), so the two are comparable cell for
 // cell.
 func fullTopK(pivot *csj.Community, cands []*csj.Community, k int, opts *csj.Options) ([]topKCell, error) {
-	ranked, err := csj.Rank(pivot, cands, csj.ExMinMax, opts)
+	ranked, err := csj.Rank(context.Background(), pivot, cands, csj.ExMinMax, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -65,7 +66,7 @@ func TestGenerateCoupleHasPlantedSimilarity(t *testing.T) {
 	if b.Size() != 200 || a.Size() != 300 {
 		t.Fatalf("sizes = %d|%d, want 200|300", b.Size(), a.Size())
 	}
-	res, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
+	res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

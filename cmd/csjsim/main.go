@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -84,7 +85,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	for _, m := range methods {
-		res, err := csj.Similarity(b, a, m, opts)
+		res, err := csj.Similarity(context.Background(), b, a, m, opts)
 		if err != nil {
 			return fmt.Errorf("%v: %w", m, err)
 		}

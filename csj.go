@@ -143,7 +143,8 @@ type Options struct {
 	// ErrEpsilonVecUnsupported.
 	EpsilonVec []int32
 	// Parts is the MinMax encoding part count; 0 selects the paper's
-	// default of 4. Used by the MinMax methods only.
+	// default of 4, a count above the dimensionality clamps to it, and a
+	// negative count is an error. Used by the MinMax methods only.
 	Parts int
 	// Scorer, when non-nil, blends the CSJ score with category-overlap
 	// and centroid-cosine signals into the reported Similarity; see
@@ -172,19 +173,17 @@ type Options struct {
 	// the similarity of approximate methods; 0 or 1 means no discount.
 	P float64
 	// Workers is the pool size of the batch engines (SimilarityMatrix,
-	// TopK, Rank, SimilarityMatrixPrepared, SimilarityMatrixCellsCtx and
-	// RankPrepared): 0 selects GOMAXPROCS, 1 runs the cells serially on
-	// the caller's goroutine.
+	// SimilarityMatrixCells, Rank, RankPrepared and TopK): 0 selects
+	// GOMAXPROCS, 1 runs the cells serially on the caller's goroutine.
 	// Results are identical for every pool size. A single join always
 	// runs serially, as in the paper's evaluation, so Similarity,
 	// SimilarityPrepared and the indexed engines ignore Workers.
 	Workers int
 	// OnPoolStats, when non-nil, receives per-worker utilization for
-	// every worker-pool stage run by the batch engines
-	// (SimilarityMatrix, TopK, Rank) — one synchronous callback per
-	// stage, after the stage completes (also on error, reporting the
-	// work done up to the stop). Results are unaffected; leave nil when
-	// not observing.
+	// every worker-pool stage the batch engines above run — one
+	// synchronous callback per stage, after the stage completes (also
+	// on error, reporting the work done up to the stop). Results are
+	// unaffected; leave nil when not observing.
 	OnPoolStats func(PoolStats)
 	// OnIndexStats, when non-nil, receives the pruning tallies of every
 	// indexed query — one synchronous callback after the query
@@ -225,10 +224,10 @@ func (o *Options) orDefault() Options {
 	return out
 }
 
-// Pair is one matched user pair: indexes into B.Users and A.Users.
-type Pair struct {
-	B, A int
-}
+// Pair is one matched user pair: B and A index B.Users and A.Users.
+// It is the matcher's own pair type, so results carry the pairs
+// without a copy; its JSON keys are "B" and "A".
+type Pair = matching.Pair
 
 // Events counts the algorithmic events of one run: MinPrunes,
 // MaxPrunes, NoOverlaps, NoMatches, Matches, CSFCalls, EGOPrunes and
@@ -263,18 +262,14 @@ type Result struct {
 // the given method. b must be the less-followed community:
 // ceil(|A|/2) <= |B| <= |A| unless opts.AllowSizeImbalance is set (use
 // Orient to order a pair). opts may be nil for defaults (epsilon 0).
-func Similarity(b, a *Community, method Method, opts *Options) (*Result, error) {
-	return SimilarityCtx(context.Background(), b, a, method, opts)
-}
-
-// SimilarityCtx is Similarity with cooperative cancellation: when ctx
-// is canceled or its deadline passes, the MinMax scan loops stop at
-// their next checkpoint and ctx's error is returned. The checkpoints
-// are polled every few hundred outer-loop iterations, so cancellation
-// latency is a small fraction of one scan and the hot path stays
-// allocation-free. Methods other than Ap/Ex-MinMax check ctx only
+//
+// When ctx is canceled or its deadline passes, the MinMax scan loops
+// stop at their next checkpoint and ctx's error is returned. The
+// checkpoints are polled every few hundred outer-loop iterations, so
+// cancellation latency is a small fraction of one scan and the hot path
+// stays allocation-free. Methods other than Ap/Ex-MinMax check ctx only
 // between phases (their scans run to completion once started).
-func SimilarityCtx(ctx context.Context, b, a *Community, method Method, opts *Options) (*Result, error) {
+func Similarity(ctx context.Context, b, a *Community, method Method, opts *Options) (*Result, error) {
 	o := opts.orDefault()
 	if err := b.Validate(); err != nil {
 		return nil, err
@@ -300,14 +295,11 @@ func SimilarityCtx(ctx context.Context, b, a *Community, method Method, opts *Op
 
 	out := &Result{
 		Method:  method,
-		Pairs:   make([]Pair, len(res.Pairs)),
+		Pairs:   res.Pairs,
 		SizeB:   b.Size(),
 		SizeA:   a.Size(),
 		Events:  res.Events,
 		Elapsed: elapsed,
-	}
-	for i, p := range res.Pairs {
-		out.Pairs[i] = Pair{B: int(p.B), A: int(p.A)}
 	}
 	out.Similarity = csjScore(method, &o, len(out.Pairs), b.Size())
 	applyScorerRaw(&o, b, a, out)

@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -41,7 +42,7 @@ func TestAllMethodsOnSection3Example(t *testing.T) {
 			// worked example is deterministic.
 			opts.VerifyInteger = true
 		}
-		res, err := csj.Similarity(b, a, m, opts)
+		res, err := csj.Similarity(context.Background(), b, a, m, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", m, err)
 		}
@@ -64,10 +65,10 @@ func TestSizePrecondition(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	b := randComm(rng, "B", 4, 3, 10)
 	a := randComm(rng, "A", 10, 3, 10)
-	if _, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1}); !errors.Is(err, csj.ErrSizeConstraint) {
+	if _, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1}); !errors.Is(err, csj.ErrSizeConstraint) {
 		t.Fatalf("expected ErrSizeConstraint, got %v", err)
 	}
-	res, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1, AllowSizeImbalance: true})
+	res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1, AllowSizeImbalance: true})
 	if err != nil {
 		t.Fatalf("AllowSizeImbalance should bypass the check: %v", err)
 	}
@@ -75,7 +76,7 @@ func TestSizePrecondition(t *testing.T) {
 		t.Fatal("nil result")
 	}
 	// Swapped order (B larger than A) must also fail.
-	if _, err := csj.Similarity(a, b, csj.ExMinMax, &csj.Options{Epsilon: 1}); !errors.Is(err, csj.ErrSizeConstraint) {
+	if _, err := csj.Similarity(context.Background(), a, b, csj.ExMinMax, &csj.Options{Epsilon: 1}); !errors.Is(err, csj.ErrSizeConstraint) {
 		t.Fatalf("expected ErrSizeConstraint for |B| > |A|, got %v", err)
 	}
 }
@@ -125,7 +126,7 @@ func TestMethodParsingAndNames(t *testing.T) {
 
 func TestApproximateDiscountFactorP(t *testing.T) {
 	b, a := section3()
-	res, err := csj.Similarity(b, a, csj.ApMinMax, &csj.Options{Epsilon: 1, P: 0.8})
+	res, err := csj.Similarity(context.Background(), b, a, csj.ApMinMax, &csj.Options{Epsilon: 1, P: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestApproximateDiscountFactorP(t *testing.T) {
 		t.Errorf("similarity = %v, want %v (p=0.8)", res.Similarity, want)
 	}
 	// P must not discount exact methods.
-	ex, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1, P: 0.8})
+	ex, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1, P: 0.8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,14 +151,14 @@ func TestAllMethodsAgreeWithinBounds(t *testing.T) {
 		nb := (na+1)/2 + rng.Intn(na-(na+1)/2+1)
 		b := randComm(rng, "B", nb, 6, 8)
 		a := randComm(rng, "A", na, 6, 8)
-		opt, err := csj.Similarity(b, a, csj.ExBaseline, &csj.Options{
+		opt, err := csj.Similarity(context.Background(), b, a, csj.ExBaseline, &csj.Options{
 			Epsilon: 1, Matcher: csj.MatcherHopcroftKarp,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, m := range csj.Methods {
-			res, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1, VerifyInteger: true})
+			res, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{Epsilon: 1, VerifyInteger: true})
 			if err != nil {
 				t.Fatalf("%v: %v", m, err)
 			}
@@ -178,7 +179,7 @@ func TestAllMethodsAgreeWithinBounds(t *testing.T) {
 			}
 			// Exact methods with the optimal matcher equal the optimum.
 			if m.IsExact() {
-				hk, err := csj.Similarity(b, a, m, &csj.Options{
+				hk, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{
 					Epsilon: 1, Matcher: csj.MatcherHopcroftKarp, VerifyInteger: true,
 				})
 				if err != nil {
@@ -194,14 +195,14 @@ func TestAllMethodsAgreeWithinBounds(t *testing.T) {
 
 func TestValidationErrorsSurface(t *testing.T) {
 	good := &csj.Community{Name: "g", Users: []csj.Vector{{1, 2}, {3, 4}}}
-	if _, err := csj.Similarity(&csj.Community{Name: "e"}, good, csj.ExMinMax, nil); !errors.Is(err, csj.ErrEmptyCommunity) {
+	if _, err := csj.Similarity(context.Background(), &csj.Community{Name: "e"}, good, csj.ExMinMax, nil); !errors.Is(err, csj.ErrEmptyCommunity) {
 		t.Errorf("expected ErrEmptyCommunity, got %v", err)
 	}
 	badDim := &csj.Community{Name: "d", Users: []csj.Vector{{1, 2}, {1, 2, 3}}}
-	if _, err := csj.Similarity(badDim, good, csj.ExMinMax, nil); !errors.Is(err, csj.ErrDimensionMismatch) {
+	if _, err := csj.Similarity(context.Background(), badDim, good, csj.ExMinMax, nil); !errors.Is(err, csj.ErrDimensionMismatch) {
 		t.Errorf("expected ErrDimensionMismatch, got %v", err)
 	}
-	if _, err := csj.Similarity(good, good, csj.Method(99), nil); !errors.Is(err, csj.ErrUnknownMethod) {
+	if _, err := csj.Similarity(context.Background(), good, good, csj.Method(99), nil); !errors.Is(err, csj.ErrUnknownMethod) {
 		t.Errorf("expected ErrUnknownMethod, got %v", err)
 	}
 }
@@ -209,7 +210,7 @@ func TestValidationErrorsSurface(t *testing.T) {
 func TestNilOptionsDefaults(t *testing.T) {
 	b := &csj.Community{Name: "B", Users: []csj.Vector{{1, 2}}}
 	a := &csj.Community{Name: "A", Users: []csj.Vector{{1, 2}}}
-	res, err := csj.Similarity(b, a, csj.ExMinMax, nil)
+	res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestRankBroadcastScenario(t *testing.T) {
 	puma := perturbed("Puma", 4, 60)
 	reebok := randComm(rng, "Reebok", 58, 5, 100)
 
-	ranked, err := csj.Rank(pivot, []*csj.Community{reebok, puma, adidas}, csj.ExMinMax, &csj.Options{Epsilon: 1})
+	ranked, err := csj.Rank(context.Background(), pivot, []*csj.Community{reebok, puma, adidas}, csj.ExMinMax, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestRankSkipsImbalancedPairs(t *testing.T) {
 	pivot := randComm(rng, "pivot", 100, 3, 5)
 	tiny := randComm(rng, "tiny", 5, 3, 5)
 	ok := randComm(rng, "ok", 90, 3, 5)
-	ranked, err := csj.Rank(pivot, []*csj.Community{tiny, ok}, csj.ApMinMax, &csj.Options{Epsilon: 1})
+	ranked, err := csj.Rank(context.Background(), pivot, []*csj.Community{tiny, ok}, csj.ApMinMax, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestRankSkipsImbalancedPairs(t *testing.T) {
 	if ranked[len(ranked)-1].Name != "tiny" {
 		t.Error("skipped entry should sort last")
 	}
-	if _, err := csj.Rank(nil, nil, csj.ApMinMax, nil); err == nil {
+	if _, err := csj.Rank(context.Background(), nil, nil, csj.ApMinMax, nil); err == nil {
 		t.Error("expected error for empty Rank input")
 	}
 }
@@ -328,7 +329,7 @@ func TestEventsSurfaceInResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	b := randComm(rng, "B", 60, 5, 10)
 	a := randComm(rng, "A", 80, 5, 10)
-	res, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
+	res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +340,7 @@ func TestEventsSurfaceInResults(t *testing.T) {
 	if int64(len(res.Pairs)) > ev.Matches {
 		t.Error("more pairs than match events")
 	}
-	ego, err := csj.Similarity(b, a, csj.ExSuperEGO, &csj.Options{Epsilon: 1})
+	ego, err := csj.Similarity(context.Background(), b, a, csj.ExSuperEGO, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

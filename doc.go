@@ -26,10 +26,13 @@
 //
 //	b := &csj.Community{Name: "Nike", Users: [][]int32{{3, 4, 2}, {2, 2, 3}}}
 //	a := &csj.Community{Name: "Adidas", Users: [][]int32{{2, 3, 5}, {2, 3, 1}, {3, 3, 3}}}
-//	res, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
+//	res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
 //	if err != nil { ... }
 //	fmt.Printf("similarity = %.0f%%\n", 100*res.Similarity)
 //
-// See Rank for the broadcast-recommendation use case (ordering many
-// candidate communities by similarity to one community).
+// The four query shapes — Similarity (one pair), Rank, TopK and
+// SimilarityMatrix — take a context first: canceling it stops the
+// scans at their next checkpoint. See Rank for the
+// broadcast-recommendation use case (ordering many candidate
+// communities by similarity to one community).
 package csj

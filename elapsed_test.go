@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -26,7 +27,7 @@ func TestElapsedPopulatedEverywhere(t *testing.T) {
 	comms := elapsedComms(t, 5)
 	opts := &csj.Options{Epsilon: 4}
 
-	res, err := csj.Similarity(comms[0], comms[1], csj.ExMinMax, opts)
+	res, err := csj.Similarity(context.Background(), comms[0], comms[1], csj.ExMinMax, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestElapsedPopulatedEverywhere(t *testing.T) {
 		t.Errorf("Similarity: Elapsed = %v, want > 0", res.Elapsed)
 	}
 
-	ranked, err := csj.Rank(comms[0], comms[1:], csj.ExMinMax, opts)
+	ranked, err := csj.Rank(context.Background(), comms[0], comms[1:], csj.ExMinMax, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestElapsedPopulatedEverywhere(t *testing.T) {
 		}
 	}
 
-	topk, err := csj.TopK(comms[0], comms[1:], 2, opts)
+	topk, err := csj.TopK(context.Background(), comms[0], comms[1:], 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestElapsedPopulatedEverywhere(t *testing.T) {
 		t.Error("TopK scored no candidates; Elapsed check did not run")
 	}
 
-	entries, err := csj.SimilarityMatrix(comms, csj.ExMinMax, opts)
+	entries, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,20 +105,20 @@ func TestObserversFireAcrossBatchEngines(t *testing.T) {
 		},
 	}
 
-	if _, err := csj.Similarity(comms[0], comms[1], csj.ExMinMax, opts); err != nil {
+	if _, err := csj.Similarity(context.Background(), comms[0], comms[1], csj.ExMinMax, opts); err != nil {
 		t.Fatal(err)
 	}
 	if joins != 1 {
 		t.Errorf("OnJoinEvents fired %d times after one Similarity, want 1", joins)
 	}
 
-	if _, err := csj.SimilarityMatrix(comms, csj.ExMinMax, opts); err != nil {
+	if _, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := csj.Rank(comms[0], comms[1:], csj.ExMinMax, opts); err != nil {
+	if _, err := csj.Rank(context.Background(), comms[0], comms[1:], csj.ExMinMax, opts); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := csj.TopK(comms[0], comms[1:], 2, opts); err != nil {
+	if _, err := csj.TopK(context.Background(), comms[0], comms[1:], 2, opts); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"context"
 	"fmt"
 
 	csj "github.com/opencsj/csj"
@@ -18,7 +19,7 @@ func ExampleSimilarity() {
 		{2, 3, 1}, // a2
 		{3, 3, 3}, // a3
 	}}
-	res, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
+	res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -76,7 +77,7 @@ func ExampleTopK() {
 		{Name: "Longines", Users: []csj.Vector{{7, 3}, {0, 0}}}, // half shared
 		{Name: "Casio", Users: []csj.Vector{{50, 50}, {60, 0}}}, // unrelated
 	}
-	top, err := csj.TopK(pivot, candidates, 2, &csj.Options{Epsilon: 1})
+	top, err := csj.TopK(context.Background(), pivot, candidates, 2, &csj.Options{Epsilon: 1})
 	if err != nil {
 		panic(err)
 	}
@@ -92,7 +93,7 @@ func ExampleSimilarityMatrix() {
 	a := &csj.Community{Name: "a", Users: []csj.Vector{{1, 1}, {4, 4}}}
 	b := &csj.Community{Name: "b", Users: []csj.Vector{{1, 1}, {4, 4}}}
 	c := &csj.Community{Name: "c", Users: []csj.Vector{{9, 0}, {0, 9}}}
-	entries, err := csj.SimilarityMatrix([]*csj.Community{a, b, c}, csj.ExMinMax,
+	entries, err := csj.SimilarityMatrix(context.Background(), []*csj.Community{a, b, c}, csj.ExMinMax,
 		&csj.Options{Epsilon: 0})
 	if err != nil {
 		panic(err)
@@ -110,7 +111,7 @@ func ExampleRank() {
 	pivot := &csj.Community{Name: "Nike", Users: []csj.Vector{{5, 1}, {2, 6}}}
 	adidas := &csj.Community{Name: "Adidas", Users: []csj.Vector{{5, 1}, {2, 6}}} // same fans
 	gucci := &csj.Community{Name: "Gucci", Users: []csj.Vector{{90, 0}, {0, 90}}}
-	ranked, err := csj.Rank(pivot, []*csj.Community{gucci, adidas}, csj.ExMinMax,
+	ranked, err := csj.Rank(context.Background(), pivot, []*csj.Community{gucci, adidas}, csj.ExMinMax,
 		&csj.Options{Epsilon: 1})
 	if err != nil {
 		panic(err)

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -62,7 +63,7 @@ func main() {
 		brand(rng, "Gucci", 1550, nike, 0.03),
 	}
 
-	ranked, err := csj.Rank(nike, pages, csj.ExMinMax, &csj.Options{Epsilon: epsilon})
+	ranked, err := csj.Rank(context.Background(), nike, pages, csj.ExMinMax, &csj.Options{Epsilon: epsilon})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -69,7 +70,7 @@ func main() {
 	}
 
 	b, a := csj.Orient(guitars, hiking)
-	res, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: epsilon})
+	res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: epsilon})
 	if err != nil {
 		log.Fatal(err)
 	}

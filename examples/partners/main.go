@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -81,7 +82,7 @@ func main() {
 	var survivors []scored
 	for _, cand := range candidates {
 		b, a := csj.Orient(theron, cand)
-		res, err := csj.Similarity(b, a, csj.ApMinMax, &csj.Options{Epsilon: epsilon})
+		res, err := csj.Similarity(context.Background(), b, a, csj.ApMinMax, &csj.Options{Epsilon: epsilon})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func main() {
 	fmt.Println("\nPhase 2 — exact refinement (Ex-MinMax) of the survivors:")
 	for i := range survivors {
 		b, a := csj.Orient(theron, survivors[i].c)
-		res, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: epsilon})
+		res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: epsilon})
 		if err != nil {
 			log.Fatal(err)
 		}

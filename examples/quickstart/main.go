@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 		b.Name, b.Size(), a.Name, a.Size())
 
 	for _, method := range []csj.Method{csj.ApMinMax, csj.ExMinMax} {
-		res, err := csj.Similarity(b, a, method, &csj.Options{Epsilon: 1})
+		res, err := csj.Similarity(context.Background(), b, a, method, &csj.Options{Epsilon: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func main() {
 	// The paper's workflow: a fast approximate pass prefilters community
 	// pairs, then the exact method refines the survivors. Events show
 	// how much work the MinMax encoding saved.
-	res, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
+	res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -19,8 +19,9 @@ type IncrementalJoin struct {
 }
 
 // NewIncrementalJoin creates an empty incremental join for
-// d-dimensional profiles. Only Epsilon and Parts of opts are used;
-// opts may be nil (epsilon 0).
+// d-dimensional profiles. d must lie in [1, 65,536], the dimensionality
+// limit of every stored community. Only Epsilon and Parts of opts are
+// used; opts may be nil (epsilon 0).
 func NewIncrementalJoin(d int, opts *Options) (*IncrementalJoin, error) {
 	o := opts.orDefault()
 	j, err := incremental.NewJoin(d, o.Epsilon, o.Parts)
@@ -46,12 +47,12 @@ func (ij *IncrementalJoin) AddA(u Vector) (int, error) {
 
 // RemoveB deletes a live B subscriber by the ID AddB returned.
 func (ij *IncrementalJoin) RemoveB(id int) error {
-	return ij.j.Remove(incremental.SideB, int32(id))
+	return ij.j.Remove(incremental.SideB, id)
 }
 
 // RemoveA deletes a live A subscriber by the ID AddA returned.
 func (ij *IncrementalJoin) RemoveA(id int) error {
-	return ij.j.Remove(incremental.SideA, int32(id))
+	return ij.j.Remove(incremental.SideA, id)
 }
 
 // SizeB returns the number of live B subscribers.
@@ -69,11 +70,4 @@ func (ij *IncrementalJoin) Matched() int { return ij.j.Matched() }
 func (ij *IncrementalJoin) Similarity() (float64, error) { return ij.j.Similarity() }
 
 // Pairs returns the current matched pairs as (B user ID, A user ID).
-func (ij *IncrementalJoin) Pairs() []Pair {
-	src := ij.j.Pairs()
-	out := make([]Pair, len(src))
-	for i, p := range src {
-		out[i] = Pair{B: int(p.B), A: int(p.A)}
-	}
-	return out
-}
+func (ij *IncrementalJoin) Pairs() []Pair { return ij.j.Pairs() }

@@ -1,10 +1,13 @@
 package csj_test
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
 	csj "github.com/opencsj/csj"
+	"github.com/opencsj/csj/internal/vector"
 )
 
 func TestIncrementalJoinTracksBatchResult(t *testing.T) {
@@ -40,7 +43,7 @@ func TestIncrementalJoinTracksBatchResult(t *testing.T) {
 		t.Fatalf("sizes = %d|%d, want 30|40", ij.SizeB(), ij.SizeA())
 	}
 
-	batch, err := csj.Similarity(
+	batch, err := csj.Similarity(context.Background(),
 		&csj.Community{Name: "B", Users: bUsers},
 		&csj.Community{Name: "A", Users: aUsers},
 		csj.ExMinMax,
@@ -60,8 +63,8 @@ func TestIncrementalJoinTracksBatchResult(t *testing.T) {
 		t.Fatalf("incremental matched %d != batch %d", ij.Matched(), len(batch.Pairs))
 	}
 	// Pairs are valid and one-to-one.
-	seenB := map[int]bool{}
-	seenA := map[int]bool{}
+	seenB := map[int32]bool{}
+	seenA := map[int32]bool{}
 	for _, p := range ij.Pairs() {
 		if seenB[p.B] || seenA[p.A] {
 			t.Fatal("pairs not one-to-one")
@@ -111,5 +114,43 @@ func TestNewIncrementalJoinValidation(t *testing.T) {
 	}
 	if _, err := csj.NewIncrementalJoin(0, nil); err == nil {
 		t.Error("expected error for zero dimensionality")
+	}
+	// Every stored community has at most 1<<16 dimensions; a join past
+	// that limit would size its layout by the request alone.
+	if _, err := csj.NewIncrementalJoin(1<<16, &csj.Options{Parts: 1 << 16}); err != nil {
+		t.Errorf("a join at the dimensionality limit: %v", err)
+	}
+	if _, err := csj.NewIncrementalJoin(1<<16+1, nil); !errors.Is(err, vector.ErrLimit) {
+		t.Errorf("a join past the dimensionality limit: err = %v, want vector.ErrLimit", err)
+	}
+	if _, err := csj.NewIncrementalJoin(3, &csj.Options{Parts: -1}); err == nil {
+		t.Error("expected error for a negative part count")
+	}
+}
+
+// TestIncrementalJoinRemoveOutsideInt32: an id past int32's range names
+// no live user; it must not wrap around onto a live one.
+func TestIncrementalJoinRemoveOutsideInt32(t *testing.T) {
+	ij, err := csj.NewIncrementalJoin(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ij.AddB(csj.Vector{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ij.AddA(csj.Vector{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{1 << 32, 1<<32 + 1, -(1 << 32), 1 << 31} {
+		if err := ij.RemoveB(id); err == nil {
+			t.Errorf("RemoveB(%d) succeeded", id)
+		}
+		if err := ij.RemoveA(id); err == nil {
+			t.Errorf("RemoveA(%d) succeeded", id)
+		}
+	}
+	if ij.SizeB() != 1 || ij.SizeA() != 1 || ij.Matched() != 1 {
+		t.Errorf("after the failed removals: sizes %d|%d, matched %d; want 1|1, 1",
+			ij.SizeB(), ij.SizeA(), ij.Matched())
 	}
 }

@@ -362,7 +362,7 @@ func TopKIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Candidat
 	// candidate can enter the answer — ties on the key included, which
 	// the index tie-break settles against them (DESIGN.md §12).
 	top := make(topKHeap, 0, min(k, order.len()))
-	var sc Scratch
+	var sc joinScratch
 	for {
 		e, ok := order.next()
 		if !ok {
@@ -377,7 +377,7 @@ func TopKIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Candidat
 			return nil, err
 		}
 		b, a := orientPrepared(pivot, pc)
-		res, err := similarityPrepared(ctx, b, a, ExMinMax, &o, &sc.s)
+		res, err := similarityPrepared(ctx, b, a, ExMinMax, &o, &sc)
 		if err != nil {
 			if errors.Is(err, ErrSizeConstraint) {
 				// Unreachable when summaries match their communities
@@ -479,10 +479,11 @@ func (h *topKHeap) offer(r TopKResult, k int) {
 // ascending candidate index) — the threshold form of RankPrepared for
 // the paper's broadcast scenario: "recommend communities at least this
 // similar" rather than "rank everything". method must be ApMinMax or
-// ExMinMax. Size-skipped candidates are excluded; candidates failing
+// ExMinMax; any other is ErrUnknownMethod, whatever minSim prunes.
+// Size-skipped candidates are excluded; candidates failing
 // with a per-candidate error are returned at the tail, by index, with
 // Err set so failures stay visible. A canceled ctx is fatal, as in
-// RankCtx.
+// Rank.
 //
 // Every candidate whose upper bound falls strictly below minSim is
 // eliminated without resolving its view or running a join. Pruning is
@@ -492,6 +493,11 @@ func (h *topKHeap) offer(r TopKResult, k int) {
 func RankAboveIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, method Method, minSim float64, opts *Options) ([]Ranked, error) {
 	if pivot == nil || src.Len() == 0 {
 		return nil, errors.New("csj: Rank needs a pivot and at least one candidate")
+	}
+	// Checked before any bound, so the answer never depends on whether
+	// minSim pruned every candidate before a join could fail.
+	if err := checkPreparedMethod(method); err != nil {
+		return nil, err
 	}
 	o := opts.orDefault()
 	stats := IndexStats{Candidates: int64(src.Len())}
@@ -503,7 +509,7 @@ func RankAboveIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Can
 		return nil, err
 	}
 	out := make([]Ranked, 0, len(order.above))
-	var sc Scratch
+	var sc joinScratch
 	for {
 		e, ok := order.next()
 		if !ok {
@@ -521,7 +527,7 @@ func RankAboveIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Can
 		}
 		entry := Ranked{Index: e.idx, Name: candName(src, e.idx, pc)}
 		b, a := orientPrepared(pivot, pc)
-		res, err := similarityPrepared(ctx, b, a, method, &o, &sc.s)
+		res, err := similarityPrepared(ctx, b, a, method, &o, &sc)
 		switch {
 		case err == nil:
 			stats.Visited++
@@ -533,30 +539,15 @@ func RankAboveIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Can
 			stats.Skipped++ // stale summary; excluded like the precheck
 		case ctx.Err() != nil:
 			return nil, ctx.Err()
-		case errors.Is(err, ErrUnknownMethod):
-			return nil, err // a non-MinMax method fails every probe identically
 		default:
 			stats.Visited++
 			entry.Err = err
 			out = append(out, entry) // failures stay visible at the tail
 		}
 	}
-	// Entries arrive in bound order; re-sort fully deterministically:
-	// scored by (similarity desc, index asc), then errored by index.
-	sort.Slice(out, func(x, y int) bool {
-		rx, ry := out[x].Result, out[y].Result
-		switch {
-		case rx != nil && ry != nil:
-			if rx.Similarity != ry.Similarity {
-				return rx.Similarity > ry.Similarity
-			}
-		case rx != nil:
-			return true
-		case ry != nil:
-			return false
-		}
-		return out[x].Index < out[y].Index
-	})
+	// Entries arrive in bound order: scored by (similarity desc, index
+	// asc), then errored by index.
+	sortRanked(out)
 	if o.OnIndexStats != nil {
 		o.OnIndexStats(stats)
 	}

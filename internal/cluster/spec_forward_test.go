@@ -122,3 +122,26 @@ func TestCoordinatorForwardsSpecVerbatim(t *testing.T) {
 			clusterRank, want)
 	}
 }
+
+// TestNegativePartsRejectedColdAndWarm: a negative part count is a spec
+// error, 422 before any view lookup, so a node and the cluster answer
+// it alike whatever their view caches hold. Cold, no view is cached;
+// warm, a parts: 0 /topk has cached the default views, under the
+// digest a negative count must never share.
+func TestNegativePartsRejectedColdAndWarm(t *testing.T) {
+	tc := newTestCluster(t, Config{})
+	seedCorpus(t, tc, 6)
+	negative := server.OptionsPayload{Epsilon: 8, Parts: -1}
+	reject := func(t *testing.T) {
+		checkSameAnswer(t, tc, "POST", "/topk",
+			server.TopKRequest{Pivot: 1, AllCandidates: true, K: 3, Options: negative}, http.StatusUnprocessableEntity)
+		checkSameAnswer(t, tc, "POST", "/rank",
+			server.RankRequest{Pivot: 1, AllCandidates: true, Method: "exminmax", Options: negative}, http.StatusUnprocessableEntity)
+		checkSameAnswer(t, tc, "POST", "/matrix",
+			server.MatrixRequest{Communities: []int64{1, 2, 3}, Options: negative}, http.StatusUnprocessableEntity)
+	}
+	t.Run("cold", reject)
+	checkSameAnswer(t, tc, "POST", "/topk",
+		server.TopKRequest{Pivot: 1, AllCandidates: true, K: 3, Options: server.OptionsPayload{Epsilon: 8}}, http.StatusOK)
+	t.Run("warm", reject)
+}

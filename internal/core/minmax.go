@@ -19,7 +19,8 @@ type Options struct {
 	// so it is cell-for-cell identical to setting Eps.
 	EpsVec []int32
 	// Parts is the number of encoding parts; 0 selects the paper's
-	// default of 4 (clamped to the dimensionality when d < Parts).
+	// default of 4, a count above the dimensionality clamps to it, and a
+	// negative count is an error (encoding.ResolveParts).
 	Parts int
 	// Matcher resolves segments of the exact algorithm into one-to-one
 	// pairs; nil selects CSF. Ignored by ApMinMax.
@@ -33,15 +34,14 @@ type Options struct {
 	Done <-chan struct{}
 }
 
-func (o *Options) parts(d int) int {
-	p := o.Parts
-	if p == 0 {
-		p = encoding.DefaultParts
+// layout segments d dimensions under the options' part count
+// (encoding.ResolveParts).
+func (o *Options) layout(d int) (*encoding.Layout, error) {
+	parts, err := encoding.ResolveParts(o.Parts, d)
+	if err != nil {
+		return nil, err
 	}
-	if p > d {
-		p = d
-	}
-	return p
+	return encoding.NewLayout(d, parts)
 }
 
 func (o *Options) matcher() matching.Matcher {
@@ -131,7 +131,7 @@ func (c *encComparer) Compare(bPos, aPos int) Outcome {
 // encode builds the sorted buffers and the reference-scan Input view
 // for a one-shot join of a community pair.
 func encode(b, a *vector.Community, opts *Options) (*Input, *encoding.BBuffer, *encoding.ABuffer, error) {
-	layout, err := encoding.NewLayout(b.Dim(), opts.parts(b.Dim()))
+	layout, err := opts.layout(b.Dim())
 	if err != nil {
 		return nil, nil, nil, err
 	}

@@ -59,7 +59,7 @@ func Prepare(c *vector.Community, opts Options) (*Prepared, error) {
 	if err := eps.Validate(c.Dim()); err != nil {
 		return nil, err
 	}
-	layout, err := encoding.NewLayout(c.Dim(), opts.parts(c.Dim()))
+	layout, err := opts.layout(c.Dim())
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"os"
 	"reflect"
@@ -46,14 +47,18 @@ func matrixCells(t *testing.T, st *store.Store, eps int32) []matrixCell {
 	snap := st.Snapshot()
 	list := snap.List()
 	views := make([]*csj.PreparedCommunity, len(list))
+	var pairs [][2]int
 	for i, e := range list {
 		v, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
 		views[i] = v
+		for j := i + 1; j < len(list); j++ {
+			pairs = append(pairs, [2]int{i, j})
+		}
 	}
-	entries, err := csj.SimilarityMatrixPrepared(views, csj.ExMinMax, &csj.Options{Epsilon: eps})
+	entries, err := csj.SimilarityMatrixCells(context.Background(), views, pairs, csj.ExMinMax, &csj.Options{Epsilon: eps})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,19 @@ type Layout struct {
 	starts []int // len parts+1; part p covers dims [starts[p], starts[p+1])
 }
 
+// ResolveParts applies the part-count rule of every MinMax encoding: 0
+// selects DefaultParts, a count above the dimensionality d clamps to d,
+// and a negative count is an error.
+func ResolveParts(parts, d int) (int, error) {
+	if parts < 0 {
+		return 0, fmt.Errorf("encoding: parts %d must be >= 0 (0 selects the default %d)", parts, DefaultParts)
+	}
+	if parts == 0 {
+		parts = DefaultParts
+	}
+	return min(parts, d), nil
+}
+
 // NewLayout builds a layout of d dimensions into the given number of
 // parts. It returns an error unless 1 <= parts <= d.
 func NewLayout(d, parts int) (*Layout, error) {

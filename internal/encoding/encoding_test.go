@@ -61,6 +61,24 @@ func TestNewLayoutRejectsBadArguments(t *testing.T) {
 	}
 }
 
+// TestResolveParts pins the one part-count rule the engines and the
+// match-spec digest share: 0 is the paper's default, a count above d
+// clamps to d, and a negative count is an error.
+func TestResolveParts(t *testing.T) {
+	for _, tc := range []struct{ parts, d, want int }{
+		{0, 27, DefaultParts}, {0, 3, 3}, {2, 6, 2}, {9, 6, 6}, {6, 6, 6},
+	} {
+		if got, err := ResolveParts(tc.parts, tc.d); err != nil || got != tc.want {
+			t.Errorf("ResolveParts(%d, %d) = %d, %v; want %d", tc.parts, tc.d, got, err, tc.want)
+		}
+	}
+	for _, parts := range []int{-1, -4} {
+		if got, err := ResolveParts(parts, 6); err == nil {
+			t.Errorf("ResolveParts(%d, 6) = %d; want an error", parts, got)
+		}
+	}
+}
+
 // figure1Vector is the exact 27-dimensional user vector from the paper's
 // Figure 1.
 var figure1Vector = vector.Vector{

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	csj "github.com/opencsj/csj"
@@ -30,7 +31,7 @@ func RunAblationParts(cfg Config) (*Table, error) {
 			"d-dim comparisons", "no-overlap rejects", "min prunes", "max prunes"},
 	}
 	for _, parts := range []int{1, 2, 3, 4, 6, 8} {
-		res, err := csj.Similarity(b, a, csj.ExMinMax,
+		res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax,
 			&csj.Options{Epsilon: dataset.EpsilonVK, Parts: parts})
 		if err != nil {
 			return nil, err
@@ -64,7 +65,7 @@ func RunAblationMatcher(cfg Config) (*Table, error) {
 	}
 	for _, m := range []csj.Method{csj.ExBaseline, csj.ExMinMax, csj.ExSuperEGO} {
 		for _, mk := range []csj.MatcherKind{csj.MatcherCSF, csj.MatcherHopcroftKarp, csj.MatcherGreedy} {
-			res, err := csj.Similarity(b, a, m,
+			res, err := csj.Similarity(context.Background(), b, a, m,
 				&csj.Options{Epsilon: dataset.EpsilonVK, Matcher: mk})
 			if err != nil {
 				return nil, err
@@ -95,7 +96,7 @@ func RunAblationSkipOffset(cfg Config) (*Table, error) {
 	}
 	for _, m := range []csj.Method{csj.ApBaseline, csj.ApMinMax, csj.ExMinMax} {
 		for _, disabled := range []bool{false, true} {
-			res, err := csj.Similarity(b, a, m,
+			res, err := csj.Similarity(context.Background(), b, a, m,
 				&csj.Options{Epsilon: dataset.EpsilonVK, DisableSkipOffset: disabled})
 			if err != nil {
 				return nil, err
@@ -139,7 +140,7 @@ func RunAblationNormalization(cfg Config) (*Table, error) {
 			{"integer-verified", csj.Options{Epsilon: kind.Epsilon(), VerifyInteger: true}},
 		}
 		for _, v := range variants {
-			res, err := csj.Similarity(b, a, csj.ExSuperEGO, &v.opts)
+			res, err := csj.Similarity(context.Background(), b, a, csj.ExSuperEGO, &v.opts)
 			if err != nil {
 				return nil, err
 			}
@@ -167,7 +168,7 @@ func RunAblationEGOThreshold(cfg Config) (*Table, error) {
 		Columns: []string{"t", "similarity", "time", "EGO prunes", "d-dim comparisons"},
 	}
 	for _, tv := range []int{4, 16, 64, 256, 1024} {
-		res, err := csj.Similarity(b, a, csj.ExSuperEGO,
+		res, err := csj.Similarity(context.Background(), b, a, csj.ExSuperEGO,
 			&csj.Options{Epsilon: dataset.EpsilonVK, EGOThreshold: tv})
 		if err != nil {
 			return nil, err

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -153,7 +154,7 @@ func RunCaseStudy(kind dataset.Kind, same, exact bool, cfg Config) (*Table, []Co
 		}
 		row := []string{fmt.Sprintf("%d", c.CID), label}
 		for _, m := range methods {
-			res, err := csj.Similarity(b, a, m, &csj.Options{
+			res, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{
 				Epsilon:      kind.Epsilon(),
 				EGOThreshold: cfg.EGOThreshold,
 			})

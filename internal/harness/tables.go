@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -123,7 +124,7 @@ func RunTable11(cfg Config) (*Table, []ScalabilityPoint, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			res, err := csj.Similarity(b, a, csj.ExMinMax,
+			res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax,
 				&csj.Options{Epsilon: dataset.EpsilonVK})
 			if err != nil {
 				return nil, nil, err

@@ -77,17 +77,20 @@ type Join struct {
 }
 
 // NewJoin creates an empty join for d-dimensional profiles with the
-// given epsilon. parts <= 0 selects the paper's default of 4 (clamped
-// to d).
+// given epsilon; d must lie in [1, vector.MaxDim], the limit of every
+// stored community. The part count follows encoding.ResolveParts: 0
+// selects the paper's default of 4, a count above d clamps to d, and a
+// negative count is an error.
 func NewJoin(d int, eps int32, parts int) (*Join, error) {
+	if d < 1 || d > vector.MaxDim {
+		return nil, fmt.Errorf("%w: %d dimensions, outside [1, %d]", vector.ErrLimit, d, vector.MaxDim)
+	}
 	if eps < 0 {
 		return nil, fmt.Errorf("incremental: epsilon %d must be non-negative", eps)
 	}
-	if parts <= 0 {
-		parts = encoding.DefaultParts
-	}
-	if parts > d {
-		parts = d
+	parts, err := encoding.ResolveParts(parts, d)
+	if err != nil {
+		return nil, err
 	}
 	layout, err := encoding.NewLayout(d, parts)
 	if err != nil {
@@ -174,11 +177,13 @@ func (j *Join) Add(s Side, u vector.Vector) (int32, error) {
 }
 
 // Remove deletes a live subscriber. If it was matched, its partner is
-// freed and one augmenting-path search restores maximality.
-func (j *Join) Remove(s Side, id int32) error {
-	if int(id) < 0 || int(id) >= len(j.users[s]) || !j.users[s][id].alive {
-		return fmt.Errorf("incremental: no live user %d on side %s", id, s)
+// freed and one augmenting-path search restores maximality. An id
+// outside the side's ids, int32's range included, names no live user.
+func (j *Join) Remove(s Side, uid int) error {
+	if uid < 0 || uid >= len(j.users[s]) || !j.users[s][uid].alive {
+		return fmt.Errorf("incremental: no live user %d on side %s", uid, s)
 	}
+	id := int32(uid)
 	o := 1 - s
 	partner := j.match[s][id]
 

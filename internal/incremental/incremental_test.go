@@ -64,10 +64,10 @@ func TestRemoveValidation(t *testing.T) {
 		t.Error("expected error removing from empty side")
 	}
 	id, _ := j.Add(SideB, vector.Vector{1, 2})
-	if err := j.Remove(SideB, id); err != nil {
+	if err := j.Remove(SideB, int(id)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Remove(SideB, id); err == nil {
+	if err := j.Remove(SideB, int(id)); err == nil {
 		t.Error("expected error on double removal")
 	}
 }
@@ -92,7 +92,7 @@ func TestSection3ExampleIncremental(t *testing.T) {
 		t.Errorf("similarity = %.2f, want 1.00", sim)
 	}
 	// Removing b1 drops one pair.
-	if err := j.Remove(SideB, b1); err != nil {
+	if err := j.Remove(SideB, int(b1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := j.Matched(); got != 1 {
@@ -110,7 +110,7 @@ func TestRemovalReaugments(t *testing.T) {
 	if j.Matched() != 1 {
 		t.Fatalf("Matched = %d, want 1", j.Matched())
 	}
-	if err := j.Remove(SideA, a0); err != nil {
+	if err := j.Remove(SideA, int(a0)); err != nil {
 		t.Fatal(err)
 	}
 	// b0 must have re-matched to the second A user.
@@ -173,7 +173,7 @@ func TestIncrementalMatchesOracleUnderRandomOps(t *testing.T) {
 					}
 					n--
 				}
-				if err := j.Remove(side, pick); err != nil {
+				if err := j.Remove(side, int(pick)); err != nil {
 					t.Fatal(err)
 				}
 				delete(live, pick)
@@ -250,7 +250,7 @@ func TestEdgesBookkeeping(t *testing.T) {
 	if j.Edges() != 2 {
 		t.Fatalf("Edges = %d, want 2", j.Edges())
 	}
-	if err := j.Remove(SideB, b0); err != nil {
+	if err := j.Remove(SideB, int(b0)); err != nil {
 		t.Fatal(err)
 	}
 	if j.Edges() != 0 {

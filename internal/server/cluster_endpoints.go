@@ -227,23 +227,7 @@ func (s *Server) handleInternalCreate(w http.ResponseWriter, r *http.Request) {
 			fmt.Errorf("community id must be positive, got %d", req.ID))
 		return
 	}
-	c, err := CheckCommunity(&req.Community)
-	if err != nil {
-		s.WriteErr(w, http.StatusUnprocessableEntity, err)
-		return
-	}
-	// Same durability contract as the public ingest: with a WAL wired,
-	// the 201 is the durability acknowledgement.
-	e, err := s.store.CreateWithID(req.ID, c)
-	if err != nil {
-		if errors.Is(err, store.ErrDuplicateID) {
-			s.WriteErr(w, http.StatusConflict, err)
-			return
-		}
-		s.writeMutationErr(w, err)
-		return
-	}
-	s.WriteJSON(w, http.StatusCreated, info(e))
+	s.create(w, req.ID, &req.Community)
 }
 
 func (s *Server) handleInternalRank(w http.ResponseWriter, r *http.Request) {
@@ -284,7 +268,7 @@ func (s *Server) rank(w http.ResponseWriter, r *http.Request, req *ShardQueryReq
 			ranked, err = csj.RankPreparedCtx(r.Context(), q.view, views, method, opts)
 		}
 	default:
-		ranked, err = csj.RankCtx(r.Context(), q.pivot, candidateComms(q.cands), method, opts)
+		ranked, err = csj.Rank(r.Context(), q.pivot, candidateComms(q.cands), method, opts)
 	}
 	if err != nil {
 		s.writeJoinErr(w, r, err)
@@ -385,7 +369,7 @@ func (s *Server) matrix(w http.ResponseWriter, r *http.Request, req *ShardMatrix
 			cells[k][side] = slot
 		}
 	}
-	entries, err := csj.SimilarityMatrixCellsCtx(r.Context(), views, cells, method, s.instrumentOptions(opts))
+	entries, err := csj.SimilarityMatrixCells(r.Context(), views, cells, method, s.instrumentOptions(opts))
 	if err != nil {
 		s.writeJoinErr(w, r, err)
 		return

@@ -16,10 +16,10 @@ import (
 // runs the checks every query makes before it resolves a community:
 // CheckRank, CheckTopK and CheckMatrix. None may panic; all three must
 // reach the same verdict on the same options; a rejection is 400 or
-// 422; accepted options carry no negative epsilon_vec entry and a
-// scorer that validates, whose weights normalize to finite values
-// summing to 1. Seeded with the option bodies of the cluster's
-// /matrix table. Part of `make fuzzsmoke`.
+// 422; accepted options carry no negative part count or epsilon_vec
+// entry and a scorer that validates, whose weights normalize to finite
+// values summing to 1. Seeded with the option bodies of the cluster's
+// /matrix table and a negative part count. Part of `make fuzzsmoke`.
 func FuzzOptionsPayload(f *testing.F) {
 	for _, o := range []OptionsPayload{
 		{Epsilon: 8},
@@ -29,6 +29,7 @@ func FuzzOptionsPayload(f *testing.F) {
 		{EpsilonVec: []int32{0, 2, 1, 3}, Parts: 2, Scorer: &ScorerPayload{CSJ: 2, Category: 1, Cosine: 1}},
 		{Scorer: &ScorerPayload{CSJ: -1, Category: 1}},
 		{Scorer: &ScorerPayload{CSJ: 1e308, Category: 1e308}},
+		{Epsilon: 8, Parts: -1},
 	} {
 		seed, err := json.Marshal(o)
 		if err != nil {
@@ -47,6 +48,9 @@ func FuzzOptionsPayload(f *testing.F) {
 					t.Fatalf("%s rejected %s with status %d: %v", name, data, status, err)
 				}
 				return fmt.Sprintf("%d %v", status, err)
+			}
+			if opts.Parts < 0 {
+				t.Fatalf("%s accepted %s with parts %d", name, data, opts.Parts)
 			}
 			for i, e := range opts.EpsilonVec {
 				if e < 0 {

@@ -182,9 +182,9 @@ type ScorerPayload struct {
 
 // specError marks an options failure that is semantic rather than
 // syntactic — a well-formed request asking for an impossible match
-// spec (negative epsilon entries, a bad scorer). optionsStatus maps
-// it to 422, matching the engine-level status of the same condition,
-// while parse-level failures (unknown matcher) stay 400.
+// spec (a negative part count or epsilon entry, a bad scorer).
+// optionsStatus maps it to 422, matching the engine-level status of the
+// same condition, while parse-level failures (unknown matcher) stay 400.
 type specError struct{ err error }
 
 func (e *specError) Error() string { return e.err.Error() }
@@ -211,6 +211,9 @@ func (o *OptionsPayload) toOptions() (*csj.Options, error) {
 	// Dimension-independent spec validation happens here so a bad spec
 	// fails before any store or view work; the length-vs-dimensionality
 	// check needs the communities and is enforced by the engine.
+	if o.Parts < 0 {
+		return nil, &specError{fmt.Errorf("parts is %d; it must be >= 0 (0 selects the default)", o.Parts)}
+	}
 	for i, e := range o.EpsilonVec {
 		if e < 0 {
 			return nil, &specError{fmt.Errorf("epsilon_vec entry %d is %d; entries must be >= 0", i, e)}
@@ -401,27 +404,41 @@ func (s *Server) Close() error {
 
 func (s *Server) handleCreateCommunity(w http.ResponseWriter, r *http.Request) {
 	var p CommunityPayload
-	if !s.Decode(w, r, &p) {
-		return
+	if s.Decode(w, r, &p) {
+		s.create(w, 0, &p)
 	}
-	// Validate (inside CheckCommunity) rejects empty communities,
-	// communities outside the limits, ragged dimensionalities, and
-	// negative counters, each with a message naming the offending user.
-	c, err := CheckCommunity(&p)
+}
+
+// create is the ingest of POST /communities and POST
+// /internal/communities: the community under id, or under the next
+// free id when id is 0. Validate (inside CheckCommunity) rejects empty
+// communities, communities outside the limits, ragged
+// dimensionalities, and negative counters, each with a message naming
+// the offending user (422); a live id is 409.
+func (s *Server) create(w http.ResponseWriter, id int64, p *CommunityPayload) {
+	c, err := CheckCommunity(p)
 	if err != nil {
 		s.WriteErr(w, http.StatusUnprocessableEntity, err)
 		return
 	}
 	// The store deep-copies on ingest, so the decoder's slices (and any
 	// caller still holding them) can never mutate the stored community.
-	// With durability on, Create returns only after the mutation is in
-	// the WAL — the 201 below is the durability acknowledgement.
-	e, err := s.store.Create(c)
-	if err != nil {
-		s.writeMutationErr(w, err)
-		return
+	// With durability on, the write returns only after the mutation is
+	// in the WAL — the 201 below is the durability acknowledgement.
+	var e *store.Entry
+	if id == 0 {
+		e, err = s.store.Create(c)
+	} else {
+		e, err = s.store.CreateWithID(id, c)
 	}
-	s.WriteJSON(w, http.StatusCreated, info(e))
+	switch {
+	case errors.Is(err, store.ErrDuplicateID):
+		s.WriteErr(w, http.StatusConflict, err)
+	case err != nil:
+		s.writeMutationErr(w, err)
+	default:
+		s.WriteJSON(w, http.StatusCreated, info(e))
+	}
 }
 
 func info(e *store.Entry) CommunityInfo {
@@ -602,7 +619,7 @@ func (s *Server) handleSimilarity(w http.ResponseWriter, r *http.Request) {
 		}
 		res, err = csj.SimilarityPreparedCtx(r.Context(), views[0], views[1], method, s.instrumentOptions(opts))
 	} else {
-		res, err = csj.SimilarityCtx(r.Context(), b.Comm, a.Comm, method, s.instrumentOptions(opts))
+		res, err = csj.Similarity(r.Context(), b.Comm, a.Comm, method, s.instrumentOptions(opts))
 	}
 	if err != nil {
 		s.writeJoinErr(w, r, err)

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
+
+	"github.com/opencsj/csj/internal/vector"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -146,6 +150,20 @@ func TestSimilarityEndpoint(t *testing.T) {
 	}
 	if len(resp.Pairs) != 2 {
 		t.Errorf("pairs = %v, want 2", resp.Pairs)
+	}
+	// The pairs keep their "B" and "A" keys on the wire.
+	body := fmt.Sprintf(`{"b":%d,"a":%d,"method":"ex-minmax","include_pairs":true,"options":{"epsilon":1}}`, bID, aID)
+	raw, err := http.Post(ts.URL+"/similarity", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err := io.ReadAll(raw.Body)
+	raw.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `"pairs":[{"B":1,"A":2},{"B":0,"A":1}]`; !strings.Contains(string(text), want) {
+		t.Errorf("include_pairs body = %s, want it to contain %s", text, want)
 	}
 	if resp.Method != "Ex-MinMax" || resp.SizeB != 2 || resp.SizeA != 3 {
 		t.Errorf("metadata = %+v", resp)
@@ -451,6 +469,31 @@ func TestIncrementalJoinEndpoints(t *testing.T) {
 	doJSON(t, "DELETE", fmt.Sprintf("%s/users/Q/0", joinURL), nil, http.StatusBadRequest, nil)
 	doJSON(t, "GET", ts.URL+"/joins/31337", nil, http.StatusNotFound, nil)
 	doJSON(t, "POST", ts.URL+"/joins", JoinRequest{Dim: 0, Epsilon: 1}, http.StatusUnprocessableEntity, nil)
+}
+
+// TestJoinRequestLimits: /joins checks the numbers it is given. A dim
+// past vector.MaxDim, the limit of every stored community, and a
+// negative part count are 422; an id past int32's range names no user
+// and is 404, with the live user 0 it would wrap to left in place.
+func TestJoinRequestLimits(t *testing.T) {
+	ts := newTestServer(t)
+	doJSON(t, "POST", ts.URL+"/joins", JoinRequest{Dim: vector.MaxDim, Parts: vector.MaxDim}, http.StatusCreated, nil)
+	doJSON(t, "POST", ts.URL+"/joins", JoinRequest{Dim: vector.MaxDim + 1}, http.StatusUnprocessableEntity, nil)
+	doJSON(t, "POST", ts.URL+"/joins", JoinRequest{Dim: 3, Parts: -1}, http.StatusUnprocessableEntity, nil)
+
+	var info JoinInfo
+	doJSON(t, "POST", ts.URL+"/joins", JoinRequest{Dim: 2}, http.StatusCreated, &info)
+	joinURL := fmt.Sprintf("%s/joins/%d", ts.URL, info.ID)
+	var add JoinUserResponse
+	doJSON(t, "POST", joinURL+"/users", JoinUserRequest{Side: "B", Vector: []int32{1, 2}}, http.StatusCreated, &add)
+	if add.UserID != 0 {
+		t.Fatalf("first user id = %d, want 0", add.UserID)
+	}
+	doJSON(t, "DELETE", joinURL+"/users/B/4294967296", nil, http.StatusNotFound, nil)
+	doJSON(t, "GET", joinURL, nil, http.StatusOK, &info)
+	if info.SizeB != 1 {
+		t.Errorf("after deleting user 4294967296: size_b = %d, want 1", info.SizeB)
+	}
 }
 
 // The join state endpoint must reflect a longer streaming session and

@@ -10,8 +10,8 @@ import (
 )
 
 // TestSpecValidationStatusAndBodies pins the HTTP status and error
-// body for every way an epsilon vector or scorer can be semantically
-// invalid. These are all 422s — the request is well-formed JSON with
+// body for every way an epsilon vector, scorer or part count can be
+// semantically invalid. These are all 422s — the request is well-formed JSON with
 // known fields, the *spec* is what's wrong — and the bodies are part
 // of the wire contract (clients match on them to surface actionable
 // messages).
@@ -50,6 +50,10 @@ func TestSpecValidationStatusAndBodies(t *testing.T) {
 			SimilarityRequest{B: b, A: a, Method: "exminmax",
 				Options: OptionsPayload{Scorer: &ScorerPayload{CSJ: 1e308, Category: 1e308}}},
 			"weights must be finite with a finite sum"},
+		{"negative parts",
+			SimilarityRequest{B: b, A: a, Method: "exminmax",
+				Options: OptionsPayload{Parts: -1}},
+			"parts is -1; it must be >= 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -68,6 +72,32 @@ func TestSpecValidationStatusAndBodies(t *testing.T) {
 		SimilarityRequest{B: b, A: a, Method: "exbaseline",
 			Options: OptionsPayload{EpsilonVec: []int32{1, 1, 1, 1}}},
 		http.StatusOK, nil)
+}
+
+// TestNegativePartsRejectedColdAndWarm: a negative part count is 422
+// before any view lookup, on every read route, whether or not a
+// parts: 0 read has cached the default views first.
+func TestNegativePartsRejectedColdAndWarm(t *testing.T) {
+	ts := newTestServer(t)
+	rng := rand.New(rand.NewSource(33))
+	b := uploadCommunity(t, ts, "b", randUsers(rng, 20, 6, 7))
+	a := uploadCommunity(t, ts, "a", randUsers(rng, 24, 6, 7))
+	negative := OptionsPayload{Epsilon: 2, Parts: -1}
+	topk := TopKRequest{Pivot: b, AllCandidates: true, K: 1, Options: OptionsPayload{Epsilon: 2}}
+	reject := func(t *testing.T) {
+		bad := topk
+		bad.Options = negative
+		doJSON(t, "POST", ts.URL+"/topk", bad, http.StatusUnprocessableEntity, nil)
+		doJSON(t, "POST", ts.URL+"/similarity",
+			SimilarityRequest{B: b, A: a, Method: "exminmax", Options: negative}, http.StatusUnprocessableEntity, nil)
+		doJSON(t, "POST", ts.URL+"/rank",
+			RankRequest{Pivot: b, AllCandidates: true, Method: "exminmax", Options: negative}, http.StatusUnprocessableEntity, nil)
+		doJSON(t, "POST", ts.URL+"/matrix",
+			MatrixRequest{Communities: []int64{b, a}, Options: negative}, http.StatusUnprocessableEntity, nil)
+	}
+	t.Run("cold", reject)
+	doJSON(t, "POST", ts.URL+"/topk", topk, http.StatusOK, nil)
+	t.Run("warm", reject)
 }
 
 // TestMatrixSpecWarmCacheNoRebuild is the end-to-end cache-key check:

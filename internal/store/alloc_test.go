@@ -1,16 +1,16 @@
 //go:build !race
 
-// The store-overhead guard (mirroring internal/metrics' guard):
-// the cache-hit prepared path must stay 0 allocs/op end to end, Ap and
-// Ex alike — snapshot load, two view lookups, and the scratch'd join
-// through the public csj.SimilarityPreparedInto API. The hit path is a
-// binary search, a map lookup, an LRU move, an atomic add, and a
-// receive on a closed channel; none of it may allocate, and neither may
-// the Ex join's CSF flushes. The scale guards pin that a write and an
-// indexed top-k over the whole store allocate the same at every corpus
-// size. Skipped under -race because the detector's instrumentation
-// inflates allocation counts (same convention as internal/metrics'
-// alloc guard).
+// The store-overhead guard (mirroring internal/metrics' guard): the
+// cache-hit path must stay 0 allocs/op end to end — snapshot load and
+// two view lookups, so a warm request reaches its join without
+// allocating. The hit path is a binary search, a map lookup, an LRU
+// move, an atomic add, and a receive on a closed channel; none of it
+// may allocate. The join that follows is the root package's prepared
+// join, guarded there (TestPreparedJoinZeroAllocs). The scale guards
+// pin that a write and an indexed top-k over the whole store allocate
+// the same at every corpus size. Skipped under -race because the
+// detector's instrumentation inflates allocation counts (same
+// convention as internal/metrics' alloc guard).
 
 package store
 
@@ -30,48 +30,25 @@ func TestStoreCacheHitPreparedZeroAllocs(t *testing.T) {
 	b := mustCreate(t, st, testCommunity("b", rng, 96, 8))
 	a := mustCreate(t, st, testCommunity("a", rng, 128, 8))
 
-	// The Ex leg runs at a wider epsilon than the Ap leg: at eps 2 this
-	// pair has no match, so an Ex join would never reach CSF.
-	for _, leg := range []struct {
-		method csj.Method
-		eps    int32
-	}{
-		{csj.ApMinMax, 2},
-		{csj.ExMinMax, 8},
-	} {
-		opts := &csj.Options{Epsilon: leg.eps}
-		sc := csj.NewScratch()
-		var res csj.Result
-		join := func() {
+	for _, eps := range []int32{2, 8} {
+		spec := csj.MatchSpec{Epsilon: eps}
+		lookup := func() {
 			snap := st.Snapshot()
-			vb, err := snap.PreparedSpec(b.ID, csj.MatchSpec{Epsilon: leg.eps})
-			if err != nil {
+			if _, err := snap.PreparedSpec(b.ID, spec); err != nil {
 				panic(err)
 			}
-			va, err := snap.PreparedSpec(a.ID, csj.MatchSpec{Epsilon: leg.eps})
-			if err != nil {
-				panic(err)
-			}
-			if err := csj.SimilarityPreparedInto(vb, va, leg.method, opts, sc, &res); err != nil {
+			if _, err := snap.PreparedSpec(a.ID, spec); err != nil {
 				panic(err)
 			}
 		}
-		// Warm: build both views and grow the scratch to steady state.
-		join()
+		lookup() // warm: build both views
 		builds := st.CacheStats().Builds
 
-		allocs := testing.AllocsPerRun(200, join)
-		if allocs != 0 {
-			t.Errorf("cache-hit prepared %v path allocates %.1f allocs/op, want 0", leg.method, allocs)
-		}
-		if len(res.Pairs) == 0 && res.Events.Comparisons() == 0 {
-			t.Fatalf("%v: guard join did no work; test data is degenerate", leg.method)
-		}
-		if leg.method == csj.ExMinMax && res.Events.CSFCalls == 0 {
-			t.Fatalf("%v: guard join made no CSF flush; the matcher is not measured", leg.method)
+		if allocs := testing.AllocsPerRun(200, lookup); allocs != 0 {
+			t.Errorf("eps %d: cache-hit snapshot and lookups allocate %.1f allocs/op, want 0", eps, allocs)
 		}
 		if got := st.CacheStats().Builds; got != builds {
-			t.Errorf("%v: %d view builds across the guard loop, want 0 (warmup only)", leg.method, got-builds)
+			t.Errorf("eps %d: %d view builds across the guard loop, want 0 (warmup only)", eps, got-builds)
 		}
 	}
 }
@@ -81,7 +58,8 @@ func TestStoreCacheHitPreparedZeroAllocs(t *testing.T) {
 // must also be 0 allocs/op. This empirically pins the digest's stack
 // encoding buffer (matchspec.go, specDigestStack) — if the encoder or
 // canonicalizer started escaping to the heap, every warm spec-keyed
-// request would pay for it.
+// request would pay for it. The Ap join under the same tolerance is
+// guarded in the root package (TestPreparedJoinZeroAllocs).
 func TestStoreCacheHitSpecZeroAllocs(t *testing.T) {
 	st := New(Config{})
 	rng := rand.New(rand.NewSource(43))
@@ -89,21 +67,12 @@ func TestStoreCacheHitSpecZeroAllocs(t *testing.T) {
 	a := mustCreate(t, st, testCommunity("a", rng, 128, 8))
 
 	spec := csj.MatchSpec{EpsilonVec: []int32{0, 2, 1, 3, 0, 2, 4, 1}}
-	opts := &csj.Options{EpsilonVec: spec.EpsilonVec}
-	sc := csj.NewScratch()
-	var res csj.Result
-
 	warm := func(fail func(error)) {
 		snap := st.Snapshot()
-		vb, err := snap.PreparedSpec(b.ID, spec)
-		if err != nil {
+		if _, err := snap.PreparedSpec(b.ID, spec); err != nil {
 			fail(err)
 		}
-		va, err := snap.PreparedSpec(a.ID, spec)
-		if err != nil {
-			fail(err)
-		}
-		if err := csj.SimilarityPreparedInto(vb, va, csj.ApMinMax, opts, sc, &res); err != nil {
+		if _, err := snap.PreparedSpec(a.ID, spec); err != nil {
 			fail(err)
 		}
 	}
@@ -120,30 +89,23 @@ func TestStoreCacheHitSpecZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkStoreCacheHitPreparedAp keeps an allocation-reporting
-// benchmark alongside the hard guard so regressions show magnitude.
-func BenchmarkStoreCacheHitPreparedAp(b *testing.B) {
+// BenchmarkStoreCacheHit keeps an allocation-reporting benchmark of the
+// guarded snapshot and lookups alongside the hard guard, so regressions
+// show magnitude.
+func BenchmarkStoreCacheHit(b *testing.B) {
 	st := New(Config{})
 	rng := rand.New(rand.NewSource(42))
 	cb := mustCreate(b, st, testCommunity("b", rng, 96, 8))
 	ca := mustCreate(b, st, testCommunity("a", rng, 128, 8))
-	const eps = 2
-	opts := &csj.Options{Epsilon: eps}
-	sc := csj.NewScratch()
-	var res csj.Result
+	spec := csj.MatchSpec{Epsilon: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		snap := st.Snapshot()
-		vb, err := snap.PreparedSpec(cb.ID, csj.MatchSpec{Epsilon: eps})
-		if err != nil {
+		if _, err := snap.PreparedSpec(cb.ID, spec); err != nil {
 			b.Fatal(err)
 		}
-		va, err := snap.PreparedSpec(ca.ID, csj.MatchSpec{Epsilon: eps})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := csj.SimilarityPreparedInto(vb, va, csj.ApMinMax, opts, sc, &res); err != nil {
+		if _, err := snap.PreparedSpec(ca.ID, spec); err != nil {
 			b.Fatal(err)
 		}
 	}

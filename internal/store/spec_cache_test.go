@@ -53,6 +53,22 @@ func TestSpecKeyedCacheSharing(t *testing.T) {
 	}
 }
 
+// TestNegativePartsMissesDefaultView: a cached default view must not
+// answer a lookup with a negative part count; the lookup builds under
+// its own key and fails, as it does on a cold cache.
+func TestNegativePartsMissesDefaultView(t *testing.T) {
+	st := New(Config{})
+	rng := rand.New(rand.NewSource(22))
+	e := mustCreate(t, st, testCommunity("c", rng, 16, 6))
+	snap := st.Snapshot()
+	if _, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := snap.PreparedSpec(e.ID, csj.MatchSpec{Epsilon: 2, Parts: -1}); err == nil {
+		t.Fatalf("parts -1 returned view %p; want an error", v)
+	}
+}
+
 // TestSpecKeyedCacheCollisionResistance: two specs whose naive string
 // encodings collide (epsilon vectors [1, 23] and [12, 3] both print
 // "123" when entries are concatenated) must map to distinct cache

@@ -189,49 +189,42 @@ func sortByID(list []*Entry) []*Entry {
 	return list[:n]
 }
 
-// Create deep-copies the community into the store and returns its
-// entry. The caller keeps full ownership of c; later mutations of it
-// cannot reach the stored copy. With persistence attached, the
-// mutation is appended (and, per the fsync policy, made durable)
-// before it is applied: an error means the community was not stored.
+// Create deep-copies the community into the store under the next free
+// id and returns its entry. The caller keeps full ownership of c; later
+// mutations of it cannot reach the stored copy. With persistence
+// attached, the mutation is appended (and, per the fsync policy, made
+// durable) before it is applied: an error means the community was not
+// stored.
 func (s *Store) Create(c *csj.Community) (*Entry, error) {
-	clone := c.Clone()
-	sum := summarize(clone) // built outside the lock; O(users*d)
-	s.mu.Lock()
-	id, version := s.nextID+1, s.version+1
-	if s.p != nil {
-		if err := s.p.AppendPut(id, version, clone); err != nil {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("store: persisting community: %w", err)
-		}
-	}
-	s.nextID, s.version = id, version
-	e := &Entry{ID: id, Version: version, Comm: clone, Summary: sum}
-	s.cache.setLive(e.ID, e.Version)
-	old := s.snap.Load()
-	pos, _ := old.search(id) // the end: nextID is at least every live id
-	s.snap.Store(old.insert(pos, e))
-	s.mu.Unlock()
-	s.maybeCheckpoint()
-	return e, nil
+	return s.create(0, c)
 }
 
 // CreateWithID ingests a community under a caller-chosen id — the
 // cluster coordinator's write path (DESIGN.md §13), where ids are
 // assigned centrally so they stay unique across shards. Same
-// durability contract as Create: with persistence attached, the
-// mutation is appended before it is applied. The id must be positive
-// and not currently stored; nextID ratchets to at least id so a later
-// locally assigned id can never collide with a coordinator-assigned
-// one. Concurrent coordinator writes can arrive out of id order; each
-// lands at its place in the id-ordered listing.
+// durability contract as Create. The id must be positive and not
+// currently stored; nextID ratchets to at least id so a later locally
+// assigned id can never collide with a coordinator-assigned one.
+// Concurrent coordinator writes can arrive out of id order; each lands
+// at its place in the id-ordered listing.
 func (s *Store) CreateWithID(id int64, c *csj.Community) (*Entry, error) {
 	if id <= 0 {
 		return nil, fmt.Errorf("store: community id must be positive, got %d", id)
 	}
+	return s.create(id, c)
+}
+
+// create is the body of Create and CreateWithID: clone and summarize
+// outside the lock, then, under it, append to the persistence layer,
+// publish the new snapshot, and mark the version live. An id of 0 takes
+// the next free id, which sorts after every live one.
+func (s *Store) create(id int64, c *csj.Community) (*Entry, error) {
 	clone := c.Clone()
-	sum := summarize(clone)
+	sum := summarize(clone) // built outside the lock; O(users*d)
 	s.mu.Lock()
+	if id == 0 {
+		id = s.nextID + 1
+	}
 	old := s.snap.Load()
 	pos, found := old.search(id)
 	if found {
@@ -245,10 +238,7 @@ func (s *Store) CreateWithID(id int64, c *csj.Community) (*Entry, error) {
 			return nil, fmt.Errorf("store: persisting community: %w", err)
 		}
 	}
-	if id > s.nextID {
-		s.nextID = id
-	}
-	s.version = version
+	s.nextID, s.version = max(s.nextID, id), version
 	e := &Entry{ID: id, Version: version, Comm: clone, Summary: sum}
 	s.cache.setLive(e.ID, e.Version)
 	s.snap.Store(old.insert(pos, e))

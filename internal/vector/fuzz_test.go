@@ -11,7 +11,8 @@ import (
 // and that everything it accepts round-trips losslessly. The corpus
 // seeds the fixed ingest bugs of the hardening pass: the final line
 // without a trailing newline, rows wider than the old scanner token
-// cap, and negative counters.
+// cap, and negative counters; and a name holding a carriage return,
+// which read back changed.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("# category=3 name=X\n1,2,3\n4,5,6\n")
 	f.Add("0\n")
@@ -24,6 +25,7 @@ func FuzzReadCSV(f *testing.F) {
 	f.Add("# name=wide\n" + strings.Repeat("7,", 4096) + "7\n")
 	f.Add(",\n,\n")
 	f.Add("\r\n1,2\r\n")
+	f.Add("#name=\r0\n0") // a carriage return inside the name
 	f.Fuzz(func(t *testing.T, in string) {
 		c, err := ReadCSV(bytes.NewReader([]byte(in)))
 		if err != nil {

@@ -105,7 +105,10 @@ func parseCSVHeader(text string, c *Community) {
 		}
 		switch k {
 		case "name":
-			c.Name = v
+			// A carriage return inside the line is not a line break
+			// here, but WriteCSV writes it as a space; read it as one
+			// so that what ReadCSV accepts round-trips.
+			c.Name = csvEscape(v)
 		case "category":
 			if n, err := strconv.Atoi(v); err == nil {
 				c.Category = n

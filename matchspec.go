@@ -149,24 +149,13 @@ func (o *Options) Spec() MatchSpec {
 // dimensionality when larger).
 const DefaultParts = encoding.DefaultParts
 
-// canonicalParts resolves the effective part count for dimensionality
-// d, mirroring the engine's resolution: 0 selects the paper's default,
-// and the count is clamped to d.
-func canonicalParts(parts, d int) int {
-	if parts <= 0 {
-		parts = encoding.DefaultParts
-	}
-	if d > 0 && parts > d {
-		parts = d
-	}
-	return parts
-}
-
 // Canonical returns the spec in canonical form for dimensionality d:
 // an all-equal epsilon vector collapses to its scalar, the part count
-// resolves defaults and clamping, and a no-op scorer drops to nil.
-// Distinct spellings of the same predicate canonicalize — and
-// therefore digest — identically.
+// resolves defaults and clamping as the engines do, and a no-op scorer
+// drops to nil. Distinct spellings of the same predicate canonicalize —
+// and therefore digest — identically. A negative part count, which
+// every engine rejects, is kept as given, so it never digests like a
+// valid count.
 func (s MatchSpec) Canonical(d int) MatchSpec {
 	out := s
 	if len(out.EpsilonVec) > 0 {
@@ -177,7 +166,9 @@ func (s MatchSpec) Canonical(d int) MatchSpec {
 			out.Epsilon = 0
 		}
 	}
-	out.Parts = canonicalParts(out.Parts, d)
+	if parts, err := encoding.ResolveParts(out.Parts, d); err == nil {
+		out.Parts = parts
+	}
 	if out.Scorer.isNoop() {
 		out.Scorer = nil
 	}

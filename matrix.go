@@ -70,22 +70,10 @@ func SimilarityPrepared(b, a *PreparedCommunity, method Method, opts *Options) (
 }
 
 // SimilarityPreparedCtx is SimilarityPrepared with cooperative
-// cancellation (see SimilarityCtx for the semantics).
+// cancellation (see Similarity for the semantics).
 func SimilarityPreparedCtx(ctx context.Context, b, a *PreparedCommunity, method Method, opts *Options) (*Result, error) {
 	o := opts.orDefault()
-	return similarityPrepared(ctx, b, a, method, &o, nil)
-}
-
-// similarityPrepared is the scratch-aware prepared join behind
-// SimilarityPrepared and the batch engines. o must already be
-// defaulted; s may be nil for a one-shot run.
-func similarityPrepared(ctx context.Context, b, a *PreparedCommunity, method Method, o *Options, s *core.Scratch) (*Result, error) {
-	out := &Result{}
-	var cres core.Result
-	if err := similarityPreparedInto(ctx, b, a, method, o, s, &cres, out); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return similarityPrepared(ctx, b, a, method, &o, new(joinScratch))
 }
 
 // MatrixEntry is one cell of a similarity matrix: communities I and J
@@ -110,57 +98,33 @@ type MatrixEntry struct {
 // opts.Workers goroutines (0 selects GOMAXPROCS; 1 runs serially). Each
 // cell is an independent serial join, so the entries are identical to a
 // Workers=1 run for any worker count; the first join error cancels the
-// remaining cells.
-func SimilarityMatrix(comms []*Community, method Method, opts *Options) ([]MatrixEntry, error) {
-	return SimilarityMatrixCtx(context.Background(), comms, method, opts)
-}
-
-// SimilarityMatrixCtx is SimilarityMatrix with cooperative
-// cancellation: a canceled ctx stops the pool from dispatching further
-// cells, interrupts in-flight scans at their next checkpoint, and
-// returns ctx's error once the workers have unwound. No partial matrix
-// is returned.
-func SimilarityMatrixCtx(ctx context.Context, comms []*Community, method Method, opts *Options) ([]MatrixEntry, error) {
+// remaining cells. A canceled ctx stops the pool from dispatching
+// further cells, interrupts in-flight scans at their next checkpoint,
+// and returns ctx's error once the workers have unwound. No partial
+// matrix is returned.
+func SimilarityMatrix(ctx context.Context, comms []*Community, method Method, opts *Options) ([]MatrixEntry, error) {
 	if len(comms) < 2 {
 		return nil, errors.New("csj: SimilarityMatrix needs at least two communities")
 	}
 	o := opts.orDefault()
 	workers := batchWorkers(&o)
-
-	prepared := make([]*PreparedCommunity, len(comms))
-	if err := runPoolStats(ctx, workers, len(comms), "matrix/prepare", o.OnPoolStats, func(_, i int) error {
-		p, err := Precompute(comms[i], opts)
-		if err != nil {
-			return fmt.Errorf("csj: preparing community %d (%s): %w", i, comms[i].Name, err)
-		}
-		prepared[i] = p
-		return nil
-	}); err != nil {
+	prepared, err := precomputeAll(ctx, comms, &o, workers, "matrix/prepare")
+	if err != nil {
 		return nil, err
 	}
 	return matrixCells(ctx, prepared, allPairs(len(prepared)), method, &o, workers)
 }
 
-// SimilarityMatrixPrepared scores every unordered pair of
-// already-prepared communities, skipping the per-call encoding phase
-// entirely. All views must agree on epsilon and parts (Precompute with
-// the same options, or views from one store snapshot); a mismatch
-// surfaces as a join error.
-func SimilarityMatrixPrepared(prepared []*PreparedCommunity, method Method, opts *Options) ([]MatrixEntry, error) {
-	if len(prepared) < 2 {
-		return nil, errors.New("csj: SimilarityMatrix needs at least two communities")
-	}
-	return SimilarityMatrixCellsCtx(context.Background(), prepared, allPairs(len(prepared)), method, opts)
-}
-
-// SimilarityMatrixCellsCtx scores an explicit list of cells over
+// SimilarityMatrixCells scores an explicit list of cells over
 // already-prepared communities — the workload the community store's
 // view cache serves, where a request names its cells. Cell k joins
 // prepared[cells[k][0]] with prepared[cells[k][1]], and entry k reports
 // it with those indexes as I and J. The cells run on the batch pool
-// like SimilarityMatrix's, with its cancellation semantics; the views
-// must agree on epsilon and parts as for SimilarityMatrixPrepared.
-func SimilarityMatrixCellsCtx(ctx context.Context, prepared []*PreparedCommunity, cells [][2]int, method Method, opts *Options) ([]MatrixEntry, error) {
+// like SimilarityMatrix's, with its cancellation semantics, and skip
+// the encoding phase entirely. All views must agree on epsilon and
+// parts (Precompute with the same options, or views from one store
+// snapshot); a mismatch surfaces as a join error.
+func SimilarityMatrixCells(ctx context.Context, prepared []*PreparedCommunity, cells [][2]int, method Method, opts *Options) ([]MatrixEntry, error) {
 	for k, cell := range cells {
 		for _, i := range cell {
 			if i < 0 || i >= len(prepared) || prepared[i] == nil {
@@ -184,7 +148,7 @@ func allPairs(n int) [][2]int {
 	return cells
 }
 
-// matrixCells is the cell engine behind every matrix entry point: the
+// matrixCells is the cell engine behind both matrix entry points: the
 // given cells, fanned out across the worker pool with per-worker
 // scratch, smaller community as B.
 func matrixCells(ctx context.Context, prepared []*PreparedCommunity, cells [][2]int, method Method, o *Options, workers int) ([]MatrixEntry, error) {

@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -26,7 +27,7 @@ func TestSimilarityPreparedEqualsUnprepared(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range []csj.Method{csj.ApMinMax, csj.ExMinMax} {
-			want, err := csj.Similarity(b, a, m, opts)
+			want, err := csj.Similarity(context.Background(), b, a, m, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +96,7 @@ func TestSimilarityMatrix(t *testing.T) {
 		randComm(rng, "c2", 55, 4, 6),
 		randComm(rng, "tiny", 10, 4, 6), // will be skipped against the others
 	}
-	entries, err := csj.SimilarityMatrix(comms, csj.ExMinMax, &csj.Options{Epsilon: 1})
+	entries, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestSimilarityMatrix(t *testing.T) {
 		scored++
 		// Cross-check one entry against the direct API.
 		b, a := csj.Orient(comms[e.I], comms[e.J])
-		want, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
+		want, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestSimilarityMatrix(t *testing.T) {
 	if scored != 3 || skipped != 3 {
 		t.Errorf("scored=%d skipped=%d, want 3 and 3", scored, skipped)
 	}
-	if _, err := csj.SimilarityMatrix(comms[:1], csj.ExMinMax, nil); err == nil {
+	if _, err := csj.SimilarityMatrix(context.Background(), comms[:1], csj.ExMinMax, nil); err == nil {
 		t.Error("expected error for a single community")
 	}
 }
@@ -138,7 +139,7 @@ func TestSimilarityMatrixSelfPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	c := randComm(rng, "c", 30, 3, 5)
 	clone := &csj.Community{Name: "clone", Users: c.Users}
-	entries, err := csj.SimilarityMatrix([]*csj.Community{c, clone}, csj.ExMinMax,
+	entries, err := csj.SimilarityMatrix(context.Background(), []*csj.Community{c, clone}, csj.ExMinMax,
 		&csj.Options{Epsilon: 0, Matcher: csj.MatcherHopcroftKarp})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -20,12 +21,12 @@ func TestWorkersOptionPreservesExactResults(t *testing.T) {
 		b := randComm(rng, "B", nb, 6, 10)
 		a := randComm(rng, "A", na, 6, 10)
 		for _, m := range csj.ExactMethods {
-			want, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1})
+			want, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{Epsilon: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 2, 8} {
-				got, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1, Workers: workers})
+				got, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{Epsilon: 1, Workers: workers})
 				if err != nil {
 					t.Fatalf("trial %d %v workers=%d: %v", trial, m, workers, err)
 				}
@@ -48,12 +49,12 @@ func TestWorkersIgnoredByApproximateMethods(t *testing.T) {
 	b := randComm(rng, "B", 50, 4, 8)
 	a := randComm(rng, "A", 60, 4, 8)
 	for _, m := range csj.ApproximateMethods {
-		want, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1})
+		want, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{Epsilon: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 8} {
-			got, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: 1, Workers: workers})
+			got, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{Epsilon: 1, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", m, workers, err)
 			}

@@ -35,68 +35,10 @@ func sameResult(t *testing.T, label string, got, want *csj.Result) {
 	}
 }
 
-// TestSimilarityPreparedIntoEqualsSimilarity drives the scratch-reusing
-// Into variant across many random pairs with ONE shared Scratch and one
-// reused Result, asserting each answer matches the one-shot API exactly.
-func TestSimilarityPreparedIntoEqualsSimilarity(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	sc := csj.NewScratch()
-	var res csj.Result
-	for trial := 0; trial < 8; trial++ {
-		na := 30 + rng.Intn(50)
-		nb := (na+1)/2 + rng.Intn(na-(na+1)/2+1)
-		b := randComm(rng, "B", nb, 6, 9)
-		a := randComm(rng, "A", na, 6, 9)
-		opts := &csj.Options{Epsilon: int32(1 + trial%3)}
-		pb, err := csj.Precompute(b, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, err := csj.Precompute(a, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, m := range []csj.Method{csj.ApMinMax, csj.ExMinMax} {
-			want, err := csj.Similarity(b, a, m, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := csj.SimilarityPreparedInto(pb, pa, m, opts, sc, &res); err != nil {
-				t.Fatal(err)
-			}
-			sameResult(t, m.String(), &res, want)
-		}
-	}
-}
-
-func TestSimilarityPreparedIntoNilScratch(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	b := randComm(rng, "B", 20, 4, 6)
-	opts := &csj.Options{Epsilon: 1}
-	pb, err := csj.Precompute(b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res csj.Result
-	if err := csj.SimilarityPreparedInto(pb, pb, csj.ExMinMax, opts, nil, &res); err != nil {
-		t.Fatalf("nil scratch should allocate a temporary: %v", err)
-	}
-	if res.Similarity <= 0 {
-		t.Errorf("self-similarity = %f, want > 0", res.Similarity)
-	}
-}
-
-// TestSimilarityMatrixPreparedEqualsUnprepared: the prepared-handle
-// matrix must agree cell for cell with the community-slice matrix.
-func TestSimilarityMatrixPreparedEqualsUnprepared(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	const n = 5
-	comms := make([]*csj.Community, n)
-	for i := range comms {
-		comms[i] = randComm(rng, string(rune('A'+i)), 24+rng.Intn(16), 5, 8)
-	}
-	opts := &csj.Options{Epsilon: 2}
-	prepared := make([]*csj.PreparedCommunity, n)
+// precomputeAll prepares every community under opts.
+func precomputeAll(t *testing.T, comms []*csj.Community, opts *csj.Options) []*csj.PreparedCommunity {
+	t.Helper()
+	prepared := make([]*csj.PreparedCommunity, len(comms))
 	for i, c := range comms {
 		p, err := csj.Precompute(c, opts)
 		if err != nil {
@@ -104,84 +46,94 @@ func TestSimilarityMatrixPreparedEqualsUnprepared(t *testing.T) {
 		}
 		prepared[i] = p
 	}
-	for _, m := range []csj.Method{csj.ApMinMax, csj.ExMinMax} {
-		want, err := csj.SimilarityMatrix(comms, m, opts)
-		if err != nil {
-			t.Fatal(err)
+	return prepared
+}
+
+// TestReusedScratchEqualsSimilarity: at Workers 1 a batch engine runs
+// every cell on one reused scratch and result buffer. Across pairs of
+// different shapes, each cell must still be the one-shot join's answer.
+func TestReusedScratchEqualsSimilarity(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	ctx := context.Background()
+	for trial := 0; trial < 3; trial++ {
+		opts := &csj.Options{Epsilon: int32(1 + trial), Workers: 1}
+		// Sizes in [40, 80) keep every pair inside the size precondition.
+		comms := make([]*csj.Community, 6)
+		for i := range comms {
+			comms[i] = randComm(rng, fmt.Sprint("c", i), 40+rng.Intn(40), 6, 9)
 		}
-		got, err := csj.SimilarityMatrixPrepared(prepared, m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d cells, want %d", m, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].I != want[i].I || got[i].J != want[i].J || got[i].Skipped != want[i].Skipped {
-				t.Fatalf("%v: cell %d shape differs: %+v vs %+v", m, i, got[i], want[i])
+		prepared := precomputeAll(t, comms, opts)
+		var cells [][2]int
+		for i := range comms {
+			for j := i + 1; j < len(comms); j++ {
+				cells = append(cells, [2]int{i, j}, [2]int{j, i})
 			}
-			sameResult(t, m.String(), got[i].Result, want[i].Result)
+		}
+		for _, m := range []csj.Method{csj.ApMinMax, csj.ExMinMax} {
+			got, err := csj.SimilarityMatrixCells(ctx, prepared, cells, m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, cell := range cells {
+				b, a := csj.Orient(comms[cell[0]], comms[cell[1]])
+				want, err := csj.Similarity(ctx, b, a, m, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameResult(t, fmt.Sprintf("trial %d %v cell %v", trial, m, cell), got[k].Result, want)
+			}
 		}
 	}
 }
 
-func TestSimilarityMatrixPreparedValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	p, err := csj.Precompute(randComm(rng, "solo", 10, 3, 5), &csj.Options{Epsilon: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := csj.SimilarityMatrixPrepared([]*csj.PreparedCommunity{p}, csj.ExMinMax, nil); err == nil {
-		t.Error("matrix over one community should fail")
-	}
-	if _, err := csj.SimilarityMatrixPrepared([]*csj.PreparedCommunity{p, nil}, csj.ExMinMax, nil); err == nil {
-		t.Error("nil prepared entry should fail")
-	}
-}
-
-// TestSimilarityMatrixCellsCtx: an explicit cell list — any order,
-// either orientation, repeats — scores each cell as the all-pairs
-// matrix scores the same pair, and an index outside the views fails.
-func TestSimilarityMatrixCellsCtx(t *testing.T) {
+// TestSimilarityMatrixCells: an explicit cell list — any order, either
+// orientation, repeats — scores each cell as the all-pairs matrix
+// scores the same pair, for both MinMax methods, and a cell naming an
+// index outside the views or a nil view fails.
+func TestSimilarityMatrixCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	prepared := make([]*csj.PreparedCommunity, 4)
-	for i := range prepared {
-		p, err := csj.Precompute(randComm(rng, string(rune('A'+i)), 20+rng.Intn(12), 5, 8), &csj.Options{Epsilon: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		prepared[i] = p
+	comms := make([]*csj.Community, 4)
+	for i := range comms {
+		comms[i] = randComm(rng, string(rune('A'+i)), 20+rng.Intn(12), 5, 8)
 	}
 	opts := &csj.Options{Epsilon: 2, Workers: 3}
-	all, err := csj.SimilarityMatrixPrepared(prepared, csj.ExMinMax, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPair := map[[2]int]csj.MatrixEntry{}
-	for _, e := range all {
-		byPair[[2]int{e.I, e.J}] = e
-	}
+	prepared := precomputeAll(t, comms, opts)
+	ctx := context.Background()
 	cells := [][2]int{{2, 3}, {1, 0}, {0, 3}, {2, 3}, {3, 1}}
-	got, err := csj.SimilarityMatrixCellsCtx(context.Background(), prepared, cells, csj.ExMinMax, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(cells) {
-		t.Fatalf("%d entries for %d cells", len(got), len(cells))
-	}
-	for k, cell := range cells {
-		if got[k].I != cell[0] || got[k].J != cell[1] {
-			t.Fatalf("entry %d is (%d, %d), want (%d, %d)", k, got[k].I, got[k].J, cell[0], cell[1])
+	for _, m := range []csj.Method{csj.ApMinMax, csj.ExMinMax} {
+		all, err := csj.SimilarityMatrix(ctx, comms, m, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
-		lo, hi := min(cell[0], cell[1]), max(cell[0], cell[1])
-		want := byPair[[2]int{lo, hi}]
-		if got[k].Skipped != want.Skipped {
-			t.Fatalf("entry %d skipped %v, want %v", k, got[k].Skipped, want.Skipped)
+		byPair := map[[2]int]csj.MatrixEntry{}
+		for _, e := range all {
+			byPair[[2]int{e.I, e.J}] = e
 		}
-		sameResult(t, fmt.Sprintf("cell %v", cell), got[k].Result, want.Result)
+		got, err := csj.SimilarityMatrixCells(ctx, prepared, cells, m, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(cells) {
+			t.Fatalf("%v: %d entries for %d cells", m, len(got), len(cells))
+		}
+		for k, cell := range cells {
+			if got[k].I != cell[0] || got[k].J != cell[1] {
+				t.Fatalf("%v: entry %d is (%d, %d), want (%d, %d)", m, k, got[k].I, got[k].J, cell[0], cell[1])
+			}
+			lo, hi := min(cell[0], cell[1]), max(cell[0], cell[1])
+			want := byPair[[2]int{lo, hi}]
+			if got[k].Skipped != want.Skipped {
+				t.Fatalf("%v: entry %d skipped %v, want %v", m, k, got[k].Skipped, want.Skipped)
+			}
+			sameResult(t, fmt.Sprintf("%v cell %v", m, cell), got[k].Result, want.Result)
+		}
 	}
-	if _, err := csj.SimilarityMatrixCellsCtx(context.Background(), prepared, [][2]int{{0, 4}}, csj.ExMinMax, opts); err == nil {
+	if _, err := csj.SimilarityMatrixCells(ctx, prepared, [][2]int{{0, 4}}, csj.ExMinMax, opts); err == nil {
 		t.Error("a cell naming index 4 of 4 views should fail")
+	}
+	withNil := []*csj.PreparedCommunity{prepared[0], nil}
+	if _, err := csj.SimilarityMatrixCells(ctx, withNil, [][2]int{{0, 1}}, csj.ExMinMax, opts); err == nil {
+		t.Error("a cell naming a nil view should fail")
 	}
 }
 
@@ -214,7 +166,7 @@ func TestRankPreparedEqualsUnprepared(t *testing.T) {
 		pcs[i] = p
 	}
 	for _, m := range []csj.Method{csj.ApMinMax, csj.ExMinMax} {
-		want, err := csj.Rank(pivot, cands, m, opts)
+		want, err := csj.Rank(context.Background(), pivot, cands, m, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,6 +199,19 @@ func TestRankPreparedRejectsNonMinMax(t *testing.T) {
 	}
 	if _, err := csj.RankPrepared(pp, []*csj.PreparedCommunity{pc}, csj.ExSuperEGO, opts); !errors.Is(err, csj.ErrUnknownMethod) {
 		t.Errorf("expected ErrUnknownMethod for a non-MinMax method, got %v", err)
+	}
+	// The threshold engine rejects the method whether or not minSim
+	// leaves a candidate to join: no bound exceeds 1, so minSim 2
+	// prunes every candidate before any join could fail.
+	pcs := []*csj.PreparedCommunity{pc}
+	src := &sliceSource{pcs: pcs, sums: summarize(t, pcs)}
+	for _, minSim := range []float64{0, 2} {
+		if _, err := csj.RankAboveIndexedFrom(context.Background(), pp, src, csj.ExSuperEGO, minSim, opts); !errors.Is(err, csj.ErrUnknownMethod) {
+			t.Errorf("RankAboveIndexedFrom minSim %v: expected ErrUnknownMethod for a non-MinMax method, got %v", minSim, err)
+		}
+	}
+	if src.resolved != 0 {
+		t.Errorf("RankAboveIndexedFrom resolved %d views for a rejected method, want 0", src.resolved)
 	}
 	if _, err := csj.TopKIndexed(pp, nil, 1, opts); err == nil {
 		t.Error("TopKIndexed with no candidates should fail")

@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -43,11 +44,11 @@ func TestSpecAllEqualVecMatchesScalar(t *testing.T) {
 		a := randComm(rng, "A", nB+rng.Intn(nB), d, 8) // |A| < 2|B| keeps the size precondition
 
 		for _, m := range csj.Methods {
-			sres, err := csj.Similarity(b, a, m, &csj.Options{Epsilon: eps, VerifyInteger: true})
+			sres, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{Epsilon: eps, VerifyInteger: true})
 			if err != nil {
 				t.Fatalf("%v scalar: %v", m, err)
 			}
-			vres, err := csj.Similarity(b, a, m, &csj.Options{EpsilonVec: vec, VerifyInteger: true})
+			vres, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{EpsilonVec: vec, VerifyInteger: true})
 			if err != nil {
 				t.Fatalf("%v vector: %v", m, err)
 			}
@@ -70,7 +71,7 @@ func TestSpecAllEqualVecMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mixed-spelling prepared join: %v", err)
 		}
-		want, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: eps})
+		want, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: eps})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,19 +90,19 @@ func TestEpsilonVecRequiresMinMax(t *testing.T) {
 	a := randComm(rng, "A", 8, 3, 8)
 	vec := []int32{0, 2, 1}
 	for _, m := range []csj.Method{csj.ApBaseline, csj.ExBaseline, csj.ApSuperEGO, csj.ExSuperEGO} {
-		if _, err := csj.Similarity(b, a, m, &csj.Options{EpsilonVec: vec}); !errors.Is(err, csj.ErrEpsilonVecUnsupported) {
+		if _, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{EpsilonVec: vec}); !errors.Is(err, csj.ErrEpsilonVecUnsupported) {
 			t.Fatalf("%v: err = %v, want ErrEpsilonVecUnsupported", m, err)
 		}
 	}
 	for _, m := range []csj.Method{csj.ApMinMax, csj.ExMinMax} {
-		if _, err := csj.Similarity(b, a, m, &csj.Options{EpsilonVec: vec}); err != nil {
+		if _, err := csj.Similarity(context.Background(), b, a, m, &csj.Options{EpsilonVec: vec}); err != nil {
 			t.Fatalf("%v rejected a valid epsilon vector: %v", m, err)
 		}
 	}
-	if _, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{EpsilonVec: []int32{1, 2}}); err == nil {
+	if _, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{EpsilonVec: []int32{1, 2}}); err == nil {
 		t.Fatal("length-mismatched vector accepted")
 	}
-	if _, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{EpsilonVec: []int32{1, -2, 0}}); err == nil {
+	if _, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{EpsilonVec: []int32{1, -2, 0}}); err == nil {
 		t.Fatal("negative vector entry accepted")
 	}
 }
@@ -148,7 +149,7 @@ func TestScorerBlend(t *testing.T) {
 	b := &csj.Community{Name: "B", Category: 3, Users: []csj.Vector{{1, 1}}}
 	a := &csj.Community{Name: "A", Category: 3, Users: []csj.Vector{{0, 2}, {2, 0}}}
 	sc := &csj.ScorerSpec{CSJWeight: 2, CategoryWeight: 1, CosineWeight: 1}
-	res, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 0, Scorer: sc})
+	res, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 0, Scorer: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestScorerBlend(t *testing.T) {
 	// Different categories: the category component drops to 0. Two
 	// unknown categories (-1) must not count as agreement either.
 	a2 := &csj.Community{Name: "A2", Category: 9, Users: a.Users}
-	res2, err := csj.Similarity(b, a2, csj.ExMinMax, &csj.Options{Epsilon: 0, Scorer: sc})
+	res2, err := csj.Similarity(context.Background(), b, a2, csj.ExMinMax, &csj.Options{Epsilon: 0, Scorer: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestScorerBlend(t *testing.T) {
 	}
 	bu := &csj.Community{Name: "BU", Category: -1, Users: b.Users}
 	au := &csj.Community{Name: "AU", Category: -1, Users: a.Users}
-	res3, err := csj.Similarity(bu, au, csj.ExMinMax, &csj.Options{Epsilon: 0, Scorer: sc})
+	res3, err := csj.Similarity(context.Background(), bu, au, csj.ExMinMax, &csj.Options{Epsilon: 0, Scorer: sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +224,11 @@ func TestScorerRejectsNonFiniteWeights(t *testing.T) {
 		if err := sc.Validate(); !errors.Is(err, csj.ErrBadScorer) {
 			t.Errorf("Validate(%+v) = %v, want ErrBadScorer", sc, err)
 		}
-		if _, err := csj.Similarity(b, b, csj.ExMinMax, &csj.Options{Scorer: sc}); !errors.Is(err, csj.ErrBadScorer) {
+		if _, err := csj.Similarity(context.Background(), b, b, csj.ExMinMax, &csj.Options{Scorer: sc}); !errors.Is(err, csj.ErrBadScorer) {
 			t.Errorf("Similarity with scorer %+v: err = %v, want ErrBadScorer", sc, err)
 		}
 	}
-	res, err := csj.Similarity(b, b, csj.ExMinMax, &csj.Options{Scorer: &csj.ScorerSpec{CSJWeight: 1e307, CategoryWeight: 1e307}})
+	res, err := csj.Similarity(context.Background(), b, b, csj.ExMinMax, &csj.Options{Scorer: &csj.ScorerSpec{CSJWeight: 1e307, CategoryWeight: 1e307}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestScorerValidationAndNoop(t *testing.T) {
 		{CSJWeight: -1, CategoryWeight: 1},
 		{},
 	} {
-		if _, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1, Scorer: sc}); !errors.Is(err, csj.ErrBadScorer) {
+		if _, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1, Scorer: sc}); !errors.Is(err, csj.ErrBadScorer) {
 			t.Fatalf("scorer %+v: err = %v, want ErrBadScorer", sc, err)
 		}
 		pb, err := csj.Precompute(b, nil)
@@ -259,11 +260,11 @@ func TestScorerValidationAndNoop(t *testing.T) {
 			t.Fatalf("prepared scorer %+v: err = %v, want ErrBadScorer", sc, err)
 		}
 	}
-	plain, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
+	plain, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noop, err := csj.Similarity(b, a, csj.ExMinMax, &csj.Options{Epsilon: 1, Scorer: &csj.ScorerSpec{CSJWeight: 7}})
+	noop, err := csj.Similarity(context.Background(), b, a, csj.ExMinMax, &csj.Options{Epsilon: 1, Scorer: &csj.ScorerSpec{CSJWeight: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,6 +304,11 @@ func TestMatchSpecDigest(t *testing.T) {
 	// Distinctions that must hold.
 	if (csj.MatchSpec{Epsilon: 1}).Digest(d) == (csj.MatchSpec{Epsilon: 2}).Digest(d) {
 		t.Fatal("different scalars share a digest")
+	}
+	// A negative part count is an error everywhere else, so it must not
+	// share the default's digest (or a cached default view).
+	if (csj.MatchSpec{Epsilon: 1, Parts: -1}).Digest(d) == (csj.MatchSpec{Epsilon: 1}).Digest(d) {
+		t.Fatal("parts -1 digests like the default parts")
 	}
 	scored := csj.MatchSpec{Epsilon: 1, Scorer: &csj.ScorerSpec{CSJWeight: 1, CosineWeight: 1}}
 	if scored.Digest(d) == (csj.MatchSpec{Epsilon: 1}).Digest(d) {

@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -59,7 +60,7 @@ func assertDupOrder(t *testing.T, order []int) {
 func TestRankDuplicateScoreTieBreak(t *testing.T) {
 	pivot, cands := duplicateCorpus(t)
 	opts := &csj.Options{Epsilon: 800}
-	ranked, err := csj.Rank(pivot, cands, csj.ExMinMax, opts)
+	ranked, err := csj.Rank(context.Background(), pivot, cands, csj.ExMinMax, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestRankDuplicateScoreTieBreak(t *testing.T) {
 func TestTopKDuplicateScoreTieBreak(t *testing.T) {
 	pivot, cands := duplicateCorpus(t)
 	opts := &csj.Options{Epsilon: 800}
-	top, err := csj.TopK(pivot, cands, len(cands), opts)
+	top, err := csj.TopK(context.Background(), pivot, cands, len(cands), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestTopKIndexedDuplicateScoreTieBreak(t *testing.T) {
 	// The indexed and two-phase engines must agree on the full order:
 	// both rank exactly here (k covers everything, exact refinement
 	// covers 2k >= all candidates).
-	ref, err := csj.TopK(pivot, cands, len(cands), opts)
+	ref, err := csj.TopK(context.Background(), pivot, cands, len(cands), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

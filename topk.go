@@ -43,15 +43,11 @@ type TopKResult struct {
 // phases, and the phase-1 and phase-2 probes fan out across a bounded
 // worker pool of opts.Workers goroutines (0 selects GOMAXPROCS; 1 runs
 // serially). Each probe is an independent serial join, so the answer is
-// identical to a Workers=1 run for any worker count.
-func TopK(pivot *Community, candidates []*Community, k int, opts *Options) ([]TopKResult, error) {
-	return TopKCtx(context.Background(), pivot, candidates, k, opts)
-}
-
-// TopKCtx is TopK with cooperative cancellation: a canceled ctx stops
-// both phases' probe pools, interrupts in-flight scans at their next
-// checkpoint, and returns ctx's error. No partial answer is returned.
-func TopKCtx(ctx context.Context, pivot *Community, candidates []*Community, k int, opts *Options) ([]TopKResult, error) {
+// identical to a Workers=1 run for any worker count. A canceled ctx
+// stops both phases' probe pools, interrupts in-flight scans at their
+// next checkpoint, and returns ctx's error. No partial answer is
+// returned.
+func TopK(ctx context.Context, pivot *Community, candidates []*Community, k int, opts *Options) ([]TopKResult, error) {
 	if pivot == nil || len(candidates) == 0 {
 		return nil, errors.New("csj: TopK needs a pivot and at least one candidate")
 	}
@@ -61,25 +57,18 @@ func TopKCtx(ctx context.Context, pivot *Community, candidates []*Community, k i
 	o := opts.orDefault()
 	workers := batchWorkers(&o)
 
-	pp, err := Precompute(pivot, opts)
+	pp, err := Precompute(pivot, &o)
 	if err != nil {
 		return nil, fmt.Errorf("csj: preparing pivot %s: %w", pivot.Name, err)
 	}
-	pcs := make([]*PreparedCommunity, len(candidates))
-	if err := runPoolStats(ctx, workers, len(candidates), "topk/prepare", o.OnPoolStats, func(_, i int) error {
-		pc, err := Precompute(candidates[i], opts)
-		if err != nil {
-			return fmt.Errorf("csj: preparing candidate %s: %w", candidates[i].Name, err)
-		}
-		pcs[i] = pc
-		return nil
-	}); err != nil {
+	pcs, err := precomputeAll(ctx, candidates, &o, workers, "topk/prepare")
+	if err != nil {
 		return nil, err
 	}
 	return topKPhases(ctx, pp, pcs, k, &o, workers)
 }
 
-// topKPhases is TopKCtx's two-phase engine over the prepared views:
+// topKPhases is TopK's two-phase engine over the prepared views:
 // approximate prefilter over all candidates, exact refinement of the 2k
 // survivors.
 func topKPhases(ctx context.Context, pp *PreparedCommunity, pcs []*PreparedCommunity, k int, o *Options, workers int) ([]TopKResult, error) {

@@ -1,6 +1,7 @@
 package csj_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestTopKRanksOverlap(t *testing.T) {
 		overlapped(rng, "mid", 430, pivot, 0.20),
 		overlapped(rng, "zero", 410, pivot, 0.0),
 	}
-	top, err := csj.TopK(pivot, cands, 2, &csj.Options{Epsilon: 1})
+	top, err := csj.TopK(context.Background(), pivot, cands, 2, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestTopKSkipsTinyCandidates(t *testing.T) {
 	pivot := entropyComm(rng, "pivot", 300, 6)
 	tiny := entropyComm(rng, "tiny", 20, 6)
 	ok := overlapped(rng, "ok", 320, pivot, 0.3)
-	top, err := csj.TopK(pivot, []*csj.Community{tiny, ok}, 2, &csj.Options{Epsilon: 1})
+	top, err := csj.TopK(context.Background(), pivot, []*csj.Community{tiny, ok}, 2, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,13 +97,13 @@ func TestTopKValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	pivot := entropyComm(rng, "p", 50, 4)
 	cand := entropyComm(rng, "c", 50, 4)
-	if _, err := csj.TopK(nil, []*csj.Community{cand}, 1, nil); err == nil {
+	if _, err := csj.TopK(context.Background(), nil, []*csj.Community{cand}, 1, nil); err == nil {
 		t.Error("expected error for nil pivot")
 	}
-	if _, err := csj.TopK(pivot, nil, 1, nil); err == nil {
+	if _, err := csj.TopK(context.Background(), pivot, nil, 1, nil); err == nil {
 		t.Error("expected error for no candidates")
 	}
-	if _, err := csj.TopK(pivot, []*csj.Community{cand}, 0, nil); err == nil {
+	if _, err := csj.TopK(context.Background(), pivot, []*csj.Community{cand}, 0, nil); err == nil {
 		t.Error("expected error for k = 0")
 	}
 }
@@ -114,7 +115,7 @@ func TestTopKLargerKThanCandidates(t *testing.T) {
 		overlapped(rng, "a", 110, pivot, 0.2),
 		overlapped(rng, "b", 105, pivot, 0.1),
 	}
-	top, err := csj.TopK(pivot, cands, 10, &csj.Options{Epsilon: 1})
+	top, err := csj.TopK(context.Background(), pivot, cands, 10, &csj.Options{Epsilon: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
