@@ -2,15 +2,14 @@ package csj
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the batch-join engine shared by SimilarityMatrix, TopK,
-// and Rank: a bounded worker pool with deterministic task numbering,
+// This file is the batch-join engine shared by SimilarityMatrix and
+// Rank: a bounded worker pool with deterministic task numbering,
 // first-error cancellation, and one reusable joinScratch per worker.
 //
 // Batch engines parallelize across pairs (the fan-out axis of the
@@ -112,7 +111,8 @@ type WorkerStat struct {
 // a batch engine (observability: skew across workers is the signal
 // that drives repartitioning in distributed similarity-join designs).
 type PoolStats struct {
-	// Stage names the pool run, e.g. "matrix/cells" or "topk/phase1".
+	// Stage names the pool run: "matrix/prepare", "matrix/cells" or
+	// "rank/probe".
 	Stage string
 	// Wall is the stage's total wall-clock duration.
 	Wall time.Duration
@@ -192,24 +192,6 @@ func (sp scratchPool) get(worker int) *joinScratch {
 		sp[worker] = new(joinScratch)
 	}
 	return sp[worker]
-}
-
-// precomputeAll is the prepare stage of the raw batch engines
-// (SimilarityMatrix and TopK): it encodes every community once on the
-// pool, reporting the stage under the given name.
-func precomputeAll(ctx context.Context, comms []*Community, o *Options, workers int, stage string) ([]*PreparedCommunity, error) {
-	prepared := make([]*PreparedCommunity, len(comms))
-	if err := runPoolStats(ctx, workers, len(comms), stage, o.OnPoolStats, func(_, i int) error {
-		p, err := Precompute(comms[i], o)
-		if err != nil {
-			return fmt.Errorf("csj: preparing community %d (%s): %w", i, comms[i].Name, err)
-		}
-		prepared[i] = p
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return prepared, nil
 }
 
 // orientPrepared orders a prepared pair like Orient: the smaller

@@ -91,20 +91,29 @@ func TestRunPoolPreCanceledContextRunsNothing(t *testing.T) {
 	}
 }
 
+// TestRunPoolCancelMidRunStopsDispatch cancels at the 8th task. Every
+// later task waits for the cancellation to land, so no worker can
+// drain the queue while the canceling one is descheduled: the count
+// checks dispatch, not scheduling. At most the first 8 tasks run, plus
+// one in flight on each of the other 3 workers.
 func TestRunPoolCancelMidRunStopsDispatch(t *testing.T) {
+	const workers, cancelAt = 4, 8
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int32
-	err := runPool(ctx, 4, 1000, func(_, i int) error {
-		if ran.Add(1) == 8 {
+	err := runPool(ctx, workers, 1000, func(_, _ int) error {
+		switch n := ran.Add(1); {
+		case n == cancelAt:
 			cancel()
+		case n > cancelAt:
+			<-ctx.Done()
 		}
 		return nil
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if got := ran.Load(); got >= 1000 {
-		t.Errorf("ran %d tasks despite mid-run cancellation", got)
+	if got := ran.Load(); got > cancelAt+workers-1 {
+		t.Errorf("ran %d tasks despite mid-run cancellation, want at most %d", got, cancelAt+workers-1)
 	}
 }
 

@@ -67,33 +67,6 @@ func TestSimilarityMatrixWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestTopKWorkerEquivalence checks the two-phase TopK answer is
-// identical for every worker count.
-func TestTopKWorkerEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	comms := batchComms(rng, 9)
-	pivot, cands := comms[0], comms[1:]
-	for _, matcher := range []csj.MatcherKind{csj.MatcherHopcroftKarp, csj.MatcherCSF} {
-		run := func(workers int) []csj.TopKResult {
-			out, err := csj.TopK(context.Background(), pivot, cands, 3,
-				&csj.Options{Epsilon: 1, Matcher: matcher, Workers: workers})
-			if err != nil {
-				t.Fatalf("matcher=%v workers=%d: %v", matcher, workers, err)
-			}
-			for i := range out {
-				stripElapsed(out[i].Result)
-			}
-			return out
-		}
-		serial := run(1)
-		for _, w := range workerSweep() {
-			if got := run(w); !reflect.DeepEqual(got, serial) {
-				t.Errorf("matcher=%v: workers=%d TopK differs from serial", matcher, w)
-			}
-		}
-	}
-}
-
 // TestRankWorkerEquivalence checks the candidate fan-out of Rank does
 // not perturb the ranking.
 func TestRankWorkerEquivalence(t *testing.T) {
@@ -176,16 +149,12 @@ func BenchmarkSimilarityMatrix(b *testing.B) {
 func BenchmarkTopK(b *testing.B) {
 	comms := benchComms(9, 300)
 	pivot, cands := comms[0], comms[1:]
-	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := &csj.Options{Epsilon: 1, Workers: workers}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := csj.TopK(context.Background(), pivot, cands, 3, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := &csj.Options{Epsilon: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := csj.TopK(context.Background(), pivot, cands, 3, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

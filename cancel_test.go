@@ -27,42 +27,110 @@ func heavyComms(rng *rand.Rand, n, size int) []*csj.Community {
 
 // TestQueriesHonorPreCanceledContext: every context-first query must
 // refuse to start work on an already-canceled context and surface the
-// context's own error.
+// context's own error with no answer. The indexed engines must stop
+// before their bound pass, reading no summary and resolving no view.
 func TestQueriesHonorPreCanceledContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	comms := heavyComms(rng, 4, 40)
 	views := precomputeAll(t, comms, nil)
+	src := &sliceSource{pcs: views[1:], sums: summarize(t, views[1:])}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	calls := map[string]func() error{
-		"Similarity": func() error {
-			_, err := csj.Similarity(ctx, comms[0], comms[1], csj.ExMinMax, nil)
-			return err
+	// Each call returns whether it answered, and its error.
+	calls := map[string]func() (bool, error){
+		"Similarity": func() (bool, error) {
+			res, err := csj.Similarity(ctx, comms[0], comms[1], csj.ExMinMax, nil)
+			return res != nil, err
 		},
-		"Rank": func() error {
-			_, err := csj.Rank(ctx, comms[0], comms[1:], csj.ExMinMax, nil)
-			return err
+		"Rank": func() (bool, error) {
+			res, err := csj.Rank(ctx, comms[0], comms[1:], csj.ExMinMax, nil)
+			return res != nil, err
 		},
-		"TopK": func() error {
-			_, err := csj.TopK(ctx, comms[0], comms[1:], 2, nil)
-			return err
+		"TopK": func() (bool, error) {
+			res, err := csj.TopK(ctx, comms[0], comms[1:], 2, nil)
+			return res != nil, err
 		},
-		"SimilarityMatrix": func() error {
-			_, err := csj.SimilarityMatrix(ctx, comms, csj.ExMinMax, nil)
-			return err
+		"SimilarityMatrix": func() (bool, error) {
+			res, err := csj.SimilarityMatrix(ctx, comms, csj.ExMinMax, nil)
+			return res != nil, err
 		},
-		"SimilarityMatrixCells": func() error {
-			_, err := csj.SimilarityMatrixCells(ctx, views, [][2]int{{0, 1}}, csj.ExMinMax, nil)
-			return err
+		"SimilarityMatrixCells": func() (bool, error) {
+			res, err := csj.SimilarityMatrixCells(ctx, views, [][2]int{{0, 1}}, csj.ExMinMax, nil)
+			return res != nil, err
 		},
-		"RankPreparedCtx": func() error {
-			_, err := csj.RankPreparedCtx(ctx, views[0], views[1:], csj.ExMinMax, nil)
-			return err
+		"RankPreparedCtx": func() (bool, error) {
+			res, err := csj.RankPreparedCtx(ctx, views[0], views[1:], csj.ExMinMax, nil)
+			return res != nil, err
+		},
+		"TopKIndexedFrom": func() (bool, error) {
+			res, err := csj.TopKIndexedFrom(ctx, views[0], src, 2, nil)
+			return res != nil, err
+		},
+		"RankAboveIndexedFrom": func() (bool, error) {
+			res, err := csj.RankAboveIndexedFrom(ctx, views[0], src, csj.ExMinMax, 0.01, nil)
+			return res != nil, err
 		},
 	}
 	for name, call := range calls {
-		if err := call(); !errors.Is(err, context.Canceled) {
+		answered, err := call()
+		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on canceled ctx: err = %v, want context.Canceled", name, err)
+		}
+		if answered {
+			t.Errorf("%s on canceled ctx returned an answer", name)
+		}
+	}
+	if src.read != 0 || src.resolved != 0 {
+		t.Errorf("the indexed engines read %d summaries and resolved %d views on a canceled ctx",
+			src.read, src.resolved)
+	}
+}
+
+// cancelingSource cancels the query's context when the engine resolves
+// its first view.
+type cancelingSource struct {
+	*sliceSource
+	cancel context.CancelFunc
+}
+
+func (s cancelingSource) View(i int) (*csj.PreparedCommunity, error) {
+	s.cancel()
+	return s.sliceSource.View(i)
+}
+
+// TestIndexedEnginesStopBetweenVisits: a cancellation that lands during
+// the visits stops the indexed engines before their next join. A join
+// of communities of 10 users ends before its scan's first cancellation
+// checkpoint, so only the engines' own check can see it.
+func TestIndexedEnginesStopBetweenVisits(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	comms := make([]*csj.Community, 6)
+	for i := range comms {
+		comms[i] = randComm(rng, fmt.Sprintf("small-%d", i), 10, 4, 3)
+	}
+	opts := &csj.Options{Epsilon: 2}
+	views := precomputeAll(t, comms, opts)
+	sums := summarize(t, views[1:])
+	calls := map[string]func(context.Context, csj.CandidateSource) (bool, error){
+		"TopKIndexedFrom": func(ctx context.Context, src csj.CandidateSource) (bool, error) {
+			res, err := csj.TopKIndexedFrom(ctx, views[0], src, len(sums), opts)
+			return res != nil, err
+		},
+		"RankAboveIndexedFrom": func(ctx context.Context, src csj.CandidateSource) (bool, error) {
+			res, err := csj.RankAboveIndexedFrom(ctx, views[0], src, csj.ExMinMax, 0.01, opts)
+			return res != nil, err
+		},
+	}
+	for name, call := range calls {
+		ctx, cancel := context.WithCancel(context.Background())
+		src := cancelingSource{&sliceSource{pcs: views[1:], sums: sums}, cancel}
+		answered, err := call(ctx, src)
+		if !errors.Is(err, context.Canceled) || answered {
+			t.Errorf("%s canceled at its first visit: answered %v, err = %v, want context.Canceled and no answer",
+				name, answered, err)
+		}
+		if src.resolved != 1 {
+			t.Errorf("%s resolved %d views after the cancellation at the first, want 1", name, src.resolved)
 		}
 	}
 }

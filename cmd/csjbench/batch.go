@@ -47,16 +47,21 @@ type poolStageReport struct {
 }
 
 // batchReport is the JSON emitted by -batch: wall-clock and allocation
-// figures for the batch-join engine at the -workers pool size.
+// figures for the batch-join engine at the -workers pool size, and for
+// the serial indexed TopK over the same communities.
 type batchReport struct {
 	Communities   int `json:"communities"`
 	CommunitySize int `json:"community_size"`
 	Workers       int `json:"workers"`
 	GOMAXPROCS    int `json:"gomaxprocs"`
 
+	// Each time is the median ns/op of legRuns benchmark runs, beside
+	// its IQR; the allocations are the last matrix run's.
 	MatrixNsOp     int64 `json:"matrix_ns_op"`
+	MatrixIQRNs    int64 `json:"matrix_iqr_ns"`
 	MatrixAllocsOp int64 `json:"matrix_allocs_op"`
 	TopKNsOp       int64 `json:"topk_ns_op"`
+	TopKIQRNs      int64 `json:"topk_iqr_ns"`
 
 	// Steady-state allocations of one prepared join run through a
 	// reused scratch and result (the batch engine's hot path).
@@ -90,8 +95,9 @@ type batchReport struct {
 	WALAppendNoFsyncNs    int64 `json:"wal_append_nofsync_ns"`
 	WALAppendNoFsyncIQRNs int64 `json:"wal_append_nofsync_iqr_ns"`
 
-	// With -metrics: scan-event totals and per-worker pool utilization
-	// from one instrumented Matrix + TopK run.
+	// With -metrics: scan-event totals from one instrumented Matrix +
+	// TopK run, and the matrix's per-worker pool utilization (TopK runs
+	// no pool).
 	ScanEvents map[string]int64  `json:"scan_events,omitempty"`
 	PoolStages []poolStageReport `json:"pool_stages,omitempty"`
 }
@@ -142,25 +148,30 @@ func runBatch(w io.Writer, cfg batchConfig) error {
 	}
 
 	opts := &csj.Options{Epsilon: eps, Workers: cfg.Workers}
-	matrix := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	rep.MatrixNsOp = matrix.NsPerOp()
-	rep.MatrixAllocsOp = matrix.AllocsPerOp()
-
 	pivot, cands := comms[0], comms[1:]
-	rep.TopKNsOp = testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := csj.TopK(context.Background(), pivot, cands, cfg.K, opts); err != nil {
-				b.Fatal(err)
+	var matrixNs, topkNs []int64
+	for range legRuns {
+		// The legs alternate, so drift on the machine reaches both.
+		matrix := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := csj.SimilarityMatrix(context.Background(), comms, csj.ExMinMax, opts); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	}).NsPerOp()
+		})
+		rep.MatrixAllocsOp = matrix.AllocsPerOp()
+		topk := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := csj.TopK(context.Background(), pivot, cands, cfg.K, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		matrixNs, topkNs = append(matrixNs, matrix.NsPerOp()), append(topkNs, topk.NsPerOp())
+	}
+	rep.MatrixNsOp, rep.MatrixIQRNs = medianIQR(matrixNs)
+	rep.TopKNsOp, rep.TopKIQRNs = medianIQR(topkNs)
 
 	// Prepared-join allocation profile: the same pair joined through the
 	// scratch hot path versus the one-shot API.
@@ -260,8 +271,8 @@ func instrumentedRun(comms []*csj.Community, pivot *csj.Community, cands []*csj.
 	return nil
 }
 
-// legRuns is how many times storeRun and durableRun run each leg: one
-// timing of a leg moved by half between runs of the same code.
+// legRuns is how many times runBatch, storeRun and durableRun run each
+// leg: one timing of a leg moved by half between runs of the same code.
 const legRuns = 5
 
 // medianIQR returns the median of the runs' times and their

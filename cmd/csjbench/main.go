@@ -15,10 +15,10 @@
 //
 // Flags -scale, -minsize, and -seed control the synthesized data;
 // -format selects text (default), markdown, or csv output. The -batch
-// mode measures the worker-pool SimilarityMatrix/TopK engine on N
-// synthesized communities (-communities, -batchsize, -workers, -topkk)
-// and emits a JSON report with ns/op and allocs/op; `make bench`
-// compares pool sizes.
+// mode measures the worker-pool SimilarityMatrix engine and the serial
+// indexed TopK on N synthesized communities (-communities, -batchsize,
+// -workers, -topkk) and emits a JSON report with ns/op and allocs/op;
+// `make bench` compares the matrix's pool sizes.
 //
 // Service latency is measured by perfbench (perfbench/README.md); the
 // scan kernels are compared by the Go benchmarks in internal/core

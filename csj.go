@@ -173,11 +173,12 @@ type Options struct {
 	// the similarity of approximate methods; 0 or 1 means no discount.
 	P float64
 	// Workers is the pool size of the batch engines (SimilarityMatrix,
-	// SimilarityMatrixCells, Rank, RankPrepared and TopK): 0 selects
+	// SimilarityMatrixCells, Rank and RankPrepared): 0 selects
 	// GOMAXPROCS, 1 runs the cells serially on the caller's goroutine.
 	// Results are identical for every pool size. A single join always
-	// runs serially, as in the paper's evaluation, so Similarity,
-	// SimilarityPrepared and the indexed engines ignore Workers.
+	// runs serially, as in the paper's evaluation, so Similarity and
+	// SimilarityPrepared ignore Workers; so do TopK and the other
+	// indexed engines, whose best-first visits are serial by design.
 	Workers int
 	// OnPoolStats, when non-nil, receives per-worker utilization for
 	// every worker-pool stage the batch engines above run — one
@@ -186,8 +187,8 @@ type Options struct {
 	// unaffected; leave nil when not observing.
 	OnPoolStats func(PoolStats)
 	// OnIndexStats, when non-nil, receives the pruning tallies of every
-	// indexed query — one synchronous callback after the query
-	// completes. Leave nil when not observing.
+	// indexed query (TopK included) — one synchronous callback after
+	// the query completes. Leave nil when not observing.
 	OnIndexStats func(IndexStats)
 	// OnJoinEvents, when non-nil, receives the event tallies of every
 	// completed join — one-shot Similarity calls and each prepared cell

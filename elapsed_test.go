@@ -130,7 +130,7 @@ func TestObserversFireAcrossBatchEngines(t *testing.T) {
 	if comparisons == 0 {
 		t.Error("observed joins reported zero comparisons")
 	}
-	for _, stage := range []string{"matrix/prepare", "matrix/cells", "rank/probe", "topk/prepare", "topk/phase1"} {
+	for _, stage := range []string{"matrix/prepare", "matrix/cells", "rank/probe"} {
 		if stages[stage] == 0 {
 			t.Errorf("pool stage %q never reported", stage)
 		}

@@ -178,19 +178,18 @@ func (c indexedCandidates) View(i int) (*PreparedCommunity, error) {
 // (pinned by TestIndexedTopKExactness and the TestIndexedTopKTies
 // suite).
 //
-// Unlike the two-phase TopK, no approximate gate runs: every visited
-// candidate is joined exactly, so the answer is the true top-k, not a
-// heuristic refinement. The ApproxSimilarity field of each returned
-// entry carries the candidate's index upper bound instead of an
-// Ap-MinMax score (lifted into the composite domain when a scorer is
-// attached, so it always upper-bounds the reported Similarity). Ties
-// on similarity break by ascending candidate index. If fewer than k
-// candidates can be scored, size-skipped candidates pad the tail
-// (Skipped set, no Result).
+// No approximate gate runs: every visited candidate is joined exactly,
+// so the answer is the true top-k. The ApproxSimilarity field of each
+// returned entry carries the candidate's index upper bound (lifted into
+// the composite domain when a scorer is attached, so it always
+// upper-bounds the reported Similarity). Ties on similarity break by
+// ascending candidate index. If fewer than k candidates can be scored,
+// size-skipped candidates pad the tail (Skipped set, no Result).
 //
 // The bound consultation makes the visit order data-dependent, so the
 // engine runs serially; opts.Workers is ignored. TopKIndexed adapts
-// the slice to a CandidateSource and runs TopKIndexedFrom.
+// the slice to a CandidateSource and runs TopKIndexedFrom, as TopK
+// does over raw communities.
 func TopKIndexed(pivot *PreparedCommunity, candidates []IndexedCandidate, k int, opts *Options) ([]TopKResult, error) {
 	return TopKIndexedFrom(context.Background(), pivot, indexedCandidates(candidates), k, opts)
 }
@@ -268,7 +267,9 @@ func (v *visitOrder) next() (boundEntry, bool) {
 //
 // The pivot is summarized here on every query even when a store holds
 // its summary: one summary costs about 40 bound checks (DESIGN.md §10).
-func indexOrder(pivot *PreparedCommunity, src CandidateSource, method Method, o *Options, stats *IndexStats) (ord visitOrder, skipped []int, err error) {
+// The context is checked before each block of summaries: TopK's source
+// builds each one from its community.
+func indexOrder(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, method Method, o *Options, stats *IndexStats) (ord visitOrder, skipped []int, err error) {
 	ps, err := pivot.Summarize(0)
 	if err != nil {
 		return ord, nil, fmt.Errorf("csj: summarizing pivot %s: %w", pivot.Name(), err)
@@ -283,6 +284,9 @@ func indexOrder(pivot *PreparedCommunity, src CandidateSource, method Method, o 
 	// pays them one after another. The block stays on the stack.
 	var block [64]*CommunitySummary
 	for lo := 0; lo < ord.n; lo += len(block) {
+		if err := ctx.Err(); err != nil {
+			return ord, nil, err
+		}
 		sums := block[:min(len(block), ord.n-lo)]
 		for j := range sums {
 			if sums[j], err = src.Summary(lo + j); err != nil {
@@ -336,11 +340,13 @@ func candName(src CandidateSource, idx int, pc *PreparedCommunity) string {
 }
 
 // TopKIndexedFrom is the indexed top-k engine of TopKIndexed over a
-// CandidateSource, with cooperative cancellation: a canceled ctx stops
-// the visit loop, interrupts the in-flight scan at its next checkpoint,
-// and returns ctx's error with no partial answer. Its memory grows with
-// the candidates whose bound keys rise above the floor (a zero bound)
-// and the size-skipped ones, not with the candidate count.
+// CandidateSource, with cooperative cancellation: the context is
+// checked before each block of summaries and each visited candidate,
+// and a canceled ctx stops the engine, interrupts the in-flight scan at
+// its next checkpoint, and returns ctx's error with no partial answer.
+// Its memory grows with the candidates whose bound keys rise above the
+// floor (a zero bound) and the size-skipped ones, not with the
+// candidate count.
 func TopKIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src CandidateSource, k int, opts *Options) ([]TopKResult, error) {
 	if pivot == nil || src.Len() == 0 {
 		return nil, errors.New("csj: TopK needs a pivot and at least one candidate")
@@ -349,8 +355,13 @@ func TopKIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Candidat
 		return nil, fmt.Errorf("csj: TopK needs k >= 1, got %d", k)
 	}
 	o := opts.orDefault()
+	// A bad scorer would fail the first join; checked here, it fails
+	// the query even when every candidate is size-skipped.
+	if err := o.Scorer.validate(); err != nil {
+		return nil, err
+	}
 	stats := IndexStats{Candidates: int64(src.Len())}
-	order, skipped, err := indexOrder(pivot, src, ExMinMax, &o, &stats)
+	order, skipped, err := indexOrder(ctx, pivot, src, ExMinMax, &o, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -371,6 +382,11 @@ func TopKIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Candidat
 		if len(top) == k && ranksBelow(e.key, e.idx, &top[0]) {
 			stats.Pruned += int64(order.left() + 1)
 			break
+		}
+		// A join over small communities ends before its scan's first
+		// cancellation checkpoint, so the loop checks too.
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		pc, err := resolveView(src, e.idx)
 		if err != nil {
@@ -404,8 +420,8 @@ func TopKIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Candidat
 		}
 		return cmp.Compare(x.Index, y.Index)
 	})
-	// Fewer than k scorable candidates: pad with size-skipped entries,
-	// mirroring the two-phase engine's tail.
+	// Fewer than k scorable candidates: pad with size-skipped entries
+	// by ascending index.
 	sort.Ints(skipped)
 	for _, i := range skipped {
 		if len(scored) >= k {
@@ -483,7 +499,7 @@ func (h *topKHeap) offer(r TopKResult, k int) {
 // Size-skipped candidates are excluded; candidates failing
 // with a per-candidate error are returned at the tail, by index, with
 // Err set so failures stay visible. A canceled ctx is fatal, as in
-// Rank.
+// Rank: the context is checked as in TopKIndexedFrom.
 //
 // Every candidate whose upper bound falls strictly below minSim is
 // eliminated without resolving its view or running a join. Pruning is
@@ -504,7 +520,7 @@ func RankAboveIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Can
 	// The keys carry the method's p discount (Eq. 1) before the scorer
 	// lifts them — p applies to the CSJ component only, so lifting
 	// before discounting would be unsound.
-	order, _, err := indexOrder(pivot, src, method, &o, &stats)
+	order, _, err := indexOrder(ctx, pivot, src, method, &o, &stats)
 	if err != nil {
 		return nil, err
 	}
@@ -520,6 +536,9 @@ func RankAboveIndexedFrom(ctx context.Context, pivot *PreparedCommunity, src Can
 			// one, so the whole tail is provably below the threshold.
 			stats.Pruned += int64(order.left() + 1)
 			break
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		pc, err := resolveView(src, e.idx)
 		if err != nil {

@@ -74,16 +74,21 @@ func summarize(t *testing.T, pcs []*csj.PreparedCommunity) []*csj.CommunitySumma
 }
 
 // sliceSource is a CandidateSource over prepared views and their
-// summaries that counts the views the engines resolve.
+// summaries that counts the summaries the engines read and the views
+// they resolve.
 type sliceSource struct {
-	pcs      []*csj.PreparedCommunity
-	sums     []*csj.CommunitySummary
-	resolved int
+	pcs            []*csj.PreparedCommunity
+	sums           []*csj.CommunitySummary
+	read, resolved int
 }
 
-func (s *sliceSource) Len() int                                     { return len(s.pcs) }
-func (s *sliceSource) Summary(i int) (*csj.CommunitySummary, error) { return s.sums[i], nil }
-func (s *sliceSource) Name(i int) string                            { return s.pcs[i].Name() }
+func (s *sliceSource) Len() int          { return len(s.pcs) }
+func (s *sliceSource) Name(i int) string { return s.pcs[i].Name() }
+
+func (s *sliceSource) Summary(i int) (*csj.CommunitySummary, error) {
+	s.read++
+	return s.sums[i], nil
+}
 
 func (s *sliceSource) View(i int) (*csj.PreparedCommunity, error) {
 	s.resolved++
@@ -147,12 +152,13 @@ func snapshotRoute(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs
 }
 
 // checkIndexedTopK is the indexed top-k oracle: it runs one query
-// through TopKIndexed over a candidate slice and through
-// TopKIndexedFrom on a store snapshot's candidate source, and requires
-// each to return, cell for cell, the exhaustive RankPrepared ranking
-// truncated to k, with the same stats, every candidate accounted for
-// once, and a view resolved for exactly the visited candidates. label
-// names the case (its seed) in every failure. It returns the stats.
+// through TopKIndexed over a candidate slice, through TopKIndexedFrom
+// on a store snapshot's candidate source and through TopK over the
+// views' communities, and requires each to return, cell for cell, the
+// exhaustive RankPrepared ranking truncated to k, with the same stats,
+// every candidate accounted for once, and a view resolved for exactly
+// the visited candidates. label names the case (its seed) in every
+// failure. It returns the stats.
 func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, pcs []*csj.PreparedCommunity, sums []*csj.CommunitySummary, k int, opts *csj.Options) csj.IndexStats {
 	t.Helper()
 	want := exactTopKReference(t, pivot, pcs, k, opts)
@@ -171,6 +177,7 @@ func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, 
 
 	slabel := label + " snapshot route"
 	st, ssrc := snapshotRoute(t, slabel, pivot, pcs, opts)
+	stats = csj.IndexStats{}
 	got, err = csj.TopKIndexedFrom(context.Background(), pivot, ssrc, k, &iopts)
 	if err != nil {
 		t.Fatalf("%s: TopKIndexedFrom: %v", slabel, err)
@@ -181,6 +188,21 @@ func checkIndexedTopK(t *testing.T, label string, pivot *csj.PreparedCommunity, 
 	}
 	if builds := st.CacheStats().Builds; builds != stats.Visited {
 		t.Fatalf("%s: %d views built for %d visited candidates", slabel, builds, stats.Visited)
+	}
+
+	rlabel := label + " raw route"
+	comms := make([]*csj.Community, len(pcs))
+	for i, pc := range pcs {
+		comms[i] = pc.Community()
+	}
+	stats = csj.IndexStats{}
+	got, err = csj.TopK(context.Background(), pivot.Community(), comms, k, &iopts)
+	if err != nil {
+		t.Fatalf("%s: TopK: %v", rlabel, err)
+	}
+	checkTopKCells(t, rlabel, got, want)
+	if stats != indexed {
+		t.Fatalf("%s: stats %+v, TopKIndexed %+v", rlabel, stats, indexed)
 	}
 	return stats
 }
@@ -254,6 +276,38 @@ func TestIndexedTopKExactness(t *testing.T) {
 			pivot, pcs, sums := indexedCorpus(t, rng, n, 1+rng.Intn(12), 1+rng.Intn(6), noise, opts)
 			label := fmt.Sprintf("seed=%d trial=%d n=%d eps=%d noise=%d k=%d", seed, trial, n, eps, noise, k)
 			checkIndexedTopK(t, label, pivot, pcs, sums, k, opts)
+		}
+	}
+}
+
+// TestIndexedTopKDenseCorpus runs the oracle where scores crowd: a
+// 40-user pivot and 12 candidates of 35-49 users over small counters,
+// so nearly every pair joins and the best similarities lie a few
+// hundredths apart. On this shape an Ap-MinMax prefilter of the 2k
+// best drops true top-k members: at seed 2, d 4, the exact second
+// (c3, 0.8250) ranks fifth by Ap score, tied with c1 at 0.7250.
+func TestIndexedTopKDenseCorpus(t *testing.T) {
+	shapes := []struct {
+		d             int
+		counters, eps int32
+	}{{3, 10, 2}, {4, 8, 2}, {5, 8, 2}, {6, 10, 3}, {8, 10, 3}}
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, sh := range shapes {
+			rng := rand.New(rand.NewSource(seed))
+			opts := &csj.Options{Epsilon: sh.eps, Workers: 1}
+			pivot, err := csj.Precompute(randComm(rng, "pivot", 40, sh.d, sh.counters), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pcs := make([]*csj.PreparedCommunity, 12)
+			for i := range pcs {
+				c := randComm(rng, fmt.Sprintf("c%d", i), 35+rng.Intn(15), sh.d, sh.counters)
+				if pcs[i], err = csj.Precompute(c, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+			label := fmt.Sprintf("seed=%d d=%d counters=0-%d eps=%d", seed, sh.d, sh.counters, sh.eps)
+			checkIndexedTopK(t, label, pivot, pcs, summarize(t, pcs), 2, opts)
 		}
 	}
 }
@@ -379,8 +433,8 @@ func TestTopKIndexedPrunesSelectiveCorpus(t *testing.T) {
 }
 
 // TestTopKIndexedPadsWithSkipped: when fewer than k candidates satisfy
-// the size precondition, the tail is padded with Skipped entries, like
-// the two-phase engine.
+// the size precondition, the tail is padded with Skipped entries by
+// ascending index.
 func TestTopKIndexedPadsWithSkipped(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	base := randBase(rng, 4)

@@ -164,30 +164,55 @@ func TestFaultComputeBudgetExhaustedReturns503(t *testing.T) {
 	// cancellation checkpoint and the 503 is deterministic.
 	_, ts := newFaultServer(t, Config{RequestTimeout: time.Microsecond})
 	ids := uploadDense(t, ts, 10, 400)
+	checkBudget503(t, ts.URL+"/matrix", MatrixRequest{Communities: ids, Options: OptionsPayload{Epsilon: 2}})
+}
 
+// TestFaultComputeBudgetExhaustedIndexedReturns503: the indexed engines
+// behind /topk and a threshold /rank check the budget before each
+// candidate they visit, so an expired budget stops them even when
+// every join is too small to reach its scan's own cancellation
+// checkpoint (10 × 10 users of 4 dims: under 256 steps a join). A 1ns
+// budget has expired before the handler runs, so the answer does not
+// wait on a timer firing, which on one CPU can take until the busy
+// handler is preempted.
+func TestFaultComputeBudgetExhaustedIndexedReturns503(t *testing.T) {
+	_, ts := newFaultServer(t, Config{RequestTimeout: time.Nanosecond})
+	rng := rand.New(rand.NewSource(7))
+	ids := make([]int64, 400)
+	for i := range ids {
+		ids[i] = uploadCommunity(t, ts, fmt.Sprintf("small-%03d", i), randUsers(rng, 10, 4, 8))
+	}
+	opts := OptionsPayload{Epsilon: 2}
+	checkBudget503(t, ts.URL+"/topk", TopKRequest{Pivot: ids[0], AllCandidates: true, K: len(ids), Options: opts})
+	checkBudget503(t, ts.URL+"/rank", RankRequest{Pivot: ids[0], AllCandidates: true, Method: "exminmax",
+		MinSimilarity: 0.0001, Options: opts})
+}
+
+// checkBudget503 posts body to url and requires the expired-budget
+// answer: 503 with Retry-After and a compute-budget message.
+func checkBudget503(t *testing.T, url string, body any) {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(MatrixRequest{
-		Communities: ids, Options: OptionsPayload{Epsilon: 2},
-	}); err != nil {
+	if err := json.NewEncoder(&buf).Encode(body); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/matrix", "application/json", &buf)
+	resp, err := http.Post(url, "application/json", &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("expired budget: status %d, want 503", resp.StatusCode)
+		t.Fatalf("%s with an expired budget: status %d, want 503", url, resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
-		t.Error("503 response is missing Retry-After")
+		t.Errorf("%s: 503 response is missing Retry-After", url)
 	}
-	var body map[string]string
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	var msg map[string]string
+	if err := json.NewDecoder(resp.Body).Decode(&msg); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(body["error"], "compute budget") {
-		t.Errorf("503 body = %v, want a compute-budget message", body)
+	if !strings.Contains(msg["error"], "compute budget") {
+		t.Errorf("%s: 503 body = %v, want a compute-budget message", url, msg)
 	}
 }
 

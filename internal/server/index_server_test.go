@@ -58,16 +58,16 @@ func uploadIndexCorpus(t *testing.T, ts *httptest.Server) (pivot int64, cands []
 	return pivot, cands
 }
 
-// TestTopKEndpointIndexedMatchesTwoPhase: use_index selects no engine,
-// so /topk returns the same bytes with it and without it, and they are
-// the library's exact indexed top-k over views built here — approx
+// TestTopKEndpointMatchesLibrary: use_index selects no engine, so
+// /topk returns the same bytes with it and without it, and they are the
+// library's exact indexed top-k over views built here — approx
 // similarities (the index upper bounds) included.
-func TestTopKEndpointIndexedMatchesTwoPhase(t *testing.T) {
+func TestTopKEndpointMatchesLibrary(t *testing.T) {
 	ts := newTestServer(t)
 	pivot, cands := uploadIndexCorpus(t, ts)
 
-	// At epsilon 60 the Ap-MinMax scores, the bounds and the exact
-	// similarities all differ, so the body shows which engine ran.
+	// At epsilon 60 the bounds and the exact similarities differ, so
+	// the body pins both.
 	req := TopKRequest{Pivot: pivot, Candidates: cands, K: 6,
 		Options: OptionsPayload{Epsilon: 60}}
 	var plain, indexed json.RawMessage

@@ -108,8 +108,15 @@ func SimilarityMatrix(ctx context.Context, comms []*Community, method Method, op
 	}
 	o := opts.orDefault()
 	workers := batchWorkers(&o)
-	prepared, err := precomputeAll(ctx, comms, &o, workers, "matrix/prepare")
-	if err != nil {
+	prepared := make([]*PreparedCommunity, len(comms))
+	if err := runPoolStats(ctx, workers, len(comms), "matrix/prepare", o.OnPoolStats, func(_, i int) error {
+		p, err := Precompute(comms[i], &o)
+		if err != nil {
+			return fmt.Errorf("csj: preparing community %d (%s): %w", i, comms[i].Name, err)
+		}
+		prepared[i] = p
+		return nil
+	}); err != nil {
 		return nil, err
 	}
 	return matrixCells(ctx, prepared, allPairs(len(prepared)), method, &o, workers)

@@ -2,6 +2,7 @@ package csj_test
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -68,10 +69,10 @@ func TestTopKRanksOverlap(t *testing.T) {
 			t.Errorf("%s: refined with %v, want Ex-MinMax", r.Name, r.Result.Method)
 		}
 	}
-	// Exact similarity is at least the approximate score.
+	// ApproxSimilarity is the index upper bound of the exact score.
 	for _, r := range top {
-		if r.Result.Similarity+1e-9 < r.ApproxSimilarity {
-			t.Errorf("%s: exact %.4f below approximate %.4f", r.Name, r.Result.Similarity, r.ApproxSimilarity)
+		if r.Result.Similarity > r.ApproxSimilarity {
+			t.Errorf("%s: exact %.4f above its bound %.4f", r.Name, r.Result.Similarity, r.ApproxSimilarity)
 		}
 	}
 }
@@ -105,6 +106,12 @@ func TestTopKValidation(t *testing.T) {
 	}
 	if _, err := csj.TopK(context.Background(), pivot, []*csj.Community{cand}, 0, nil); err == nil {
 		t.Error("expected error for k = 0")
+	}
+	// A bad scorer is rejected even when no candidate is joined.
+	tiny := entropyComm(rng, "tiny", 5, 4)
+	bad := &csj.Options{Scorer: &csj.ScorerSpec{}}
+	if _, err := csj.TopK(context.Background(), pivot, []*csj.Community{tiny}, 1, bad); !errors.Is(err, csj.ErrBadScorer) {
+		t.Errorf("all-zero scorer over a size-skipped candidate: err = %v, want ErrBadScorer", err)
 	}
 }
 
